@@ -18,9 +18,10 @@ It also implements the two-branch modulus-of-continuity gauge
             = gamma log(B xi/delta) + delta - delta^(1+alpha/2)  otherwise
 
 together with the recipe that selects (delta, gamma, B) from the envelope
-values at a horizon T, a pairwise grid check of the gauge, and the
-accumulation of |d rho/dx|_inf^2 whose finiteness is the regularity
-criterion.
+values at a horizon T and a pairwise grid check of the gauge. The
+recorder logs these quantities along a run, among them the running
+trapezoidal integral of |d rho/dx|_inf^2 whose finiteness is the
+regularity criterion.
 
 Grid extrema under-sample continuum extrema, so every envelope comparison
 carries the slack factor 1 + 10 dx; margins are reported with the slack
@@ -29,7 +30,6 @@ folded in, so margin >= 1 always means "pass".
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import kernel_min
-from .model import RHO_FLOOR, SimState, recover_velocity
+from .model import SimState, recover_velocity
 from .spectral import Grid, derivative, mean
 
 ENVELOPE_SLACK = 10.0  # slack factor 1 + ENVELOPE_SLACK * dx on grid extrema
@@ -48,11 +48,6 @@ CSV_COLUMNS = (
     "mass", "momentum", "env_lower_margin", "env_upper_margin",
     "moc_pass", "moc_min_B",
 )
-
-
-def _trapz(y, x):
-    f = getattr(np, "trapezoid", None) or np.trapz
-    return float(f(np.asarray(y), np.asarray(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +89,20 @@ class BoundConstants:
         return self.c_big * np.exp(self.a_big * np.asarray(t, dtype=float))
 
     def f_bound(self, t) -> np.ndarray | float:
-        """Growth envelope F_M(t) for the transported ratio."""
+        """Growth envelope F_M(t) for the transported ratio.
+
+        The last term writes kappa/A_m as psi_m/(1+eps), so it stays finite
+        when A_m underflows to 0 for a tiny kappa > 0. It omits the -1 of
+        int_0^t e^{A_m s} ds: F_M(0) exceeds |f_0|_inf, and F_M jumps as
+        kappa -> 0+, from |f_0|_inf at kappa = 0 to
+        |f_0|_inf + psi_m rho_bar/((1+eps) C_m) for any kappa > 0. The bound
+        is conservative, not wrong.
+        """
         t = np.asarray(t, dtype=float)
         out = np.full_like(t, self.f0_inf)
         if self.kappa > 0:
             out = out + abs(self.k) * t
-            out = out + self.kappa * self.rho_bar / (self.a_m * self.c_m) * np.exp(self.a_m * t)
+            out = out + self.psi_m / (1.0 + self.eps) * self.rho_bar / self.c_m * np.exp(self.a_m * t)
         return out if out.ndim else float(out)
 
     def rho_max_bound(self, t) -> np.ndarray | float:
@@ -153,7 +156,11 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
     general = (psi_l_sup > 0.0) or (kxx_sup > 0.0)
     fac = 2.0 if general else 1.0
     if kappa > 0:
-        peak = f0_inf + abs(state.potential.k) / (math.e * a_m) + kappa * state.rho_bar / (a_m * c_m)
+        # kappa / a_m = psi_m / (1 + eps): nothing divides by a_m, which
+        # underflows to 0 for subnormal kappa
+        kappa_over_a_m = psi_m / (1.0 + eps)
+        peak = (f0_inf + abs(state.potential.k) / kappa * kappa_over_a_m / math.e
+                + kappa_over_a_m * state.rho_bar / c_m)
     else:
         peak = f0_inf
     branch3 = (fac * peak / c1) ** (1.0 / alpha)
@@ -246,23 +253,39 @@ class MocReport:
     pair: tuple[int, int]
 
 
+def _lag_table(rho: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distances l/n, D[l] = max_i |rho_i - rho_{i+l}| and its first argmax i,
+    for the lags l = 1..n/2.
+
+    Cost O(n^2) in one O(n) pass per lag; a (lags x n) array would cost
+    O(n^2) memory instead.
+    """
+    rho = np.asarray(rho, dtype=float)
+    half = n // 2
+    diffs = np.empty(half)
+    at = np.empty(half, dtype=np.intp)
+    for lag in range(1, half + 1):
+        diff = np.abs(rho - np.roll(rho, -lag))
+        i = int(np.argmax(diff))
+        at[lag - 1] = i
+        diffs[lag - 1] = diff[i]
+    return np.arange(1, half + 1) / n, diffs, at
+
+
 def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
     """Check |rho(x) - rho(y)| < w_B(d(x, y)) over all grid pairs.
 
-    Cost O(n^2); returns the pair with the smallest gap.
+    Cost O(n^2); returns the pair with the smallest gap, the shortest
+    distance among ties.
     """
-    rho = np.asarray(rho, dtype=float)
-    lags = np.arange(1, grid.n // 2 + 1)
-    dists = lags / grid.n
-    gauge = np.asarray(omega_b(dists, p))
-    worst = (math.inf, 0.5, (0, 0))
-    for lag, d, w in zip(lags, dists, gauge):
-        diff = np.abs(rho - np.roll(rho, -int(lag)))
-        i = int(np.argmax(diff))
-        gap = float(w - diff[i])
-        if gap < worst[0]:
-            worst = (gap, float(d), (i, (i + int(lag)) % grid.n))
-    return MocReport(passed=worst[0] > 0.0, margin=worst[0], distance=worst[1], pair=worst[2])
+    if math.isinf(p.b):  # the gauge is +inf everywhere: no pair can bind
+        return MocReport(passed=True, margin=math.inf, distance=0.5, pair=(0, 0))
+    dists, diffs, at = _lag_table(rho, grid.n)
+    gaps = np.asarray(omega_b(dists, p)) - diffs
+    k = int(np.argmin(gaps))
+    i = int(at[k])
+    return MocReport(passed=bool(gaps[k] > 0.0), margin=float(gaps[k]),
+                     distance=float(dists[k]), pair=(i, (i + k + 1) % grid.n))
 
 
 def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: Grid,
@@ -270,11 +293,13 @@ def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: G
     """Smallest b (within rtol, bisected in log space) passing the check.
 
     Returns 1.0 when even the smallest admissible b passes (constant
-    fields), and +inf when no b below ``b_cap`` does.
+    fields), and +inf when no b below ``b_cap`` does. The O(n^2) lag table
+    is built once; each bisection point costs one O(n) gauge evaluation.
     """
+    dists, diffs, _ = _lag_table(rho, grid.n)
 
     def ok(b: float) -> bool:
-        return moc_check(rho, ModulusParams(delta, gamma, b, alpha), grid).passed
+        return float(np.min(omega_b(dists, ModulusParams(delta, gamma, b, alpha)) - diffs)) > 0.0
 
     if ok(1.0):
         return 1.0
@@ -427,31 +452,21 @@ class DiagnosticsLog:
             if close:
                 stream.close()
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
-
 
 class DiagnosticsRecorder:
     """Monitor collecting the diagnostics log during a run.
 
-    Scalar quantities are recorded every ``record_every`` steps; the
-    O(n^2) modulus check runs every ``moc_every`` steps (rows in between
+    A row is recorded at every step; the O(n^2) modulus check and the
+    smallest passing B run every ``moc_every`` steps (rows in between
     carry NaN in the modulus columns).
     """
 
     def __init__(self, bounds: BoundConstants | None = None,
                  moc: ModulusParams | None = None,
-                 record_every: int = 1, moc_every: int = 10,
-                 min_b_trace: bool = True, rho_floor: float = RHO_FLOOR,
-                 config_hash: str = ""):
+                 moc_every: int = 10, config_hash: str = ""):
         self.bounds = bounds
         self.moc = moc
-        self.record_every = max(1, int(record_every))
         self.moc_every = max(1, int(moc_every))
-        self.min_b_trace = min_b_trace
-        self.rho_floor = rho_floor
         self._hash = config_hash
         self.log: DiagnosticsLog | None = None
 
@@ -461,18 +476,16 @@ class DiagnosticsRecorder:
                 n=state.grid.n, alpha=state.kernel.alpha, k=state.potential.k,
                 config_hash=self._hash,
             )
-        if step % self.record_every != 0:
-            return
         log = self.log
         grid = state.grid
         t = state.t
         rho_min = float(np.min(state.rho))
         rho_max = float(np.max(state.rho))
         drho = float(np.max(np.abs(derivative(state.rho, grid))))
-        d = recover_velocity(state, check_vacuum=False)
+        u = recover_velocity(state, check_vacuum=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             f_inf = float(np.max(np.abs(state.g / state.rho)))
-        momentum = mean(state.rho * d.u)
+        momentum = mean(state.rho * u)
         if log.t:
             bkm = log.bkm[-1] + 0.5 * (log.drho_inf[-1] ** 2 + drho**2) * (t - log.t[-1])
         else:
@@ -486,11 +499,7 @@ class DiagnosticsRecorder:
         if self.moc is not None and step % self.moc_every == 0:
             rep = moc_check(state.rho, self.moc, grid)
             moc_pass = 1.0 if rep.passed else 0.0
-            if self.min_b_trace:
-                min_b = moc_min_b(state.rho, self.moc.delta, self.moc.gamma,
-                                  self.moc.alpha, grid)
-            else:
-                min_b = math.nan
+            min_b = moc_min_b(state.rho, self.moc.delta, self.moc.gamma, self.moc.alpha, grid)
         else:
             moc_pass = math.nan
             min_b = math.nan
@@ -586,7 +595,3 @@ def check_f_transported(log: DiagnosticsLog, atol: float = 1e-6) -> CheckReport:
     t = log.column("t")
     return CheckReport(bool(worst >= 0.0), worst, float(t[i + 1] if steps.size else t[0]))
 
-
-def bkm_accumulate(log: DiagnosticsLog) -> float:
-    """Trapezoidal accumulation of |d rho/dx|_inf^2 over the logged times."""
-    return _trapz(log.column("drho_inf") ** 2, log.column("t"))

@@ -73,8 +73,7 @@ class RunOutcome:
 
 
 def _raw_dt(state: SimState, ctl: StepControl) -> float:
-    d = recover_velocity(state, check_vacuum=False)
-    u_inf = float(np.max(np.abs(d.u)))
+    u_inf = float(np.max(np.abs(recover_velocity(state, check_vacuum=False))))
     dx = state.grid.dx
     dt_adv = ctl.cfl_advect * dx / u_inf if u_inf > 0 else math.inf
     kern = state.kernel
@@ -136,7 +135,7 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
     """
     steps = 0
     bkm = 0.0
-    prev_sq = float(np.max(np.abs(derivative(state.rho, state.grid)))) ** 2
+    grad_inf = float(np.max(np.abs(derivative(state.rho, state.grid))))
     for m in monitors:
         m(0, state)
 
@@ -147,7 +146,6 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
 
     while state.t < ctl.t_end - 1e-12:
         rho_max = float(np.max(state.rho))
-        grad_inf = float(np.max(np.abs(derivative(state.rho, state.grid))))
         if rho_max > detection.rho_max_factor * state.rho_bar:
             return outcome(RunStatus.BLOWUP, f"max density {rho_max:.3e}")
         if grad_inf > detection.grad_rho_max:
@@ -165,9 +163,9 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         except (NonFiniteError, FloatingPointError) as exc:
             return outcome(RunStatus.NAN, str(exc))
         steps += 1
-        cur_sq = float(np.max(np.abs(derivative(state.rho, state.grid)))) ** 2
-        bkm += 0.5 * (prev_sq + cur_sq) * dt
-        prev_sq = cur_sq
+        prev_sq = grad_inf**2
+        grad_inf = float(np.max(np.abs(derivative(state.rho, state.grid))))
+        bkm += 0.5 * (prev_sq + grad_inf**2) * dt
         for m in monitors:
             m(steps, state)
     return outcome(RunStatus.COMPLETED)

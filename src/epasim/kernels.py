@@ -187,17 +187,6 @@ class LipschitzKernel:
             return abs(self.a) + abs(self.b)
         return float(np.max(np.abs(self.vs)))
 
-    def lipschitz_bound(self) -> float:
-        if self.kind in ("zero", "constant"):
-            return 0.0
-        if self.kind == "cosine":
-            return 2 * np.pi * abs(self.b)
-        xs = np.asarray(self.xs)
-        vs = np.asarray(self.vs)
-        dx = np.diff(np.append(xs, xs[0] + 1.0))
-        dv = np.diff(np.append(vs, vs[0]))
-        return float(np.max(np.abs(dv / dx)))
-
 
 @dataclass(frozen=True)
 class RegularPotential:

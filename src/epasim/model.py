@@ -84,17 +84,6 @@ class SimState:
             raise NonFiniteError("zero-mean constraint on the transformed gradient broke")
 
 
-@dataclass(frozen=True)
-class DerivedFields:
-    """Quantities recovered from a state: velocity, its split, and g/rho."""
-
-    u: np.ndarray
-    f: np.ndarray | None  # g / rho; None when vacuum checking is off and rho dips
-    u_sing: np.ndarray
-    u_lip: np.ndarray
-    i0: float
-
-
 def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) -> np.ndarray:
     """Transform (rho, u) into the advected gradient variable."""
     rho = _check(rho, grid)
@@ -108,8 +97,8 @@ def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) ->
 
 
 def recover_velocity(state: SimState, rho_floor: float = RHO_FLOOR,
-                     check_vacuum: bool = True) -> DerivedFields:
-    """Invert the gradient transform and pin the momentum.
+                     check_vacuum: bool = True) -> np.ndarray:
+    """Invert the gradient transform, pin the momentum and return the velocity.
 
     u = c * Lambda^alpha d^-1 (rho - rho_bar) + d^-1 (g - psi_l * rho) + I0,
     with the constant I0 solved from int rho u = m0 at every call, so the
@@ -118,35 +107,21 @@ def recover_velocity(state: SimState, rho_floor: float = RHO_FLOOR,
     grid = state.grid
     if check_vacuum and float(np.min(state.rho)) <= rho_floor:
         raise VacuumError(f"min density {np.min(state.rho):.3e}: velocity ratio undefined")
-    conv = state.psi_l_conv()
-    core = state.g - conv
-    u_part = antiderivative(core, grid)
+    u_part = antiderivative(state.g - state.psi_l_conv(), grid)
     if state.kernel.c > 0:
         u_part = u_part + state.kernel.c * fractional_laplacian_antiderivative(
             state.rho, state.kernel.alpha, grid
         )
     i0 = (state.m0 - mean(state.rho * u_part)) / mean(state.rho)
-    u = u_part + i0
-    if check_vacuum or float(np.min(state.rho)) > 0.0:
-        f = state.g / state.rho
-    else:
-        f = None
-    g_mean = mean(state.g)
-    u_sing = antiderivative(state.g - g_mean, grid)
-    if state.kernel.c > 0:
-        u_sing = u_sing + state.kernel.c * fractional_laplacian_antiderivative(
-            state.rho, state.kernel.alpha, grid
-        )
-    u_lip = -antiderivative(conv - g_mean, grid) + i0
-    return DerivedFields(u=u, f=f, u_sing=u_sing, u_lip=u_lip, i0=i0)
+    return u_part + i0
 
 
 def rhs(state: SimState, rho_floor: float = RHO_FLOOR) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives of (rho, g); quadratic products are dealiased."""
     grid = state.grid
-    d = recover_velocity(state, rho_floor)
-    drho = -derivative(dealias(state.rho * d.u, grid), grid)
-    dg = -derivative(dealias(state.g * d.u, grid), grid)
+    u = recover_velocity(state, rho_floor)
+    drho = -derivative(dealias(state.rho * u, grid), grid)
+    dg = -derivative(dealias(state.g * u, grid), grid)
     if not state.potential.is_zero:
         dg = dg + g_source(state.rho, state.rho_bar, state.potential, grid)
     if not (np.all(np.isfinite(drho)) and np.all(np.isfinite(dg))):

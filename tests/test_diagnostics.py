@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epasim.diagnostics import (
@@ -10,7 +10,6 @@ from epasim.diagnostics import (
     DiagnosticsLog,
     DiagnosticsRecorder,
     ModulusParams,
-    bkm_accumulate,
     bound_constants,
     certified_modulus_params,
     check_f_bound,
@@ -23,22 +22,22 @@ from epasim.diagnostics import (
 )
 from epasim.integrator import RunStatus, StepControl, run
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, psi_alpha_min
-from epasim.model import make_initial
+from epasim.model import advance, make_initial
 from epasim.spectral import Grid
+from conftest import random_positive_field, random_smooth_field
 
 EA = KernelSpec(c=1.0, alpha=0.5)
 
 
-def synthetic_log(t, rho_min, rho_max, f_inf=None, drho=None, n=256, alpha=0.5, k=0.0):
+def synthetic_log(t, rho_min, rho_max, f_inf=None, n=256, alpha=0.5, k=0.0):
     t = np.asarray(t, dtype=float)
     log = DiagnosticsLog(n=n, alpha=alpha, k=k)
     log.t = list(t)
     log.rho_min = list(np.broadcast_to(rho_min, t.shape).astype(float))
     log.rho_max = list(np.broadcast_to(rho_max, t.shape).astype(float))
     log.f_inf = list(np.broadcast_to(0.0 if f_inf is None else f_inf, t.shape).astype(float))
-    log.drho_inf = list(np.broadcast_to(0.0 if drho is None else drho, t.shape).astype(float))
     z = [0.0] * t.size
-    log.bkm, log.mass, log.momentum = z[:], z[:], z[:]
+    log.drho_inf, log.bkm, log.mass, log.momentum = z[:], z[:], z[:], z[:]
     log.env_lower_margin, log.env_upper_margin = z[:], z[:]
     log.moc_pass, log.moc_min_b = [math.nan] * t.size, [math.nan] * t.size
     return log
@@ -92,6 +91,9 @@ def test_bound_constants_general_potential_swaps_coefficient():
 
 
 @given(amp=st.floats(0.05, 0.8), k=st.floats(-2.0, 2.0))
+@example(amp=0.3, k=5e-324)  # A_m underflows to 0
+@example(amp=0.3, k=-5e-324)
+@example(amp=0.3, k=1e-300)
 @settings(max_examples=15, deadline=None)
 def test_bound_constants_c_m_below_initial_min(amp, k):
     g = Grid(64)
@@ -99,6 +101,8 @@ def test_bound_constants_c_m_below_initial_min(amp, k):
     bc = bound_constants(st)
     assert bc.c_m <= bc.rho0_min + 1e-15
     assert 0.0 < bc.eps < bc.eps_star
+    assert all(math.isfinite(v) for v in vars(bc).values())
+    assert math.isfinite(bc.f_bound(1.0)) and math.isfinite(bc.rho_max_bound(1.0))
 
 
 def test_bound_constants_warns_above_one():
@@ -261,6 +265,13 @@ def test_moc_check_large_amplitude_small_b_fails(grid64):
     assert abs(rho[i] - rho[j]) > float(omega_b(rep.distance, p))
 
 
+def test_moc_check_fails_non_finite_field(grid64):
+    rho = 1.0 + 0.3 * np.cos(2 * np.pi * grid64.x)
+    rho[3] = np.nan
+    assert not moc_check(rho, VALID, grid64).passed
+    assert moc_min_b(rho, 0.2, 0.02, 0.5, grid64) == math.inf
+
+
 def test_moc_min_b_constant_field(grid64):
     assert moc_min_b(np.full(64, 1.0), 0.2, 0.02, 0.5, grid64) == 1.0
 
@@ -282,6 +293,41 @@ def test_moc_min_b_matches_grid_search_oracle(grid64):
     ok = [moc_check(rho, ModulusParams(delta, gamma, b, alpha), grid64).passed for b in bs]
     oracle = bs[int(np.argmax(ok))]
     assert got == pytest.approx(oracle, rel=0.05)
+
+
+def moc_oracle_margin(rho, p, grid):
+    """Brute force over every pair i < j: min of w_B(d) - |rho_i - rho_j|,
+    with d the periodic distance."""
+    n = grid.n
+    margin = math.inf
+    for i in range(n - 1):
+        j = np.arange(i + 1, n)
+        d = np.minimum(j - i, n - (j - i)) / n
+        margin = min(margin, float(np.min(omega_b(d, p) - np.abs(rho[i] - rho[j]))))
+    return margin
+
+
+def test_moc_check_and_min_b_match_all_pairs_oracle(grid64):
+    delta, gamma, alpha = 0.2, 0.02, 0.5
+    rng = np.random.default_rng(7)
+    fields = [1.0 + 0.25 * np.cos(2 * np.pi * grid64.x)]
+    for _ in range(2):
+        fields += [random_positive_field(grid64, rng), random_smooth_field(grid64, rng, offset=1.0)]
+    verdicts = set()
+    for rho in fields:
+        for b in (1.5, 50.0, 1e6, 1e30):
+            p = ModulusParams(delta, gamma, b, alpha)
+            rep = moc_check(rho, p, grid64)
+            margin = moc_oracle_margin(rho, p, grid64)
+            assert rep.margin == margin
+            assert rep.passed == (margin > 0.0)
+            verdicts.add(rep.passed)
+        min_b = moc_min_b(rho, delta, gamma, alpha, grid64)
+        assert 1.0 < min_b < math.inf
+        assert moc_oracle_margin(rho, ModulusParams(delta, gamma, min_b, alpha), grid64) > 0.0
+        below = ModulusParams(delta, gamma, min_b / 1.01, alpha)  # moc_min_b's default rtol
+        assert moc_oracle_margin(rho, below, grid64) <= 0.0
+    assert verdicts == {True, False}
 
 
 def test_moc_min_b_unreachable_returns_inf(grid64):
@@ -348,23 +394,30 @@ def test_certified_params_obeyed_by_initial_data():
 # accumulation and log plumbing
 
 
+def recorded_bkm(t, drho):
+    """Last bkm of a recorder fed states with |d rho/dx|_inf = drho[i] at t[i]."""
+    g = Grid(64)
+    st = make_initial("uniform", g, EA)
+    rec = DiagnosticsRecorder()
+    for step, (ti, a) in enumerate(zip(t, drho)):
+        rho = 1.0 + a / (2 * np.pi) * np.cos(2 * np.pi * g.x)
+        rec(step, advance(st, rho, st.g, float(ti)))
+    return rec.log.bkm[-1]
+
+
 def test_bkm_constant_gradient():
     t = np.linspace(0, 2, 21)
-    log = synthetic_log(t, 1, 1, drho=3.0)
-    assert bkm_accumulate(log) == pytest.approx(9.0 * 2.0, rel=1e-12)
+    assert recorded_bkm(t, np.full(t.size, 3.0)) == pytest.approx(9.0 * 2.0, rel=1e-12)
 
 
 def test_bkm_equilibrium_zero():
     t = np.linspace(0, 2, 21)
-    log = synthetic_log(t, 1, 1, drho=0.0)
-    assert bkm_accumulate(log) == 0.0
+    assert recorded_bkm(t, np.zeros(t.size)) == 0.0
 
 
 def test_bkm_linear_ramp():
     t = np.linspace(0, 1, 2001)
-    log = synthetic_log(t, 1, 1)
-    log.drho_inf = list(t)
-    assert bkm_accumulate(log) == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert recorded_bkm(t, t) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 def test_recorder_and_csv_round_trip(tmp_path):
@@ -381,7 +434,9 @@ def test_recorder_and_csv_round_trip(tmp_path):
     assert np.all(np.diff(t) > 0)
     bkm = log.column("bkm")
     assert np.all(np.diff(bkm) >= 0)
-    assert bkm_accumulate(log) == pytest.approx(bkm[-1], rel=1e-12)
+    drho_sq = log.column("drho_inf") ** 2
+    trapezoid = float(np.sum(0.5 * (drho_sq[1:] + drho_sq[:-1]) * np.diff(t)))
+    assert trapezoid == pytest.approx(bkm[-1], rel=1e-12)
     # moc evaluated at the requested cadence only
     mp = log.column("moc_pass")
     assert np.isnan(mp[1]) and mp[0] in (0.0, 1.0) and mp[5] in (0.0, 1.0)

@@ -158,7 +158,7 @@ def test_run_mass_and_momentum_conserved():
     def watch(_, s):
         from epasim.model import recover_velocity
         masses.append(mean(s.rho))
-        momenta.append(mean(s.rho * recover_velocity(s).u))
+        momenta.append(mean(s.rho * recover_velocity(s)))
 
     out = run(st, StepControl(t_end=0.5), monitors=(watch,))
     assert out.completed

@@ -198,8 +198,6 @@ def test_lipschitz_table_kernel():
     assert kern(-0.375) == pytest.approx(1.5)
     assert kern(0.5) == pytest.approx(1.0)  # periodic wrap hits x = -0.5
     assert kern.sup_norm() == pytest.approx(3.0)
-    # steepest chord has slope 4, including the wrap segment
-    assert kern.lipschitz_bound() == pytest.approx(4.0)
 
 
 def test_table_validation():
