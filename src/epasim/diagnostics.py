@@ -42,6 +42,8 @@ from .spectral import Grid, derivative, mean
 
 ENVELOPE_SLACK = 10.0  # slack factor 1 + ENVELOPE_SLACK * dx on grid extrema
 F_BOUND_ATOL = 1e-12  # absolute floor so roundoff-level f fields compare sanely
+MIN_B_CAP = 1e290  # moc_min_b reports +inf above this b
+MIN_B_RTOL = 0.01  # relative resolution of moc_min_b's bisection
 
 CSV_COLUMNS = (
     "t", "rho_min", "rho_max", "F_inf", "drho_inf", "bkm",
@@ -272,31 +274,20 @@ def _lag_table(rho: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return np.arange(1, half + 1) / n, diffs, at
 
 
-def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
-    """Check |rho(x) - rho(y)| < w_B(d(x, y)) over all grid pairs.
-
-    Cost O(n^2); returns the pair with the smallest gap, the shortest
-    distance among ties.
-    """
+def _moc_report(table, p: ModulusParams, n: int) -> MocReport:
     if math.isinf(p.b):  # the gauge is +inf everywhere: no pair can bind
         return MocReport(passed=True, margin=math.inf, distance=0.5, pair=(0, 0))
-    dists, diffs, at = _lag_table(rho, grid.n)
+    dists, diffs, at = table
     gaps = np.asarray(omega_b(dists, p)) - diffs
     k = int(np.argmin(gaps))
     i = int(at[k])
     return MocReport(passed=bool(gaps[k] > 0.0), margin=float(gaps[k]),
-                     distance=float(dists[k]), pair=(i, (i + k + 1) % grid.n))
+                     distance=float(dists[k]), pair=(i, (i + k + 1) % n))
 
 
-def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: Grid,
-              b_cap: float = 1e290, rtol: float = 0.01) -> float:
-    """Smallest b (within rtol, bisected in log space) passing the check.
-
-    Returns 1.0 when even the smallest admissible b passes (constant
-    fields), and +inf when no b below ``b_cap`` does. The O(n^2) lag table
-    is built once; each bisection point costs one O(n) gauge evaluation.
-    """
-    dists, diffs, _ = _lag_table(rho, grid.n)
+def _min_b(table, delta: float, gamma: float, alpha: float, b_cap: float = MIN_B_CAP,
+           rtol: float = MIN_B_RTOL) -> float:
+    dists, diffs, _ = table
 
     def ok(b: float) -> bool:
         return float(np.min(omega_b(dists, ModulusParams(delta, gamma, b, alpha)) - diffs)) > 0.0
@@ -313,6 +304,26 @@ def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: G
         else:
             lo = mid
     return math.exp(hi)
+
+
+def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
+    """Check |rho(x) - rho(y)| < w_B(d(x, y)) over all grid pairs.
+
+    Cost O(n^2); returns the pair with the smallest gap, the shortest
+    distance among ties.
+    """
+    return _moc_report(_lag_table(rho, grid.n), p, grid.n)
+
+
+def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: Grid,
+              b_cap: float = MIN_B_CAP, rtol: float = MIN_B_RTOL) -> float:
+    """Smallest b (within rtol, bisected in log space) passing the check.
+
+    Returns 1.0 when even the smallest admissible b passes (constant
+    fields), and +inf when no b below ``b_cap`` does. The O(n^2) lag table
+    is built once; each bisection point costs one O(n) gauge evaluation.
+    """
+    return _min_b(_lag_table(rho, grid.n), delta, gamma, alpha, b_cap, rtol)
 
 
 def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
@@ -497,9 +508,11 @@ class DiagnosticsRecorder:
         else:
             low = up = math.nan
         if self.moc is not None and step % self.moc_every == 0:
-            rep = moc_check(state.rho, self.moc, grid)
-            moc_pass = 1.0 if rep.passed else 0.0
-            min_b = moc_min_b(state.rho, self.moc.delta, self.moc.gamma, self.moc.alpha, grid)
+            # one lag table for both the check and the smallest passing B
+            p = self.moc
+            table = _lag_table(state.rho, grid.n)
+            moc_pass = 1.0 if _moc_report(table, p, grid.n).passed else 0.0
+            min_b = _min_b(table, p.delta, p.gamma, p.alpha)
         else:
             moc_pass = math.nan
             min_b = math.nan

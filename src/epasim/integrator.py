@@ -5,6 +5,11 @@ capped by an advective CFL bound and a fractional-diffusion bound; the
 run loop watches for vacuum, non-finite values, and blow-up indicators
 (collapsing dt, runaway density or gradient, or a capped accumulation of
 the squared-gradient history).
+
+The run loop evaluates the first RK stage itself: the same ``rhs`` call
+gives sup |u| for the advective step bound and the stage-1 derivatives
+that ``step_ssprk3`` then consumes, so each step costs three ``rhs``
+calls and no separate velocity recovery.
 """
 
 from __future__ import annotations
@@ -72,8 +77,10 @@ class RunOutcome:
         return self.status is RunStatus.COMPLETED
 
 
-def _raw_dt(state: SimState, ctl: StepControl) -> float:
-    u_inf = float(np.max(np.abs(recover_velocity(state, check_vacuum=False))))
+def _raw_dt(state: SimState, ctl: StepControl, u_inf: float | None = None) -> float:
+    """CFL bounds of the state; ``u_inf`` is sup |u|, recovered if not given."""
+    if u_inf is None:
+        u_inf = float(np.max(np.abs(recover_velocity(state, check_vacuum=False))))
     dx = state.grid.dx
     dt_adv = ctl.cfl_advect * dx / u_inf if u_inf > 0 else math.inf
     kern = state.kernel
@@ -92,35 +99,51 @@ def stable_dt(state: SimState, ctl: StepControl) -> float:
     return max(min(_raw_dt(state, ctl), ctl.dt_max), ctl.dt_min)
 
 
-def step_ssprk3(state: SimState, dt: float, rho_floor: float = RHO_FLOOR) -> SimState:
+def _stage2(x: np.ndarray, d: np.ndarray, x0: np.ndarray, dt: float) -> None:
+    # x <- 3/4 x0 + 1/4 (x + dt d), in place; d is overwritten
+    d *= dt
+    x += d
+    x *= 0.25
+    np.multiply(x0, 0.75, out=d)
+    x += d
+
+
+def _stage3(d: np.ndarray, x: np.ndarray, x0: np.ndarray, dt: float) -> None:
+    # d <- (x0 + 2 (x + dt d)) / 3, in place
+    d *= dt
+    d += x
+    d *= 2.0
+    d += x0
+    d /= 3.0
+
+
+def step_ssprk3(state: SimState, dt: float, rho_floor: float = RHO_FLOOR,
+                k1: tuple | None = None) -> SimState:
     """One three-stage strong-stability-preserving RK3 update.
 
-    Raises VacuumError / NonFiniteError if any stage leaves the valid
-    region; the returned state has its invariants re-checked.
+    ``k1`` is the stage-1 ``(drho, dg)`` of ``rhs(state)`` when the caller
+    has it already; its arrays then hold the stage values and are
+    overwritten. Raises VacuumError / NonFiniteError if any stage leaves
+    the valid region (``rhs`` checks each stage state); the returned state
+    has its invariants re-checked.
     """
-
-    def euler(rho, g, s):
-        drho, dg = rhs(advance(s, rho, g, 0.0), rho_floor)
-        return rho + dt * drho, g + dt * dg
-
-    def guard(rho, g, stage):
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(g))):
-            raise NonFiniteError(f"non-finite values in RK stage {stage} at t={state.t:.6f}")
-        if float(np.min(rho)) <= rho_floor:
-            raise VacuumError(f"density floor crossed in RK stage {stage} at t={state.t:.6f}")
-
     r0, g0 = state.rho, state.g
-    r1, g1 = euler(r0, g0, state)
-    guard(r1, g1, 1)
-    r1e, g1e = euler(r1, g1, state)
-    r2 = 0.75 * r0 + 0.25 * r1e
-    g2 = 0.75 * g0 + 0.25 * g1e
-    guard(r2, g2, 2)
-    r2e, g2e = euler(r2, g2, state)
-    rn = (r0 + 2.0 * r2e) / 3.0
-    gn = (g0 + 2.0 * g2e) / 3.0
-    guard(rn, gn, 3)
-    new = advance(state, rn, gn, dt)
+    r, g = k1[:2] if k1 is not None else rhs(state, rho_floor)[:2]
+    # stage 1: u1 = u0 + dt L(u0)
+    r *= dt
+    r += r0
+    g *= dt
+    g += g0
+    # stage 2, into the stage-1 arrays: u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
+    dr, dg, _ = rhs(advance(state, r, g, 0.0), rho_floor)
+    _stage2(r, dr, r0, dt)
+    _stage2(g, dg, g0, dt)
+    del dr, dg
+    # stage 3, into its own derivative arrays: (u0 + 2 (u2 + dt L(u2))) / 3
+    dr, dg, _ = rhs(advance(state, r, g, 0.0), rho_floor)
+    _stage3(dr, r, r0, dt)
+    _stage3(dg, g, g0, dt)
+    new = advance(state, dr, dg, dt)
     new.validate(rho_floor)
     return new
 
@@ -152,16 +175,18 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
             return outcome(RunStatus.BLOWUP, f"density gradient {grad_inf:.3e}")
         if bkm > detection.bkm_cap:
             return outcome(RunStatus.BLOWUP, f"squared-gradient accumulation {bkm:.3e}")
-        raw = _raw_dt(state, ctl)
-        if raw < ctl.dt_min:
-            return outcome(RunStatus.BLOWUP, f"stable step collapsed to {raw:.3e}")
-        dt = min(raw, ctl.dt_max, ctl.t_end - state.t)
         try:
-            state = step_ssprk3(state, dt, detection.rho_floor)
+            drho, dg, u_inf = rhs(state, detection.rho_floor)
+            raw = _raw_dt(state, ctl, u_inf)
+            if raw < ctl.dt_min:
+                return outcome(RunStatus.BLOWUP, f"stable step collapsed to {raw:.3e}")
+            dt = min(raw, ctl.dt_max, ctl.t_end - state.t)
+            state = step_ssprk3(state, dt, detection.rho_floor, (drho, dg))
         except VacuumError as exc:
             return outcome(RunStatus.VACUUM, str(exc))
         except (NonFiniteError, FloatingPointError) as exc:
             return outcome(RunStatus.NAN, str(exc))
+        del drho, dg  # the stage arrays of the finished step
         steps += 1
         prev_sq = grad_inf**2
         grad_inf = float(np.max(np.abs(derivative(state.rho, state.grid))))

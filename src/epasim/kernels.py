@@ -29,6 +29,7 @@ from .spectral import (
     midpoint_offsets,
     resample_midpoints,
     second_derivative,
+    to_spectrum,
 )
 
 
@@ -372,6 +373,19 @@ def g_source(rho: np.ndarray, rho_bar: float, pot: PotentialSpec, grid: Grid) ->
         out -= pot.k * (rho - rho_bar)
     if not pot.kreg.is_zero:
         out -= second_derivative(convolve(potential_on_grid(pot.kreg, grid), rho, grid), grid)
+    return out
+
+
+def g_source_multiplier(pot: PotentialSpec, grid: Grid) -> np.ndarray:
+    """Multiplier -k + (2 pi k)^2 K_reg_hat of the potential source, rfft layout.
+
+    Applied to rfft(rho) it gives rfft(g_source(rho, rho_bar, pot, grid))
+    on every mode but k = 0, which needs k n rho_bar added for the
+    background.
+    """
+    out = np.full(grid.n // 2 + 1, -pot.k, dtype=complex)
+    if not pot.kreg.is_zero:
+        out += np.square(grid.two_pi_k) * to_spectrum(potential_on_grid(pot.kreg, grid), grid)
     return out
 
 

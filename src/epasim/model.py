@@ -12,27 +12,55 @@ a pair of transport equations
 
 with the velocity recovered from (rho, g) up to a constant fixed by
 momentum conservation. Velocity is always derived, never advanced.
+
+Every linear operator of the dynamics is a Fourier multiplier, and
+:func:`spectral_plan` builds them once per (grid, kernel, potential), in
+the rfft layout of ``np.fft.rfft``:
+
+- velocity: u_hat = -i inv_k (g_hat + vel_rho rho_hat), with
+  inv_k = 1/(2 pi k) and vel_rho = c (2 pi |k|)^alpha - psi_l_hat, so
+  -i inv_k vel_rho = (c (2 pi |k|)^alpha - psi_l_hat)/(2 pi i k); inv_k
+  is 0 at k = 0 and at Nyquist;
+- flux derivative: i flux, with flux = 2 pi k on the 2/3-rule band and 0
+  above it, so dealiasing and d/dx are one product;
+- potential source: source rho_hat with source = -k + (2 pi k)^2 K_reg_hat,
+  plus k n rho_bar on mode 0 for the background.
+
+Mode 0 of g_hat + vel_rho rho_hat is n mean(g - psi_l * rho), the
+zero-mean constraint that makes the velocity periodic; :func:`rhs` reads
+it there. One :func:`rhs` call costs 7 FFTs: rho, g and u for the
+velocity, and a forward and an inverse transform for each flux.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import KernelSpec, PotentialSpec, g_source, lipschitz_on_grid, quadrature_weights
+from .kernels import (  # noqa: F401  (g_source: perfbench traces model.g_source)
+    KernelSpec,
+    PotentialSpec,
+    g_source,
+    g_source_multiplier,
+    lipschitz_on_grid,
+    quadrature_weights,
+)
 from .spectral import (
+    MEAN_TOL,
     Grid,
+    MeanViolationError,
     _check,
-    antiderivative,
     circular_correlate,
     convolve,
     dealias,
     derivative,
     fractional_laplacian,
-    fractional_laplacian_antiderivative,
     mean,
     resample_midpoints,
+    to_spectrum,
 )
 
 RHO_FLOOR = 1e-8  # below this, treat the run as having reached vacuum
@@ -45,6 +73,31 @@ class VacuumError(RuntimeError):
 
 class NonFiniteError(RuntimeError):
     """Non-finite values produced while evaluating the dynamics."""
+
+
+class SpectralPlan(NamedTuple):
+    """Read-only Fourier multipliers of one problem (see the module docstring)."""
+
+    inv_k: np.ndarray
+    vel_rho: np.ndarray
+    flux: np.ndarray
+    source: np.ndarray | None  # None without a potential
+
+
+@lru_cache(maxsize=32)
+def spectral_plan(grid: Grid, kernel: KernelSpec, potential: PotentialSpec) -> SpectralPlan:
+    """Multipliers of the dynamics on ``grid``, built once per problem."""
+    two_pi_k = grid.two_pi_k
+    inv_k = np.zeros(grid.n // 2 + 1)
+    inv_k[1:-1] = 1.0 / two_pi_k[1:-1]
+    psi_l_hat = to_spectrum(lipschitz_on_grid(kernel.psi_l, grid), grid)
+    vel_rho = kernel.c * two_pi_k**kernel.alpha - psi_l_hat
+    flux = np.where(grid.dealias_keep, two_pi_k, 0.0)
+    source = None if potential.is_zero else g_source_multiplier(potential, grid)
+    for arr in (inv_k, vel_rho, flux, source):
+        if arr is not None:
+            arr.flags.writeable = False
+    return SpectralPlan(inv_k, vel_rho, flux, source)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,21 +117,22 @@ class SimState:
     kernel: KernelSpec
     potential: PotentialSpec
 
-    def psi_l_conv(self) -> np.ndarray:
-        """Convolution of the Lipschitz kernel part with the density."""
-        if self.kernel.psi_l.is_zero:
-            return np.zeros(self.grid.n)
-        return convolve(lipschitz_on_grid(self.kernel.psi_l, self.grid), self.rho, self.grid)
-
     def validate(self, rho_floor: float = RHO_FLOOR) -> None:
-        """Re-check the structural invariants; raises on violation."""
+        """Re-check the structural invariants; raises on violation.
+
+        The zero-mean constraint is read as mean(g) - mean(psi_l) mean(rho),
+        the mean of g - psi_l * rho, so it needs no transform.
+        """
         if not (np.all(np.isfinite(self.rho)) and np.all(np.isfinite(self.g))):
             raise NonFiniteError("state contains non-finite samples")
         if float(np.min(self.rho)) <= rho_floor:
             raise VacuumError(f"min density {np.min(self.rho):.3e} at t={self.t:.6f}")
-        if abs(mean(self.rho) - self.rho_bar) > STATE_MEAN_TOL * max(1.0, abs(self.rho_bar)):
+        rho_mean = mean(self.rho)
+        if abs(rho_mean - self.rho_bar) > STATE_MEAN_TOL * max(1.0, abs(self.rho_bar)):
             raise NonFiniteError("mean density drifted from its conserved value")
-        resid = mean(self.g - self.psi_l_conv())
+        # mode 0 of vel_rho is c 0^alpha - mean(psi_l) = -mean(psi_l)
+        vel_rho = spectral_plan(self.grid, self.kernel, self.potential).vel_rho
+        resid = mean(self.g) + vel_rho[0].real * rho_mean
         scale = max(1.0, float(np.max(np.abs(self.g))))
         if abs(resid) > STATE_MEAN_TOL * scale:
             raise NonFiniteError("zero-mean constraint on the transformed gradient broke")
@@ -96,37 +150,75 @@ def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) ->
     return g
 
 
+def _velocity(state: SimState, plan: SpectralPlan, rho_floor: float,
+              check_vacuum: bool) -> tuple[np.ndarray, np.ndarray]:
+    """rfft(rho) and the velocity, after the checks on the state (3 FFTs)."""
+    rho, g, n = state.rho, state.g, state.grid.n
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(g))):
+        raise NonFiniteError(f"non-finite state at t={state.t:.6f}")
+    if check_vacuum and float(np.min(rho)) <= rho_floor:
+        raise VacuumError(f"min density {np.min(rho):.3e}: velocity ratio undefined")
+    rho_hat = np.fft.rfft(rho)
+    u_hat = np.fft.rfft(g)
+    u_hat += plan.vel_rho * rho_hat
+    # mode 0 is n mean(g - psi_l * rho); only a residual above MEAN_TOL pays
+    # for the scale max(1, |g - psi_l * rho|_inf) of spectral.antiderivative
+    resid = u_hat[0].real / n
+    if abs(resid) > MEAN_TOL:
+        psi_l = state.kernel.psi_l
+        f = g if psi_l.is_zero else g - convolve(lipschitz_on_grid(psi_l, state.grid), rho,
+                                                 state.grid)
+        if abs(resid) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):
+            raise MeanViolationError(f"mean(g - psi_l * rho) = {resid:.3e} is not zero")
+    u_hat *= plan.inv_k
+    u_hat *= -1j
+    u = np.fft.irfft(u_hat, n=n)
+    u += (state.m0 * n - np.dot(rho, u)) / rho_hat[0].real
+    return rho_hat, u
+
+
 def recover_velocity(state: SimState, rho_floor: float = RHO_FLOOR,
                      check_vacuum: bool = True) -> np.ndarray:
     """Invert the gradient transform, pin the momentum and return the velocity.
 
     u = c * Lambda^alpha d^-1 (rho - rho_bar) + d^-1 (g - psi_l * rho) + I0,
     with the constant I0 solved from int rho u = m0 at every call, so the
-    momentum integral is enforced structurally rather than tracked.
+    momentum integral is enforced structurally rather than tracked. Costs
+    3 FFTs through the problem's :func:`spectral_plan`.
     """
-    grid = state.grid
-    if check_vacuum and float(np.min(state.rho)) <= rho_floor:
-        raise VacuumError(f"min density {np.min(state.rho):.3e}: velocity ratio undefined")
-    u_part = antiderivative(state.g - state.psi_l_conv(), grid)
-    if state.kernel.c > 0:
-        u_part = u_part + state.kernel.c * fractional_laplacian_antiderivative(
-            state.rho, state.kernel.alpha, grid
-        )
-    i0 = (state.m0 - mean(state.rho * u_part)) / mean(state.rho)
-    return u_part + i0
+    plan = spectral_plan(state.grid, state.kernel, state.potential)
+    return _velocity(state, plan, rho_floor, check_vacuum)[1]
 
 
-def rhs(state: SimState, rho_floor: float = RHO_FLOOR) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives of (rho, g); quadratic products are dealiased."""
-    grid = state.grid
-    u = recover_velocity(state, rho_floor)
-    drho = -derivative(dealias(state.rho * u, grid), grid)
-    dg = -derivative(dealias(state.g * u, grid), grid)
-    if not state.potential.is_zero:
-        dg = dg + g_source(state.rho, state.rho_bar, state.potential, grid)
+def _minus_flux_derivative(f: np.ndarray, plan: SpectralPlan) -> np.ndarray:
+    # spectrum of -d/dx of the dealiased f
+    f_hat = np.fft.rfft(f)
+    f_hat *= plan.flux
+    f_hat *= -1j
+    return f_hat
+
+
+def rhs(state: SimState,
+        rho_floor: float = RHO_FLOOR) -> tuple[np.ndarray, np.ndarray, float]:
+    """Time derivatives of (rho, g) and sup |u| of the velocity behind them.
+
+    Quadratic products are dealiased. Raises VacuumError at the density
+    floor, NonFiniteError on non-finite input or output, and
+    MeanViolationError if mean(g - psi_l * rho) is not zero.
+    """
+    plan = spectral_plan(state.grid, state.kernel, state.potential)
+    n = state.grid.n
+    rho_hat, u = _velocity(state, plan, rho_floor, check_vacuum=True)
+    drho = np.fft.irfft(_minus_flux_derivative(state.rho * u, plan), n=n)
+    dg_hat = _minus_flux_derivative(state.g * u, plan)
+    if plan.source is not None:
+        rho_hat *= plan.source
+        rho_hat[0] += state.potential.k * n * state.rho_bar
+        dg_hat += rho_hat
+    dg = np.fft.irfft(dg_hat, n=n)
     if not (np.all(np.isfinite(drho)) and np.all(np.isfinite(dg))):
         raise NonFiniteError(f"non-finite time derivative at t={state.t:.6f}")
-    return drho, dg
+    return drho, dg, max(float(np.max(u)), -float(np.min(u)))
 
 
 def alignment_spectral(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epasim import integrator
 from epasim.integrator import (
     DetectionThresholds,
     RunStatus,
@@ -9,8 +10,8 @@ from epasim.integrator import (
     stable_dt,
     step_ssprk3,
 )
-from epasim.kernels import KernelSpec, PotentialSpec
-from epasim.model import SimState, compute_g, make_initial
+from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
+from epasim.model import SimState, compute_g, make_initial, rhs
 from epasim.spectral import Grid, mean, to_spectrum
 
 EA = KernelSpec(c=1.0, alpha=0.5)
@@ -164,3 +165,29 @@ def test_run_mass_and_momentum_conserved():
     assert out.completed
     assert max(abs(m - st.rho_bar) for m in masses) <= 1e-12
     assert max(abs(p - st.m0) for p in momenta) <= 1e-12 * max(1.0, abs(st.m0))
+
+
+def test_run_fft_budget_per_step(monkeypatch):
+    # reference problem: c = 1, alpha = 0.5, psi_l = 0.5 + 0.2 cos, k = 1, cosine K_reg
+    kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=0.2))
+    pot = PotentialSpec(k=1.0, kreg=RegularPotential(kind="cosine", amp=0.05))
+    st = make_initial("cosine", Grid(64), kernel, pot, rho_amp=0.5, u_amp=0.5)
+    rhs(st)  # builds the spectral plan outside the count
+    dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
+    ffts = {"n": 0}
+    rhs_calls = {"n": 0}
+
+    def counted(fn, box):
+        def wrapper(*args, **kwargs):
+            box["n"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, ffts))
+    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft, ffts))
+    monkeypatch.setattr(integrator, "rhs", counted(integrator.rhs, rhs_calls))
+    out = run(st, StepControl(t_end=20 * dt, dt_max=dt))
+    assert out.completed and out.steps == 20
+    # 3 rhs calls of 7 FFTs, plus the 2 of the run loop's |d rho/dx|_inf
+    assert ffts["n"] / out.steps <= 24
+    assert rhs_calls["n"] == 3 * out.steps

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
 from epasim.model import (
+    NonFiniteError,
     SimState,
     VacuumError,
     alignment_direct,
@@ -14,8 +17,9 @@ from epasim.model import (
     recover_velocity,
     rhs,
 )
-from epasim.spectral import Grid, mean
+from epasim.spectral import Grid, MeanViolationError, mean
 from conftest import random_positive_field, random_smooth_field
+from oracles import composed_rhs, composed_velocity, psi_l_conv
 
 EA_KERNEL = KernelSpec(c=1.0, alpha=0.5)
 
@@ -57,7 +61,7 @@ def test_transform_round_trip(grid128, psi_l):
         # the defining relation du/dx = c Lambda^a rho + g - psi_l * rho
         from epasim.spectral import derivative, fractional_laplacian
         lhs = derivative(got, grid128)
-        rhs_ = kernel.c * fractional_laplacian(rho, kernel.alpha, grid128) + st.g - st.psi_l_conv()
+        rhs_ = kernel.c * fractional_laplacian(rho, kernel.alpha, grid128) + st.g - psi_l_conv(st)
         assert np.max(np.abs(lhs - rhs_)) <= 1e-8
 
 
@@ -93,7 +97,8 @@ def test_recover_velocity_vacuum(grid64):
 def test_rhs_equilibrium_is_zero(grid64):
     st = state_from(np.ones(64), np.zeros(64), EA_KERNEL, grid64,
                     potential=PotentialSpec(k=1.0))
-    drho, dg = rhs(st)
+    drho, dg, u_inf = rhs(st)
+    assert u_inf < 1e-13
     assert np.max(np.abs(drho)) < 1e-12
     assert np.max(np.abs(dg)) < 1e-12
 
@@ -105,10 +110,11 @@ def test_rhs_linear_mode_algebra(grid64):
     st = SimState(grid=grid64, rho=np.full(64, rho_bar), g=g, t=0.0,
                   rho_bar=rho_bar, m0=0.0, kernel=EA_KERNEL,
                   potential=PotentialSpec(k=1.0))
-    drho, dg = rhs(st)
+    drho, dg, _ = rhs(st)
     np.testing.assert_allclose(drho, -rho_bar * g, atol=1e-12 + 1e-3 * eps**2)
+    # u = eps sin(2 pi x) / (2 pi), so -d(g u)/dx = -eps^2 cos(4 pi x) exactly;
     # forcing acts on g only through rho - rho_bar = 0 here
-    np.testing.assert_allclose(dg, np.zeros(64), atol=1e-12)
+    np.testing.assert_allclose(dg, -eps**2 * np.cos(4 * np.pi * grid64.x), rtol=0, atol=1e-20)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -121,7 +127,7 @@ def test_rhs_preserves_means(seed):
     rho = random_positive_field(grid, rng)
     u = random_smooth_field(grid, rng)
     st = state_from(rho, u, kernel, grid, potential=pot)
-    drho, dg = rhs(st)
+    drho, dg, _ = rhs(st)
     assert abs(mean(drho)) < 1e-12
     # mean(psi_l * drho) = mean(psi_l) * mean(drho) = 0, so mean(dg) must vanish too
     assert abs(mean(dg)) < 1e-12
@@ -199,3 +205,78 @@ def test_validate_flags_broken_mean(grid64):
                    m0=st.m0, kernel=st.kernel, potential=st.potential)
     with pytest.raises(Exception):
         bad.validate()
+
+
+TABLE_PSI_L = LipschitzKernel(kind="table", xs=(-0.5, -0.2, 0.1, 0.3), vs=(0.4, 1.0, 0.7, 0.2))
+TABLE_KREG = RegularPotential(kind="table", xs=(-0.4, 0.0, 0.25), vs=(0.1, -0.05, 0.08))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("kernel, potential", [
+    # even psi_l, K_reg on, k != 0: the reference problem
+    (KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=0.2)),
+     PotentialSpec(k=1.0, kreg=RegularPotential(kind="cosine", amp=0.05))),
+    # non-even table psi_l (complex psi_l_hat), K_reg off, repulsive k
+    (KernelSpec(c=0.7, alpha=0.3, psi_l=TABLE_PSI_L), PotentialSpec(k=-0.6)),
+    # no singular part, table psi_l and table K_reg (complex source multiplier)
+    (KernelSpec(c=0.0, alpha=0.5, psi_l=TABLE_PSI_L), PotentialSpec(k=0.5, kreg=TABLE_KREG)),
+    # singular part only, no potential
+    (KernelSpec(c=1.0, alpha=1.5), PotentialSpec()),
+])
+def test_rhs_and_velocity_match_composed_route(n, kernel, potential):
+    grid = Grid(n)
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        rho = random_positive_field(grid, rng)
+        u = random_smooth_field(grid, rng, offset=0.3)
+        st = state_from(rho, u, kernel, grid, potential=potential)
+        want_u = composed_velocity(st)
+        got_u = recover_velocity(st)
+        assert np.max(np.abs(got_u - want_u)) <= 1e-12 * np.max(np.abs(want_u))
+        drho, dg, u_inf = rhs(st)
+        want_drho, want_dg = composed_rhs(st)
+        assert np.max(np.abs(drho - want_drho)) <= 1e-12 * np.max(np.abs(want_drho))
+        assert np.max(np.abs(dg - want_dg)) <= 1e-12 * np.max(np.abs(want_dg))
+        assert u_inf == pytest.approx(np.max(np.abs(want_u)), rel=1e-12)
+
+
+def test_broken_zero_mean_of_g_is_rejected(grid64):
+    # rho keeps its mean, but g - psi_l * rho gains one: no periodic velocity exists
+    kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=0.2))
+    st = make_initial("cosine", grid64, kernel, rho_amp=0.3, u_amp=0.2)
+    bad = replace(st, g=st.g + 1e-6)
+    assert abs(mean(bad.g - psi_l_conv(bad))) > 1e-7
+    with pytest.raises(MeanViolationError):
+        rhs(bad)
+    with pytest.raises(MeanViolationError):
+        recover_velocity(bad)
+    with pytest.raises(NonFiniteError, match="zero-mean"):
+        bad.validate()
+    st.validate()
+
+
+def test_rhs_rejects_non_finite_state(grid64):
+    st = make_initial("cosine", grid64, EA_KERNEL, rho_amp=0.3)
+    g = st.g.copy()
+    g[3] = np.nan
+    with pytest.raises(NonFiniteError):
+        rhs(replace(st, g=g))
+
+
+def test_zero_mean_guard_scales_with_g_minus_psi_l_conv(grid64):
+    # psi_l = 1 gives psi_l * rho = mean(rho); g - psi_l * rho = h is 1e3 in size
+    # while |g|_inf - sup|psi_l| |rho|_inf is negative, so only the scale
+    # max(1, |g - psi_l * rho|_inf) of spectral.antiderivative admits the
+    # roundoff-sized mean 1e-9 (1e-15 of |g|_inf)
+    kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="constant", a=1.0))
+    x = grid64.x
+    rho = 1e6 * (1.0 + 0.5 * np.cos(2 * np.pi * x))
+    h = 1e3 * np.sin(2 * np.pi * x)
+    st = SimState(grid=grid64, rho=rho, g=mean(rho) + h + 1e-9, t=0.0, rho_bar=mean(rho),
+                  m0=0.0, kernel=kernel, potential=PotentialSpec())
+    assert 1e-10 < abs(mean(st.g - psi_l_conv(st))) < 1e-7
+    rhs(st)
+    recover_velocity(st)
+    st.validate()
+    with pytest.raises(MeanViolationError):
+        rhs(replace(st, g=st.g + 1e-6))
