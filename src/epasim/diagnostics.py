@@ -19,9 +19,13 @@ It also implements the two-branch modulus-of-continuity gauge
 
 together with the recipe that selects (delta, gamma, B) from the envelope
 values at a horizon T and a pairwise grid check of the gauge. The
-recorder logs these quantities along a run, among them the running
+pairwise check reads the per-lag table D[l] = max_i |rho_i - rho_{i+l}|,
+O(n^2) time and O(n) memory, after which each gauge evaluation is O(n).
+The recorder logs these quantities along a run, among them the running
 trapezoidal integral of |d rho/dx|_inf^2 whose finiteness is the
-regularity criterion.
+regularity criterion. Apart from the lag table of a modulus row, a
+recorder row is O(n) and takes no transform: |d rho/dx|_inf is read from
+the state, where the run loop has computed it already.
 
 Grid extrema under-sample continuum extrema, so every envelope comparison
 carries the slack factor 1 + 10 dx; margins are reported with the slack
@@ -37,7 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import kernel_min
-from .model import SimState, recover_velocity
+from .model import (  # noqa: F401  (recover_velocity: perfbench traces diagnostics.recover_velocity)
+    SimState,
+    recover_velocity,
+)
 from .spectral import Grid, derivative, mean
 
 ENVELOPE_SLACK = 10.0  # slack factor 1 + ENVELOPE_SLACK * dx on grid extrema
@@ -47,7 +54,7 @@ MIN_B_RTOL = 0.01  # relative resolution of moc_min_b's bisection
 
 CSV_COLUMNS = (
     "t", "rho_min", "rho_max", "F_inf", "drho_inf", "bkm",
-    "mass", "momentum", "env_lower_margin", "env_upper_margin",
+    "mass", "env_lower_margin", "env_upper_margin",
     "moc_pass", "moc_min_B",
 )
 
@@ -259,24 +266,28 @@ def _lag_table(rho: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Distances l/n, D[l] = max_i |rho_i - rho_{i+l}| and its first argmax i,
     for the lags l = 1..n/2.
 
-    Cost O(n^2) in one O(n) pass per lag; a (lags x n) array would cost
-    O(n^2) memory instead.
+    Cost O(n^2) in one O(n) pass per lag, memory O(n): ``ext`` holds rho
+    followed by its first n/2 samples, so ``ext[l:l+n]`` is rho shifted by
+    l with no copy, and every lag writes into the one buffer ``buf``. D is
+    then read off at the argmaxes in one gather. The values are those of
+    ``abs(rho - roll(rho, -l))``, bit for bit. A (lags x n) tile over a
+    strided view of ``ext`` would make numpy buffer the strided operand,
+    copying about twice the tile per pass.
     """
     rho = np.asarray(rho, dtype=float)
     half = n // 2
-    diffs = np.empty(half)
+    ext = np.concatenate((rho, rho[:half]))
+    buf = np.empty(n)
     at = np.empty(half, dtype=np.intp)
     for lag in range(1, half + 1):
-        diff = np.abs(rho - np.roll(rho, -lag))
-        i = int(np.argmax(diff))
-        at[lag - 1] = i
-        diffs[lag - 1] = diff[i]
-    return np.arange(1, half + 1) / n, diffs, at
+        np.subtract(rho, ext[lag:lag + n], out=buf)
+        np.abs(buf, out=buf)
+        at[lag - 1] = buf.argmax()
+    lags = np.arange(1, half + 1)
+    return lags / n, np.abs(rho[at] - ext[at + lags]), at
 
 
 def _moc_report(table, p: ModulusParams, n: int) -> MocReport:
-    if math.isinf(p.b):  # the gauge is +inf everywhere: no pair can bind
-        return MocReport(passed=True, margin=math.inf, distance=0.5, pair=(0, 0))
     dists, diffs, at = table
     gaps = np.asarray(omega_b(dists, p)) - diffs
     k = int(np.argmin(gaps))
@@ -309,9 +320,12 @@ def _min_b(table, delta: float, gamma: float, alpha: float, b_cap: float = MIN_B
 def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
     """Check |rho(x) - rho(y)| < w_B(d(x, y)) over all grid pairs.
 
-    Cost O(n^2); returns the pair with the smallest gap, the shortest
-    distance among ties.
+    Cost O(n^2), except for b = inf, where the gauge is +inf everywhere
+    and no pair can bind, so no pair is compared. Returns the pair with the
+    smallest gap, the shortest distance among ties.
     """
+    if math.isinf(p.b):
+        return MocReport(passed=True, margin=math.inf, distance=0.5, pair=(0, 0))
     return _moc_report(_lag_table(rho, grid.n), p, grid.n)
 
 
@@ -397,14 +411,13 @@ class DiagnosticsLog:
     drho_inf: list = field(default_factory=list)
     bkm: list = field(default_factory=list)
     mass: list = field(default_factory=list)
-    momentum: list = field(default_factory=list)
     env_lower_margin: list = field(default_factory=list)
     env_upper_margin: list = field(default_factory=list)
     moc_pass: list = field(default_factory=list)
     moc_min_b: list = field(default_factory=list)
 
     _FIELDS = ("t", "rho_min", "rho_max", "f_inf", "drho_inf", "bkm", "mass",
-               "momentum", "env_lower_margin", "env_upper_margin", "moc_pass", "moc_min_b")
+               "env_lower_margin", "env_upper_margin", "moc_pass", "moc_min_b")
 
     @property
     def dx(self) -> float:
@@ -467,9 +480,15 @@ class DiagnosticsLog:
 class DiagnosticsRecorder:
     """Monitor collecting the diagnostics log during a run.
 
-    A row is recorded at every step; the O(n^2) modulus check and the
-    smallest passing B run every ``moc_every`` steps (rows in between
-    carry NaN in the modulus columns).
+    A row is recorded at every step, with the columns of ``CSV_COLUMNS``:
+    time, min and max density, |g/rho|_inf, |d rho/dx|_inf (the state's
+    ``drho_inf``, shared with the run loop), the trapezoidal integral of
+    its square, mass, the two envelope margins (NaN without ``bounds``),
+    and the modulus verdict and smallest passing B. The modulus columns
+    cost one O(n^2) lag table and run every ``moc_every`` steps; rows in
+    between, and every row without ``moc``, carry NaN there. A row
+    recovers no velocity: ``recover_velocity`` pins the momentum to m0 by
+    construction, so a momentum column would only echo it.
     """
 
     def __init__(self, bounds: BoundConstants | None = None,
@@ -492,11 +511,9 @@ class DiagnosticsRecorder:
         t = state.t
         rho_min = float(np.min(state.rho))
         rho_max = float(np.max(state.rho))
-        drho = float(np.max(np.abs(derivative(state.rho, grid))))
-        u = recover_velocity(state, check_vacuum=False)
+        drho = state.drho_inf
         with np.errstate(divide="ignore", invalid="ignore"):
             f_inf = float(np.max(np.abs(state.g / state.rho)))
-        momentum = mean(state.rho * u)
         if log.t:
             bkm = log.bkm[-1] + 0.5 * (log.drho_inf[-1] ** 2 + drho**2) * (t - log.t[-1])
         else:
@@ -523,7 +540,6 @@ class DiagnosticsRecorder:
         log.drho_inf.append(drho)
         log.bkm.append(bkm)
         log.mass.append(mean(state.rho))
-        log.momentum.append(momentum)
         log.env_lower_margin.append(low)
         log.env_upper_margin.append(up)
         log.moc_pass.append(moc_pass)

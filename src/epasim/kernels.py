@@ -5,7 +5,9 @@ the periodization of c_alpha |x|^-(1+alpha) over the unit torus, normalized
 so that principal-value quadrature against it reproduces the fractional
 Laplacian multiplier (2 pi |k|)^alpha. An effective kernel is
 c * psi_alpha + psi_l with psi_l bounded and Lipschitz, and must be
-strictly positive away from the origin.
+strictly positive away from the origin; the envelope bounds need this,
+so ``diagnostics.bound_constants`` rejects a kernel whose ``kernel_min``
+is not positive.
 
 Potentials split into a Newtonian part of strength k (whose induced force
 solves the Poisson equation with background) and a twice-differentiable
@@ -20,25 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    _check,
-    circular_correlate,
-    convolve,
-    derivative,
-    midpoint_offsets,
-    resample_midpoints,
-    second_derivative,
-    to_spectrum,
-)
+from .spectral import Grid, convolve, midpoint_offsets, second_derivative, to_spectrum
 
 
 class SingularityError(ValueError):
     """Kernel evaluated at x = 0 (mod 1)."""
-
-
-class KernelPositivityError(ValueError):
-    """Effective kernel is not strictly positive away from the origin."""
 
 
 def c_alpha(alpha: float) -> float:
@@ -115,11 +103,6 @@ def psi_alpha(x, alpha: float, tol: float = 1e-12):
     total += _tail(a + s, alpha) + _tail(a - s, alpha)
     out = ca * total
     return float(out[0]) if scalar else out
-
-
-def psi_alpha_min(alpha: float, tol: float = 1e-12) -> float:
-    """Minimum of psi_alpha over the torus, attained at x = 1/2."""
-    return float(psi_alpha(0.5, alpha, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +288,6 @@ def kernel_min(spec: KernelSpec, n_probe: int = 8192) -> float:
     return float(np.min(spec(x)))
 
 
-def validate_positivity(spec: KernelSpec) -> float:
-    """Positivity gate: reject kernels without a positive lower bound.
-
-    Returns the (positive) kernel minimum on success.
-    """
-    if not spec.enabled:
-        raise KernelPositivityError("kernel is identically zero")
-    m = kernel_min(spec)
-    if m <= 0.0:
-        raise KernelPositivityError(f"effective kernel minimum {m:.3e} is not positive")
-    return m
-
-
 @lru_cache(maxsize=64)
 def lipschitz_on_grid(psi_l: LipschitzKernel, grid: Grid) -> np.ndarray:
     vals = np.asarray(psi_l(grid.x), dtype=float)
@@ -342,28 +312,7 @@ def quadrature_weights(spec: KernelSpec, refinement: int, tol: float = 1e-12) ->
 
 
 # ---------------------------------------------------------------------------
-# forces
-
-
-def newtonian_force(rho: np.ndarray, k: float, grid: Grid) -> np.ndarray:
-    """Force -d(phi)/dx where phi solves phi'' = k (rho - mean rho).
-
-    Spectral multiplier -k / (2 pi i k_mode) on the nonzero modes; the
-    output always has zero mean.
-    """
-    rho = _check(rho, grid)
-    fh = np.fft.rfft(rho)
-    fh[0] = 0.0
-    fh[1:] *= -k / (1j * grid.two_pi_k[1:])
-    fh[-1] = 0.0
-    return np.fft.irfft(fh, n=grid.n)
-
-
-def regular_force(rho: np.ndarray, pot: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Force -d/dx (K_reg * rho) from the regular potential part."""
-    if pot.kreg.is_zero:
-        return np.zeros(grid.n)
-    return -derivative(convolve(potential_on_grid(pot.kreg, grid), rho, grid), grid)
+# potential source
 
 
 def g_source(rho: np.ndarray, rho_bar: float, pot: PotentialSpec, grid: Grid) -> np.ndarray:
@@ -387,26 +336,3 @@ def g_source_multiplier(pot: PotentialSpec, grid: Grid) -> np.ndarray:
     if not pot.kreg.is_zero:
         out += np.square(grid.two_pi_k) * to_spectrum(potential_on_grid(pot.kreg, grid), grid)
     return out
-
-
-def fractional_laplacian_direct(
-    f: np.ndarray, alpha: float, grid: Grid, refinement: int, tol: float = 1e-12
-) -> np.ndarray:
-    """Principal-value quadrature route to the fractional Laplacian.
-
-    Approximates c_alpha P.V. int (f(x) - f(x+y)) / |y|^(1+alpha) dy as a
-    midpoint sum over ``refinement`` half-cell-offset nodes (so y = 0 is
-    never sampled and the symmetric +-y pairing cancels the odd part),
-    with f interpolated trigonometrically onto the refined nodes. This is
-    the independent check of the (2 pi |k|)^alpha multiplier route; the
-    naive cost O(n * refinement) is reduced to O(refinement log) by
-    evaluating the sums as one circular correlation.
-    """
-    f = _check(f, grid)
-    r = -(-int(refinement) // grid.n) * grid.n  # round up to a grid multiple
-    spec = KernelSpec(c=1.0, alpha=alpha)
-    w = quadrature_weights(spec, r, tol)
-    fr = resample_midpoints(f, grid, r)
-    corr = circular_correlate(w, fr)
-    idx = (np.arange(grid.n) * (r // grid.n) - r // 2) % r
-    return (f * np.sum(w) - corr[idx]) / r

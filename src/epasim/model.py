@@ -35,7 +35,7 @@ velocity, and a forward and an inverse transform for each flux.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -105,7 +105,11 @@ class SimState:
     """Snapshot of the evolved pair plus its conserved references.
 
     rho_bar is the conserved mean density and m0 the conserved momentum
-    integral; both are fixed at initialization time.
+    integral; both are fixed at initialization time. Nothing writes to the
+    fields of a state that a step has returned (only the internal RK stage
+    states are reused in place), so a quantity derived from such a state
+    is computed once: ``drho_inf`` is shared by the run loop's detectors
+    and the diagnostics recorder.
     """
 
     grid: Grid
@@ -116,6 +120,11 @@ class SimState:
     m0: float
     kernel: KernelSpec
     potential: PotentialSpec
+
+    @cached_property
+    def drho_inf(self) -> float:
+        """sup |d rho/dx| on the grid (2 FFTs on first read, then cached)."""
+        return float(np.max(np.abs(derivative(self.rho, self.grid))))
 
     def validate(self, rho_floor: float = RHO_FLOOR) -> None:
         """Re-check the structural invariants; raises on violation.
@@ -219,26 +228,6 @@ def rhs(state: SimState,
     if not (np.all(np.isfinite(drho)) and np.all(np.isfinite(dg))):
         raise NonFiniteError(f"non-finite time derivative at t={state.t:.6f}")
     return drho, dg, max(float(np.max(u)), -float(np.min(u)))
-
-
-def alignment_spectral(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec,
-                       grid: Grid) -> np.ndarray:
-    """Commutator route to the alignment force.
-
-    c * (u Lambda^a rho - Lambda^a (rho u)) + psi_l*(rho u) - u (psi_l*rho);
-    this identity is what turns the primitive velocity equation into pure
-    transport of g.
-    """
-    out = np.zeros(grid.n)
-    if kernel.c > 0:
-        out += kernel.c * (
-            u * fractional_laplacian(rho, kernel.alpha, grid)
-            - fractional_laplacian(rho * u, kernel.alpha, grid)
-        )
-    if not kernel.psi_l.is_zero:
-        pl = lipschitz_on_grid(kernel.psi_l, grid)
-        out += convolve(pl, rho * u, grid) - u * convolve(pl, rho, grid)
-    return out
 
 
 def alignment_direct(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid,

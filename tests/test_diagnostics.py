@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epasim import diagnostics
 from epasim.diagnostics import (
     BoundConstants,
     DiagnosticsLog,
@@ -21,10 +23,11 @@ from epasim.diagnostics import (
     omega_b,
 )
 from epasim.integrator import RunStatus, StepControl, run
-from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, psi_alpha_min
+from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec
 from epasim.model import advance, make_initial
 from epasim.spectral import Grid
 from conftest import random_positive_field, random_smooth_field
+from oracles import psi_alpha_min, roll_lag_table
 
 EA = KernelSpec(c=1.0, alpha=0.5)
 
@@ -37,7 +40,7 @@ def synthetic_log(t, rho_min, rho_max, f_inf=None, n=256, alpha=0.5, k=0.0):
     log.rho_max = list(np.broadcast_to(rho_max, t.shape).astype(float))
     log.f_inf = list(np.broadcast_to(0.0 if f_inf is None else f_inf, t.shape).astype(float))
     z = [0.0] * t.size
-    log.drho_inf, log.bkm, log.mass, log.momentum = z[:], z[:], z[:], z[:]
+    log.drho_inf, log.bkm, log.mass = z[:], z[:], z[:]
     log.env_lower_margin, log.env_upper_margin = z[:], z[:]
     log.moc_pass, log.moc_min_b = [math.nan] * t.size, [math.nan] * t.size
     return log
@@ -272,6 +275,47 @@ def test_moc_check_fails_non_finite_field(grid64):
     assert moc_min_b(rho, 0.2, 0.02, 0.5, grid64) == math.inf
 
 
+def test_moc_check_infinite_b_builds_no_table(grid64, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("moc_check built the lag table for b = inf")
+
+    monkeypatch.setattr(diagnostics, "_lag_table", no_table)
+    p = ModulusParams(delta=0.2, gamma=0.02, b=math.inf, alpha=0.5)
+    rep = moc_check(1.0 + 0.3 * np.cos(2 * np.pi * grid64.x), p, grid64)
+    assert rep.passed
+    assert rep.margin == math.inf
+    assert rep.distance == 0.5
+    assert rep.pair == (0, 0)
+
+
+def step_field(n):
+    return np.where(np.arange(n) < n // 2, 1.0, 1.25)
+
+
+def lag_table_fields(n):
+    """Fields for the lag-table pin: smooth, two-level step (ties at every
+    lag), quantised random (ties within lags), one NaN and one inf."""
+    x = np.arange(n) / n
+    cosine = 1.0 + 0.25 * np.cos(2 * np.pi * x)
+    quantised = 1.0 + 0.25 * np.random.default_rng(n).integers(0, 4, n)
+    with_nan = cosine.copy()
+    with_nan[3] = np.nan
+    with_inf = cosine.copy()
+    with_inf[n // 3] = np.inf
+    return {"cosine": cosine, "step": step_field(n), "quantised": quantised,
+            "nan": with_nan, "inf": with_inf}
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_lag_table_matches_roll_loop_bit_for_bit(n):
+    for name, rho in lag_table_fields(n).items():
+        got = diagnostics._lag_table(rho, n)
+        want = roll_lag_table(rho, n)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b, equal_nan=True), name
+
+
 def test_moc_min_b_constant_field(grid64):
     assert moc_min_b(np.full(64, 1.0), 0.2, 0.02, 0.5, grid64) == 1.0
 
@@ -307,26 +351,44 @@ def moc_oracle_margin(rho, p, grid):
     return margin
 
 
+def moc_oracle_first_pair(rho, p, grid):
+    """Brute force over every lag l and start i: the pair (i, i + l) of the
+    smallest gap w_B(l/n) - |rho_i - rho_{i+l}|, smallest l first, then
+    smallest i, and its distance."""
+    n = grid.n
+    w = omega_b(np.arange(1, n // 2 + 1) / n, p)
+    best, pair, dist = math.inf, None, None
+    for lag in range(1, n // 2 + 1):
+        for i in range(n):
+            gap = w[lag - 1] - abs(rho[i] - rho[(i + lag) % n])
+            if gap < best:
+                best, pair, dist = gap, (i, (i + lag) % n), lag / n
+    return pair, dist
+
+
 def test_moc_check_and_min_b_match_all_pairs_oracle(grid64):
     delta, gamma, alpha = 0.2, 0.02, 0.5
     rng = np.random.default_rng(7)
-    fields = [1.0 + 0.25 * np.cos(2 * np.pi * grid64.x)]
+    fields = [(grid64, 1.0 + 0.25 * np.cos(2 * np.pi * grid64.x))]
     for _ in range(2):
-        fields += [random_positive_field(grid64, rng), random_smooth_field(grid64, rng, offset=1.0)]
+        fields += [(grid64, random_positive_field(grid64, rng)),
+                   (grid64, random_smooth_field(grid64, rng, offset=1.0))]
+    fields.append((Grid(256), step_field(256)))
     verdicts = set()
-    for rho in fields:
+    for grid, rho in fields:
         for b in (1.5, 50.0, 1e6, 1e30):
             p = ModulusParams(delta, gamma, b, alpha)
-            rep = moc_check(rho, p, grid64)
-            margin = moc_oracle_margin(rho, p, grid64)
+            rep = moc_check(rho, p, grid)
+            margin = moc_oracle_margin(rho, p, grid)
             assert rep.margin == margin
             assert rep.passed == (margin > 0.0)
+            assert (rep.pair, rep.distance) == moc_oracle_first_pair(rho, p, grid)
             verdicts.add(rep.passed)
-        min_b = moc_min_b(rho, delta, gamma, alpha, grid64)
+        min_b = moc_min_b(rho, delta, gamma, alpha, grid)
         assert 1.0 < min_b < math.inf
-        assert moc_oracle_margin(rho, ModulusParams(delta, gamma, min_b, alpha), grid64) > 0.0
+        assert moc_oracle_margin(rho, ModulusParams(delta, gamma, min_b, alpha), grid) > 0.0
         below = ModulusParams(delta, gamma, min_b / 1.01, alpha)  # moc_min_b's default rtol
-        assert moc_oracle_margin(rho, below, grid64) <= 0.0
+        assert moc_oracle_margin(rho, below, grid) <= 0.0
     assert verdicts == {True, False}
 
 
@@ -449,6 +511,13 @@ def test_recorder_and_csv_round_trip(tmp_path):
         b = back.column(namepair[1])
         np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
         np.testing.assert_array_equal(a[~np.isnan(a)], b[~np.isnan(b)])
+
+
+def test_from_csv_rejects_unexpected_columns():
+    old = ("t,rho_min,rho_max,F_inf,drho_inf,bkm,mass,momentum,env_lower_margin,"
+           "env_upper_margin,moc_pass,moc_min_B\n")
+    with pytest.raises(ValueError, match="unexpected diagnostics columns"):
+        DiagnosticsLog.from_csv(io.StringIO("# n=64 alpha=0.5 k=0.0\n" + old))
 
 
 def test_recorder_slope_bound_linkage():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from epasim import integrator
+from epasim.diagnostics import DiagnosticsRecorder, ModulusParams, bound_constants
 from epasim.integrator import (
     DetectionThresholds,
     RunStatus,
@@ -167,22 +168,26 @@ def test_run_mass_and_momentum_conserved():
     assert max(abs(p - st.m0) for p in momenta) <= 1e-12 * max(1.0, abs(st.m0))
 
 
-def test_run_fft_budget_per_step(monkeypatch):
+def counted(fn, box):
+    def wrapper(*args, **kwargs):
+        box["n"] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def reference_problem_64():
     # reference problem: c = 1, alpha = 0.5, psi_l = 0.5 + 0.2 cos, k = 1, cosine K_reg
     kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=0.2))
     pot = PotentialSpec(k=1.0, kreg=RegularPotential(kind="cosine", amp=0.05))
-    st = make_initial("cosine", Grid(64), kernel, pot, rho_amp=0.5, u_amp=0.5)
+    return make_initial("cosine", Grid(64), kernel, pot, rho_amp=0.5, u_amp=0.5)
+
+
+def test_run_fft_budget_per_step(monkeypatch):
+    st = reference_problem_64()
     rhs(st)  # builds the spectral plan outside the count
     dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
     ffts = {"n": 0}
     rhs_calls = {"n": 0}
-
-    def counted(fn, box):
-        def wrapper(*args, **kwargs):
-            box["n"] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, ffts))
     monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft, ffts))
     monkeypatch.setattr(integrator, "rhs", counted(integrator.rhs, rhs_calls))
@@ -191,3 +196,21 @@ def test_run_fft_budget_per_step(monkeypatch):
     # 3 rhs calls of 7 FFTs, plus the 2 of the run loop's |d rho/dx|_inf
     assert ffts["n"] / out.steps <= 24
     assert rhs_calls["n"] == 3 * out.steps
+
+
+def test_run_fft_budget_per_step_with_recorder(monkeypatch):
+    # a recorder row recovers no velocity and reads the run loop's
+    # |d rho/dx|_inf from the state, so it adds no FFT to a step
+    st = reference_problem_64()
+    bounds = bound_constants(st)
+    gauge = ModulusParams(delta=0.1, gamma=0.029, b=1e14, alpha=0.5)
+    rhs(st)  # builds the spectral plan outside the count
+    dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
+    ffts = {"n": 0}
+    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, ffts))
+    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft, ffts))
+    rec = DiagnosticsRecorder(bounds, gauge, moc_every=10)
+    out = run(st, StepControl(t_end=20 * dt, dt_max=dt), monitors=(rec,))
+    assert out.completed and out.steps == 20
+    assert len(rec.log.t) == 21 and np.sum(~np.isnan(rec.log.column("moc_pass"))) == 3
+    assert ffts["n"] / out.steps <= 24

@@ -6,25 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from epasim.diagnostics import bound_constants
 from epasim.kernels import (
-    KernelPositivityError,
     KernelSpec,
     LipschitzKernel,
     PotentialSpec,
     RegularPotential,
     SingularityError,
     c_alpha,
-    fractional_laplacian_direct,
     g_source,
     kernel_min,
-    newtonian_force,
     psi_alpha,
-    psi_alpha_min,
-    regular_force,
-    validate_positivity,
 )
+from epasim.model import make_initial
 from epasim.spectral import Grid, convolve, mean
 from conftest import random_smooth_field
+from oracles import fractional_laplacian_direct, newtonian_force, psi_alpha_min, regular_force
 
 
 def test_c_alpha_at_one():
@@ -171,20 +168,24 @@ def test_g_source_combines_both_parts():
 
 
 def test_positivity_gate_rejects_zero_kernel():
-    with pytest.raises(KernelPositivityError):
-        validate_positivity(KernelSpec(c=0.0, alpha=0.5))
+    st = make_initial("uniform", Grid(64), KernelSpec(c=0.0, alpha=0.5))
+    with pytest.raises(ValueError, match="alignment kernel"):
+        bound_constants(st)
 
 
 def test_positivity_gate_rejects_signed_lipschitz():
     spec = KernelSpec(c=0.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=1.0))
-    with pytest.raises(KernelPositivityError):
-        validate_positivity(spec)
+    assert kernel_min(spec) < 0
+    st = make_initial("uniform", Grid(64), spec)
+    with pytest.raises(ValueError, match="positive lower bound"):
+        bound_constants(st)
 
 
 def test_positivity_gate_accepts_singular_plus_cosine():
     spec = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=1.0, b=0.5))
-    m = validate_positivity(spec)
+    m = kernel_min(spec)
     assert m > 0
+    assert bound_constants(make_initial("uniform", Grid(64), spec)).psi_m == m
     assert kernel_min(KernelSpec(c=1.0, alpha=0.5)) == pytest.approx(
         psi_alpha_min(0.5), rel=1e-9
     )

@@ -1,25 +1,25 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epasim import model
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
 from epasim.model import (
     NonFiniteError,
     SimState,
     VacuumError,
     alignment_direct,
-    alignment_spectral,
     compute_g,
     make_initial,
     recover_velocity,
     rhs,
 )
-from epasim.spectral import Grid, MeanViolationError, mean
+from epasim.spectral import Grid, MeanViolationError, derivative, mean
 from conftest import random_positive_field, random_smooth_field
-from oracles import composed_rhs, composed_velocity, psi_l_conv
+from oracles import alignment_spectral, composed_rhs, composed_velocity, psi_l_conv
 
 EA_KERNEL = KernelSpec(c=1.0, alpha=0.5)
 
@@ -171,6 +171,19 @@ def test_make_initial_uniform_equilibrium(grid64):
     assert st.m0 == 0.0
     assert np.max(np.abs(st.g)) < 1e-13
     st.validate()
+
+
+def test_drho_inf_is_read_only_and_computed_once(grid64, monkeypatch):
+    st = make_initial("cosine", grid64, EA_KERNEL, rho_amp=0.3)
+    assert st.drho_inf == float(np.max(np.abs(derivative(st.rho, grid64))))
+    assert st.drho_inf == pytest.approx(0.3 * 2 * np.pi, rel=1e-3)
+    monkeypatch.setattr(model, "derivative", None)  # a second evaluation would fail
+    assert st.drho_inf == float(np.max(np.abs(derivative(st.rho, grid64))))
+    with pytest.raises(FrozenInstanceError):
+        st.drho_inf = 0.0
+    monkeypatch.undo()
+    # a new state derives its own value
+    assert replace(st, rho=np.ones(64)).drho_inf == 0.0
 
 
 def test_make_initial_cosine_positive(grid64):
