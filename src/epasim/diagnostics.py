@@ -20,23 +20,27 @@ It also implements the two-branch modulus-of-continuity gauge
 together with the recipe that selects (delta, gamma, B) from the envelope
 values at a horizon T and a pairwise grid check of the gauge. The
 pairwise check reads the per-lag table D[l] = max_i |rho_i - rho_{i+l}|,
-O(n^2) time and O(n) memory, after which each gauge evaluation is O(n).
-The recorder logs these quantities along a run, among them the running
-trapezoidal integral of |d rho/dx|_inf^2 whose finiteness is the
-regularity criterion. Apart from the lag table of a modulus row, a
-recorder row is O(n) and takes no transform: |d rho/dx|_inf is read from
-the state, where the run loop has computed it already.
+O(n^2) time and O(n) memory, after which each gauge evaluation is O(n);
+the gauge parameters are validated once per check, not per evaluation.
+The recorder logs these quantities along a run, one row per step, among
+them the running trapezoidal integral of |d rho/dx|_inf^2 whose
+finiteness is the regularity criterion. ``COLUMNS`` names the columns of
+a row in order; it is also the header of the CSV log. Apart from the lag
+table of a modulus row, a recorder row is O(n) and takes no transform:
+|d rho/dx|_inf is read from the state, where the run loop has computed
+it already.
 
 Grid extrema under-sample continuum extrema, so every envelope comparison
 carries the slack factor 1 + 10 dx; margins are reported with the slack
-folded in, so margin >= 1 always means "pass".
+folded in, so margin >= 1 always means "pass". ``BoundConstants`` computes
+both envelope margins, for the recorder and for the offline checks alike.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,11 +56,14 @@ F_BOUND_ATOL = 1e-12  # absolute floor so roundoff-level f fields compare sanely
 MIN_B_CAP = 1e290  # moc_min_b reports +inf above this b
 MIN_B_RTOL = 0.01  # relative resolution of moc_min_b's bisection
 
-CSV_COLUMNS = (
-    "t", "rho_min", "rho_max", "F_inf", "drho_inf", "bkm",
-    "mass", "env_lower_margin", "env_upper_margin",
-    "moc_pass", "moc_min_B",
-)
+# a recorder row, in order: the DiagnosticsLog lists and the CSV header
+COLUMNS = ("t", "rho_min", "rho_max", "f_inf", "drho_inf", "bkm", "mass",
+           "env_lower_margin", "env_upper_margin", "moc_pass", "moc_min_b")
+
+
+def _slack(dx: float) -> float:
+    """Factor on grid extrema compared with a continuum bound."""
+    return 1.0 + ENVELOPE_SLACK * dx
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +121,35 @@ class BoundConstants:
             out = out + self.psi_m / (1.0 + self.eps) * self.rho_bar / self.c_m * np.exp(self.a_m * t)
         return out if out.ndim else float(out)
 
+    @property
+    def rho_max_floor(self) -> float:
+        """The time-independent branches of the upper bound on max rho."""
+        return _rho_max_floor(self.rho0_max, self.rho_bar, self.psi_l_sup, self.alpha, self.c1)
+
     def rho_max_bound(self, t) -> np.ndarray | float:
         """Pointwise-in-time upper bound on max rho (three/four branch)."""
         t = np.asarray(t, dtype=float)
         fac = 2.0 if self.general else 1.0
         branch = (fac * np.asarray(self.f_bound(t)) / self.c1) ** (1.0 / self.alpha)
-        out = np.maximum(np.maximum(self.rho0_max, 3.0 * self.rho_bar), branch)
-        if self.general and self.psi_l_sup > 0:
-            lip = (2.0 * self.psi_l_sup * self.rho_bar / self.c1) ** (1.0 / (1.0 + self.alpha))
-            out = np.maximum(out, lip)
+        out = np.maximum(self.rho_max_floor, branch)
         return out if out.ndim else float(out)
+
+    def lower_margin(self, t, rho_min, dx: float):
+        """min rho with the grid slack over its lower envelope; >= 1 passes."""
+        return rho_min * _slack(dx) / self.rho_min_envelope(t)
+
+    def upper_margin(self, t, rho_max, dx: float):
+        """The upper bound with the grid slack over max rho; >= 1 passes."""
+        return self.rho_max_bound(t) * _slack(dx) / rho_max
+
+
+def _rho_max_floor(rho0_max: float, rho_bar: float, psi_l_sup: float, alpha: float,
+                   c1: float) -> float:
+    # max(rho0_max, 3 rho_bar) and, with psi_l != 0, (2 |psi_l|_inf rho_bar / C_1)^(1/(1+alpha))
+    floor = max(rho0_max, 3.0 * rho_bar)
+    if psi_l_sup > 0:
+        floor = max(floor, (2.0 * psi_l_sup * rho_bar / c1) ** (1.0 / (1.0 + alpha)))
+    return floor
 
 
 def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0) -> BoundConstants:
@@ -138,7 +164,8 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
         raise ValueError("eps_fraction must be in (0, 1)")
     if not state.kernel.enabled:
         raise ValueError("bound constants require an active alignment kernel")
-    if float(np.min(state.rho)) <= 0.0:
+    rho0_min, rho0_max = float(np.min(state.rho)), float(np.max(state.rho))
+    if rho0_min <= 0.0:
         raise ValueError("bound constants require strictly positive initial density")
     alpha = state.kernel.alpha
     if alpha >= 1.0:
@@ -161,7 +188,7 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
     eps = eps_fraction * eps_star
     kappa = abs(state.potential.k) + kxx_sup
     a_m = kappa / psi_m * (1.0 + eps)
-    c_m = min(float(np.min(state.rho)), eps * math.e * state.rho_bar)
+    c_m = min(rho0_min, eps * math.e * state.rho_bar)
     general = (psi_l_sup > 0.0) or (kxx_sup > 0.0)
     fac = 2.0 if general else 1.0
     if kappa > 0:
@@ -173,9 +200,7 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
     else:
         peak = f0_inf
     branch3 = (fac * peak / c1) ** (1.0 / alpha)
-    c_big = max(float(np.max(state.rho)), 3.0 * state.rho_bar, branch3)
-    if general and psi_l_sup > 0:
-        c_big = max(c_big, (2.0 * psi_l_sup * state.rho_bar / c1) ** (1.0 / (1.0 + alpha)))
+    c_big = max(_rho_max_floor(rho0_max, state.rho_bar, psi_l_sup, alpha, c1), branch3)
     return BoundConstants(
         alpha=alpha,
         rho_bar=state.rho_bar,
@@ -185,8 +210,8 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
         k=state.potential.k,
         f0_inf=f0_inf,
         q0_inf=q0_inf,
-        rho0_min=float(np.min(state.rho)),
-        rho0_max=float(np.max(state.rho)),
+        rho0_min=rho0_min,
+        rho0_max=rho0_max,
         eps_star=eps_star,
         eps=eps,
         a_m=a_m,
@@ -236,21 +261,27 @@ class ModulusParams:
             raise ValueError("gamma breaks concavity at the branch joint")
 
 
+def _gauge(xi: np.ndarray, log_xi: np.ndarray, delta: float, gamma: float, alpha: float,
+           b: float) -> np.ndarray:
+    """w_B at distances xi with log(xi) given; checks neither xi nor the parameters."""
+    if math.isinf(b):
+        return np.full_like(xi, np.inf)
+    bxi = b * xi
+    mask = bxi < delta
+    out = np.empty_like(xi)
+    out[mask] = bxi[mask] - bxi[mask] ** (1.0 + alpha / 2.0)
+    # log evaluated additively so huge b never overflows the argument
+    head = delta - delta ** (1.0 + alpha / 2.0)
+    out[~mask] = gamma * (math.log(b) + log_xi[~mask] - math.log(delta)) + head
+    return out
+
+
 def omega_b(xi, p: ModulusParams) -> np.ndarray | float:
     """Evaluate the gauge w_B on distances xi in (0, 1/2]."""
     xi = np.asarray(xi, dtype=float)
     if np.any(xi <= 0.0) or np.any(xi > 0.5):
         raise ValueError("xi must lie in (0, 1/2]")
-    head = p.delta - p.delta ** (1.0 + p.alpha / 2.0)
-    if math.isinf(p.b):
-        out = np.full_like(xi, np.inf)
-        return out if out.ndim else float(out)
-    bxi = p.b * xi
-    mask = bxi < p.delta
-    out = np.empty_like(xi)
-    out[mask] = bxi[mask] - bxi[mask] ** (1.0 + p.alpha / 2.0)
-    # log evaluated additively so huge b never overflows the argument
-    out[~mask] = p.gamma * (math.log(p.b) + np.log(xi[~mask]) - math.log(p.delta)) + head
+    out = _gauge(xi, np.log(xi), p.delta, p.gamma, p.alpha, p.b)
     return out if out.ndim else float(out)
 
 
@@ -289,26 +320,27 @@ def _lag_table(rho: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _moc_report(table, p: ModulusParams, n: int) -> MocReport:
     dists, diffs, at = table
-    gaps = np.asarray(omega_b(dists, p)) - diffs
+    gaps = _gauge(dists, np.log(dists), p.delta, p.gamma, p.alpha, p.b) - diffs
     k = int(np.argmin(gaps))
     i = int(at[k])
     return MocReport(passed=bool(gaps[k] > 0.0), margin=float(gaps[k]),
                      distance=float(dists[k]), pair=(i, (i + k + 1) % n))
 
 
-def _min_b(table, delta: float, gamma: float, alpha: float, b_cap: float = MIN_B_CAP,
-           rtol: float = MIN_B_RTOL) -> float:
+def _min_b(table, delta: float, gamma: float, alpha: float) -> float:
+    ModulusParams(delta, gamma, 1.0, alpha)  # raises on bad parameters; no check depends on b
     dists, diffs, _ = table
+    log_dists = np.log(dists)
 
     def ok(b: float) -> bool:
-        return float(np.min(omega_b(dists, ModulusParams(delta, gamma, b, alpha)) - diffs)) > 0.0
+        return float(np.min(_gauge(dists, log_dists, delta, gamma, alpha, b) - diffs)) > 0.0
 
     if ok(1.0):
         return 1.0
-    if not ok(b_cap):
+    if not ok(MIN_B_CAP):
         return math.inf
-    lo, hi = math.log(1.0), math.log(b_cap)
-    while hi - lo > math.log1p(rtol):
+    lo, hi = 0.0, math.log(MIN_B_CAP)
+    while hi - lo > math.log1p(MIN_B_RTOL):
         mid = 0.5 * (lo + hi)
         if ok(math.exp(mid)):
             hi = mid
@@ -329,15 +361,15 @@ def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
     return _moc_report(_lag_table(rho, grid.n), p, grid.n)
 
 
-def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: Grid,
-              b_cap: float = MIN_B_CAP, rtol: float = MIN_B_RTOL) -> float:
-    """Smallest b (within rtol, bisected in log space) passing the check.
+def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: Grid) -> float:
+    """Smallest b (within MIN_B_RTOL, bisected in log space) passing the check.
 
     Returns 1.0 when even the smallest admissible b passes (constant
-    fields), and +inf when no b below ``b_cap`` does. The O(n^2) lag table
-    is built once; each bisection point costs one O(n) gauge evaluation.
+    fields), and +inf when no b up to MIN_B_CAP does. The O(n^2) lag table
+    is built once, and the parameters are checked once; each bisection
+    point costs one O(n) gauge evaluation.
     """
-    return _min_b(_lag_table(rho, grid.n), delta, gamma, alpha, b_cap, rtol)
+    return _min_b(_lag_table(rho, grid.n), delta, gamma, alpha)
 
 
 def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
@@ -368,7 +400,7 @@ def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
     denom = max(4.0 * c2, 12.0 * rho_big * f_big, 6.0 * rho_big**2 * c_f)
     bend_cap = (1.0 / (1.0 + alpha / 2.0)) ** (2.0 / alpha)
     rho0_sup = bc.rho0_max
-    drho0 = float(np.max(np.abs(derivative(state0.rho, state0.grid))))
+    drho0 = state0.drho_inf
     slope_cap = 2.0 * rho0_sup / drho0 if drho0 > 0 else math.inf
     delta = margin * min(1.0, slope_cap, (c3 * rho_m / denom) ** (2.0 / alpha), bend_cap)
     if not 0.0 < delta < 1.0:
@@ -398,26 +430,17 @@ def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
 
 @dataclass
 class DiagnosticsLog:
-    """Column-oriented time series of the monitored quantities."""
+    """Column-oriented time series of the monitored quantities: one list
+    attribute per name in COLUMNS."""
 
     n: int
     alpha: float
     k: float
     config_hash: str = ""
-    t: list = field(default_factory=list)
-    rho_min: list = field(default_factory=list)
-    rho_max: list = field(default_factory=list)
-    f_inf: list = field(default_factory=list)
-    drho_inf: list = field(default_factory=list)
-    bkm: list = field(default_factory=list)
-    mass: list = field(default_factory=list)
-    env_lower_margin: list = field(default_factory=list)
-    env_upper_margin: list = field(default_factory=list)
-    moc_pass: list = field(default_factory=list)
-    moc_min_b: list = field(default_factory=list)
 
-    _FIELDS = ("t", "rho_min", "rho_max", "f_inf", "drho_inf", "bkm", "mass",
-               "env_lower_margin", "env_upper_margin", "moc_pass", "moc_min_b")
+    def __post_init__(self) -> None:
+        for name in COLUMNS:
+            setattr(self, name, [])
 
     @property
     def dx(self) -> float:
@@ -434,8 +457,8 @@ class DiagnosticsLog:
         try:
             stream.write(f"# config={self.config_hash}\n")
             stream.write(f"# n={self.n} alpha={self.alpha!r} k={self.k!r}\n")
-            stream.write(",".join(CSV_COLUMNS) + "\n")
-            for row in zip(*(getattr(self, f) for f in self._FIELDS)):
+            stream.write(",".join(COLUMNS) + "\n")
+            for row in zip(*(getattr(self, name) for name in COLUMNS)):
                 stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
         finally:
             if close:
@@ -457,7 +480,7 @@ class DiagnosticsLog:
                         header[key] = val
                 line = stream.readline()
             cols = line.strip().split(",")
-            if cols != list(CSV_COLUMNS):
+            if cols != list(COLUMNS):
                 raise ValueError(f"unexpected diagnostics columns {cols}")
             log = cls(
                 n=int(header.get("n", 0)),
@@ -469,7 +492,7 @@ class DiagnosticsLog:
                 if not line.strip():
                     continue
                 vals = [float(v) for v in line.strip().split(",")]
-                for name, v in zip(log._FIELDS, vals):
+                for name, v in zip(COLUMNS, vals):
                     getattr(log, name).append(v)
             return log
         finally:
@@ -480,7 +503,7 @@ class DiagnosticsLog:
 class DiagnosticsRecorder:
     """Monitor collecting the diagnostics log during a run.
 
-    A row is recorded at every step, with the columns of ``CSV_COLUMNS``:
+    A row is recorded at every step, with the columns of ``COLUMNS``:
     time, min and max density, |g/rho|_inf, |d rho/dx|_inf (the state's
     ``drho_inf``, shared with the run loop), the trapezoidal integral of
     its square, mass, the two envelope margins (NaN without ``bounds``),
@@ -518,10 +541,9 @@ class DiagnosticsRecorder:
             bkm = log.bkm[-1] + 0.5 * (log.drho_inf[-1] ** 2 + drho**2) * (t - log.t[-1])
         else:
             bkm = 0.0
-        slack = 1.0 + ENVELOPE_SLACK * grid.dx
         if self.bounds is not None:
-            low = rho_min * slack / float(self.bounds.rho_min_envelope(t))
-            up = float(self.bounds.rho_max_bound(t)) * slack / rho_max
+            low = float(self.bounds.lower_margin(t, rho_min, grid.dx))
+            up = float(self.bounds.upper_margin(t, rho_max, grid.dx))
         else:
             low = up = math.nan
         if self.moc is not None and step % self.moc_every == 0:
@@ -533,17 +555,9 @@ class DiagnosticsRecorder:
         else:
             moc_pass = math.nan
             min_b = math.nan
-        log.t.append(t)
-        log.rho_min.append(rho_min)
-        log.rho_max.append(rho_max)
-        log.f_inf.append(f_inf)
-        log.drho_inf.append(drho)
-        log.bkm.append(bkm)
-        log.mass.append(mean(state.rho))
-        log.env_lower_margin.append(low)
-        log.env_upper_margin.append(up)
-        log.moc_pass.append(moc_pass)
-        log.moc_min_b.append(min_b)
+        row = (t, rho_min, rho_max, f_inf, drho, bkm, mean(state.rho), low, up, moc_pass, min_b)
+        for name, v in zip(COLUMNS, row):
+            getattr(log, name).append(v)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +578,7 @@ def check_lower_envelope(log: DiagnosticsLog, bc: BoundConstants) -> CheckReport
     t = log.column("t")
     if t.size == 0:
         return CheckReport(False, math.nan, math.nan, "empty log")
-    slack = 1.0 + ENVELOPE_SLACK * log.dx
-    margins = log.column("rho_min") * slack / np.asarray(bc.rho_min_envelope(t))
+    margins = bc.lower_margin(t, log.column("rho_min"), log.dx)
     i = int(np.argmin(margins))
     return CheckReport(bool(margins[i] >= 1.0), float(margins[i]), float(t[i]))
 
@@ -576,16 +589,13 @@ def check_upper_envelope(log: DiagnosticsLog, bc: BoundConstants) -> CheckReport
     t = log.column("t")
     if t.size == 0:
         return CheckReport(False, math.nan, math.nan, "empty log")
-    slack = 1.0 + ENVELOPE_SLACK * log.dx
     rho_max = log.column("rho_max")
-    margins = np.asarray(bc.rho_max_bound(t)) * slack / rho_max
+    margins = bc.upper_margin(t, rho_max, log.dx)
     i = int(np.argmin(margins))
     # times where only the growth branch can cover the observed maximum
     fac = 2.0 if bc.general else 1.0
-    flat = max(bc.rho0_max, 3.0 * bc.rho_bar)
-    if bc.general and bc.psi_l_sup > 0:
-        flat = max(flat, (2.0 * bc.psi_l_sup * bc.rho_bar / bc.c1) ** (1.0 / (1.0 + bc.alpha)))
-    binding = rho_max / slack > flat
+    slack = _slack(log.dx)
+    binding = rho_max / slack > bc.rho_max_floor
     if np.any(binding):
         c1_fit = float(np.min(
             fac * np.asarray(bc.f_bound(t))[binding] / (rho_max[binding] / slack) ** bc.alpha
@@ -600,8 +610,7 @@ def check_f_bound(log: DiagnosticsLog, bc: BoundConstants) -> CheckReport:
     t = log.column("t")
     if t.size == 0:
         return CheckReport(False, math.nan, math.nan, "empty log")
-    slack = 1.0 + ENVELOPE_SLACK * log.dx
-    bound = np.asarray(bc.f_bound(t)) * slack + F_BOUND_ATOL
+    bound = np.asarray(bc.f_bound(t)) * _slack(log.dx) + F_BOUND_ATOL
     gaps = bound - log.column("f_inf")
     i = int(np.argmin(gaps))
     return CheckReport(bool(gaps[i] >= 0.0), float(gaps[i]), float(t[i]))

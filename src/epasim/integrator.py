@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import RHO_FLOOR, NonFiniteError, SimState, VacuumError, advance, recover_velocity, rhs
+from .spectral import MeanViolationError
 from .spectral import derivative  # noqa: F401  (perfbench traces integrator.derivative)
 
 
@@ -79,10 +80,8 @@ class RunOutcome:
         return self.status is RunStatus.COMPLETED
 
 
-def _raw_dt(state: SimState, ctl: StepControl, u_inf: float | None = None) -> float:
-    """CFL bounds of the state; ``u_inf`` is sup |u|, recovered if not given."""
-    if u_inf is None:
-        u_inf = float(np.max(np.abs(recover_velocity(state, check_vacuum=False))))
+def _raw_dt(state: SimState, ctl: StepControl, u_inf: float) -> float:
+    """CFL bounds of the state, given its sup |u|."""
     dx = state.grid.dx
     dt_adv = ctl.cfl_advect * dx / u_inf if u_inf > 0 else math.inf
     kern = state.kernel
@@ -97,8 +96,10 @@ def _raw_dt(state: SimState, ctl: StepControl, u_inf: float | None = None) -> fl
 
 def stable_dt(state: SimState, ctl: StepControl) -> float:
     """Stability-bounded step: min of the CFL bounds and dt_max, clamped
-    below by dt_min."""
-    return max(min(_raw_dt(state, ctl), ctl.dt_max), ctl.dt_min)
+    below by dt_min. Recovers the velocity, so it raises VacuumError at
+    the density floor."""
+    u_inf = float(np.max(np.abs(recover_velocity(state))))
+    return max(min(_raw_dt(state, ctl, u_inf), ctl.dt_max), ctl.dt_min)
 
 
 def _stage2(x: np.ndarray, d: np.ndarray, x0: np.ndarray, dt: float) -> None:
@@ -186,7 +187,7 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
             state = step_ssprk3(state, dt, detection.rho_floor, (drho, dg))
         except VacuumError as exc:
             return outcome(RunStatus.VACUUM, str(exc))
-        except (NonFiniteError, FloatingPointError) as exc:
+        except (NonFiniteError, MeanViolationError, FloatingPointError) as exc:
             return outcome(RunStatus.NAN, str(exc))
         del drho, dg  # the stage arrays of the finished step
         steps += 1

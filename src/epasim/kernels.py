@@ -22,7 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Grid, convolve, midpoint_offsets, second_derivative, to_spectrum
+from .spectral import Grid, convolve, second_derivative, to_spectrum
+
+KERNEL_MIN_PROBES = 8192  # uniform probe points of kernel_min on the torus
 
 
 class SingularityError(ValueError):
@@ -281,9 +283,9 @@ class PotentialSpec:
 
 
 @lru_cache(maxsize=64)
-def kernel_min(spec: KernelSpec, n_probe: int = 8192) -> float:
-    """Minimum of the effective kernel over probe points x != 0."""
-    x = -0.5 + np.arange(n_probe) / n_probe
+def kernel_min(spec: KernelSpec) -> float:
+    """Minimum of the effective kernel over KERNEL_MIN_PROBES points x != 0."""
+    x = -0.5 + np.arange(KERNEL_MIN_PROBES) / KERNEL_MIN_PROBES
     x = x[np.abs(x) > 1e-12]
     return float(np.min(spec(x)))
 
@@ -300,15 +302,6 @@ def potential_on_grid(kreg: RegularPotential, grid: Grid) -> np.ndarray:
     vals = np.asarray(kreg(grid.x), dtype=float)
     vals.flags.writeable = False
     return vals
-
-
-@lru_cache(maxsize=32)
-def quadrature_weights(spec: KernelSpec, refinement: int, tol: float = 1e-12) -> np.ndarray:
-    """Effective kernel sampled at the midpoint quadrature offsets."""
-    y = midpoint_offsets(refinement)
-    w = np.asarray(spec(y, tol), dtype=float)
-    w.flags.writeable = False
-    return w
 
 
 # ---------------------------------------------------------------------------

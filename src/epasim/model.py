@@ -46,20 +46,17 @@ from .kernels import (  # noqa: F401  (g_source: perfbench traces model.g_source
     g_source,
     g_source_multiplier,
     lipschitz_on_grid,
-    quadrature_weights,
 )
 from .spectral import (
     MEAN_TOL,
     Grid,
     MeanViolationError,
     _check,
-    circular_correlate,
     convolve,
     dealias,
     derivative,
     fractional_laplacian,
     mean,
-    resample_midpoints,
     to_spectrum,
 )
 
@@ -159,19 +156,19 @@ def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) ->
     return g
 
 
-def _velocity(state: SimState, plan: SpectralPlan, rho_floor: float,
-              check_vacuum: bool) -> tuple[np.ndarray, np.ndarray]:
+def _velocity(state: SimState, plan: SpectralPlan,
+              rho_floor: float) -> tuple[np.ndarray, np.ndarray]:
     """rfft(rho) and the velocity, after the checks on the state (3 FFTs)."""
     rho, g, n = state.rho, state.g, state.grid.n
     if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(g))):
         raise NonFiniteError(f"non-finite state at t={state.t:.6f}")
-    if check_vacuum and float(np.min(rho)) <= rho_floor:
+    if float(np.min(rho)) <= rho_floor:
         raise VacuumError(f"min density {np.min(rho):.3e}: velocity ratio undefined")
     rho_hat = np.fft.rfft(rho)
     u_hat = np.fft.rfft(g)
     u_hat += plan.vel_rho * rho_hat
     # mode 0 is n mean(g - psi_l * rho); only a residual above MEAN_TOL pays
-    # for the scale max(1, |g - psi_l * rho|_inf) of spectral.antiderivative
+    # for the guard's scale max(1, |g - psi_l * rho|_inf)
     resid = u_hat[0].real / n
     if abs(resid) > MEAN_TOL:
         psi_l = state.kernel.psi_l
@@ -186,17 +183,17 @@ def _velocity(state: SimState, plan: SpectralPlan, rho_floor: float,
     return rho_hat, u
 
 
-def recover_velocity(state: SimState, rho_floor: float = RHO_FLOOR,
-                     check_vacuum: bool = True) -> np.ndarray:
+def recover_velocity(state: SimState) -> np.ndarray:
     """Invert the gradient transform, pin the momentum and return the velocity.
 
     u = c * Lambda^alpha d^-1 (rho - rho_bar) + d^-1 (g - psi_l * rho) + I0,
     with the constant I0 solved from int rho u = m0 at every call, so the
     momentum integral is enforced structurally rather than tracked. Costs
-    3 FFTs through the problem's :func:`spectral_plan`.
+    3 FFTs through the problem's :func:`spectral_plan`. Raises as
+    :func:`rhs` does, with the density floor at RHO_FLOOR.
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
-    return _velocity(state, plan, rho_floor, check_vacuum)[1]
+    return _velocity(state, plan, RHO_FLOOR)[1]
 
 
 def _minus_flux_derivative(f: np.ndarray, plan: SpectralPlan) -> np.ndarray:
@@ -217,7 +214,7 @@ def rhs(state: SimState,
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
     n = state.grid.n
-    rho_hat, u = _velocity(state, plan, rho_floor, check_vacuum=True)
+    rho_hat, u = _velocity(state, plan, rho_floor)
     drho = np.fft.irfft(_minus_flux_derivative(state.rho * u, plan), n=n)
     dg_hat = _minus_flux_derivative(state.g * u, plan)
     if plan.source is not None:
@@ -228,31 +225,6 @@ def rhs(state: SimState,
     if not (np.all(np.isfinite(drho)) and np.all(np.isfinite(dg))):
         raise NonFiniteError(f"non-finite time derivative at t={state.t:.6f}")
     return drho, dg, max(float(np.max(u)), -float(np.min(u)))
-
-
-def alignment_direct(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid,
-                     refinement: int) -> np.ndarray:
-    """Direct quadrature of int psi(y) (u(x+y) - u(x)) rho(x+y) dy.
-
-    Independent of the commutator route: the integrand is assembled from
-    trigonometric interpolants of rho and u on a refined half-cell-offset
-    grid and integrated with the midpoint rule, whose symmetric node set
-    implements the principal value. ``refinement`` is rounded up to a
-    multiple of the grid size; nominal cost O(n * refinement), evaluated
-    as circular correlations in O(refinement log refinement).
-    """
-    rho = _check(rho, grid)
-    u = _check(u, grid)
-    if refinement < grid.n:
-        raise ValueError("refinement must be at least the grid size")
-    r = -(-int(refinement) // grid.n) * grid.n
-    w = quadrature_weights(kernel, r)
-    rho_r = resample_midpoints(rho, grid, r)
-    mom_r = rho_r * resample_midpoints(u, grid, r)
-    idx = (np.arange(grid.n) * (r // grid.n) - r // 2) % r
-    flux = circular_correlate(w, mom_r)[idx]
-    weight = circular_correlate(w, rho_r)[idx]
-    return (flux - u * weight) / r
 
 
 _PRESET_PARAMS = {

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative tolerance on the mean of an antiderivative argument. A larger
-# residual signals a broken zero-mean invariant upstream.
+# Relative tolerance on the mean of g - psi_l * rho, which the velocity
+# recovery integrates. A larger residual signals a broken invariant upstream.
 MEAN_TOL = 1e-10
 
 
@@ -28,7 +28,7 @@ class GridMismatchError(ValueError):
 
 
 class MeanViolationError(ValueError):
-    """Antiderivative of a field whose mean is not (numerically) zero."""
+    """Primitive of a field whose mean is not (numerically) zero."""
 
 
 @dataclass(frozen=True)
@@ -83,29 +83,9 @@ def to_spectrum(f: np.ndarray, grid: Grid) -> np.ndarray:
     return _origin_phase(grid) * np.fft.rfft(_check(f, grid)) / grid.n
 
 
-def from_spectrum(c: np.ndarray, grid: Grid) -> np.ndarray:
-    """Inverse of :func:`to_spectrum`; round trip is exact to ~1e-16."""
-    c = np.asarray(c)
-    if c.shape != (grid.n // 2 + 1,):
-        raise GridMismatchError(f"expected {grid.n // 2 + 1} coefficients, got {c.shape}")
-    return np.fft.irfft(_origin_phase(grid) * c * grid.n, n=grid.n)
-
-
 def mean(f: np.ndarray) -> float:
     """Torus integral of f (domain has unit length)."""
     return float(np.mean(f))
-
-
-def l2_norm(f: np.ndarray) -> float:
-    """L2 norm on the unit torus, computed in physical space."""
-    return float(np.sqrt(np.mean(np.square(f))))
-
-
-def spectrum_l2(c: np.ndarray) -> float:
-    """L2 norm from rfft-layout coefficients (Parseval)."""
-    c = np.asarray(c)
-    s = np.abs(c[0]) ** 2 + 2.0 * np.sum(np.abs(c[1:-1]) ** 2) + np.abs(c[-1]) ** 2
-    return float(np.sqrt(s))
 
 
 def derivative(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -123,27 +103,6 @@ def second_derivative(f: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfft(fh, n=grid.n)
 
 
-def antiderivative(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Zero-mean primitive of a (numerically) zero-mean field.
-
-    Raises
-    ------
-    MeanViolationError
-        If |mean(f)| exceeds MEAN_TOL * max(1, max|f|); the caller's
-        zero-mean invariant is broken and integrating would silently
-        produce a non-periodic primitive.
-    """
-    f = _check(f, grid)
-    m = np.mean(f)
-    if abs(m) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):
-        raise MeanViolationError(f"antiderivative of field with mean {m:.3e}")
-    fh = np.fft.rfft(f)
-    fh[0] = 0.0
-    fh[1:] /= 1j * grid.two_pi_k[1:]
-    fh[-1] = 0.0
-    return np.fft.irfft(fh, n=grid.n)
-
-
 def fractional_laplacian(f: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
     """Fractional Laplacian (-d^2/dx^2)^{alpha/2}.
 
@@ -155,21 +114,6 @@ def fractional_laplacian(f: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
     fh = np.fft.rfft(_check(f, grid))
     fh[0] = 0.0
     fh[1:] *= grid.two_pi_k[1:] ** alpha
-    return np.fft.irfft(fh, n=grid.n)
-
-
-def fractional_laplacian_antiderivative(f: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
-    """Fractional Laplacian of the primitive of the zero-mean part of f.
-
-    Multiplier (2*pi*|k|)^alpha / (2*pi*i*k) for k != 0; the k = 0 mode
-    of the output is 0, so any constant component of f is discarded.
-    """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    fh = np.fft.rfft(_check(f, grid))
-    fh[0] = 0.0
-    fh[1:] *= grid.two_pi_k[1:] ** alpha / (1j * grid.two_pi_k[1:])
-    fh[-1] = 0.0
     return np.fft.irfft(fh, n=grid.n)
 
 
@@ -188,48 +132,3 @@ def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:
     fh = np.fft.rfft(_check(f, grid))
     fh[~grid.dealias_keep] = 0.0
     return np.fft.irfft(fh, n=grid.n)
-
-
-def midpoint_offsets(refinement: int) -> np.ndarray:
-    """Half-cell-offset midpoint quadrature nodes y_q on the torus.
-
-    y_q = -1/2 + (q + 1/2)/R for q = 0..R-1. The set is symmetric under
-    y -> -y and never contains 0, which is what makes it suitable for
-    principal-value quadrature of even singular kernels.
-    """
-    r = int(refinement)
-    return -0.5 + (np.arange(r) + 0.5) / r
-
-
-def resample_midpoints(f: np.ndarray, grid: Grid, refinement: int) -> np.ndarray:
-    """Trigonometric interpolation of f onto the midpoint-offset grid.
-
-    Returns f evaluated at z_p = -1/2 + (p + 1/2)/R, p = 0..R-1, where R
-    must be a multiple of the grid size. The original Nyquist mode is
-    dropped (it has no well-defined interpolant).
-    """
-    f = _check(f, grid)
-    r = int(refinement)
-    if r % grid.n != 0:
-        raise ValueError(f"refinement {r} must be a multiple of the grid size {grid.n}")
-    c = np.fft.rfft(f) / grid.n
-    c[-1] = 0.0
-    k = np.arange(grid.n // 2 + 1)
-    # half-cell phase: sample positions sit 1/(2R) past each refined node
-    c = c * np.exp(1j * np.pi * k / r)
-    padded = np.zeros(r // 2 + 1, dtype=complex)
-    padded[: grid.n // 2 + 1] = c
-    return np.fft.irfft(padded * r, n=r)
-
-
-def circular_correlate(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """c[p] = sum_q weights[q] * values[(p+q) mod R], via FFT.
-
-    Evaluates the same finite sums as the direct loop, just in
-    O(R log R) instead of O(R^2).
-    """
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if w.shape != v.shape:
-        raise ValueError("weights and values must have equal length")
-    return np.fft.irfft(np.conj(np.fft.rfft(w)) * np.fft.rfft(v), n=v.size)

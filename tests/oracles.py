@@ -1,17 +1,24 @@
 """Reference routes through the dynamics and the diagnostics, for tests only.
 
-Most compose the per-operator functions of ``epasim.spectral`` and
-``epasim.kernels``, one transform per operator, the way the solver did
-before its multipliers were fused into ``model.spectral_plan``. The fused
-``rhs`` and ``recover_velocity`` are checked against them. The force and
-quadrature routes check the operators themselves, and ``roll_lag_table``
-is the plain loop that ``diagnostics._lag_table`` must match bit for bit.
+Most compose per-operator functions, one transform per operator, the way
+the solver did before its multipliers were fused into
+``model.spectral_plan``. The fused ``rhs`` and ``recover_velocity`` are
+checked against them. The force and quadrature routes (among them
+``alignment_direct``, a midpoint-rule quadrature of the alignment
+integral) check the operators themselves. ``roll_lag_table`` is the plain
+loop that ``diagnostics._lag_table`` must match bit for bit, and
+``reference_min_b`` the bisection that ``diagnostics.moc_min_b`` must
+match exactly.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
+from epasim.diagnostics import MIN_B_CAP, MIN_B_RTOL, ModulusParams
 from epasim.kernels import (
     KernelSpec,
     PotentialSpec,
@@ -19,22 +26,111 @@ from epasim.kernels import (
     lipschitz_on_grid,
     potential_on_grid,
     psi_alpha,
-    quadrature_weights,
 )
 from epasim.model import SimState
 from epasim.spectral import (
+    MEAN_TOL,
     Grid,
+    MeanViolationError,
     _check,
-    antiderivative,
-    circular_correlate,
     convolve,
     dealias,
     derivative,
     fractional_laplacian,
-    fractional_laplacian_antiderivative,
     mean,
-    resample_midpoints,
 )
+
+
+def antiderivative(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Zero-mean primitive of a (numerically) zero-mean field.
+
+    Raises
+    ------
+    MeanViolationError
+        If |mean(f)| exceeds MEAN_TOL * max(1, max|f|); the caller's
+        zero-mean invariant is broken and integrating would silently
+        produce a non-periodic primitive.
+    """
+    f = _check(f, grid)
+    m = np.mean(f)
+    if abs(m) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):
+        raise MeanViolationError(f"antiderivative of field with mean {m:.3e}")
+    fh = np.fft.rfft(f)
+    fh[0] = 0.0
+    fh[1:] /= 1j * grid.two_pi_k[1:]
+    fh[-1] = 0.0
+    return np.fft.irfft(fh, n=grid.n)
+
+
+def fractional_laplacian_antiderivative(f: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
+    """Fractional Laplacian of the primitive of the zero-mean part of f.
+
+    Multiplier (2*pi*|k|)^alpha / (2*pi*i*k) for k != 0; the k = 0 mode
+    of the output is 0, so any constant component of f is discarded.
+    """
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must be in (0, 2], got {alpha}")
+    fh = np.fft.rfft(_check(f, grid))
+    fh[0] = 0.0
+    fh[1:] *= grid.two_pi_k[1:] ** alpha / (1j * grid.two_pi_k[1:])
+    fh[-1] = 0.0
+    return np.fft.irfft(fh, n=grid.n)
+
+
+def midpoint_offsets(refinement: int) -> np.ndarray:
+    """Half-cell-offset midpoint quadrature nodes y_q on the torus.
+
+    y_q = -1/2 + (q + 1/2)/R for q = 0..R-1. The set is symmetric under
+    y -> -y and never contains 0, which is what makes it suitable for
+    principal-value quadrature of even singular kernels.
+    """
+    r = int(refinement)
+    return -0.5 + (np.arange(r) + 0.5) / r
+
+
+def resample_midpoints(f: np.ndarray, grid: Grid, refinement: int) -> np.ndarray:
+    """Trigonometric interpolation of f onto the midpoint-offset grid.
+
+    Returns f evaluated at z_p = -1/2 + (p + 1/2)/R, p = 0..R-1, where R
+    must be a multiple of the grid size. The original Nyquist mode is
+    dropped (it has no well-defined interpolant).
+    """
+    f = _check(f, grid)
+    r = int(refinement)
+    if r % grid.n != 0:
+        raise ValueError(f"refinement {r} must be a multiple of the grid size {grid.n}")
+    c = np.fft.rfft(f) / grid.n
+    c[-1] = 0.0
+    k = np.arange(grid.n // 2 + 1)
+    # half-cell phase: sample positions sit 1/(2R) past each refined node
+    c = c * np.exp(1j * np.pi * k / r)
+    padded = np.zeros(r // 2 + 1, dtype=complex)
+    padded[: grid.n // 2 + 1] = c
+    return np.fft.irfft(padded * r, n=r)
+
+
+def circular_correlate(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """c[p] = sum_q weights[q] * values[(p+q) mod R], via FFT.
+
+    Evaluates the same finite sums as the direct loop, just in
+    O(R log R) instead of O(R^2).
+    """
+    w = np.asarray(weights, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if w.shape != v.shape:
+        raise ValueError("weights and values must have equal length")
+    return np.fft.irfft(np.conj(np.fft.rfft(w)) * np.fft.rfft(v), n=v.size)
+
+
+@lru_cache(maxsize=32)
+def quadrature_weights(spec: KernelSpec, refinement: int, tol: float = 1e-12) -> np.ndarray:
+    """Effective kernel sampled at the midpoint quadrature offsets."""
+    y = midpoint_offsets(refinement)
+    w = np.asarray(spec(y, tol), dtype=float)
+    w.flags.writeable = False
+    return w
+
+
 
 
 def psi_l_conv(state: SimState) -> np.ndarray:
@@ -64,6 +160,31 @@ def composed_rhs(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     if not state.potential.is_zero:
         dg = dg + g_source(state.rho, state.rho_bar, state.potential, grid)
     return drho, dg
+
+
+def alignment_direct(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid,
+                     refinement: int) -> np.ndarray:
+    """Direct quadrature of int psi(y) (u(x+y) - u(x)) rho(x+y) dy.
+
+    Independent of the commutator route: the integrand is assembled from
+    trigonometric interpolants of rho and u on a refined half-cell-offset
+    grid and integrated with the midpoint rule, whose symmetric node set
+    implements the principal value. ``refinement`` is rounded up to a
+    multiple of the grid size; nominal cost O(n * refinement), evaluated
+    as circular correlations in O(refinement log refinement).
+    """
+    rho = _check(rho, grid)
+    u = _check(u, grid)
+    if refinement < grid.n:
+        raise ValueError("refinement must be at least the grid size")
+    r = -(-int(refinement) // grid.n) * grid.n
+    w = quadrature_weights(kernel, r)
+    rho_r = resample_midpoints(rho, grid, r)
+    mom_r = rho_r * resample_midpoints(u, grid, r)
+    idx = (np.arange(grid.n) * (r // grid.n) - r // 2) % r
+    flux = circular_correlate(w, mom_r)[idx]
+    weight = circular_correlate(w, rho_r)[idx]
+    return (flux - u * weight) / r
 
 
 def alignment_spectral(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec,
@@ -148,3 +269,45 @@ def roll_lag_table(rho: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
         at[lag - 1] = i
         diffs[lag - 1] = diff[i]
     return np.arange(1, half + 1) / n, diffs, at
+
+
+def reference_omega_b(xi, p: ModulusParams) -> np.ndarray | float:
+    """The gauge w_B evaluated on its own, with its range check, the way
+    ``diagnostics.omega_b`` did before the shared ``_gauge``."""
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi <= 0.0) or np.any(xi > 0.5):
+        raise ValueError("xi must lie in (0, 1/2]")
+    head = p.delta - p.delta ** (1.0 + p.alpha / 2.0)
+    if math.isinf(p.b):
+        out = np.full_like(xi, np.inf)
+        return out if out.ndim else float(out)
+    bxi = p.b * xi
+    mask = bxi < p.delta
+    out = np.empty_like(xi)
+    out[mask] = bxi[mask] - bxi[mask] ** (1.0 + p.alpha / 2.0)
+    out[~mask] = p.gamma * (math.log(p.b) + np.log(xi[~mask]) - math.log(p.delta)) + head
+    return out if out.ndim else float(out)
+
+
+def reference_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float,
+                    n: int) -> float:
+    """The bisection of ``diagnostics.moc_min_b`` with a freshly validated
+    ``ModulusParams`` and a full ``reference_omega_b`` at every point."""
+    dists, diffs, _ = roll_lag_table(rho, n)
+
+    def ok(b: float) -> bool:
+        p = ModulusParams(delta, gamma, b, alpha)
+        return float(np.min(reference_omega_b(dists, p) - diffs)) > 0.0
+
+    if ok(1.0):
+        return 1.0
+    if not ok(MIN_B_CAP):
+        return math.inf
+    lo, hi = math.log(1.0), math.log(MIN_B_CAP)
+    while hi - lo > math.log1p(MIN_B_RTOL):
+        mid = 0.5 * (lo + hi)
+        if ok(math.exp(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return math.exp(hi)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from epasim import diagnostics
 from epasim.diagnostics import (
+    COLUMNS,
     BoundConstants,
     DiagnosticsLog,
     DiagnosticsRecorder,
@@ -27,7 +28,7 @@ from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec
 from epasim.model import advance, make_initial
 from epasim.spectral import Grid
 from conftest import random_positive_field, random_smooth_field
-from oracles import psi_alpha_min, roll_lag_table
+from oracles import psi_alpha_min, reference_min_b, reference_omega_b, roll_lag_table
 
 EA = KernelSpec(c=1.0, alpha=0.5)
 
@@ -106,6 +107,23 @@ def test_bound_constants_c_m_below_initial_min(amp, k):
     assert 0.0 < bc.eps < bc.eps_star
     assert all(math.isfinite(v) for v in vars(bc).values())
     assert math.isfinite(bc.f_bound(1.0)) and math.isfinite(bc.rho_max_bound(1.0))
+
+
+def test_upper_bound_floor_has_the_lipschitz_branch():
+    # a large psi_l and a small C_1 make (2 |psi_l|_inf rho_bar / C_1)^(1/(1+alpha))
+    # the floor of the upper bound, above max rho_0 and 3 rho_bar
+    kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="constant", a=50.0))
+    st = make_initial("cosine", Grid(64), kernel, rho_amp=0.3)
+    bc = bound_constants(st, c1=0.01)
+    lip = (2.0 * 50.0 * bc.rho_bar / 0.01) ** (1.0 / 1.5)
+    assert lip > 3.0 * bc.rho_bar
+    assert bc.rho_max_floor == pytest.approx(lip, rel=1e-14)
+    assert bc.c_big >= lip and float(bc.rho_max_bound(0.0)) >= lip
+    t = np.linspace(0.0, 1.0, 5)
+    below = synthetic_log(t, rho_min=1.0, rho_max=0.99 * lip, n=64)
+    assert check_upper_envelope(below, bc).c1_fit == math.inf
+    above = synthetic_log(t, rho_min=1.0, rho_max=1.1 * lip * (1.0 + 10.0 / 64), n=64)
+    assert math.isfinite(check_upper_envelope(above, bc).c1_fit)
 
 
 def test_bound_constants_warns_above_one():
@@ -316,6 +334,32 @@ def test_lag_table_matches_roll_loop_bit_for_bit(n):
             assert np.array_equal(a, b, equal_nan=True), name
 
 
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_moc_min_b_matches_reference_bisection(n):
+    fields = lag_table_fields(n)
+    del fields["inf"]
+    for name, rho in fields.items():
+        for delta, gamma, alpha in ((0.2, 0.02, 0.5), (0.1, 0.029, 0.5), (0.05, 0.01, 1.0)):
+            want = reference_min_b(rho, delta, gamma, alpha, n)
+            assert moc_min_b(rho, delta, gamma, alpha, Grid(n)) == want, (name, delta)
+    # b xi = delta exactly at xi = 1/32, where the two branches differ in the last bit
+    p = ModulusParams(delta=0.1, gamma=0.02, b=3.2, alpha=0.5)
+    dists = roll_lag_table(fields["cosine"], n)[0]
+    assert np.any(p.b * dists == p.delta)
+    assert np.array_equal(omega_b(dists, p), reference_omega_b(dists, p))
+    for rho in fields.values():
+        rep = moc_check(rho, p, Grid(n))
+        want = reference_omega_b(dists, p) - roll_lag_table(rho, n)[1]
+        assert np.array_equal(rep.margin, np.min(want), equal_nan=True)
+
+
+def test_moc_min_b_rejects_invalid_parameters(grid64):
+    for rho in (np.full(64, 1.0), 1.0 + 0.3 * np.cos(2 * np.pi * grid64.x)):
+        for delta, gamma in ((1.5, 0.02), (0.0, 0.02), (0.2, -1.0), (0.2, 0.2)):
+            with pytest.raises(ValueError):
+                moc_min_b(rho, delta, gamma, 0.5, grid64)
+
+
 def test_moc_min_b_constant_field(grid64):
     assert moc_min_b(np.full(64, 1.0), 0.2, 0.02, 0.5, grid64) == 1.0
 
@@ -395,7 +439,7 @@ def test_moc_check_and_min_b_match_all_pairs_oracle(grid64):
 def test_moc_min_b_unreachable_returns_inf(grid64):
     rho = 1.0 + 0.9 * np.cos(2 * np.pi * grid64.x)
     # gamma so tiny the log branch can never reach the oscillation
-    assert moc_min_b(rho, 1e-4, 1e-6, 0.5, grid64, b_cap=1e10) == math.inf
+    assert moc_min_b(rho, 1e-4, 1e-6, 0.5, grid64) == math.inf
 
 
 def test_initial_modulus_selection_passes(grid64):
@@ -506,18 +550,37 @@ def test_recorder_and_csv_round_trip(tmp_path):
     log.to_csv(str(path))
     back = DiagnosticsLog.from_csv(str(path))
     assert back.n == 64 and back.config_hash == "cafe"
-    for namepair in zip(log._FIELDS, back._FIELDS):
-        a = log.column(namepair[0])
-        b = back.column(namepair[1])
+    for name in COLUMNS:
+        a = log.column(name)
+        b = back.column(name)
         np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
         np.testing.assert_array_equal(a[~np.isnan(a)], b[~np.isnan(b)])
 
 
+def test_envelope_margins_fold_in_the_grid_slack():
+    g = Grid(64)
+    st = make_initial("cosine", g, EA, rho_amp=0.2, u_amp=0.1, potential=PotentialSpec(k=0.5))
+    bc = bound_constants(st)
+    rec = DiagnosticsRecorder(bounds=bc)
+    run(st, StepControl(t_end=0.05), monitors=(rec,))
+    log = rec.log
+    t, slack = log.column("t"), 1.0 + 10.0 / 64
+    low = log.column("rho_min") * slack / (bc.c_m * np.exp(-bc.a_m * t))
+    up = np.asarray(bc.rho_max_bound(t)) * slack / log.column("rho_max")
+    np.testing.assert_allclose(log.column("env_lower_margin"), low, rtol=1e-14)
+    np.testing.assert_allclose(log.column("env_upper_margin"), up, rtol=1e-14)
+    assert check_lower_envelope(log, bc).margin == pytest.approx(low.min(), rel=1e-14)
+    assert check_upper_envelope(log, bc).margin == pytest.approx(up.min(), rel=1e-14)
+
+
 def test_from_csv_rejects_unexpected_columns():
-    old = ("t,rho_min,rho_max,F_inf,drho_inf,bkm,mass,momentum,env_lower_margin,"
-           "env_upper_margin,moc_pass,moc_min_B\n")
-    with pytest.raises(ValueError, match="unexpected diagnostics columns"):
-        DiagnosticsLog.from_csv(io.StringIO("# n=64 alpha=0.5 k=0.0\n" + old))
+    # the headers with a momentum column, and with the spellings F_inf and moc_min_B
+    for old in ("t,rho_min,rho_max,F_inf,drho_inf,bkm,mass,momentum,env_lower_margin,"
+                "env_upper_margin,moc_pass,moc_min_B\n",
+                "t,rho_min,rho_max,F_inf,drho_inf,bkm,mass,env_lower_margin,"
+                "env_upper_margin,moc_pass,moc_min_B\n"):
+        with pytest.raises(ValueError, match="unexpected diagnostics columns"):
+            DiagnosticsLog.from_csv(io.StringIO("# n=64 alpha=0.5 k=0.0\n" + old))
 
 
 def test_recorder_slope_bound_linkage():

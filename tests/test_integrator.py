@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from epasim.integrator import (
     step_ssprk3,
 )
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
-from epasim.model import SimState, compute_g, make_initial, rhs
+from epasim.model import SimState, VacuumError, compute_g, make_initial, rhs
 from epasim.spectral import Grid, mean, to_spectrum
 
 EA = KernelSpec(c=1.0, alpha=0.5)
@@ -43,6 +45,30 @@ def test_stable_dt_capped_by_dt_max():
     st = make_initial("uniform", g, OFF)  # no motion at all: both bounds infinite
     ctl = StepControl(t_end=1.0, dt_max=0.05)
     assert stable_dt(st, ctl) == 0.05
+
+
+def test_stable_dt_is_the_first_step_of_run():
+    kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=0.2))
+    states = (make_initial("cosine", Grid(64), EA, rho_amp=0.3, u_amp=0.4),
+              make_initial("cosine", Grid(128), kernel, PotentialSpec(k=1.0), rho_amp=0.5,
+                           u_amp=0.5),
+              make_initial("burgers-shock", Grid(64), OFF))
+    for st in states:
+        dt = stable_dt(st, StepControl(t_end=1.0, dt_max=1.0))
+        assert 1e-12 < dt < 1.0
+        times = []
+        run(st, StepControl(t_end=1.5 * dt, dt_max=1.0),
+            monitors=(lambda k, s: times.append(s.t),))
+        assert times[1] == dt
+
+
+def test_stable_dt_raises_at_density_floor():
+    g = Grid(64)
+    st = make_initial("uniform", g, EA)
+    rho = st.rho.copy()
+    rho[5] = 1e-9
+    with pytest.raises(VacuumError):
+        stable_dt(replace(st, rho=rho), StepControl(t_end=1.0))
 
 
 def test_step_control_validation():
@@ -138,6 +164,13 @@ def test_run_detects_vacuum():
     out = run(st, StepControl(t_end=1.0), detection=det)
     assert out.status is RunStatus.VACUUM
     assert out.t_final < 1.0
+
+
+def test_run_reports_broken_zero_mean_as_nan():
+    st = make_initial("cosine", Grid(64), EA, rho_amp=0.3, u_amp=0.2)
+    out = run(replace(st, g=st.g + 1e-6), StepControl(t_end=0.01))
+    assert out.status is RunStatus.NAN
+    assert out.steps == 0 and "mean" in out.detail
 
 
 def test_run_bkm_cap_detector():

