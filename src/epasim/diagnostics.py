@@ -98,13 +98,15 @@ class BoundConstants:
         """Combined forcing coefficient |k| + |K_reg''|_inf."""
         return abs(self.k) + self.kxx_sup
 
-    def rho_min_envelope(self, t) -> np.ndarray | float:
-        return self.c_m * np.exp(-self.a_m * np.asarray(t, dtype=float))
+    # the envelopes take a float or an array t and return the same kind
 
-    def rho_max_envelope(self, t) -> np.ndarray | float:
-        return self.c_big * np.exp(self.a_big * np.asarray(t, dtype=float))
+    def rho_min_envelope(self, t: np.ndarray | float) -> np.ndarray | float:
+        return self.c_m * np.exp(-self.a_m * t)
 
-    def f_bound(self, t) -> np.ndarray | float:
+    def rho_max_envelope(self, t: np.ndarray | float) -> np.ndarray | float:
+        return self.c_big * np.exp(self.a_big * t)
+
+    def f_bound(self, t: np.ndarray | float) -> np.ndarray | float:
         """Growth envelope F_M(t) for the transported ratio.
 
         The last term writes kappa/A_m as psi_m/(1+eps), so it stays finite
@@ -112,27 +114,24 @@ class BoundConstants:
         int_0^t e^{A_m s} ds: F_M(0) exceeds |f_0|_inf, and F_M jumps as
         kappa -> 0+, from |f_0|_inf at kappa = 0 to
         |f_0|_inf + psi_m rho_bar/((1+eps) C_m) for any kappa > 0. The bound
-        is conservative, not wrong.
+        is conservative, not wrong. At kappa = 0, k is 0 and the |k| t term
+        adds an exact zero.
         """
-        t = np.asarray(t, dtype=float)
-        out = np.full_like(t, self.f0_inf)
+        out = self.f0_inf + abs(self.k) * t
         if self.kappa > 0:
-            out = out + abs(self.k) * t
             out = out + self.psi_m / (1.0 + self.eps) * self.rho_bar / self.c_m * np.exp(self.a_m * t)
-        return out if out.ndim else float(out)
+        return out
 
     @property
     def rho_max_floor(self) -> float:
         """The time-independent branches of the upper bound on max rho."""
         return _rho_max_floor(self.rho0_max, self.rho_bar, self.psi_l_sup, self.alpha, self.c1)
 
-    def rho_max_bound(self, t) -> np.ndarray | float:
+    def rho_max_bound(self, t: np.ndarray | float) -> np.ndarray | float:
         """Pointwise-in-time upper bound on max rho (three/four branch)."""
-        t = np.asarray(t, dtype=float)
         fac = 2.0 if self.general else 1.0
-        branch = (fac * np.asarray(self.f_bound(t)) / self.c1) ** (1.0 / self.alpha)
-        out = np.maximum(self.rho_max_floor, branch)
-        return out if out.ndim else float(out)
+        branch = (fac * self.f_bound(t) / self.c1) ** (1.0 / self.alpha)
+        return np.maximum(self.rho_max_floor, branch)
 
     def lower_margin(self, t, rho_min, dx: float):
         """min rho with the grid slack over its lower envelope; >= 1 passes."""
@@ -165,8 +164,6 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
     if not state.kernel.enabled:
         raise ValueError("bound constants require an active alignment kernel")
     rho0_min, rho0_max = float(np.min(state.rho)), float(np.max(state.rho))
-    if rho0_min <= 0.0:
-        raise ValueError("bound constants require strictly positive initial density")
     alpha = state.kernel.alpha
     if alpha >= 1.0:
         warnings.warn(
@@ -535,8 +532,7 @@ class DiagnosticsRecorder:
         rho_min = float(np.min(state.rho))
         rho_max = float(np.max(state.rho))
         drho = state.drho_inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f_inf = float(np.max(np.abs(state.g / state.rho)))
+        f_inf = float(np.max(np.abs(state.g / state.rho)))
         if log.t:
             bkm = log.bkm[-1] + 0.5 * (log.drho_inf[-1] ** 2 + drho**2) * (t - log.t[-1])
         else:
@@ -598,7 +594,7 @@ def check_upper_envelope(log: DiagnosticsLog, bc: BoundConstants) -> CheckReport
     binding = rho_max / slack > bc.rho_max_floor
     if np.any(binding):
         c1_fit = float(np.min(
-            fac * np.asarray(bc.f_bound(t))[binding] / (rho_max[binding] / slack) ** bc.alpha
+            fac * bc.f_bound(t)[binding] / (rho_max[binding] / slack) ** bc.alpha
         ))
     else:
         c1_fit = math.inf
@@ -610,7 +606,7 @@ def check_f_bound(log: DiagnosticsLog, bc: BoundConstants) -> CheckReport:
     t = log.column("t")
     if t.size == 0:
         return CheckReport(False, math.nan, math.nan, "empty log")
-    bound = np.asarray(bc.f_bound(t)) * _slack(log.dx) + F_BOUND_ATOL
+    bound = bc.f_bound(t) * _slack(log.dx) + F_BOUND_ATOL
     gaps = bound - log.column("f_inf")
     i = int(np.argmin(gaps))
     return CheckReport(bool(gaps[i] >= 0.0), float(gaps[i]), float(t[i]))

@@ -9,20 +9,23 @@ the squared-gradient history).
 The run loop evaluates the first RK stage itself: the same ``rhs`` call
 gives sup |u| for the advective step bound and the stage-1 derivatives
 that ``step_ssprk3`` then consumes, so each step costs three ``rhs``
-calls and no separate velocity recovery. The gradient detector reads the
-accepted state's ``drho_inf``, which monitors such as the diagnostics
-recorder then share instead of differentiating again.
+calls and no separate velocity recovery. Each stage's fields go into a
+new ``SimState``, whose construction is that stage's only check, so a
+step checks three states: the two inner stages and the accepted one. The
+gradient detector reads the accepted state's ``drho_inf``, which monitors
+such as the diagnostics recorder then share instead of differentiating
+again.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import RHO_FLOOR, NonFiniteError, SimState, VacuumError, advance, recover_velocity, rhs
+from .model import NonFiniteError, SimState, VacuumError, recover_velocity, rhs
 from .spectral import MeanViolationError
 from .spectral import derivative  # noqa: F401  (perfbench traces integrator.derivative)
 
@@ -54,16 +57,17 @@ class StepControl:
 
 @dataclass(frozen=True)
 class DetectionThresholds:
-    """Blow-up / vacuum detector settings.
+    """Blow-up detector settings.
 
     Defaults are far outside anything a regular run reaches; control
-    scenarios (no alignment) override them to taste.
+    scenarios (no alignment) override them to taste. Vacuum has no setting
+    here: a state below ``model.RHO_FLOOR`` cannot be built, so the run
+    reports VACUUM when a stage's construction refuses one.
     """
 
     rho_max_factor: float = 1e6  # fire when max rho exceeds factor * rho_bar
     grad_rho_max: float = 1e8
     bkm_cap: float = math.inf  # cap on the running integral of |d rho/dx|_inf^2
-    rho_floor: float = RHO_FLOOR
 
 
 @dataclass
@@ -85,7 +89,7 @@ def _raw_dt(state: SimState, ctl: StepControl, u_inf: float) -> float:
     dx = state.grid.dx
     dt_adv = ctl.cfl_advect * dx / u_inf if u_inf > 0 else math.inf
     kern = state.kernel
-    denom = (2 * np.pi) ** kern.alpha * kern.c * float(np.max(np.abs(state.rho)))
+    denom = (2 * np.pi) ** kern.alpha * kern.c * float(np.max(state.rho))
     denom += kern.psi_l.sup_norm() * state.rho_bar
     pot = state.potential
     forcing_scale = (abs(pot.k) + pot.kreg.second_derivative_sup()) * state.rho_bar
@@ -96,8 +100,8 @@ def _raw_dt(state: SimState, ctl: StepControl, u_inf: float) -> float:
 
 def stable_dt(state: SimState, ctl: StepControl) -> float:
     """Stability-bounded step: min of the CFL bounds and dt_max, clamped
-    below by dt_min. Recovers the velocity, so it raises VacuumError at
-    the density floor."""
+    below by dt_min. Recovers the velocity of the state, which was checked
+    when it was built, so it raises nothing."""
     u_inf = float(np.max(np.abs(recover_velocity(state))))
     return max(min(_raw_dt(state, ctl, u_inf), ctl.dt_max), ctl.dt_min)
 
@@ -120,35 +124,32 @@ def _stage3(d: np.ndarray, x: np.ndarray, x0: np.ndarray, dt: float) -> None:
     d /= 3.0
 
 
-def step_ssprk3(state: SimState, dt: float, rho_floor: float = RHO_FLOOR,
-                k1: tuple | None = None) -> SimState:
+def step_ssprk3(state: SimState, dt: float, k1: tuple | None = None) -> SimState:
     """One three-stage strong-stability-preserving RK3 update.
 
     ``k1`` is the stage-1 ``(drho, dg)`` of ``rhs(state)`` when the caller
     has it already; its arrays then hold the stage values and are
-    overwritten. Raises VacuumError / NonFiniteError if any stage leaves
-    the valid region (``rhs`` checks each stage state); the returned state
-    has its invariants re-checked.
+    overwritten. Each stage's fields, and the result's, are checked when
+    their ``SimState`` is built, so a stage that leaves the valid region
+    raises there: VacuumError, NonFiniteError or MeanViolationError.
     """
     r0, g0 = state.rho, state.g
-    r, g = k1[:2] if k1 is not None else rhs(state, rho_floor)[:2]
+    r, g = k1[:2] if k1 is not None else rhs(state)[:2]
     # stage 1: u1 = u0 + dt L(u0)
     r *= dt
     r += r0
     g *= dt
     g += g0
     # stage 2, into the stage-1 arrays: u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
-    dr, dg, _ = rhs(advance(state, r, g, 0.0), rho_floor)
+    dr, dg, _ = rhs(replace(state, rho=r, g=g))
     _stage2(r, dr, r0, dt)
     _stage2(g, dg, g0, dt)
     del dr, dg
     # stage 3, into its own derivative arrays: (u0 + 2 (u2 + dt L(u2))) / 3
-    dr, dg, _ = rhs(advance(state, r, g, 0.0), rho_floor)
+    dr, dg, _ = rhs(replace(state, rho=r, g=g))
     _stage3(dr, r, r0, dt)
     _stage3(dg, g, g0, dt)
-    new = advance(state, dr, dg, dt)
-    new.validate(rho_floor)
-    return new
+    return replace(state, rho=dr, g=dg, t=state.t + dt)
 
 
 def run(state: SimState, ctl: StepControl, monitors: tuple = (),
@@ -179,12 +180,12 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         if bkm > detection.bkm_cap:
             return outcome(RunStatus.BLOWUP, f"squared-gradient accumulation {bkm:.3e}")
         try:
-            drho, dg, u_inf = rhs(state, detection.rho_floor)
+            drho, dg, u_inf = rhs(state)
             raw = _raw_dt(state, ctl, u_inf)
             if raw < ctl.dt_min:
                 return outcome(RunStatus.BLOWUP, f"stable step collapsed to {raw:.3e}")
             dt = min(raw, ctl.dt_max, ctl.t_end - state.t)
-            state = step_ssprk3(state, dt, detection.rho_floor, (drho, dg))
+            state = step_ssprk3(state, dt, (drho, dg))
         except VacuumError as exc:
             return outcome(RunStatus.VACUUM, str(exc))
         except (NonFiniteError, MeanViolationError, FloatingPointError) as exc:

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from epasim.diagnostics import (
 )
 from epasim.integrator import RunStatus, StepControl, run
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec
-from epasim.model import advance, make_initial
+from epasim.model import make_initial
 from epasim.spectral import Grid
 from conftest import random_positive_field, random_smooth_field
 from oracles import psi_alpha_min, reference_min_b, reference_omega_b, roll_lag_table
@@ -507,7 +508,7 @@ def recorded_bkm(t, drho):
     rec = DiagnosticsRecorder()
     for step, (ti, a) in enumerate(zip(t, drho)):
         rho = 1.0 + a / (2 * np.pi) * np.cos(2 * np.pi * g.x)
-        rec(step, advance(st, rho, st.g, float(ti)))
+        rec(step, replace(st, rho=rho, t=float(ti)))
     return rec.log.bkm[-1]
 
 

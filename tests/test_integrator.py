@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epasim import integrator
+from epasim import integrator, model
 from epasim.diagnostics import DiagnosticsRecorder, ModulusParams, bound_constants
 from epasim.integrator import (
     DetectionThresholds,
@@ -63,6 +63,7 @@ def test_stable_dt_is_the_first_step_of_run():
 
 
 def test_stable_dt_raises_at_density_floor():
+    # the state at the floor is refused when it is built, before stable_dt
     g = Grid(64)
     st = make_initial("uniform", g, EA)
     rho = st.rho.copy()
@@ -157,20 +158,27 @@ def test_run_detects_density_threshold():
     assert out.steps == 0 and "density" in out.detail
 
 
-def test_run_detects_vacuum():
-    g = Grid(64)
-    st = make_initial("near-vacuum", g, EA, eps=0.05, amp=1.0, width=0.05)
-    det = DetectionThresholds(rho_floor=0.2)
-    out = run(st, StepControl(t_end=1.0), detection=det)
+def test_run_detects_vacuum(monkeypatch):
+    # the compressive velocity thins the density minimum from 0.5 below the
+    # raised floor within a few steps; a stage built below it ends the run
+    st = make_initial("cosine", Grid(64), EA, rho_amp=0.5, u_amp=-0.5)
+    monkeypatch.setattr(model, "RHO_FLOOR", 0.4)
+    out = run(st, StepControl(t_end=1.0))
     assert out.status is RunStatus.VACUUM
-    assert out.t_final < 1.0
+    assert out.steps > 0 and out.t_final < 1.0
+    assert "min density" in out.detail
 
 
-def test_run_reports_broken_zero_mean_as_nan():
+def test_run_reports_broken_zero_mean_as_nan(monkeypatch):
+    # a loose tolerance admits g with mean 1e-6; under the real one the
+    # first stage state built from it is refused
     st = make_initial("cosine", Grid(64), EA, rho_amp=0.3, u_amp=0.2)
-    out = run(replace(st, g=st.g + 1e-6), StepControl(t_end=0.01))
+    with monkeypatch.context() as m:
+        m.setattr(model, "MEAN_TOL", 1e-3)
+        bad = replace(st, g=st.g + 1e-6)
+    out = run(bad, StepControl(t_end=0.01))
     assert out.status is RunStatus.NAN
-    assert out.steps == 0 and "mean" in out.detail
+    assert out.steps == 0 and "is not zero" in out.detail
 
 
 def test_run_bkm_cap_detector():
@@ -221,14 +229,18 @@ def test_run_fft_budget_per_step(monkeypatch):
     dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
     ffts = {"n": 0}
     rhs_calls = {"n": 0}
+    checks = {"n": 0}
     monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, ffts))
     monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft, ffts))
     monkeypatch.setattr(integrator, "rhs", counted(integrator.rhs, rhs_calls))
+    monkeypatch.setattr(SimState, "validate", counted(SimState.validate, checks))
     out = run(st, StepControl(t_end=20 * dt, dt_max=dt))
     assert out.completed and out.steps == 20
     # 3 rhs calls of 7 FFTs, plus the 2 of the run loop's |d rho/dx|_inf
     assert ffts["n"] / out.steps <= 24
     assert rhs_calls["n"] == 3 * out.steps
+    # one check per built state: the two inner stages and the accepted one
+    assert checks["n"] == 3 * out.steps
 
 
 def test_run_fft_budget_per_step_with_recorder(monkeypatch):

@@ -16,7 +16,7 @@ from epasim.model import (
     recover_velocity,
     rhs,
 )
-from epasim.spectral import Grid, MeanViolationError, derivative, mean
+from epasim.spectral import Grid, GridMismatchError, MeanViolationError, derivative, mean
 from conftest import random_positive_field, random_smooth_field
 from oracles import (
     alignment_direct,
@@ -91,12 +91,12 @@ def test_momentum_pinned_exactly(seed):
 
 
 def test_recover_velocity_vacuum(grid64):
+    # a state at vacuum has no velocity: building it raises
     rho = np.full(64, 1.0)
     rho[5] = 1e-12
-    st = SimState(grid=grid64, rho=rho, g=np.zeros(64), t=0.0, rho_bar=mean(rho),
-                  m0=0.0, kernel=EA_KERNEL, potential=PotentialSpec())
-    with pytest.raises(VacuumError):
-        recover_velocity(st)
+    with pytest.raises(VacuumError, match="min density"):
+        SimState(grid=grid64, rho=rho, g=np.zeros(64), t=0.0, rho_bar=mean(rho),
+                 m0=0.0, kernel=EA_KERNEL, potential=PotentialSpec())
 
 
 def test_rhs_equilibrium_is_zero(grid64):
@@ -219,10 +219,19 @@ def test_make_initial_burgers_characteristics_oracle(grid64):
 
 def test_validate_flags_broken_mean(grid64):
     st = make_initial("cosine", grid64, EA_KERNEL, rho_amp=0.3)
-    bad = SimState(grid=grid64, rho=st.rho + 0.1, g=st.g, t=0.0, rho_bar=st.rho_bar,
-                   m0=st.m0, kernel=st.kernel, potential=st.potential)
-    with pytest.raises(Exception):
-        bad.validate()
+    with pytest.raises(NonFiniteError, match="drifted"):
+        SimState(grid=grid64, rho=st.rho + 0.1, g=st.g, t=0.0, rho_bar=st.rho_bar,
+                 m0=st.m0, kernel=st.kernel, potential=st.potential)
+
+
+def test_state_shape_checked_at_construction(grid64):
+    # fields sampled on another grid are refused when the state is built,
+    # not when a run first differentiates them
+    st = make_initial("uniform", grid64, EA_KERNEL)
+    with pytest.raises(GridMismatchError):
+        replace(st, rho=np.ones(32), g=np.zeros(32))
+    with pytest.raises(GridMismatchError):
+        replace(st, g=np.zeros((64, 1)))
 
 
 TABLE_PSI_L = LipschitzKernel(kind="table", xs=(-0.5, -0.2, 0.1, 0.3), vs=(0.4, 1.0, 0.7, 0.2))
@@ -262,30 +271,27 @@ def test_broken_zero_mean_of_g_is_rejected(grid64):
     # rho keeps its mean, but g - psi_l * rho gains one: no periodic velocity exists
     kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=0.2))
     st = make_initial("cosine", grid64, kernel, rho_amp=0.3, u_amp=0.2)
-    bad = replace(st, g=st.g + 1e-6)
-    assert abs(mean(bad.g - psi_l_conv(bad))) > 1e-7
+    assert abs(mean(st.g + 1e-6 - psi_l_conv(st))) > 1e-7
     with pytest.raises(MeanViolationError):
-        rhs(bad)
-    with pytest.raises(MeanViolationError):
-        recover_velocity(bad)
-    with pytest.raises(NonFiniteError, match="zero-mean"):
-        bad.validate()
+        replace(st, g=st.g + 1e-6)
     st.validate()
 
 
 def test_rhs_rejects_non_finite_state(grid64):
+    # rhs never sees such a state: building it raises
     st = make_initial("cosine", grid64, EA_KERNEL, rho_amp=0.3)
-    g = st.g.copy()
-    g[3] = np.nan
-    with pytest.raises(NonFiniteError):
-        rhs(replace(st, g=g))
+    for bad in (np.nan, np.inf):
+        g = st.g.copy()
+        g[3] = bad
+        with pytest.raises(NonFiniteError):
+            replace(st, g=g)
 
 
 def test_zero_mean_guard_scales_with_g_minus_psi_l_conv(grid64):
     # psi_l = 1 gives psi_l * rho = mean(rho); g - psi_l * rho = h is 1e3 in size
     # while |g|_inf - sup|psi_l| |rho|_inf is negative, so only the scale
-    # max(1, |g - psi_l * rho|_inf) of the antiderivative's guard admits the
-    # roundoff-sized mean 1e-9 (1e-15 of |g|_inf)
+    # max(1, |g - psi_l * rho|_inf) of the guard admits the roundoff-sized
+    # mean 1e-9 (1e-15 of |g|_inf), and the same scale refuses 1e-6
     kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="constant", a=1.0))
     x = grid64.x
     rho = 1e6 * (1.0 + 0.5 * np.cos(2 * np.pi * x))
@@ -295,6 +301,5 @@ def test_zero_mean_guard_scales_with_g_minus_psi_l_conv(grid64):
     assert 1e-10 < abs(mean(st.g - psi_l_conv(st))) < 1e-7
     rhs(st)
     recover_velocity(st)
-    st.validate()
     with pytest.raises(MeanViolationError):
-        rhs(replace(st, g=st.g + 1e-6))
+        replace(st, g=st.g + 1e-6)
