@@ -157,7 +157,9 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
     ``eps_fraction`` places eps inside (0, eps_*); ``c1`` is the
     user-supplied nonlinear-maximum-principle constant (no numeric value
     is derivable here, so it defaults to 1 and the upper-envelope check
-    additionally reports the value fitted from the run).
+    additionally reports the value fitted from the run). psi_m is
+    ``kernel_min``: exact, or for c > 0 with a table or b < 0 cosine psi_l
+    a certified lower bound that makes every constant more conservative.
     """
     if not 0.0 < eps_fraction < 1.0:
         raise ValueError("eps_fraction must be in (0, 1)")
@@ -175,7 +177,7 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
     if psi_m <= 0.0:
         raise ValueError("effective kernel has no positive lower bound")
     psi_l_sup = state.kernel.psi_l.sup_norm()
-    kxx_sup = state.potential.kreg.second_derivative_sup()
+    kxx_sup = state.potential.kreg.second_derivative_sup
     f0 = state.g / state.rho
     f0_inf = float(np.max(np.abs(f0)))
     q0_inf = float(np.max(np.abs(derivative(f0, state.grid) / state.rho)))

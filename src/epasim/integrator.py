@@ -92,7 +92,7 @@ def _raw_dt(state: SimState, ctl: StepControl, u_inf: float) -> float:
     denom = (2 * np.pi) ** kern.alpha * kern.c * float(np.max(state.rho))
     denom += kern.psi_l.sup_norm() * state.rho_bar
     pot = state.potential
-    forcing_scale = (abs(pot.k) + pot.kreg.second_derivative_sup()) * state.rho_bar
+    forcing_scale = (abs(pot.k) + pot.kreg.second_derivative_sup) * state.rho_bar
     denom += forcing_scale
     dt_dif = ctl.cfl_diffuse * dx**kern.alpha / denom if denom > 0 else math.inf
     return min(dt_adv, dt_dif)

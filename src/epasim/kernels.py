@@ -7,7 +7,10 @@ Laplacian multiplier (2 pi |k|)^alpha. An effective kernel is
 c * psi_alpha + psi_l with psi_l bounded and Lipschitz, and must be
 strictly positive away from the origin; the envelope bounds need this,
 so ``diagnostics.bound_constants`` rejects a kernel whose ``kernel_min``
-is not positive.
+is not positive. psi_alpha is convex on (0, 1) and symmetric about 1/2,
+so ``kernel_min`` is c psi_alpha(1/2) + min psi_l: the infimum over x != 0
+when c = 0 or psi_l is zero, constant or a + b cos 2 pi x with b >= 0,
+and a certified but possibly loose lower bound otherwise.
 
 Potentials split into a Newtonian part of strength k (whose induced force
 solves the Poisson equation with background) and a twice-differentiable
@@ -18,13 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .spectral import Grid, convolve, second_derivative, to_spectrum
-
-KERNEL_MIN_PROBES = 8192  # uniform probe points of kernel_min on the torus
 
 
 class SingularityError(ValueError):
@@ -164,14 +165,19 @@ class LipschitzKernel:
             return self.a + self.b * np.cos(2 * np.pi * x)
         return _interp_periodic(x, self.xs, self.vs)
 
-    def sup_norm(self) -> float:
+    def value_range(self) -> tuple[float, float]:
+        """Minimum and maximum over the torus."""
         if self.kind == "zero":
-            return 0.0
+            return 0.0, 0.0
         if self.kind == "constant":
-            return abs(self.a)
+            return self.a, self.a
         if self.kind == "cosine":
-            return abs(self.a) + abs(self.b)
-        return float(np.max(np.abs(self.vs)))
+            return self.a - abs(self.b), self.a + abs(self.b)
+        return float(np.min(self.vs)), float(np.max(self.vs))
+
+    def sup_norm(self) -> float:
+        lo, hi = self.value_range()
+        return max(abs(lo), abs(hi))
 
 
 @dataclass(frozen=True)
@@ -214,8 +220,9 @@ class RegularPotential:
             return self.amp * out
         return _interp_periodic(x, self.xs, self.vs)
 
+    @cached_property
     def second_derivative_sup(self) -> float:
-        """Recorded sup-norm of the potential curvature, |d^2 K/dx^2|."""
+        """Sup-norm of the potential curvature |d^2 K/dx^2|, sampled once."""
         if self.is_zero:
             return 0.0
         if self.kind == "cosine":
@@ -260,12 +267,6 @@ class KernelSpec:
         """Whether any alignment force is present."""
         return self.c > 0 or not self.psi_l.is_zero
 
-    def __call__(self, x, tol: float = 1e-12):
-        vals = self.psi_l(x)
-        if self.c > 0:
-            vals = vals + self.c * psi_alpha(x, self.alpha, tol)
-        return vals
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -282,12 +283,11 @@ class PotentialSpec:
         return self.k == 0.0 and self.kreg.is_zero
 
 
-@lru_cache(maxsize=64)
 def kernel_min(spec: KernelSpec) -> float:
-    """Minimum of the effective kernel over KERNEL_MIN_PROBES points x != 0."""
-    x = -0.5 + np.arange(KERNEL_MIN_PROBES) / KERNEL_MIN_PROBES
-    x = x[np.abs(x) > 1e-12]
-    return float(np.min(spec(x)))
+    """Lower bound c psi_alpha(1/2) + min psi_l of the kernel on x != 0; exact
+    for c = 0 and for a zero, constant or b >= 0 cosine psi_l."""
+    singular = spec.c * psi_alpha(0.5, spec.alpha) if spec.c > 0 else 0.0
+    return singular + spec.psi_l.value_range()[0]
 
 
 @lru_cache(maxsize=64)

@@ -72,7 +72,7 @@ class VacuumError(RuntimeError):
 
 
 class NonFiniteError(RuntimeError):
-    """A state with non-finite samples or a drifted mean density."""
+    """A state with non-finite samples."""
 
 
 class SpectralPlan(NamedTuple):
@@ -135,10 +135,10 @@ class SimState:
         """Check the fields, in order; raises on the first violation.
 
         Shape (n,) (GridMismatchError); finite, read from the sums, so an
-        overflowing sum counts (NonFiniteError); min rho above RHO_FLOOR
-        (VacuumError); mean(rho) = rho_bar (NonFiniteError); and
-        mean(g - psi_l * rho) = mean(g) - mean(psi_l) mean(rho) = 0
-        (MeanViolationError), where only a residual above MEAN_TOL pays for
+        overflowing sum counts (NonFiniteError, which means only this);
+        min rho above RHO_FLOOR (VacuumError); mean(rho) = rho_bar and
+        mean(g - psi_l * rho) = mean(g) - mean(psi_l) mean(rho) = 0 (both
+        MeanViolationError), where only a residual above MEAN_TOL pays for
         the guard's scale max(1, |g - psi_l * rho|_inf).
         """
         n = self.grid.n
@@ -153,7 +153,7 @@ class SimState:
         if rho_min <= RHO_FLOOR:
             raise VacuumError(f"min density {rho_min:.3e} at t={self.t:.6f}")
         if abs(rho_mean - self.rho_bar) > MEAN_TOL * max(1.0, abs(self.rho_bar)):
-            raise NonFiniteError("mean density drifted from its conserved value")
+            raise MeanViolationError("mean density drifted from its conserved value")
         psi_l = lipschitz_on_grid(self.kernel.psi_l, self.grid)
         resid = g_mean - float(psi_l.sum()) / n * rho_mean
         if abs(resid) > MEAN_TOL:
@@ -278,14 +278,11 @@ def make_initial(preset: str, grid: Grid, kernel: KernelSpec,
     Fields are dealiased so the evolved state starts band-limited; the
     conserved mean density and momentum are taken from the (dealiased)
     initial data, and the gradient variable is produced by the transform.
+    A density not above ``RHO_FLOOR`` raises VacuumError, as for any state.
     """
     rho, u = initial_fields(preset, grid, **params)
     rho = dealias(rho, grid)
     u = dealias(u, grid)
-    if float(np.min(rho)) <= 0.0:
-        raise ValueError(
-            f"preset {preset!r} with these parameters gives min density {np.min(rho):.3e}"
-        )
     g = compute_g(rho, u, kernel, grid)
     return SimState(
         grid=grid,

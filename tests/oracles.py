@@ -5,10 +5,12 @@ the solver did before its multipliers were fused into
 ``model.spectral_plan``. The fused ``rhs`` and ``recover_velocity`` are
 checked against them. The force and quadrature routes (among them
 ``alignment_direct``, a midpoint-rule quadrature of the alignment
-integral) check the operators themselves. ``roll_lag_table`` is the plain
-loop that ``diagnostics._lag_table`` must match bit for bit, and
-``reference_min_b`` the bisection that ``diagnostics.moc_min_b`` must
-match exactly.
+integral) check the operators themselves. ``kernel_values`` is the one
+pointwise evaluation of the effective kernel, and ``dense_kernel_min`` the
+dense search that ``kernels.kernel_min`` must never exceed.
+``roll_lag_table`` is the plain loop that ``diagnostics._lag_table`` must
+match bit for bit, and ``reference_min_b`` the bisection that
+``diagnostics.moc_min_b`` must match exactly.
 """
 
 from __future__ import annotations
@@ -122,15 +124,30 @@ def circular_correlate(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.conj(np.fft.rfft(w)) * np.fft.rfft(v), n=v.size)
 
 
+def kernel_values(spec: KernelSpec, x, tol: float = 1e-12):
+    """The effective kernel c psi_alpha(x) + psi_l(x) at points x != 0 (mod 1)."""
+    vals = spec.psi_l(x)
+    if spec.c > 0:
+        vals = vals + spec.c * psi_alpha(x, spec.alpha, tol)
+    return vals
+
+
+def dense_kernel_min(spec: KernelSpec) -> float:
+    """Minimum of the effective kernel over 2^16 uniform points of [-1/2, 1/2)
+    and the nodes of a table psi_l, x = 0 left out: an upper estimate of the
+    infimum that ``kernels.kernel_min`` must never exceed."""
+    x = -0.5 + np.arange(2**16) / 2**16
+    x = np.concatenate((x, np.asarray(spec.psi_l.xs, dtype=float)))
+    return float(np.min(kernel_values(spec, x[x != 0.0])))
+
+
 @lru_cache(maxsize=32)
 def quadrature_weights(spec: KernelSpec, refinement: int, tol: float = 1e-12) -> np.ndarray:
     """Effective kernel sampled at the midpoint quadrature offsets."""
     y = midpoint_offsets(refinement)
-    w = np.asarray(spec(y, tol), dtype=float)
+    w = np.asarray(kernel_values(spec, y, tol), dtype=float)
     w.flags.writeable = False
     return w
-
-
 
 
 def psi_l_conv(state: SimState) -> np.ndarray:

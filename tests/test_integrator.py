@@ -223,6 +223,35 @@ def reference_problem_64():
     return make_initial("cosine", Grid(64), kernel, pot, rho_amp=0.5, u_amp=0.5)
 
 
+def test_run_samples_gaussian_curvature_once(monkeypatch):
+    # the curvature bound of a gaussian K_reg (13 x 4097 exponentials) is
+    # sampled once per potential, and the run is the same as one that
+    # samples it again at every step
+    cached = vars(RegularPotential)["second_derivative_sup"]
+    sample, samples = cached.func, []
+
+    def counted(kreg):
+        samples.append(kreg)
+        return sample(kreg)
+
+    def gaussian_run():
+        samples.clear()
+        pot = PotentialSpec(k=1.0, kreg=RegularPotential(kind="gaussian", amp=0.05, width=0.1))
+        st = make_initial("cosine", Grid(64), EA, pot, rho_amp=0.3, u_amp=0.4)
+        return run(st, StepControl(t_end=0.08)), len(samples)
+
+    monkeypatch.setattr(cached, "func", counted)
+    once, sampled_once = gaussian_run()
+    monkeypatch.setattr(RegularPotential, "second_derivative_sup", property(counted))
+    each, sampled_each = gaussian_run()
+    assert sampled_once == 1
+    assert once.steps == each.steps == sampled_each == 20
+    assert once.status is each.status is RunStatus.COMPLETED
+    assert once.t_final == each.t_final
+    assert np.array_equal(once.state.rho, each.state.rho)
+    assert np.array_equal(once.state.g, each.state.g)
+
+
 def test_run_fft_budget_per_step(monkeypatch):
     st = reference_problem_64()
     rhs(st)  # builds the spectral plan outside the count

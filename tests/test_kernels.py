@@ -21,7 +21,13 @@ from epasim.kernels import (
 from epasim.model import make_initial
 from epasim.spectral import Grid, convolve, mean
 from conftest import random_smooth_field
-from oracles import fractional_laplacian_direct, newtonian_force, psi_alpha_min, regular_force
+from oracles import (
+    dense_kernel_min,
+    fractional_laplacian_direct,
+    newtonian_force,
+    psi_alpha_min,
+    regular_force,
+)
 
 
 def test_c_alpha_at_one():
@@ -191,6 +197,30 @@ def test_positivity_gate_accepts_singular_plus_cosine():
     )
 
 
+PSI_L_KINDS = {
+    "zero": LipschitzKernel(),
+    "constant": LipschitzKernel(kind="constant", a=0.7),
+    "cosine": LipschitzKernel(kind="cosine", a=0.5, b=0.2),
+    "cosine-negative-b": LipschitzKernel(kind="cosine", a=1.0, b=-0.5),
+    # minimum 0.8 at a node that no uniform probe grid on [-1/2, 1/2) hits
+    "table": LipschitzKernel(kind="table", xs=(-0.5, -0.1, 0.23371, 0.4),
+                             vs=(1.6, 1.3, 0.8, 1.2)),
+}
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("kind", sorted(PSI_L_KINDS))
+def test_kernel_min_against_dense_oracle(kind, c):
+    spec = KernelSpec(c=c, alpha=0.5, psi_l=PSI_L_KINDS[kind])
+    got, dense = kernel_min(spec), dense_kernel_min(spec)
+    assert got <= dense
+    if kind == "cosine-negative-b" and c == 0.0:
+        # the infimum a - |b| is approached at x -> 0, which is left out
+        assert dense - got < 1e-8
+    elif c == 0.0 or kind in ("zero", "constant", "cosine"):
+        assert got == dense
+
+
 def test_lipschitz_table_kernel():
     xs = (-0.5, -0.25, 0.0, 0.25)
     vs = (1.0, 2.0, 3.0, 2.0)
@@ -211,7 +241,7 @@ def test_table_validation():
 def test_gaussian_potential_curvature():
     pot = RegularPotential(kind="gaussian", amp=0.5, width=0.08)
     # at the center K'' = -amp / width^2
-    assert pot.second_derivative_sup() == pytest.approx(0.5 / 0.08**2, rel=1e-3)
+    assert pot.second_derivative_sup == pytest.approx(0.5 / 0.08**2, rel=1e-3)
 
 
 def test_kernel_spec_validation():

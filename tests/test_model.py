@@ -194,8 +194,15 @@ def test_drho_inf_is_read_only_and_computed_once(grid64, monkeypatch):
 def test_make_initial_cosine_positive(grid64):
     st = make_initial("cosine", grid64, EA_KERNEL, rho_amp=0.6)
     assert np.min(st.rho) == pytest.approx(0.4, abs=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(VacuumError):
         make_initial("cosine", grid64, EA_KERNEL, rho_amp=1.2)
+
+
+@pytest.mark.parametrize("rho_base", [0.0, 1e-9])
+def test_make_initial_below_floor_is_vacuum(grid64, rho_base):
+    # one error for every preset at or below RHO_FLOOR, zero density included
+    with pytest.raises(VacuumError):
+        make_initial("uniform", grid64, EA_KERNEL, rho_base=rho_base)
 
 
 def test_make_initial_rejects_unknown_params(grid64):
@@ -219,7 +226,7 @@ def test_make_initial_burgers_characteristics_oracle(grid64):
 
 def test_validate_flags_broken_mean(grid64):
     st = make_initial("cosine", grid64, EA_KERNEL, rho_amp=0.3)
-    with pytest.raises(NonFiniteError, match="drifted"):
+    with pytest.raises(MeanViolationError, match="drifted"):
         SimState(grid=grid64, rho=st.rho + 0.1, g=st.g, t=0.0, rho_bar=st.rho_bar,
                  m0=st.m0, kernel=st.kernel, potential=st.potential)
 
