@@ -20,8 +20,9 @@ It also implements the two-branch modulus-of-continuity gauge
 together with the recipe that selects (delta, gamma, B) from the envelope
 values at a horizon T and a pairwise grid check of the gauge. The
 pairwise check reads the per-lag table D[l] = max_i |rho_i - rho_{i+l}|,
-O(n^2) time and O(n) memory, after which each gauge evaluation is O(n);
-the gauge parameters are validated once per check, not per evaluation.
+O(n^2) time and O(n) memory; as w_B(xi) = W(B xi) with W increasing, the
+check and the infimum max(1, max_l W^-1(D[l]) / xi_l) of the passing B
+each read it in O(n).
 The recorder logs these quantities along a run, one row per step, among
 them the running trapezoidal integral of |d rho/dx|_inf^2 whose
 finiteness is the regularity criterion. ``COLUMNS`` names the columns of
@@ -38,7 +39,9 @@ both envelope margins, for the recorder and for the offline checks alike.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -54,7 +57,6 @@ from .spectral import Grid, derivative, mean
 ENVELOPE_SLACK = 10.0  # slack factor 1 + ENVELOPE_SLACK * dx on grid extrema
 F_BOUND_ATOL = 1e-12  # absolute floor so roundoff-level f fields compare sanely
 MIN_B_CAP = 1e290  # moc_min_b reports +inf above this b
-MIN_B_RTOL = 0.01  # relative resolution of moc_min_b's bisection
 
 # a recorder row, in order: the DiagnosticsLog lists and the CSV header
 COLUMNS = ("t", "rho_min", "rho_max", "f_inf", "drho_inf", "bkm", "mass",
@@ -260,27 +262,21 @@ class ModulusParams:
             raise ValueError("gamma breaks concavity at the branch joint")
 
 
-def _gauge(xi: np.ndarray, log_xi: np.ndarray, delta: float, gamma: float, alpha: float,
-           b: float) -> np.ndarray:
-    """w_B at distances xi with log(xi) given; checks neither xi nor the parameters."""
-    if math.isinf(b):
-        return np.full_like(xi, np.inf)
-    bxi = b * xi
-    mask = bxi < delta
-    out = np.empty_like(xi)
-    out[mask] = bxi[mask] - bxi[mask] ** (1.0 + alpha / 2.0)
-    # log evaluated additively so huge b never overflows the argument
-    head = delta - delta ** (1.0 + alpha / 2.0)
-    out[~mask] = gamma * (math.log(b) + log_xi[~mask] - math.log(delta)) + head
-    return out
-
-
 def omega_b(xi, p: ModulusParams) -> np.ndarray | float:
     """Evaluate the gauge w_B on distances xi in (0, 1/2]."""
     xi = np.asarray(xi, dtype=float)
     if np.any(xi <= 0.0) or np.any(xi > 0.5):
         raise ValueError("xi must lie in (0, 1/2]")
-    out = _gauge(xi, np.log(xi), p.delta, p.gamma, p.alpha, p.b)
+    if math.isinf(p.b):
+        out = np.full_like(xi, np.inf)
+    else:
+        bxi = p.b * xi
+        mask = bxi < p.delta
+        out = np.empty_like(xi)
+        out[mask] = bxi[mask] - bxi[mask] ** (1.0 + p.alpha / 2.0)
+        # log evaluated additively so huge b never overflows the argument
+        head = p.delta - p.delta ** (1.0 + p.alpha / 2.0)
+        out[~mask] = p.gamma * (math.log(p.b) + np.log(xi[~mask]) - math.log(p.delta)) + head
     return out if out.ndim else float(out)
 
 
@@ -319,7 +315,7 @@ def _lag_table(rho: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _moc_report(table, p: ModulusParams, n: int) -> MocReport:
     dists, diffs, at = table
-    gaps = _gauge(dists, np.log(dists), p.delta, p.gamma, p.alpha, p.b) - diffs
+    gaps = omega_b(dists, p) - diffs
     k = int(np.argmin(gaps))
     i = int(at[k])
     return MocReport(passed=bool(gaps[k] > 0.0), margin=float(gaps[k]),
@@ -329,23 +325,26 @@ def _moc_report(table, p: ModulusParams, n: int) -> MocReport:
 def _min_b(table, delta: float, gamma: float, alpha: float) -> float:
     ModulusParams(delta, gamma, 1.0, alpha)  # raises on bad parameters; no check depends on b
     dists, diffs, _ = table
-    log_dists = np.log(dists)
-
-    def ok(b: float) -> bool:
-        return float(np.min(_gauge(dists, log_dists, delta, gamma, alpha, b) - diffs)) > 0.0
-
-    if ok(1.0):
-        return 1.0
-    if not ok(MIN_B_CAP):
+    # log W^-1(D): closed-form on the log branch, NaN included; on the power
+    # branch Newton on the concave s - s^p - D from s = D, whose iterates rise
+    # to the root (np.maximum keeps rounding from lowering one), so the loop
+    # ends once none rises
+    p = 1.0 + alpha / 2.0
+    head = delta - delta ** p
+    log_s = (diffs - head) / gamma + math.log(delta)
+    low = diffs < head
+    s = d = diffs[low]
+    while True:
+        nxt = s - (s - s ** p - d) / (1.0 - p * s ** (p - 1.0))
+        if not np.any(nxt > s):
+            break
+        s = np.maximum(s, nxt)
+    with np.errstate(divide="ignore"):  # D = 0 gives s = 0, which binds no b
+        log_s[low] = np.log(s)
+    top = float(np.max(log_s - np.log(dists)))
+    if not top <= math.log(MIN_B_CAP):  # NaN too
         return math.inf
-    lo, hi = 0.0, math.log(MIN_B_CAP)
-    while hi - lo > math.log1p(MIN_B_RTOL):
-        mid = 0.5 * (lo + hi)
-        if ok(math.exp(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return math.exp(hi)
+    return math.exp(max(top, 0.0))
 
 
 def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
@@ -361,12 +360,13 @@ def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
 
 
 def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: Grid) -> float:
-    """Smallest b (within MIN_B_RTOL, bisected in log space) passing the check.
+    """Infimum of the b >= 1 whose gauge passes the check.
 
-    Returns 1.0 when even the smallest admissible b passes (constant
-    fields), and +inf when no b up to MIN_B_CAP does. The O(n^2) lag table
-    is built once, and the parameters are checked once; each bisection
-    point costs one O(n) gauge evaluation.
+    Every b above it passes and, unless it is 1, every b below fails. As
+    w_b(xi) = W(b xi), it is max(1, max_l W^-1(D[l]) / xi_l): closed-form on
+    the log branch, by Newton iteration on the power branch. +inf when it
+    exceeds MIN_B_CAP or the field is not finite. Cost: the O(n^2) lag
+    table, then O(n).
     """
     return _min_b(_lag_table(rho, grid.n), delta, gamma, alpha)
 
@@ -448,28 +448,19 @@ class DiagnosticsLog:
     def column(self, name: str) -> np.ndarray:
         return np.asarray(getattr(self, name), dtype=float)
 
-    def to_csv(self, stream) -> None:
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream = open(stream, "w", encoding="utf-8")
-            close = True
-        try:
+    def to_csv(self, target) -> None:
+        """Write the log to a path or an open text stream."""
+        with _opened(target, "w") as stream:
             stream.write(f"# config={self.config_hash}\n")
             stream.write(f"# n={self.n} alpha={self.alpha!r} k={self.k!r}\n")
             stream.write(",".join(COLUMNS) + "\n")
             for row in zip(*(getattr(self, name) for name in COLUMNS)):
                 stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        finally:
-            if close:
-                stream.close()
 
     @classmethod
-    def from_csv(cls, stream) -> "DiagnosticsLog":
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream = open(stream, "r", encoding="utf-8")
-            close = True
-        try:
+    def from_csv(cls, source) -> "DiagnosticsLog":
+        """Read a log written by ``to_csv`` from a path or an open text stream."""
+        with _opened(source, "r") as stream:
             header = {}
             line = stream.readline()
             while line.startswith("#"):
@@ -494,9 +485,13 @@ class DiagnosticsLog:
                 for name, v in zip(COLUMNS, vals):
                     getattr(log, name).append(v)
             return log
-        finally:
-            if close:
-                stream.close()
+
+
+def _opened(target, mode: str):
+    """A path opened as UTF-8 text, or an open stream passed through unclosed."""
+    if isinstance(target, (str, bytes, os.PathLike)):
+        return open(target, mode, encoding="utf-8")
+    return contextlib.nullcontext(target)
 
 
 class DiagnosticsRecorder:
@@ -506,8 +501,9 @@ class DiagnosticsRecorder:
     time, min and max density, |g/rho|_inf, |d rho/dx|_inf (the state's
     ``drho_inf``, shared with the run loop), the trapezoidal integral of
     its square, mass, the two envelope margins (NaN without ``bounds``),
-    and the modulus verdict and smallest passing B. The modulus columns
-    cost one O(n^2) lag table and run every ``moc_every`` steps; rows in
+    and the modulus verdict and the infimum of the passing B (see
+    ``moc_min_b``). The modulus columns share one O(n^2) lag table, read
+    twice in O(n), and run every ``moc_every`` steps; rows in
     between, and every row without ``moc``, carry NaN there. A row
     recovers no velocity: ``recover_velocity`` pins the momentum to m0 by
     construction, so a momentum column would only echo it.

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Relative tolerance on the mean of g - psi_l * rho, which the velocity
-# recovery integrates. A larger residual signals a broken invariant upstream.
+# recovery integrates, and on the drift of the mean density from its
+# conserved value. A larger residual signals a broken invariant upstream.
 MEAN_TOL = 1e-10
 
 
@@ -28,7 +29,7 @@ class GridMismatchError(ValueError):
 
 
 class MeanViolationError(ValueError):
-    """Primitive of a field whose mean is not (numerically) zero."""
+    """Primitive of a field whose mean is not (numerically) zero, or a mass drift."""
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ integral) check the operators themselves. ``kernel_values`` is the one
 pointwise evaluation of the effective kernel, and ``dense_kernel_min`` the
 dense search that ``kernels.kernel_min`` must never exceed.
 ``roll_lag_table`` is the plain loop that ``diagnostics._lag_table`` must
-match bit for bit, and ``reference_min_b`` the bisection that
-``diagnostics.moc_min_b`` must match exactly.
+match bit for bit, and ``reference_min_b`` a bisection to within
+``MIN_B_RTOL``, at or below whose answer the exact infimum
+``diagnostics.moc_min_b`` must lie.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from epasim.diagnostics import MIN_B_CAP, MIN_B_RTOL, ModulusParams
+from epasim.diagnostics import MIN_B_CAP, ModulusParams
 from epasim.kernels import (
     KernelSpec,
     PotentialSpec,
@@ -41,6 +42,8 @@ from epasim.spectral import (
     fractional_laplacian,
     mean,
 )
+
+MIN_B_RTOL = 0.01  # relative resolution of reference_min_b's bisection
 
 
 def antiderivative(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -289,8 +292,7 @@ def roll_lag_table(rho: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def reference_omega_b(xi, p: ModulusParams) -> np.ndarray | float:
-    """The gauge w_B evaluated on its own, with its range check, the way
-    ``diagnostics.omega_b`` did before the shared ``_gauge``."""
+    """The gauge w_B, written out apart from ``diagnostics.omega_b``."""
     xi = np.asarray(xi, dtype=float)
     if np.any(xi <= 0.0) or np.any(xi > 0.5):
         raise ValueError("xi must lie in (0, 1/2]")
@@ -308,8 +310,9 @@ def reference_omega_b(xi, p: ModulusParams) -> np.ndarray | float:
 
 def reference_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float,
                     n: int) -> float:
-    """The bisection of ``diagnostics.moc_min_b`` with a freshly validated
-    ``ModulusParams`` and a full ``reference_omega_b`` at every point."""
+    """Bisection in log b to within MIN_B_RTOL, with a freshly validated
+    ``ModulusParams`` and a full ``reference_omega_b`` at every point. It
+    returns a passing b at most MIN_B_RTOL above the infimum."""
     dists, diffs, _ = roll_lag_table(rho, n)
 
     def ok(b: float) -> bool:

@@ -335,14 +335,20 @@ def test_lag_table_matches_roll_loop_bit_for_bit(n):
             assert np.array_equal(a, b, equal_nan=True), name
 
 
+# (delta, gamma, alpha) of the moc_min_b pins
+MIN_B_GAUGES = ((0.2, 0.02, 0.5), (0.1, 0.029, 0.5), (0.05, 0.01, 1.0))
+
+
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_moc_min_b_matches_reference_bisection(n):
+    # the bisection returns a passing b at most 1 % above the infimum
     fields = lag_table_fields(n)
     del fields["inf"]
     for name, rho in fields.items():
-        for delta, gamma, alpha in ((0.2, 0.02, 0.5), (0.1, 0.029, 0.5), (0.05, 0.01, 1.0)):
+        for delta, gamma, alpha in MIN_B_GAUGES:
             want = reference_min_b(rho, delta, gamma, alpha, n)
-            assert moc_min_b(rho, delta, gamma, alpha, Grid(n)) == want, (name, delta)
+            got = moc_min_b(rho, delta, gamma, alpha, Grid(n))
+            assert want / 1.01 <= got <= want, (name, delta)
     # b xi = delta exactly at xi = 1/32, where the two branches differ in the last bit
     p = ModulusParams(delta=0.1, gamma=0.02, b=3.2, alpha=0.5)
     dists = roll_lag_table(fields["cosine"], n)[0]
@@ -352,6 +358,25 @@ def test_moc_min_b_matches_reference_bisection(n):
         rep = moc_check(rho, p, Grid(n))
         want = reference_omega_b(dists, p) - roll_lag_table(rho, n)[1]
         assert np.array_equal(rep.margin, np.min(want), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_moc_min_b_is_the_infimum_of_the_passing_b(n):
+    fields = lag_table_fields(n)
+    del fields["inf"], fields["nan"]
+    # a jump of 0.05 is below delta - delta^(1+a/2) at delta = 0.2, so there
+    # every lag's threshold comes from the power branch and lag 1 binds
+    fields["small step"] = np.where(np.arange(n) < n // 2, 1.0, 1.05)
+    grid = Grid(n)
+    for name, rho in fields.items():
+        for delta, gamma, alpha in MIN_B_GAUGES:
+            got = moc_min_b(rho, delta, gamma, alpha, grid)
+            assert 1.0 < got < math.inf, (name, delta)
+            above = moc_check(rho, ModulusParams(delta, gamma, got * (1 + 1e-9), alpha), grid)
+            below = moc_check(rho, ModulusParams(delta, gamma, got * (1 - 1e-9), alpha), grid)
+            assert above.passed and not below.passed, (name, delta)
+            if name == "small step" and delta == 0.2:
+                assert below.distance == 1 / n and got / n < delta
 
 
 def test_moc_min_b_rejects_invalid_parameters(grid64):
@@ -431,8 +456,9 @@ def test_moc_check_and_min_b_match_all_pairs_oracle(grid64):
             verdicts.add(rep.passed)
         min_b = moc_min_b(rho, delta, gamma, alpha, grid)
         assert 1.0 < min_b < math.inf
-        assert moc_oracle_margin(rho, ModulusParams(delta, gamma, min_b, alpha), grid) > 0.0
-        below = ModulusParams(delta, gamma, min_b / 1.01, alpha)  # moc_min_b's default rtol
+        above = ModulusParams(delta, gamma, min_b * (1 + 1e-9), alpha)
+        assert moc_oracle_margin(rho, above, grid) > 0.0
+        below = ModulusParams(delta, gamma, min_b * (1 - 1e-9), alpha)
         assert moc_oracle_margin(rho, below, grid) <= 0.0
     assert verdicts == {True, False}
 
@@ -556,6 +582,21 @@ def test_recorder_and_csv_round_trip(tmp_path):
         b = back.column(name)
         np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
         np.testing.assert_array_equal(a[~np.isnan(a)], b[~np.isnan(b)])
+
+
+def test_csv_round_trip_through_a_path_and_a_stream(tmp_path):
+    log = synthetic_log(np.linspace(0.0, 1.0, 5), 0.9, np.linspace(1.1, 1.3, 5), k=-1.0)
+    log.config_hash = "beef"
+    path = tmp_path / "log.csv"
+    log.to_csv(path)
+    stream = io.StringIO()
+    log.to_csv(stream)
+    assert not stream.closed and stream.getvalue() == path.read_text(encoding="utf-8")
+    stream.seek(0)
+    for back in (DiagnosticsLog.from_csv(path), DiagnosticsLog.from_csv(stream)):
+        assert (back.n, back.alpha, back.k, back.config_hash) == (256, 0.5, -1.0, "beef")
+        for name in COLUMNS:
+            np.testing.assert_array_equal(back.column(name), log.column(name))
 
 
 def test_envelope_margins_fold_in_the_grid_slack():

@@ -1,10 +1,18 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from epasim import integrator, model
-from epasim.diagnostics import DiagnosticsRecorder, ModulusParams, bound_constants
+from epasim.diagnostics import (
+    DiagnosticsRecorder,
+    ModulusParams,
+    bound_constants,
+    check_f_bound,
+    check_lower_envelope,
+    check_upper_envelope,
+)
 from epasim.integrator import (
     DetectionThresholds,
     RunStatus,
@@ -288,3 +296,46 @@ def test_run_fft_budget_per_step_with_recorder(monkeypatch):
     assert out.completed and out.steps == 20
     assert len(rec.log.t) == 21 and np.sum(~np.isnan(rec.log.column("moc_pass"))) == 3
     assert ffts["n"] / out.steps <= 24
+
+
+# The paper's dichotomy on burgers-shock data with psi_L = a = 0.5 and
+# rho_bar = 1, at the ratio r = 2 pi A / (a rho_bar) of the velocity
+# amplitude A. Without alignment or potential the density blows up iff
+# r > 1 (Carrillo, Choi, Tadmor & Tan, arXiv:1411.6287), before the Riccati
+# time log(r / (r - 1)) / (a rho_bar).
+DICHOTOMY_A = 0.5
+
+
+def dichotomy_state(ratio, c, k):
+    kernel = KernelSpec(c=c, alpha=0.5, psi_l=LipschitzKernel(kind="constant", a=DICHOTOMY_A))
+    return make_initial("burgers-shock", Grid(128), kernel, PotentialSpec(k=k), rho_base=1.0,
+                        u_amp=ratio * DICHOTOMY_A / (2 * np.pi))
+
+
+def dichotomy_run(state, monitors=()):
+    return run(state, StepControl(t_end=1.0), monitors, DetectionThresholds(grad_rho_max=1e3))
+
+
+def test_dichotomy_without_alignment_blows_up_iff_supercritical():
+    assert dichotomy_run(dichotomy_state(0.5, 0.0, 0.0)).status is RunStatus.COMPLETED
+    t_blowup = {}
+    for k in (-1.0, 0.0, 1.0):
+        out = dichotomy_run(dichotomy_state(3.0, 0.0, k))
+        assert out.status is RunStatus.BLOWUP, k
+        t_blowup[k] = out.t_final
+    assert t_blowup[0.0] < math.log(3.0 / 2.0) / DICHOTOMY_A  # 0.811
+    # for k > 0 the source -k (rho - rho_bar) of g lowers u_x where rho is high
+    assert t_blowup[1.0] < t_blowup[0.0] < t_blowup[-1.0]
+
+
+@pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+def test_dichotomy_with_alignment_stays_regular(k):
+    # the supercritical data of the test above, with c psi_alpha added
+    state = dichotomy_state(3.0, 1.0, k)
+    bounds = bound_constants(state)
+    rec = DiagnosticsRecorder(bounds=bounds)
+    out = dichotomy_run(state, (rec,))
+    assert out.status is RunStatus.COMPLETED and out.t_final >= 1.0 - 1e-12
+    for check in (check_lower_envelope, check_upper_envelope, check_f_bound):
+        rep = check(rec.log, bounds)
+        assert rep.passed, (check.__name__, rep)
