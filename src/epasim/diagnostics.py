@@ -459,29 +459,42 @@ class DiagnosticsLog:
 
     @classmethod
     def from_csv(cls, source) -> "DiagnosticsLog":
-        """Read a log written by ``to_csv`` from a path or an open text stream."""
+        """Read a log written by ``to_csv`` from a path or an open text stream.
+
+        Raises ValueError for a header without ``n``, ``alpha`` or ``k``,
+        for unexpected columns, and for a data row whose field count is not
+        that of ``COLUMNS`` (naming its line).
+        """
         with _opened(source, "r") as stream:
             header = {}
             line = stream.readline()
+            lineno = 1
             while line.startswith("#"):
                 for tok in line[1:].split():
                     if "=" in tok:
                         key, val = tok.split("=", 1)
                         header[key] = val
                 line = stream.readline()
+                lineno += 1
+            missing = [key for key in ("n", "alpha", "k") if key not in header]
+            if missing:
+                raise ValueError(f"diagnostics header lacks {', '.join(missing)}")
             cols = line.strip().split(",")
             if cols != list(COLUMNS):
                 raise ValueError(f"unexpected diagnostics columns {cols}")
             log = cls(
-                n=int(header.get("n", 0)),
-                alpha=float(header.get("alpha", "nan")),
-                k=float(header.get("k", "nan")),
+                n=int(header["n"]),
+                alpha=float(header["alpha"]),
+                k=float(header["k"]),
                 config_hash=header.get("config", ""),
             )
-            for line in stream:
+            for lineno, line in enumerate(stream, start=lineno + 1):
                 if not line.strip():
                     continue
                 vals = [float(v) for v in line.strip().split(",")]
+                if len(vals) != len(COLUMNS):
+                    raise ValueError(f"line {lineno}: {len(vals)} fields, "
+                                     f"expected {len(COLUMNS)}")
                 for name, v in zip(COLUMNS, vals):
                     getattr(log, name).append(v)
             return log

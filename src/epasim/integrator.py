@@ -11,10 +11,14 @@ gives sup |u| for the advective step bound and the stage-1 derivatives
 that ``step_ssprk3`` then consumes, so each step costs three ``rhs``
 calls and no separate velocity recovery. Each stage's fields go into a
 new ``SimState``, whose construction is that stage's only check, so a
-step checks three states: the two inner stages and the accepted one. The
-gradient detector reads the accepted state's ``drho_inf``, which monitors
-such as the diagnostics recorder then share instead of differentiating
-again.
+step checks three states: the two inner stages and the accepted one.
+
+Right after a step, before its monitors, the loop evaluates the next
+step's first stage. That ``rhs`` call's velocity transform carries
+d rho/dx as a second row, whose sup becomes the accepted state's
+``drho_inf``: the gradient detector and monitors such as the diagnostics
+recorder read it without another transform. The detectors still run in
+the same order, at the top of the next step, on the same values.
 """
 
 from __future__ import annotations
@@ -162,6 +166,13 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
     """
     steps = 0
     bkm = 0.0
+
+    def stage1(s):
+        # the next step's first stage, whose velocity transform also gives
+        # s.drho_inf; None when no step follows
+        return rhs(s, _drho_inf=True) if s.t < ctl.t_end - 1e-12 else None
+
+    k1 = stage1(state)
     grad_inf = state.drho_inf
     for m in monitors:
         m(0, state)
@@ -171,7 +182,7 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         return RunOutcome(status=status, t_final=state.t, steps=steps,
                           state=state, detail=detail, log=log)
 
-    while state.t < ctl.t_end - 1e-12:
+    while k1 is not None:
         rho_max = float(np.max(state.rho))
         if rho_max > detection.rho_max_factor * state.rho_bar:
             return outcome(RunStatus.BLOWUP, f"max density {rho_max:.3e}")
@@ -180,17 +191,18 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         if bkm > detection.bkm_cap:
             return outcome(RunStatus.BLOWUP, f"squared-gradient accumulation {bkm:.3e}")
         try:
-            drho, dg, u_inf = rhs(state)
+            drho, dg, u_inf = k1
             raw = _raw_dt(state, ctl, u_inf)
             if raw < ctl.dt_min:
                 return outcome(RunStatus.BLOWUP, f"stable step collapsed to {raw:.3e}")
             dt = min(raw, ctl.dt_max, ctl.t_end - state.t)
             state = step_ssprk3(state, dt, (drho, dg))
+            del k1, drho, dg  # the stage arrays of the finished step
+            k1 = stage1(state)
         except VacuumError as exc:
             return outcome(RunStatus.VACUUM, str(exc))
         except (NonFiniteError, MeanViolationError, FloatingPointError) as exc:
             return outcome(RunStatus.NAN, str(exc))
-        del drho, dg  # the stage arrays of the finished step
         steps += 1
         prev_sq = grad_inf**2
         grad_inf = state.drho_inf

@@ -29,9 +29,11 @@ the rfft layout of ``np.fft.rfft``:
 Mode 0 of g_hat + vel_rho rho_hat is n mean(g - psi_l * rho), the
 zero-mean constraint that makes the velocity periodic. A :class:`SimState`
 checks it, with the density floor and finiteness, when it is built, so
-:func:`rhs` and :func:`recover_velocity` take every state as valid. One
-:func:`rhs` call costs 7 FFTs: rho, g and u for the velocity, and a
-forward and an inverse transform for each flux.
+:func:`rhs` and :func:`recover_velocity` take every state as valid.
+Transforms of the two fields run as the two rows of one FFT call, which
+pocketfft computes bit for bit as two separate calls. One :func:`rhs`
+call makes 4 FFT calls over 7 transforms: the stacked (rho, g), u, the
+stacked fluxes (rho u, g u) and both flux derivatives.
 """
 
 from __future__ import annotations
@@ -128,7 +130,14 @@ class SimState:
 
     @cached_property
     def drho_inf(self) -> float:
-        """sup |d rho/dx| on the grid (2 FFTs on first read, then cached)."""
+        """sup |d rho/dx| on the grid, computed once per state.
+
+        The run loop stores it from the velocity transform of the next
+        step's first stage, before the monitors and detectors read it (see
+        :func:`rhs`); any other state, such as a run's final one, pays 2 FFT
+        calls on the first read. Both are bit for bit
+        ``max |spectral.derivative(rho)|``.
+        """
         return float(np.max(np.abs(derivative(self.rho, self.grid))))
 
     def validate(self) -> None:
@@ -174,17 +183,31 @@ def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) ->
     return g
 
 
-def _velocity(state: SimState, plan: SpectralPlan) -> tuple[np.ndarray, np.ndarray]:
-    """rfft(rho) and the velocity (3 FFTs)."""
+def _velocity(state: SimState, plan: SpectralPlan,
+              drho_row: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of the stacked (rho, g) and the velocity, as row 0 of a field block.
+
+    2 FFT calls over 3 transforms: one rfft of (rho, g), one irfft of
+    u_hat. With ``drho_row`` the irfft carries i 2 pi k rho_hat (Nyquist
+    zeroed) as a second row, 4 transforms in all: row 1 is then d rho/dx,
+    bit for bit ``spectral.derivative(rho)``.
+    """
     rho, n = state.rho, state.grid.n
-    rho_hat = np.fft.rfft(rho)
-    u_hat = np.fft.rfft(state.g)
-    u_hat += plan.vel_rho * rho_hat
+    spec = np.fft.rfft(np.stack((rho, state.g)))
+    rho_hat = spec[0]
+    rows = np.empty((1 + drho_row, rho_hat.size), dtype=complex)
+    u_hat = rows[0]
+    np.multiply(plan.vel_rho, rho_hat, out=u_hat)
+    u_hat += spec[1]
     u_hat *= plan.inv_k
     u_hat *= -1j
-    u = np.fft.irfft(u_hat, n=n)
+    if drho_row:
+        np.multiply(rho_hat, 1j * state.grid.two_pi_k, out=rows[1])
+        rows[1, -1] = 0.0
+    w = np.fft.irfft(rows, n=n)
+    u = w[0]
     u += (state.m0 * n - np.dot(rho, u)) / rho_hat[0].real
-    return rho_hat, u
+    return spec, w
 
 
 def recover_velocity(state: SimState) -> np.ndarray:
@@ -193,39 +216,53 @@ def recover_velocity(state: SimState) -> np.ndarray:
     u = c * Lambda^alpha d^-1 (rho - rho_bar) + d^-1 (g - psi_l * rho) + I0,
     with the constant I0 solved from int rho u = m0 at every call, so the
     momentum integral is enforced structurally rather than tracked. Costs
-    3 FFTs through the problem's :func:`spectral_plan`. Checks nothing: the
-    state was validated when it was built.
+    2 FFT calls over 3 transforms through the problem's
+    :func:`spectral_plan`. Checks nothing: the state was validated when it
+    was built.
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
-    return _velocity(state, plan)[1]
+    return _velocity(state, plan)[1][0]
 
 
-def _minus_flux_derivative(f: np.ndarray, plan: SpectralPlan) -> np.ndarray:
-    # spectrum of -d/dx of the dealiased f
-    f_hat = np.fft.rfft(f)
-    f_hat *= plan.flux
-    f_hat *= -1j
-    return f_hat
-
-
-def rhs(state: SimState) -> tuple[np.ndarray, np.ndarray, float]:
+def rhs(state: SimState, *, _drho_inf: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
     """Time derivatives of (rho, g) and sup |u| of the velocity behind them.
 
-    Quadratic products are dealiased. Checks nothing: the state was
+    Quadratic products are dealiased. 4 FFT calls over 7 transforms: the
+    two of :func:`_velocity`, then one rfft of the fluxes (rho u, g u) and
+    one irfft of both flux derivatives, written into the flux buffer. The
+    derivatives are the two rows of one (2, n) array. The run loop sets
+    ``_drho_inf`` on the first stage of each step: the velocity transform
+    then also gives d rho/dx, and its sup becomes the state's ``drho_inf``
+    (one transform more, in the same call). Checks nothing: the state was
     validated when it was built, and a non-finite derivative fails the
     check of the next state built from it.
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
     n = state.grid.n
-    rho_hat, u = _velocity(state, plan)
-    drho = np.fft.irfft(_minus_flux_derivative(state.rho * u, plan), n=n)
-    dg_hat = _minus_flux_derivative(state.g * u, plan)
+    spec, w = _velocity(state, plan, _drho_inf)
+    if _drho_inf:
+        vars(state)["drho_inf"] = float(np.max(np.abs(w[1])))
+    u = w[0]
+    u_inf = max(float(np.max(u)), -float(np.min(u)))
+    src = None
     if plan.source is not None:
-        rho_hat *= plan.source
-        rho_hat[0] += state.potential.k * n * state.rho_bar
-        dg_hat += rho_hat
-    dg = np.fft.irfft(dg_hat, n=n)
-    return drho, dg, max(float(np.max(u)), -float(np.min(u)))
+        src = spec[0] * plan.source
+        src[0] += state.potential.k * n * state.rho_bar
+    del spec  # free the spectrum, all but the source row, before the flux transform
+    # the elementwise work goes row by row: an in-place op on a (2, n)
+    # block with an (n,) operand would allocate a (2, n) buffer
+    flux = np.empty((2, n))
+    np.multiply(state.rho, u, out=flux[0])
+    np.multiply(state.g, u, out=flux[1])
+    del w, u
+    f_hat = np.fft.rfft(flux)
+    for row in f_hat:  # spectrum of -d/dx of the dealiased flux
+        row *= plan.flux
+        row *= -1j
+    if src is not None:
+        f_hat[1] += src
+    np.fft.irfft(f_hat, n=n, out=flux)
+    return flux[0], flux[1], u_inf
 
 
 _PRESET_PARAMS = {

@@ -625,6 +625,32 @@ def test_from_csv_rejects_unexpected_columns():
             DiagnosticsLog.from_csv(io.StringIO("# n=64 alpha=0.5 k=0.0\n" + old))
 
 
+def test_from_csv_rejects_a_header_without_the_grid_line():
+    # without the n/alpha/k line the log had n = 0, and log.dx divided by it
+    log = synthetic_log(np.linspace(0.0, 1.0, 3), 0.9, np.linspace(1.1, 1.3, 3))
+    stream = io.StringIO()
+    log.to_csv(stream)
+    text = "".join(line for line in stream.getvalue().splitlines(keepends=True)
+                   if not line.startswith("# n="))
+    with pytest.raises(ValueError, match="header lacks n, alpha, k"):
+        DiagnosticsLog.from_csv(io.StringIO(text))
+    with pytest.raises(ValueError, match="header lacks k"):
+        DiagnosticsLog.from_csv(io.StringIO("# n=64 alpha=0.5\n" + ",".join(COLUMNS) + "\n"))
+
+
+def test_from_csv_rejects_a_short_row_with_its_line_number():
+    # zip truncated a short row, which left columns of unequal length
+    log = synthetic_log(np.linspace(0.0, 1.0, 3), 0.9, np.linspace(1.1, 1.3, 3))
+    stream = io.StringIO()
+    log.to_csv(stream)
+    lines = stream.getvalue().splitlines(keepends=True)
+    assert lines[4].count(",") == len(COLUMNS) - 1  # the second data row
+    lines[4] = ",".join(lines[4].split(",")[:-2]) + "\n"
+    with pytest.raises(ValueError, match=f"line 5: {len(COLUMNS) - 2} fields, "
+                                         f"expected {len(COLUMNS)}"):
+        DiagnosticsLog.from_csv(io.StringIO("".join(lines)))
+
+
 def test_recorder_slope_bound_linkage():
     g = Grid(128)
     st = make_initial("cosine", g, EA, rho_amp=0.3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from epasim.integrator import (
 )
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
 from epasim.model import SimState, VacuumError, compute_g, make_initial, rhs
-from epasim.spectral import Grid, mean, to_spectrum
+from epasim.spectral import Grid, derivative, mean, to_spectrum
 
 EA = KernelSpec(c=1.0, alpha=0.5)
 OFF = KernelSpec(c=0.0, alpha=0.5)
@@ -260,42 +261,113 @@ def test_run_samples_gaussian_curvature_once(monkeypatch):
     assert np.array_equal(once.state.g, each.state.g)
 
 
-def test_run_fft_budget_per_step(monkeypatch):
+def count_ffts(monkeypatch):
+    # calls of np.fft.rfft / irfft, and transforms: one per row of a call
+    box = {"calls": 0, "transforms": 0}
+
+    def counting(fn):
+        def wrapper(a, *args, **kwargs):
+            box["calls"] += 1
+            box["transforms"] += 1 if np.ndim(a) == 1 else len(a)
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
+    return box
+
+
+def assert_fft_budget(monkeypatch, monitors=()):
+    # 3 rhs calls of 4 FFT calls over 7 transforms, and stage 1's velocity
+    # irfft carries d rho/dx as one more row: 12 calls and 22 transforms a
+    # step. Only the final state, which no step follows, differentiates its
+    # density on its own: 2 calls, once per run.
     st = reference_problem_64()
     rhs(st)  # builds the spectral plan outside the count
     dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
-    ffts = {"n": 0}
     rhs_calls = {"n": 0}
     checks = {"n": 0}
-    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, ffts))
-    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft, ffts))
+    ffts = count_ffts(monkeypatch)
     monkeypatch.setattr(integrator, "rhs", counted(integrator.rhs, rhs_calls))
     monkeypatch.setattr(SimState, "validate", counted(SimState.validate, checks))
-    out = run(st, StepControl(t_end=20 * dt, dt_max=dt))
+    out = run(st, StepControl(t_end=20 * dt, dt_max=dt), monitors=monitors)
     assert out.completed and out.steps == 20
-    # 3 rhs calls of 7 FFTs, plus the 2 of the run loop's |d rho/dx|_inf
-    assert ffts["n"] / out.steps <= 24
+    assert ffts == {"calls": 12 * out.steps + 2, "transforms": 22 * out.steps + 2}
     assert rhs_calls["n"] == 3 * out.steps
     # one check per built state: the two inner stages and the accepted one
     assert checks["n"] == 3 * out.steps
 
 
+def test_run_fft_budget_per_step(monkeypatch):
+    assert_fft_budget(monkeypatch)
+
+
 def test_run_fft_budget_per_step_with_recorder(monkeypatch):
     # a recorder row recovers no velocity and reads the run loop's
     # |d rho/dx|_inf from the state, so it adds no FFT to a step
-    st = reference_problem_64()
-    bounds = bound_constants(st)
     gauge = ModulusParams(delta=0.1, gamma=0.029, b=1e14, alpha=0.5)
-    rhs(st)  # builds the spectral plan outside the count
-    dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
-    ffts = {"n": 0}
-    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, ffts))
-    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft, ffts))
-    rec = DiagnosticsRecorder(bounds, gauge, moc_every=10)
-    out = run(st, StepControl(t_end=20 * dt, dt_max=dt), monitors=(rec,))
-    assert out.completed and out.steps == 20
+    rec = DiagnosticsRecorder(bound_constants(reference_problem_64()), gauge, moc_every=10)
+    assert_fft_budget(monkeypatch, (rec,))
     assert len(rec.log.t) == 21 and np.sum(~np.isnan(rec.log.column("moc_pass"))) == 3
-    assert ffts["n"] / out.steps <= 24
+
+
+def test_rhs_and_recover_velocity_batch_their_transforms(monkeypatch):
+    st = reference_problem_64()
+    rhs(st)  # builds the spectral plan outside the count
+    ffts = count_ffts(monkeypatch)
+    model.recover_velocity(st)
+    assert ffts == {"calls": 2, "transforms": 3}
+    rhs(st)
+    assert ffts == {"calls": 6, "transforms": 10}
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("potential", [None, PotentialSpec(k=1.0)])
+@pytest.mark.parametrize("with_recorder", [False, True])
+def test_run_drho_inf_is_the_derivative_bit_for_bit(n, potential, with_recorder):
+    # every accepted state's drho_inf comes from the next step's stage-1
+    # velocity transform (the final state's from its own derivative), and
+    # equals a fresh spectral derivative of its density exactly
+    st = make_initial("cosine", Grid(n), EA, potential, rho_amp=0.4, u_amp=0.3)
+    seen = []
+    rec = DiagnosticsRecorder()
+    monitors = (lambda k, s: seen.append((s, s.drho_inf)),) + ((rec,) if with_recorder else ())
+    out = run(st, StepControl(t_end=0.05), monitors=monitors)
+    assert out.completed and len(seen) == out.steps + 1 > 3
+    fresh = [float(np.max(np.abs(derivative(s.rho, s.grid)))) for s, _ in seen]
+    assert [d for _, d in seen] == fresh
+    if with_recorder:
+        log = rec.log
+        assert log.drho_inf == fresh
+        t = [s.t for s, _ in seen]
+        bkm = [0.0]
+        for i in range(1, len(t)):
+            bkm.append(bkm[-1] + 0.5 * (fresh[i - 1] ** 2 + fresh[i] ** 2) * (t[i] - t[i - 1]))
+        assert log.t == t and log.bkm == bkm
+
+
+def _tracemalloc_peak(fn, n):
+    # peak of the bytes that fn allocates, in units of n float64 values
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / (8 * n)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("potential", [PotentialSpec(), PotentialSpec(k=1.0)])
+def test_step_and_rhs_peak_memory(potential):
+    # the batched transforms do their elementwise work row by row: an
+    # in-place op on a (2, n) block with an (n,) operand allocates a (2, n)
+    # buffer, which would raise these peaks by 2 to 3 n-doubles
+    n = 1024
+    st = make_initial("cosine", Grid(n), EA, potential, rho_amp=0.4, u_amp=0.3)
+    step_ssprk3(st, 1e-4)  # builds the spectral plan outside the count
+    assert _tracemalloc_peak(lambda: step_ssprk3(st, 1e-4), n) <= 8.2
+    assert _tracemalloc_peak(lambda: rhs(st), n) <= 6.1
 
 
 # The paper's dichotomy on burgers-shock data with psi_L = a = 0.5 and
