@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -516,8 +517,9 @@ class DiagnosticsRecorder:
     its square, mass, the two envelope margins (NaN without ``bounds``),
     and the modulus verdict and the infimum of the passing B (see
     ``moc_min_b``). The modulus columns share one O(n^2) lag table, read
-    twice in O(n), and run every ``moc_every`` steps; rows in
-    between, and every row without ``moc``, carry NaN there. A row
+    twice in O(n), and run every ``moc_every`` steps, a positive integer
+    (else ValueError); rows in between, and every row without ``moc``,
+    carry NaN there. A row
     recovers no velocity: ``recover_velocity`` pins the momentum to m0 by
     construction, so a momentum column would only echo it.
     """
@@ -527,7 +529,9 @@ class DiagnosticsRecorder:
                  moc_every: int = 10, config_hash: str = ""):
         self.bounds = bounds
         self.moc = moc
-        self.moc_every = max(1, int(moc_every))
+        if not isinstance(moc_every, numbers.Integral) or moc_every < 1:
+            raise ValueError(f"moc_every must be a positive integer, got {moc_every!r}")
+        self.moc_every = int(moc_every)
         self._hash = config_hash
         self.log: DiagnosticsLog | None = None
 

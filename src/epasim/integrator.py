@@ -6,15 +6,19 @@ run loop watches for vacuum, non-finite values, and blow-up indicators
 (collapsing dt, runaway density or gradient, or a capped accumulation of
 the squared-gradient history).
 
-The run loop evaluates the first RK stage itself: the same ``rhs`` call
-gives sup |u| for the advective step bound and the stage-1 derivatives
-that ``step_ssprk3`` then consumes, so each step costs three ``rhs``
-calls and no separate velocity recovery. Each stage's fields go into a
-new ``SimState``, whose construction is that stage's only check, so a
-step checks three states: the two inner stages and the accepted one.
+The dynamics act on one (2, n) block whose rows are rho and g
+(``model.rhs_block``). The run loop evaluates the first RK stage itself:
+the same call gives sup |u| for the advective step bound and the stage-1
+derivative block that ``step_ssprk3`` then consumes, so each step costs
+three evaluations and no separate velocity recovery. Each stage updates
+the whole block with one call per operation. The two inner stages are
+checked by ``model.check_fields`` on the rows of their block, and only the
+accepted state is a new ``SimState``, whose construction runs the same
+check, so a step checks three sets of fields. The accepted state carries
+the result block, which the next step's first stage reads without a copy.
 
 Right after a step, before its monitors, the loop evaluates the next
-step's first stage. That ``rhs`` call's velocity transform carries
+step's first stage. That evaluation's velocity transform carries
 d rho/dx as a second row, whose sup becomes the accepted state's
 ``drho_inf``: the gradient detector and monitors such as the diagnostics
 recorder read it without another transform. The detectors still run in
@@ -26,10 +30,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import NonFiniteError, SimState, VacuumError, recover_velocity, rhs
+from .model import (  # noqa: F401  (rhs: perfbench traces integrator.rhs)
+    NonFiniteError,
+    SimState,
+    VacuumError,
+    check_fields,
+    recover_velocity,
+    rhs,
+    rhs_block,
+    spectral_plan,
+)
 from .spectral import MeanViolationError
 from .spectral import derivative  # noqa: F401  (perfbench traces integrator.derivative)
 
@@ -88,17 +102,35 @@ class RunOutcome:
         return self.status is RunStatus.COMPLETED
 
 
-def _raw_dt(state: SimState, ctl: StepControl, u_inf: float) -> float:
-    """CFL bounds of the state, given its sup |u|."""
+class _DtConstants(NamedTuple):
+    """The factors of the CFL bounds that are fixed for a run (see ``_raw_dt``)."""
+
+    adv: float  # cfl_advect dx
+    dif: float  # cfl_diffuse dx^alpha
+    rho_scale: float  # (2 pi)^alpha c
+    psi_l: float  # sup psi_l rho_bar
+    forcing: float  # (|k| + sup |K_reg''|) rho_bar
+
+
+def _dt_constants(state: SimState, ctl: StepControl) -> _DtConstants:
+    kern, pot = state.kernel, state.potential
     dx = state.grid.dx
-    dt_adv = ctl.cfl_advect * dx / u_inf if u_inf > 0 else math.inf
-    kern = state.kernel
-    denom = (2 * np.pi) ** kern.alpha * kern.c * float(np.max(state.rho))
-    denom += kern.psi_l.sup_norm() * state.rho_bar
-    pot = state.potential
-    forcing_scale = (abs(pot.k) + pot.kreg.second_derivative_sup) * state.rho_bar
-    denom += forcing_scale
-    dt_dif = ctl.cfl_diffuse * dx**kern.alpha / denom if denom > 0 else math.inf
+    return _DtConstants(
+        adv=ctl.cfl_advect * dx,
+        dif=ctl.cfl_diffuse * dx**kern.alpha,
+        rho_scale=(2 * np.pi) ** kern.alpha * kern.c,
+        psi_l=kern.psi_l.sup_norm() * state.rho_bar,
+        forcing=(abs(pot.k) + pot.kreg.second_derivative_sup) * state.rho_bar,
+    )
+
+
+def _raw_dt(dc: _DtConstants, rho_max: float, u_inf: float) -> float:
+    """CFL bounds of a state with max density rho_max and sup |u| = u_inf."""
+    dt_adv = dc.adv / u_inf if u_inf > 0 else math.inf
+    denom = dc.rho_scale * rho_max
+    denom += dc.psi_l
+    denom += dc.forcing
+    dt_dif = dc.dif / denom if denom > 0 else math.inf
     return min(dt_adv, dt_dif)
 
 
@@ -107,7 +139,8 @@ def stable_dt(state: SimState, ctl: StepControl) -> float:
     below by dt_min. Recovers the velocity of the state, which was checked
     when it was built, so it raises nothing."""
     u_inf = float(np.max(np.abs(recover_velocity(state))))
-    return max(min(_raw_dt(state, ctl, u_inf), ctl.dt_max), ctl.dt_min)
+    raw = _raw_dt(_dt_constants(state, ctl), float(np.max(state.rho)), u_inf)
+    return max(min(raw, ctl.dt_max), ctl.dt_min)
 
 
 def _stage2(x: np.ndarray, d: np.ndarray, x0: np.ndarray, dt: float) -> None:
@@ -128,32 +161,37 @@ def _stage3(d: np.ndarray, x: np.ndarray, x0: np.ndarray, dt: float) -> None:
     d /= 3.0
 
 
-def step_ssprk3(state: SimState, dt: float, k1: tuple | None = None) -> SimState:
+def step_ssprk3(state: SimState, dt: float, k1: np.ndarray | None = None) -> SimState:
     """One three-stage strong-stability-preserving RK3 update.
 
-    ``k1`` is the stage-1 ``(drho, dg)`` of ``rhs(state)`` when the caller
-    has it already; its arrays then hold the stage values and are
-    overwritten. Each stage's fields, and the result's, are checked when
-    their ``SimState`` is built, so a stage that leaves the valid region
-    raises there: VacuumError, NonFiniteError or MeanViolationError.
+    ``k1`` is the stage-1 derivative block of ``model.rhs_block`` on the
+    state's block when the caller has it already; it then holds the stage
+    values and is overwritten. Each stage works on whole (2, n) blocks. The
+    two inner stages' rows are checked by ``model.check_fields``, and the
+    result's when its ``SimState`` is built, so a stage that leaves the
+    valid region raises there: VacuumError, NonFiniteError or
+    MeanViolationError. The result carries its block for the next step.
     """
-    r0, g0 = state.rho, state.g
-    r, g = k1[:2] if k1 is not None else rhs(state)[:2]
+    x0 = state._block
+    args = (spectral_plan(state.grid, state.kernel, state.potential), state.m0,
+            state.rho_bar, state.potential.k)
+    check = (state.t, state.rho_bar, state.grid, state.kernel)
+    x = k1 if k1 is not None else rhs_block(x0, *args)[0]
     # stage 1: u1 = u0 + dt L(u0)
-    r *= dt
-    r += r0
-    g *= dt
-    g += g0
-    # stage 2, into the stage-1 arrays: u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
-    dr, dg, _ = rhs(replace(state, rho=r, g=g))
-    _stage2(r, dr, r0, dt)
-    _stage2(g, dg, g0, dt)
-    del dr, dg
-    # stage 3, into its own derivative arrays: (u0 + 2 (u2 + dt L(u2))) / 3
-    dr, dg, _ = rhs(replace(state, rho=r, g=g))
-    _stage3(dr, r, r0, dt)
-    _stage3(dg, g, g0, dt)
-    return replace(state, rho=dr, g=dg, t=state.t + dt)
+    x *= dt
+    x += x0
+    check_fields(x[0], x[1], *check)
+    # stage 2, into the stage-1 block: u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
+    d = rhs_block(x, *args)[0]
+    _stage2(x, d, x0, dt)
+    del d
+    check_fields(x[0], x[1], *check)
+    # stage 3, into its own derivative block: (u0 + 2 (u2 + dt L(u2))) / 3
+    d = rhs_block(x, *args)[0]
+    _stage3(d, x, x0, dt)
+    new = replace(state, rho=d[0], g=d[1], t=state.t + dt)
+    vars(new)["_block"] = d
+    return new
 
 
 def run(state: SimState, ctl: StepControl, monitors: tuple = (),
@@ -166,11 +204,17 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
     """
     steps = 0
     bkm = 0.0
+    dc = _dt_constants(state, ctl)
+    plan = spectral_plan(state.grid, state.kernel, state.potential)
 
     def stage1(s):
         # the next step's first stage, whose velocity transform also gives
         # s.drho_inf; None when no step follows
-        return rhs(s, _drho_inf=True) if s.t < ctl.t_end - 1e-12 else None
+        if s.t >= ctl.t_end - 1e-12:
+            return None
+        d, u_inf, vars(s)["drho_inf"] = rhs_block(s._block, plan, s.m0, s.rho_bar,
+                                                  s.potential.k, drho=True)
+        return d, u_inf
 
     k1 = stage1(state)
     grad_inf = state.drho_inf
@@ -191,13 +235,13 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         if bkm > detection.bkm_cap:
             return outcome(RunStatus.BLOWUP, f"squared-gradient accumulation {bkm:.3e}")
         try:
-            drho, dg, u_inf = k1
-            raw = _raw_dt(state, ctl, u_inf)
+            d, u_inf = k1
+            raw = _raw_dt(dc, rho_max, u_inf)
             if raw < ctl.dt_min:
                 return outcome(RunStatus.BLOWUP, f"stable step collapsed to {raw:.3e}")
             dt = min(raw, ctl.dt_max, ctl.t_end - state.t)
-            state = step_ssprk3(state, dt, (drho, dg))
-            del k1, drho, dg  # the stage arrays of the finished step
+            state = step_ssprk3(state, dt, d)
+            del k1, d  # the stage block of the finished step
             k1 = stage1(state)
         except VacuumError as exc:
             return outcome(RunStatus.VACUUM, str(exc))

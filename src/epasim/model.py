@@ -27,13 +27,17 @@ the rfft layout of ``np.fft.rfft``:
   plus k n rho_bar on mode 0 for the background.
 
 Mode 0 of g_hat + vel_rho rho_hat is n mean(g - psi_l * rho), the
-zero-mean constraint that makes the velocity periodic. A :class:`SimState`
-checks it, with the density floor and finiteness, when it is built, so
-:func:`rhs` and :func:`recover_velocity` take every state as valid.
-Transforms of the two fields run as the two rows of one FFT call, which
-pocketfft computes bit for bit as two separate calls. One :func:`rhs`
-call makes 4 FFT calls over 7 transforms: the stacked (rho, g), u, the
-stacked fluxes (rho u, g u) and both flux derivatives.
+zero-mean constraint that makes the velocity periodic. :func:`check_fields`
+checks it, with the density floor and finiteness; a :class:`SimState`
+runs it when it is built, so the dynamics take every state as valid.
+
+The dynamics are a function of one (2, n) field block, with rho and g as
+its rows: :func:`rhs_block` takes the block and the problem's plan, and
+:func:`rhs` and :func:`recover_velocity` are thin wrappers that read the
+block of a state. Transforms of the two fields run as the two rows of one
+FFT call, which pocketfft computes bit for bit as two separate calls. One
+evaluation makes 4 FFT calls over 7 transforms: the block, u, the stacked
+fluxes (rho u, g u) and both flux derivatives.
 """
 
 from __future__ import annotations
@@ -78,12 +82,13 @@ class NonFiniteError(RuntimeError):
 
 
 class SpectralPlan(NamedTuple):
-    """Read-only Fourier multipliers of one problem (see the module docstring)."""
+    """Read-only real Fourier multipliers of one problem (see the module docstring)."""
 
     inv_k: np.ndarray
     vel_rho: np.ndarray
     flux: np.ndarray
     source: np.ndarray | None  # None without a potential
+    two_pi_k: np.ndarray  # the grid's d/dx multiplier, divided by i
 
 
 @lru_cache(maxsize=32)
@@ -99,7 +104,7 @@ def spectral_plan(grid: Grid, kernel: KernelSpec, potential: PotentialSpec) -> S
     for arr in (inv_k, vel_rho, flux, source):
         if arr is not None:
             arr.flags.writeable = False
-    return SpectralPlan(inv_k, vel_rho, flux, source)
+    return SpectralPlan(inv_k, vel_rho, flux, source, two_pi_k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +115,14 @@ class SimState:
     integral; both are fixed at initialization time. Building a state, by
     any route, runs :meth:`validate`, the one check of its fields, so every
     state is valid by construction. Nothing writes to the fields of a state
-    that a step has returned (only the internal RK stage states are reused
-    in place), so a quantity derived from such a state is computed once:
-    ``drho_inf`` is shared by the run loop's detectors and the diagnostics
-    recorder.
+    that a step has returned, so a quantity derived from such a state is
+    computed once: ``drho_inf`` is shared by the run loop's detectors and
+    the diagnostics recorder. The dynamics read ``_block``, the (2, n)
+    array whose rows are rho and g. A step's result carries the block its
+    fields are the rows of. A state built from separate arrays stacks them
+    once, on first use, and its rho and g become the rows of that block:
+    the same values, in one array instead of two, so a state holds no copy
+    of its fields.
     """
 
     grid: Grid
@@ -134,41 +143,55 @@ class SimState:
 
         The run loop stores it from the velocity transform of the next
         step's first stage, before the monitors and detectors read it (see
-        :func:`rhs`); any other state, such as a run's final one, pays 2 FFT
-        calls on the first read. Both are bit for bit
+        :func:`rhs_block`); any other state, such as a run's final one, pays
+        2 FFT calls on the first read. Both are bit for bit
         ``max |spectral.derivative(rho)|``.
         """
         return float(np.max(np.abs(derivative(self.rho, self.grid))))
 
-    def validate(self) -> None:
-        """Check the fields, in order; raises on the first violation.
+    @cached_property
+    def _block(self) -> np.ndarray:
+        block = np.stack((self.rho, self.g))
+        object.__setattr__(self, "rho", block[0])
+        object.__setattr__(self, "g", block[1])
+        return block
 
-        Shape (n,) (GridMismatchError); finite, read from the sums, so an
-        overflowing sum counts (NonFiniteError, which means only this);
-        min rho above RHO_FLOOR (VacuumError); mean(rho) = rho_bar and
-        mean(g - psi_l * rho) = mean(g) - mean(psi_l) mean(rho) = 0 (both
-        MeanViolationError), where only a residual above MEAN_TOL pays for
-        the guard's scale max(1, |g - psi_l * rho|_inf).
-        """
-        n = self.grid.n
-        if self.rho.shape != (n,) or self.g.shape != (n,):
-            raise GridMismatchError(f"fields of shape {self.rho.shape} and {self.g.shape} "
-                                    f"on a grid of {n} points")
-        rho_mean = float(self.rho.sum()) / n
-        g_mean = float(self.g.sum()) / n
-        if not math.isfinite(rho_mean + g_mean):
-            raise NonFiniteError(f"non-finite state at t={self.t:.6f}")
-        rho_min = float(self.rho.min())
-        if rho_min <= RHO_FLOOR:
-            raise VacuumError(f"min density {rho_min:.3e} at t={self.t:.6f}")
-        if abs(rho_mean - self.rho_bar) > MEAN_TOL * max(1.0, abs(self.rho_bar)):
-            raise MeanViolationError("mean density drifted from its conserved value")
-        psi_l = lipschitz_on_grid(self.kernel.psi_l, self.grid)
-        resid = g_mean - float(psi_l.sum()) / n * rho_mean
-        if abs(resid) > MEAN_TOL:
-            f = self.g - convolve(psi_l, self.rho, self.grid)
-            if abs(resid) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):
-                raise MeanViolationError(f"mean(g - psi_l * rho) = {resid:.3e} is not zero")
+    def validate(self) -> None:
+        """Run :func:`check_fields` on the state; raises on the first violation."""
+        check_fields(self.rho, self.g, self.t, self.rho_bar, self.grid, self.kernel)
+
+
+def check_fields(rho: np.ndarray, g: np.ndarray, t: float, rho_bar: float, grid: Grid,
+                 kernel: KernelSpec) -> None:
+    """Check the fields of a state at time t, in order; raises on the first violation.
+
+    Shape (n,) (GridMismatchError); finite, read from the sums, so an
+    overflowing sum counts (NonFiniteError, which means only this);
+    min rho above RHO_FLOOR (VacuumError); mean(rho) = rho_bar and
+    mean(g - psi_l * rho) = mean(g) - mean(psi_l) mean(rho) = 0 (both
+    MeanViolationError), where only a residual above MEAN_TOL pays for
+    the guard's scale max(1, |g - psi_l * rho|_inf). The RK stages of a
+    step call it on their rows directly, without building a state.
+    """
+    n = grid.n
+    if rho.shape != (n,) or g.shape != (n,):
+        raise GridMismatchError(f"fields of shape {rho.shape} and {g.shape} "
+                                f"on a grid of {n} points")
+    rho_mean = float(rho.sum()) / n
+    g_mean = float(g.sum()) / n
+    if not math.isfinite(rho_mean + g_mean):
+        raise NonFiniteError(f"non-finite state at t={t:.6f}")
+    rho_min = float(rho.min())
+    if rho_min <= RHO_FLOOR:
+        raise VacuumError(f"min density {rho_min:.3e} at t={t:.6f}")
+    if abs(rho_mean - rho_bar) > MEAN_TOL * max(1.0, abs(rho_bar)):
+        raise MeanViolationError("mean density drifted from its conserved value")
+    psi_l = lipschitz_on_grid(kernel.psi_l, grid)
+    resid = g_mean - float(psi_l.sum()) / n * rho_mean
+    if abs(resid) > MEAN_TOL:
+        f = g - convolve(psi_l, rho, grid)
+        if abs(resid) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):
+            raise MeanViolationError(f"mean(g - psi_l * rho) = {resid:.3e} is not zero")
 
 
 def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) -> np.ndarray:
@@ -183,17 +206,17 @@ def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) ->
     return g
 
 
-def _velocity(state: SimState, plan: SpectralPlan,
+def _velocity(x: np.ndarray, plan: SpectralPlan, m0: float,
               drho_row: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum of the stacked (rho, g) and the velocity, as row 0 of a field block.
+    """Spectrum of the field block x and the velocity, as row 0 of a new block.
 
-    2 FFT calls over 3 transforms: one rfft of (rho, g), one irfft of
-    u_hat. With ``drho_row`` the irfft carries i 2 pi k rho_hat (Nyquist
-    zeroed) as a second row, 4 transforms in all: row 1 is then d rho/dx,
-    bit for bit ``spectral.derivative(rho)``.
+    2 FFT calls over 3 transforms: one rfft of x, one irfft of u_hat. With
+    ``drho_row`` the irfft carries i 2 pi k rho_hat (Nyquist zeroed) as a
+    second row, 4 transforms in all: row 1 is then d rho/dx, bit for bit
+    ``spectral.derivative(rho)``.
     """
-    rho, n = state.rho, state.grid.n
-    spec = np.fft.rfft(np.stack((rho, state.g)))
+    n = x.shape[1]
+    spec = np.fft.rfft(x)
     rho_hat = spec[0]
     rows = np.empty((1 + drho_row, rho_hat.size), dtype=complex)
     u_hat = rows[0]
@@ -202,11 +225,11 @@ def _velocity(state: SimState, plan: SpectralPlan,
     u_hat *= plan.inv_k
     u_hat *= -1j
     if drho_row:
-        np.multiply(rho_hat, 1j * state.grid.two_pi_k, out=rows[1])
+        np.multiply(rho_hat, 1j * plan.two_pi_k, out=rows[1])
         rows[1, -1] = 0.0
     w = np.fft.irfft(rows, n=n)
     u = w[0]
-    u += (state.m0 * n - np.dot(rho, u)) / rho_hat[0].real
+    u += (m0 * n - np.dot(x[0], u)) / rho_hat[0].real
     return spec, w
 
 
@@ -221,39 +244,40 @@ def recover_velocity(state: SimState) -> np.ndarray:
     was built.
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
-    return _velocity(state, plan)[1][0]
+    return _velocity(state._block, plan, state.m0)[1][0]
 
 
-def rhs(state: SimState, *, _drho_inf: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
-    """Time derivatives of (rho, g) and sup |u| of the velocity behind them.
+def rhs_block(x: np.ndarray, plan: SpectralPlan, m0: float, rho_bar: float, k: float,
+              drho: bool = False) -> tuple[np.ndarray, float, float | None]:
+    """Time derivatives of the field block x = (rho, g), as a new (2, n) block.
 
-    Quadratic products are dealiased. 4 FFT calls over 7 transforms: the
-    two of :func:`_velocity`, then one rfft of the fluxes (rho u, g u) and
-    one irfft of both flux derivatives, written into the flux buffer. The
-    derivatives are the two rows of one (2, n) array. The run loop sets
-    ``_drho_inf`` on the first stage of each step: the velocity transform
-    then also gives d rho/dx, and its sup becomes the state's ``drho_inf``
-    (one transform more, in the same call). Checks nothing: the state was
-    validated when it was built, and a non-finite derivative fails the
-    check of the next state built from it.
+    Also returns sup |u| of the velocity behind them and, with ``drho``,
+    sup |d rho/dx|, else None. m0 and rho_bar are the state's conserved
+    references and k the potential's Newtonian strength. Quadratic products
+    are dealiased. 4 FFT calls over 7 transforms: the two of
+    :func:`_velocity`, then one rfft of the fluxes (rho u, g u) and one
+    irfft of both flux derivatives, written into the flux buffer. With
+    ``drho`` the velocity transform also gives d rho/dx (one transform
+    more, in the same call); the run loop sets it on the first stage of
+    each step. Checks nothing: x is the block of a valid state or of a
+    stage that was checked, and a non-finite derivative fails the check of
+    the next stage.
     """
-    plan = spectral_plan(state.grid, state.kernel, state.potential)
-    n = state.grid.n
-    spec, w = _velocity(state, plan, _drho_inf)
-    if _drho_inf:
-        vars(state)["drho_inf"] = float(np.max(np.abs(w[1])))
+    n = x.shape[1]
+    spec, w = _velocity(x, plan, m0, drho)
+    drho_inf = float(np.max(np.abs(w[1]))) if drho else None
     u = w[0]
     u_inf = max(float(np.max(u)), -float(np.min(u)))
     src = None
     if plan.source is not None:
         src = spec[0] * plan.source
-        src[0] += state.potential.k * n * state.rho_bar
+        src[0] += k * n * rho_bar
     del spec  # free the spectrum, all but the source row, before the flux transform
-    # the elementwise work goes row by row: an in-place op on a (2, n)
-    # block with an (n,) operand would allocate a (2, n) buffer
+    # the elementwise work with an (n,) operand goes row by row: an in-place
+    # op on a (2, n) block with an (n,) operand would allocate a (2, n) buffer
     flux = np.empty((2, n))
-    np.multiply(state.rho, u, out=flux[0])
-    np.multiply(state.g, u, out=flux[1])
+    np.multiply(x[0], u, out=flux[0])
+    np.multiply(x[1], u, out=flux[1])
     del w, u
     f_hat = np.fft.rfft(flux)
     for row in f_hat:  # spectrum of -d/dx of the dealiased flux
@@ -262,7 +286,19 @@ def rhs(state: SimState, *, _drho_inf: bool = False) -> tuple[np.ndarray, np.nda
     if src is not None:
         f_hat[1] += src
     np.fft.irfft(f_hat, n=n, out=flux)
-    return flux[0], flux[1], u_inf
+    return flux, u_inf, drho_inf
+
+
+def rhs(state: SimState) -> tuple[np.ndarray, np.ndarray, float]:
+    """Time derivatives of (rho, g) and sup |u| of the velocity behind them.
+
+    :func:`rhs_block` on the state's block, through the problem's
+    :func:`spectral_plan`; the two derivatives are the rows of one (2, n)
+    array. Checks nothing: the state was validated when it was built.
+    """
+    plan = spectral_plan(state.grid, state.kernel, state.potential)
+    d, u_inf, _ = rhs_block(state._block, plan, state.m0, state.rho_bar, state.potential.k)
+    return d[0], d[1], u_inf
 
 
 _PRESET_PARAMS = {

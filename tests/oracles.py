@@ -8,7 +8,10 @@ checked against them. The force and quadrature routes (among them
 integral) check the operators themselves. ``kernel_values`` is the one
 pointwise evaluation of the effective kernel, and ``dense_kernel_min`` the
 dense search that ``kernels.kernel_min`` must never exceed.
-``roll_lag_table`` is the plain loop that ``diagnostics._lag_table`` must
+``reference_step`` is the SSP-RK3 step as it was before the array core:
+three ``rhs(state)`` calls and one ``SimState`` per stage, which the run
+loop's accepted states must equal bit for bit. ``roll_lag_table`` is the
+plain loop that ``diagnostics._lag_table`` must
 match bit for bit, and ``reference_min_b`` a bisection to within
 ``MIN_B_RTOL``, at or below whose answer the exact infimum
 ``diagnostics.moc_min_b`` must lie.
@@ -17,6 +20,7 @@ match bit for bit, and ``reference_min_b`` a bisection to within
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +34,7 @@ from epasim.kernels import (
     potential_on_grid,
     psi_alpha,
 )
-from epasim.model import SimState
+from epasim.model import SimState, rhs
 from epasim.spectral import (
     MEAN_TOL,
     Grid,
@@ -180,6 +184,19 @@ def composed_rhs(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     if not state.potential.is_zero:
         dg = dg + g_source(state.rho, state.rho_bar, state.potential, grid)
     return drho, dg
+
+
+def reference_step(state: SimState, dt: float) -> SimState:
+    """One Shu-Osher SSP-RK3 step: three ``rhs(state)`` calls, and each
+    stage's fields checked by building its own ``SimState``."""
+    r, g, _ = rhs(state)
+    s1 = replace(state, rho=state.rho + dt * r, g=state.g + dt * g)
+    r, g, _ = rhs(s1)
+    s2 = replace(state, rho=0.75 * state.rho + 0.25 * (s1.rho + dt * r),
+                 g=0.75 * state.g + 0.25 * (s1.g + dt * g))
+    r, g, _ = rhs(s2)
+    return replace(state, rho=(state.rho + 2.0 * (s2.rho + dt * r)) / 3.0,
+                   g=(state.g + 2.0 * (s2.g + dt * g)) / 3.0, t=state.t + dt)
 
 
 def alignment_direct(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid,

@@ -553,6 +553,13 @@ def test_bkm_linear_ramp():
     assert recorded_bkm(t, t) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("moc_every", [0, -3, 2.5, 2.0])
+def test_recorder_rejects_invalid_moc_every(moc_every):
+    # refused when the recorder is built, not rounded to a cadence
+    with pytest.raises(ValueError, match="moc_every"):
+        DiagnosticsRecorder(moc=VALID, moc_every=moc_every)
+
+
 def test_recorder_and_csv_round_trip(tmp_path):
     g = Grid(64)
     st = make_initial("cosine", g, EA, rho_amp=0.2, u_amp=0.1,

@@ -23,8 +23,19 @@ from epasim.integrator import (
     step_ssprk3,
 )
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
-from epasim.model import SimState, VacuumError, compute_g, make_initial, rhs
+from epasim.model import (
+    NonFiniteError,
+    SimState,
+    VacuumError,
+    compute_g,
+    make_initial,
+    rhs,
+    rhs_block,
+    spectral_plan,
+)
 from epasim.spectral import Grid, derivative, mean, to_spectrum
+from conftest import KERNEL_POTENTIAL_PAIRS
+from oracles import reference_step
 
 EA = KernelSpec(c=1.0, alpha=0.5)
 OFF = KernelSpec(c=0.0, alpha=0.5)
@@ -235,7 +246,7 @@ def reference_problem_64():
 def test_run_samples_gaussian_curvature_once(monkeypatch):
     # the curvature bound of a gaussian K_reg (13 x 4097 exponentials) is
     # sampled once per potential, and the run is the same as one that
-    # samples it again at every step
+    # samples it again on every read; the step bound reads it once per run
     cached = vars(RegularPotential)["second_derivative_sup"]
     sample, samples = cached.func, []
 
@@ -253,8 +264,8 @@ def test_run_samples_gaussian_curvature_once(monkeypatch):
     once, sampled_once = gaussian_run()
     monkeypatch.setattr(RegularPotential, "second_derivative_sup", property(counted))
     each, sampled_each = gaussian_run()
-    assert sampled_once == 1
-    assert once.steps == each.steps == sampled_each == 20
+    assert sampled_once == sampled_each == 1
+    assert once.steps == each.steps == 20
     assert once.status is each.status is RunStatus.COMPLETED
     assert once.t_final == each.t_final
     assert np.array_equal(once.state.rho, each.state.rho)
@@ -277,24 +288,33 @@ def count_ffts(monkeypatch):
     return box
 
 
+def count_checks(monkeypatch):
+    # calls of model.check_fields, the one field check: from SimState.validate
+    # and from the inner RK stages
+    box = {"n": 0}
+    checking = counted(model.check_fields, box)
+    monkeypatch.setattr(model, "check_fields", checking)
+    monkeypatch.setattr(integrator, "check_fields", checking)
+    return box
+
+
 def assert_fft_budget(monkeypatch, monitors=()):
-    # 3 rhs calls of 4 FFT calls over 7 transforms, and stage 1's velocity
+    # 3 evaluations of 4 FFT calls over 7 transforms, and stage 1's velocity
     # irfft carries d rho/dx as one more row: 12 calls and 22 transforms a
     # step. Only the final state, which no step follows, differentiates its
     # density on its own: 2 calls, once per run.
     st = reference_problem_64()
     rhs(st)  # builds the spectral plan outside the count
     dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
-    rhs_calls = {"n": 0}
-    checks = {"n": 0}
+    evals = {"n": 0}
     ffts = count_ffts(monkeypatch)
-    monkeypatch.setattr(integrator, "rhs", counted(integrator.rhs, rhs_calls))
-    monkeypatch.setattr(SimState, "validate", counted(SimState.validate, checks))
+    monkeypatch.setattr(integrator, "rhs_block", counted(integrator.rhs_block, evals))
+    checks = count_checks(monkeypatch)
     out = run(st, StepControl(t_end=20 * dt, dt_max=dt), monitors=monitors)
     assert out.completed and out.steps == 20
     assert ffts == {"calls": 12 * out.steps + 2, "transforms": 22 * out.steps + 2}
-    assert rhs_calls["n"] == 3 * out.steps
-    # one check per built state: the two inner stages and the accepted one
+    assert evals["n"] == 3 * out.steps
+    # one check per stage: the two inner stages and the accepted state
     assert checks["n"] == 3 * out.steps
 
 
@@ -319,6 +339,59 @@ def test_rhs_and_recover_velocity_batch_their_transforms(monkeypatch):
     assert ffts == {"calls": 2, "transforms": 3}
     rhs(st)
     assert ffts == {"calls": 6, "transforms": 10}
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kernel, potential", KERNEL_POTENTIAL_PAIRS)
+def test_run_matches_the_reference_step_bit_for_bit(kernel, potential):
+    # the block core, its in-place stages and the carried block give the
+    # states of the SimState-per-stage route exactly, and so does a step
+    # from a state whose fields are copied, separate arrays
+    st = make_initial("cosine", Grid(64), kernel, potential, rho_amp=0.4, u_amp=0.3)
+    ctl = StepControl(t_end=1.0)
+    seen = []
+
+    def watch(k, s):
+        seen.append(s)
+        if k == 20:
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        run(st, ctl, monitors=(watch,))
+    ref = st
+    for s, nxt in zip(seen, seen[1:]):
+        dt = stable_dt(ref, ctl)
+        ref = reference_step(ref, dt)
+        copied = step_ssprk3(replace(s, rho=s.rho.copy(), g=s.g.copy()), dt)
+        for got in (nxt, copied):
+            assert got.t == ref.t
+            assert np.array_equal(got.rho, ref.rho) and np.array_equal(got.g, ref.g)
+    assert len(seen) == 21
+
+
+def stage1_block(st):
+    plan = spectral_plan(st.grid, st.kernel, st.potential)
+    return rhs_block(st._block, plan, st.m0, st.rho_bar, st.potential.k, drho=True)[0]
+
+
+def test_step_checks_stage_one_before_the_next_evaluation(monkeypatch):
+    st = reference_problem_64()
+    dt = 1e-3
+    evals = {"n": 0}
+    monkeypatch.setattr(integrator, "rhs_block", counted(integrator.rhs_block, evals))
+    d = stage1_block(st)
+    d[1, 5] = np.nan
+    with pytest.raises(NonFiniteError):
+        step_ssprk3(st, dt, d)
+    # a derivative that empties one density sample, and nothing else
+    d = np.zeros((2, st.grid.n))
+    d[0, 7] = -st.rho[7] / dt
+    with pytest.raises(VacuumError):
+        step_ssprk3(st, dt, d)
+    assert evals["n"] == 0
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -365,9 +438,15 @@ def test_step_and_rhs_peak_memory(potential):
     # buffer, which would raise these peaks by 2 to 3 n-doubles
     n = 1024
     st = make_initial("cosine", Grid(n), EA, potential, rho_amp=0.4, u_amp=0.3)
-    step_ssprk3(st, 1e-4)  # builds the spectral plan outside the count
+    step_ssprk3(st, 1e-4)  # builds the spectral plan and the block outside the count
     assert _tracemalloc_peak(lambda: step_ssprk3(st, 1e-4), n) <= 8.2
     assert _tracemalloc_peak(lambda: rhs(st), n) <= 6.1
+    # the run loop's path: a step's result, whose block the stage-1
+    # derivative block is evaluated on, stepped with that block
+    st = step_ssprk3(st, 1e-4)
+    k1 = stage1_block(st)
+    assert _tracemalloc_peak(lambda: step_ssprk3(st, 1e-4, k1), n) <= (
+        6.1 if potential.k else 5.1)
 
 
 # The paper's dichotomy on burgers-shock data with psi_L = a = 0.5 and

@@ -17,7 +17,7 @@ from epasim.model import (
     rhs,
 )
 from epasim.spectral import Grid, GridMismatchError, MeanViolationError, derivative, mean
-from conftest import random_positive_field, random_smooth_field
+from conftest import KERNEL_POTENTIAL_PAIRS, random_positive_field, random_smooth_field
 from oracles import (
     alignment_direct,
     alignment_spectral,
@@ -241,22 +241,8 @@ def test_state_shape_checked_at_construction(grid64):
         replace(st, g=np.zeros((64, 1)))
 
 
-TABLE_PSI_L = LipschitzKernel(kind="table", xs=(-0.5, -0.2, 0.1, 0.3), vs=(0.4, 1.0, 0.7, 0.2))
-TABLE_KREG = RegularPotential(kind="table", xs=(-0.4, 0.0, 0.25), vs=(0.1, -0.05, 0.08))
-
-
 @pytest.mark.parametrize("n", [64, 256])
-@pytest.mark.parametrize("kernel, potential", [
-    # even psi_l, K_reg on, k != 0: the reference problem
-    (KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=0.2)),
-     PotentialSpec(k=1.0, kreg=RegularPotential(kind="cosine", amp=0.05))),
-    # non-even table psi_l (complex psi_l_hat), K_reg off, repulsive k
-    (KernelSpec(c=0.7, alpha=0.3, psi_l=TABLE_PSI_L), PotentialSpec(k=-0.6)),
-    # no singular part, table psi_l and table K_reg (complex source multiplier)
-    (KernelSpec(c=0.0, alpha=0.5, psi_l=TABLE_PSI_L), PotentialSpec(k=0.5, kreg=TABLE_KREG)),
-    # singular part only, no potential
-    (KernelSpec(c=1.0, alpha=1.5), PotentialSpec()),
-])
+@pytest.mark.parametrize("kernel, potential", KERNEL_POTENTIAL_PAIRS)
 def test_rhs_and_velocity_match_composed_route(n, kernel, potential):
     grid = Grid(n)
     rng = np.random.default_rng(n)
