@@ -51,6 +51,7 @@ import numpy as np
 
 from .kernels import (  # noqa: F401  (g_source: perfbench traces model.g_source)
     KernelSpec,
+    LipschitzKernel,
     PotentialSpec,
     g_source,
     g_source_multiplier,
@@ -161,6 +162,12 @@ class SimState:
         check_fields(self.rho, self.g, self.t, self.rho_bar, self.grid, self.kernel)
 
 
+@lru_cache(maxsize=32)
+def _psi_l_mean(psi_l: LipschitzKernel, grid: Grid) -> float:
+    """mean(psi_l) on the grid, summed once per problem for :func:`check_fields`."""
+    return float(lipschitz_on_grid(psi_l, grid).sum()) / grid.n
+
+
 def check_fields(rho: np.ndarray, g: np.ndarray, t: float, rho_bar: float, grid: Grid,
                  kernel: KernelSpec) -> None:
     """Check the fields of a state at time t, in order; raises on the first violation.
@@ -186,10 +193,9 @@ def check_fields(rho: np.ndarray, g: np.ndarray, t: float, rho_bar: float, grid:
         raise VacuumError(f"min density {rho_min:.3e} at t={t:.6f}")
     if abs(rho_mean - rho_bar) > MEAN_TOL * max(1.0, abs(rho_bar)):
         raise MeanViolationError("mean density drifted from its conserved value")
-    psi_l = lipschitz_on_grid(kernel.psi_l, grid)
-    resid = g_mean - float(psi_l.sum()) / n * rho_mean
+    resid = g_mean - _psi_l_mean(kernel.psi_l, grid) * rho_mean
     if abs(resid) > MEAN_TOL:
-        f = g - convolve(psi_l, rho, grid)
+        f = g - convolve(lipschitz_on_grid(kernel.psi_l, grid), rho, grid)
         if abs(resid) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):
             raise MeanViolationError(f"mean(g - psi_l * rho) = {resid:.3e} is not zero")
 

@@ -14,11 +14,16 @@ loop's accepted states must equal bit for bit. ``roll_lag_table`` is the
 plain loop that ``diagnostics._lag_table`` must
 match bit for bit, and ``reference_min_b`` a bisection to within
 ``MIN_B_RTOL``, at or below whose answer the exact infimum
-``diagnostics.moc_min_b`` must lie.
+``diagnostics.moc_min_b`` must lie. ``legacy_stable_dt`` is the step bound
+that ``integrator.stable_dt`` replaced and must never fall below.
+``characteristic_beta`` and ``ode_blowup_time`` solve the flow exactly
+along its characteristics when the kernel is a constant and the potential
+Newtonian.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -34,7 +39,8 @@ from epasim.kernels import (
     potential_on_grid,
     psi_alpha,
 )
-from epasim.model import SimState, rhs
+from epasim.integrator import StepControl
+from epasim.model import SimState, recover_velocity, rhs
 from epasim.spectral import (
     MEAN_TOL,
     Grid,
@@ -197,6 +203,62 @@ def reference_step(state: SimState, dt: float) -> SimState:
     r, g, _ = rhs(s2)
     return replace(state, rho=(state.rho + 2.0 * (s2.rho + dt * r)) / 3.0,
                    g=(state.g + 2.0 * (s2.g + dt * g)) / 3.0, t=state.t + dt)
+
+
+def legacy_stable_dt(state: SimState, ctl: StepControl, cfl_diffuse: float = 0.3) -> float:
+    """The step bound that SSP-RK3's stability region replaced, with its
+    default cfl_diffuse: min of cfl_advect dx / sup |u| and
+    cfl_diffuse dx^alpha / ((2 pi)^alpha c max rho + sup psi_l rho_bar
+    + (|k| + sup |K_reg''|) rho_bar) and dt_max, clamped below by dt_min."""
+    kern, pot = state.kernel, state.potential
+    dx = state.grid.dx
+    u_inf = float(np.max(np.abs(recover_velocity(state))))
+    dt_adv = ctl.cfl_advect * dx / u_inf if u_inf > 0 else math.inf
+    denom = (2 * np.pi) ** kern.alpha * kern.c * float(np.max(state.rho))
+    denom += kern.psi_l.sup_norm() * state.rho_bar
+    denom += (abs(pot.k) + pot.kreg.second_derivative_sup) * state.rho_bar
+    dt_dif = cfl_diffuse * dx**kern.alpha / denom if denom > 0 else math.inf
+    return max(min(dt_adv, dt_dif, ctl.dt_max), ctl.dt_min)
+
+
+def characteristic_beta(t: float, rho0: np.ndarray, du0: np.ndarray, rho_bar: float,
+                        a: float, k: float) -> np.ndarray:
+    """1/rho at time t on the characteristics from samples of rho0 and u0',
+    for c = 0, psi_l = a and a Newtonian potential of strength k.
+
+    There u_x = g - a rho_bar, and along a characteristic beta = 1/rho and
+    f = g/rho obey beta' = f - a rho_bar beta and f' = k rho_bar beta - k
+    (the source -k (rho - rho_bar) of g). So y = beta - 1/rho_bar solves
+    y'' + a rho_bar y' - k rho_bar y = 0 with y(0) = 1/rho0 - 1/rho_bar and
+    y'(0) = u0'/rho0, whose roots are -a rho_bar/2 +- r. Exact while every
+    beta stays positive.
+    """
+    b = a * rho_bar
+    y0 = 1.0 / np.asarray(rho0, dtype=float) - 1.0 / rho_bar
+    y1 = np.asarray(du0, dtype=float) / np.asarray(rho0, dtype=float)
+    r = cmath.sqrt(b * b + 4.0 * k * rho_bar) / 2.0
+    cosh = cmath.cosh(r * t).real
+    sinh_r = (cmath.sinh(r * t) / r).real if r != 0 else t  # sinh(r t)/r
+    return 1.0 / rho_bar + math.exp(-0.5 * b * t) * (y0 * cosh + (y1 + 0.5 * b * y0) * sinh_r)
+
+
+def ode_blowup_time(rho0: np.ndarray, du0: np.ndarray, rho_bar: float, a: float, k: float,
+                    t_max: float) -> float:
+    """First time at which some characteristic's beta = 1/rho reaches 0 (see
+    ``characteristic_beta``), to 1e-12; inf if none does by t_max."""
+
+    def min_beta(t):
+        return float(np.min(characteristic_beta(t, rho0, du0, rho_bar, a, k)))
+
+    ts = np.linspace(0.0, t_max, 4097)
+    hit = next((i for i, t in enumerate(ts) if min_beta(t) <= 0.0), None)
+    if hit is None:
+        return math.inf
+    lo, hi = float(ts[hit - 1]), float(ts[hit])
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if min_beta(mid) <= 0.0 else (mid, hi)
+    return hi
 
 
 def alignment_direct(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid,

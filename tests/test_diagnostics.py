@@ -566,7 +566,7 @@ def test_recorder_and_csv_round_trip(tmp_path):
                       potential=PotentialSpec(k=0.5))
     bc = bound_constants(st)
     rec = DiagnosticsRecorder(bounds=bc, moc=VALID, moc_every=5, config_hash="cafe")
-    out = run(st, StepControl(t_end=0.1), monitors=(rec,))
+    out = run(st, StepControl(t_end=0.5), monitors=(rec,))
     assert out.status is RunStatus.COMPLETED
     log = rec.log
     assert out.log is log

@@ -35,18 +35,77 @@ from epasim.model import (
 )
 from epasim.spectral import Grid, derivative, mean, to_spectrum
 from conftest import KERNEL_POTENTIAL_PAIRS
-from oracles import reference_step
+from oracles import characteristic_beta, legacy_stable_dt, ode_blowup_time, reference_step
 
 EA = KernelSpec(c=1.0, alpha=0.5)
 OFF = KernelSpec(c=0.0, alpha=0.5)
 
 
+def ssprk3_real_limit():
+    # -R, where the stability polynomial 1 + z + z^2/2 + z^3/6 takes the
+    # value -1: the real root of z^3 + 3 z^2 + 6 z + 12
+    roots = np.roots([1.0, 3.0, 6.0, 12.0])
+    return -float(roots[np.argmin(np.abs(roots.imag))].real)
+
+
 def test_stable_dt_diffusive_formula():
+    # at rest only the stiff bound applies: dt c rho (2 pi k_c)^alpha is
+    # cfl_diffuse R, with k_c = n // 3 = 21 the last mode the flux keeps
     g = Grid(64)
-    st = make_initial("uniform", g, EA)
-    ctl = StepControl(t_end=1.0)
-    expect = 0.3 * g.dx**0.5 / (2 * np.pi) ** 0.5
+    st = make_initial("uniform", g, EA, rho_base=1.5)
+    ctl = StepControl(t_end=1.0, dt_max=1.0)
+    expect = 0.5 * ssprk3_real_limit() / (1.5 * (2 * np.pi * 21) ** 0.5)
     assert stable_dt(st, ctl) == pytest.approx(expect, rel=1e-12)
+
+
+def test_stable_dt_non_stiff_formula():
+    # without the singular part, at rest, only the bounded rates apply:
+    # dt (sup psi_l + |k| + sup |K_reg''|) rho_bar is cfl_diffuse sqrt(3),
+    # whatever the grid
+    kernel = KernelSpec(c=0.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=-0.2))
+    pot = PotentialSpec(k=-1.0, kreg=RegularPotential(kind="cosine", amp=0.05))
+    rate = (0.7 + 1.0 + 0.05 * (2 * np.pi) ** 2) * 2.0
+    ctl = StepControl(t_end=1.0, cfl_diffuse=0.8, dt_max=1.0)
+    for n in (8, 64, 4096):
+        st = make_initial("uniform", Grid(n), kernel, pot, rho_base=2.0)
+        assert stable_dt(st, ctl) == pytest.approx(0.8 * math.sqrt(3) / rate, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 64, 4096])
+@pytest.mark.parametrize("kernel, potential", KERNEL_POTENTIAL_PAIRS)
+def test_stable_dt_only_rises(kernel, potential, n):
+    # the bound from SSP-RK3's stability region is never below the one it
+    # replaced, so a run whose every step was advection-limited keeps its
+    # trajectory bit for bit
+    st = make_initial("cosine", Grid(n), kernel, potential, rho_amp=0.4, u_amp=0.3)
+    ctl = StepControl(t_end=1.0, dt_max=1e3)
+    assert stable_dt(st, ctl) >= legacy_stable_dt(st, ctl)
+
+
+@pytest.mark.parametrize("n, alpha", [(64, 1.5), (256, 0.5), (1024, 0.9)])
+@pytest.mark.parametrize("fraction", [0.9, 1.1])
+def test_stiff_bound_is_the_stability_limit(n, alpha, fraction):
+    # a mode-k_c density perturbation of a uniform c = 1 state, g kept at 0,
+    # evolves by the linear rate -lambda = -c rho_bar (2 pi k_c)^alpha: the
+    # dealiased flux drops its square at 2 k_c > n/3. Each step multiplies
+    # its amplitude by P(-dt lambda), P(w) = 1 + w + w^2/2 + w^3/6, which
+    # shrinks it below the derived limit and grows it above
+    grid = Grid(n)
+    kc = n // 3
+    kernel = KernelSpec(c=1.0, alpha=alpha)
+    rho = 1.0 + 1e-6 * np.cos(2 * np.pi * kc * grid.x)
+    st = SimState(grid=grid, rho=rho, g=np.zeros(n), t=0.0, rho_bar=mean(rho), m0=0.0,
+                  kernel=kernel, potential=PotentialSpec())
+    dt = stable_dt(st, StepControl(t_end=1.0, cfl_diffuse=fraction, dt_max=1.0))
+    assert dt * np.max(rho) * (2 * np.pi * kc) ** alpha == pytest.approx(
+        fraction * ssprk3_real_limit(), rel=1e-12)
+    amp0 = abs(to_spectrum(st.rho, grid)[kc])
+    for _ in range(10):
+        st = step_ssprk3(st, dt)
+    w = -dt * st.rho_bar * (2 * np.pi * kc) ** alpha
+    growth = abs(1 + w + w**2 / 2 + w**3 / 6) ** 10
+    assert abs(to_spectrum(st.rho, grid)[kc]) / amp0 == pytest.approx(growth, rel=1e-6)
+    assert (growth < 0.011) if fraction < 1 else (growth > 45)
 
 
 def test_stable_dt_advective_halves_with_resolution():
@@ -258,7 +317,7 @@ def test_run_samples_gaussian_curvature_once(monkeypatch):
         samples.clear()
         pot = PotentialSpec(k=1.0, kreg=RegularPotential(kind="gaussian", amp=0.05, width=0.1))
         st = make_initial("cosine", Grid(64), EA, pot, rho_amp=0.3, u_amp=0.4)
-        return run(st, StepControl(t_end=0.08)), len(samples)
+        return run(st, StepControl(t_end=0.55)), len(samples)
 
     monkeypatch.setattr(cached, "func", counted)
     once, sampled_once = gaussian_run()
@@ -351,7 +410,7 @@ def test_run_matches_the_reference_step_bit_for_bit(kernel, potential):
     # states of the SimState-per-stage route exactly, and so does a step
     # from a state whose fields are copied, separate arrays
     st = make_initial("cosine", Grid(64), kernel, potential, rho_amp=0.4, u_amp=0.3)
-    ctl = StepControl(t_end=1.0)
+    ctl = StepControl(t_end=2.0)  # beyond the 20 steps, so none is clipped
     seen = []
 
     def watch(k, s):
@@ -490,3 +549,64 @@ def test_dichotomy_with_alignment_stays_regular(k):
     for check in (check_lower_envelope, check_upper_envelope, check_f_bound):
         rep = check(rec.log, bounds)
         assert rep.passed, (check.__name__, rep)
+
+
+# The exact oracle with the potential on: c = 0, psi_l = a and a Newtonian
+# potential, where 1/rho solves a linear ODE along each characteristic
+# (oracles.characteristic_beta). burgers-shock data rho0 = 1,
+# u0 = -A sin(2 pi x) have u0' = -2 pi A cos(2 pi x).
+EXACT_U_AMP = 0.3
+
+
+def exact_state(n, k):
+    kernel = KernelSpec(c=0.0, alpha=0.5, psi_l=LipschitzKernel(kind="constant", a=DICHOTOMY_A))
+    return make_initial("burgers-shock", Grid(n), kernel, PotentialSpec(k=k), rho_base=1.0,
+                        u_amp=EXACT_U_AMP)
+
+
+def exact_characteristics(grid):
+    return np.ones(grid.n), -2 * np.pi * EXACT_U_AMP * np.cos(2 * np.pi * grid.x)
+
+
+def exact_max_rho(grid, t, k):
+    return 1.0 / float(np.min(characteristic_beta(t, *exact_characteristics(grid), 1.0,
+                                                  DICHOTOMY_A, k)))
+
+
+@pytest.mark.parametrize("k, t_star", [(1.0, 0.578), (-1.0, 0.675)])
+@pytest.mark.parametrize("n", [128, 512])
+def test_exact_blowup_time_with_potential(n, k, t_star):
+    grid = Grid(n)
+    t_exact = ode_blowup_time(*exact_characteristics(grid), 1.0, DICHOTOMY_A, k, 1.0)
+    assert t_exact == pytest.approx(t_star, abs=1e-3)
+    out = dichotomy_run(exact_state(n, k))
+    assert out.status is RunStatus.BLOWUP
+    assert out.t_final < t_exact
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_exact_strong_repulsion_stays_regular(n):
+    # at k = -4 the characteristics oscillate and no beta reaches 0. When
+    # sup |u| passes through 0 the step grows to dt_max: the steps bound
+    # stability, not accuracy, and max rho at t = 1 is off by about 1e-3
+    grid = Grid(n)
+    assert ode_blowup_time(*exact_characteristics(grid), 1.0, DICHOTOMY_A, -4.0, 1.0) == math.inf
+    out = dichotomy_run(exact_state(n, -4.0))
+    assert out.status is RunStatus.COMPLETED
+    assert float(np.max(out.state.rho)) == pytest.approx(exact_max_rho(grid, out.t_final, -4.0),
+                                                         rel=2e-3)
+
+
+@pytest.mark.parametrize("k", [1.0, -1.0])
+def test_exact_max_density_converges_at_third_order(k):
+    # max rho at half the blow-up time, against the oracle; the steps are
+    # advection-limited, so dt ~ dx and the RK3 error falls 64-fold per 4x n
+    errs = []
+    for n in (128, 512):
+        grid = Grid(n)
+        t_half = 0.5 * ode_blowup_time(*exact_characteristics(grid), 1.0, DICHOTOMY_A, k, 1.0)
+        out = run(exact_state(n, k), StepControl(t_end=t_half))
+        assert out.completed
+        errs.append(abs(float(np.max(out.state.rho)) - exact_max_rho(grid, out.t_final, k)))
+    assert errs[0] < 1e-4
+    assert math.log(errs[0] / errs[1]) / math.log(4.0) >= 2.8

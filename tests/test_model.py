@@ -296,3 +296,18 @@ def test_zero_mean_guard_scales_with_g_minus_psi_l_conv(grid64):
     recover_velocity(st)
     with pytest.raises(MeanViolationError):
         replace(st, g=st.g + 1e-6)
+
+
+def test_check_fields_sums_psi_l_once_per_problem(grid64, monkeypatch):
+    # the checks of a run's states and stages read one mean of psi_l on the
+    # grid, summed when the problem's first state is checked
+    kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.3, b=0.1))
+    st = make_initial("cosine", grid64, kernel, rho_amp=0.3, u_amp=0.2)
+    model._psi_l_mean.cache_clear()
+    sums = []
+    lookup = model.lipschitz_on_grid
+    monkeypatch.setattr(model, "lipschitz_on_grid", lambda *a: sums.append(a) or lookup(*a))
+    for _ in range(3):
+        st.validate()
+        model.check_fields(st.rho, st.g, st.t, st.rho_bar, grid64, kernel)
+    assert sums == [(kernel.psi_l, grid64)]
