@@ -1,7 +1,7 @@
 """Explicit time integration with stability-bounded steps and detection.
 
 SSP-RK3 (Shu-Osher) over the transport form of the dynamics. Steps are
-capped by three bounds (``_raw_dt``); the run loop watches for vacuum,
+capped by four bounds (``_raw_dt``); the run loop watches for vacuum,
 non-finite values, and blow-up indicators (collapsing dt, runaway density
 or gradient, or a capped accumulation of the squared-gradient history).
 
@@ -12,10 +12,18 @@ or gradient, or a capped accumulation of the squared-gradient history).
   dt c max(rho) (2 pi k_c)^alpha <= cfl_diffuse R. SSP-RK3's stability
   region |1 + z + z^2/2 + z^3/6| <= 1 meets the negative real axis at
   -R, R ~ 2.5127 (Gottlieb, Shu & Tadmor, SIAM Rev. 43, 2001).
-- Non-stiff: the bounded rates sup psi_l rho_bar and
-  (|k| + sup |K_reg''|) rho_bar, which do not grow with n. The potential
-  makes these modes oscillate, so their sum times dt is kept below
-  cfl_diffuse sqrt(3), a fraction of the imaginary-axis limit.
+- Non-stiff: the rates that do not grow with n. psi_l damps at most at
+  sup psi_l rho_bar (its convolution averages rho), and the potential
+  makes the density oscillate at the local frequency
+  omega = sqrt((|k| + sup |K_reg''|) max(rho)). The eigenvalues then lie
+  within sup psi_l rho_bar + omega of 0, in the left half-plane for a
+  repulsive potential, and the left half of the disc |z| <= sqrt(3) is
+  inside the stability region: dt (sup psi_l rho_bar + omega)
+  <= cfl_diffuse sqrt(3).
+- Phase: the stability bounds say nothing of accuracy. RK3 misses an
+  oscillation's amplitude by about (dt omega)^4 / 24 per step, so
+  dt omega <= cfl_diffuse / 5: at the default, a tenth of a radian per
+  step, 63 steps per period of the potential's oscillation.
 
 The dynamics act on one (2, n) block whose rows are rho and g
 (``model.rhs_block``). The run loop evaluates the first RK stage itself:
@@ -73,8 +81,9 @@ class StepControl:
     cfl_advect is the Courant number of the advective bound. cfl_diffuse
     is the fraction of SSP-RK3's stability limits that the stiff and the
     non-stiff bounds allow: of R ~ 2.5127 on the real axis for the singular
-    term's largest rate, and of sqrt(3) on the imaginary axis for the
-    bounded rates (see the module docstring).
+    term's largest rate, and of sqrt(3) in the left half-plane for the
+    bounded rates. A fifth of it caps the potential's phase per step,
+    dt omega, for accuracy (see the module docstring).
     """
 
     t_end: float
@@ -125,29 +134,38 @@ class _DtConstants(NamedTuple):
 
     adv: float  # cfl_advect dx
     stiff: float  # cfl_diffuse R / (c (2 pi k_c)^alpha), inf for c = 0
-    nonstiff: float  # cfl_diffuse sqrt(3) / ((sup psi_l + |k| + sup |K_reg''|) rho_bar)
+    nonstiff: float  # cfl_diffuse sqrt(3)
+    phase: float  # cfl_diffuse / 5
+    damping: float  # sup psi_l rho_bar
+    stiffness: float  # sqrt(|k| + sup |K_reg''|), omega / sqrt(max rho)
 
 
 def _dt_constants(state: SimState, ctl: StepControl) -> _DtConstants:
     kern, pot = state.kernel, state.potential
     # SSP-RK3's stability polynomial is -1 at z = -R, the real root of
-    # z^3 + 3 z^2 + 6 z + 12 = 0 (Cardano); on the imaginary axis it stays
-    # in the unit disc up to |z| = sqrt(3)
-    real_limit = 1 + math.cbrt(4 + math.sqrt(17)) - math.cbrt(math.sqrt(17) - 4)
+    # z^3 + 3 z^2 + 6 z + 12 = 0 (Cardano); the left half of the disc
+    # |z| <= sqrt(3) lies inside its stability region
+    real_limit = 1 + np.cbrt(4 + math.sqrt(17)) - np.cbrt(math.sqrt(17) - 4)
     stiff_rate = kern.c * (2 * np.pi * (state.grid.n // 3)) ** kern.alpha
-    bounded_rate = (kern.psi_l.sup_norm() + abs(pot.k)
-                    + pot.kreg.second_derivative_sup) * state.rho_bar
     return _DtConstants(
         adv=ctl.cfl_advect * state.grid.dx,
-        stiff=ctl.cfl_diffuse * real_limit / stiff_rate if stiff_rate > 0 else math.inf,
-        nonstiff=ctl.cfl_diffuse * math.sqrt(3) / bounded_rate if bounded_rate > 0 else math.inf,
+        stiff=ctl.cfl_diffuse * float(real_limit) / stiff_rate if stiff_rate > 0 else math.inf,
+        nonstiff=ctl.cfl_diffuse * math.sqrt(3),
+        phase=ctl.cfl_diffuse / 5,
+        damping=kern.psi_l.sup_norm() * state.rho_bar,
+        stiffness=math.sqrt(abs(pot.k) + pot.kreg.second_derivative_sup),
     )
 
 
 def _raw_dt(dc: _DtConstants, rho_max: float, u_inf: float) -> float:
     """Step bounds of a state with max density rho_max and sup |u| = u_inf."""
     dt_adv = dc.adv / u_inf if u_inf > 0 else math.inf
-    return min(dt_adv, dc.stiff / rho_max, dc.nonstiff)
+    dt = min(dt_adv, dc.stiff / rho_max)
+    omega = dc.stiffness * math.sqrt(rho_max)  # the potential's local frequency
+    if omega > 0:
+        dt = min(dt, dc.phase / omega)
+    rate = dc.damping + omega
+    return min(dt, dc.nonstiff / rate) if rate > 0 else dt
 
 
 def stable_dt(state: SimState, ctl: StepControl) -> float:

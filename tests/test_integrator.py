@@ -58,17 +58,26 @@ def test_stable_dt_diffusive_formula():
     assert stable_dt(st, ctl) == pytest.approx(expect, rel=1e-12)
 
 
-def test_stable_dt_non_stiff_formula():
-    # without the singular part, at rest, only the bounded rates apply:
-    # dt (sup psi_l + |k| + sup |K_reg''|) rho_bar is cfl_diffuse sqrt(3),
-    # whatever the grid
+@pytest.mark.parametrize("potential, bound", [
+    # psi_l alone damps at sup psi_l rho_bar = 1.4: dt 1.4 is cfl_diffuse sqrt(3)
+    (PotentialSpec(), 0.8 * math.sqrt(3) / 1.4),
+    # a weak potential adds its frequency sqrt(|k| max rho) = 0.17 to that rate
+    (PotentialSpec(k=-0.01), 0.8 * math.sqrt(3) / (1.4 + math.sqrt(0.03))),
+    # a strong one oscillates at omega = sqrt((|k| + sup |K_reg''|) max rho)
+    # = 2.99, and dt omega is capped at cfl_diffuse / 5 for accuracy
+    (PotentialSpec(k=-1.0, kreg=RegularPotential(kind="cosine", amp=0.05)),
+     0.8 / 5 / math.sqrt((1.0 + 0.05 * (2 * np.pi) ** 2) * 3.0)),
+], ids=["psi_l", "weak-potential", "strong-potential"])
+def test_stable_dt_non_stiff_formula(potential, bound):
+    # without the singular part or motion only the bounded rates apply,
+    # whatever the grid: psi_l's damping, whose convolution averages rho,
+    # at rho_bar = 2, and the potential's frequency at max rho = 3
     kernel = KernelSpec(c=0.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=-0.2))
-    pot = PotentialSpec(k=-1.0, kreg=RegularPotential(kind="cosine", amp=0.05))
-    rate = (0.7 + 1.0 + 0.05 * (2 * np.pi) ** 2) * 2.0
-    ctl = StepControl(t_end=1.0, cfl_diffuse=0.8, dt_max=1.0)
+    ctl = StepControl(t_end=1.0, cfl_diffuse=0.8, dt_max=10.0)
     for n in (8, 64, 4096):
-        st = make_initial("uniform", Grid(n), kernel, pot, rho_base=2.0)
-        assert stable_dt(st, ctl) == pytest.approx(0.8 * math.sqrt(3) / rate, rel=1e-12)
+        st = make_initial("cosine", Grid(n), kernel, potential, rho_base=2.0, rho_amp=1.0)
+        assert (st.rho_bar, np.max(st.rho)) == pytest.approx((2.0, 3.0), rel=1e-12)
+        assert stable_dt(st, ctl) == pytest.approx(bound, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 64, 4096])
@@ -317,7 +326,7 @@ def test_run_samples_gaussian_curvature_once(monkeypatch):
         samples.clear()
         pot = PotentialSpec(k=1.0, kreg=RegularPotential(kind="gaussian", amp=0.05, width=0.1))
         st = make_initial("cosine", Grid(64), EA, pot, rho_amp=0.3, u_amp=0.4)
-        return run(st, StepControl(t_end=0.55)), len(samples)
+        return run(st, StepControl(t_end=0.48)), len(samples)
 
     monkeypatch.setattr(cached, "func", counted)
     once, sampled_once = gaussian_run()
@@ -587,14 +596,31 @@ def test_exact_blowup_time_with_potential(n, k, t_star):
 @pytest.mark.parametrize("n", [128, 512])
 def test_exact_strong_repulsion_stays_regular(n):
     # at k = -4 the characteristics oscillate and no beta reaches 0. When
-    # sup |u| passes through 0 the step grows to dt_max: the steps bound
-    # stability, not accuracy, and max rho at t = 1 is off by about 1e-3
+    # sup |u| passes through 0 the cap on the potential's phase per step
+    # sets the step, and max rho at t = 1 keeps the accuracy of the old
+    # dx^alpha-scaled bound at n = 128 (rel 2.9e-5, mostly spatial)
     grid = Grid(n)
     assert ode_blowup_time(*exact_characteristics(grid), 1.0, DICHOTOMY_A, -4.0, 1.0) == math.inf
     out = dichotomy_run(exact_state(n, -4.0))
     assert out.status is RunStatus.COMPLETED
     assert float(np.max(out.state.rho)) == pytest.approx(exact_max_rho(grid, out.t_final, -4.0),
-                                                         rel=2e-3)
+                                                         rel=3e-5)
+
+
+def test_exact_strong_repulsion_converges_at_third_order_in_time():
+    # at n = 512 the time discretisation makes the error: halving both step
+    # fractions, the advective and the one that caps dt omega, divides it by
+    # about 2^3
+    grid = Grid(512)
+    errs = []
+    for f in (1.0, 0.5):
+        ctl = StepControl(t_end=1.0, cfl_advect=0.4 * f, cfl_diffuse=0.5 * f)
+        out = run(exact_state(grid.n, -4.0), ctl, (), DetectionThresholds(grad_rho_max=1e3))
+        assert out.completed
+        exact = exact_max_rho(grid, out.t_final, -4.0)
+        errs.append(abs(float(np.max(out.state.rho)) - exact) / exact)
+    assert errs[0] < 1e-5
+    assert math.log2(errs[0] / errs[1]) >= 2.8
 
 
 @pytest.mark.parametrize("k", [1.0, -1.0])
