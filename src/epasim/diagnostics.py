@@ -19,10 +19,13 @@ It also implements the two-branch modulus-of-continuity gauge
 
 together with the recipe that selects (delta, gamma, B) from the envelope
 values at a horizon T and a pairwise grid check of the gauge. The
-pairwise check reads the per-lag table D[l] = max_i |rho_i - rho_{i+l}|,
-O(n^2) time and O(n) memory; as w_B(xi) = W(B xi) with W increasing, the
-check and the infimum max(1, max_l W^-1(D[l]) / xi_l) of the passing B
-each read it in O(n).
+pairwise check reads the per-lag table D[l] = max_i |rho_i - rho_{i+l}|;
+as w_B(xi) = W(B xi) with W increasing, the check and the infimum
+max(1, max_l W^-1(D[l]) / xi_l) of the passing B each read it in O(n).
+Bounds lo <= D <= hi from every 16th sample, O(n^2 / 16) time, rule out
+most lags, and D is computed, in O(n) each, only at the lags they leave
+open; the verdict, the pair and B are those of the full table, bit for
+bit. Memory O(n).
 The recorder logs these quantities along a run, one row per step, among
 them the running trapezoidal integral of |d rho/dx|_inf^2 whose
 finiteness is the regularity criterion. ``COLUMNS`` names the columns of
@@ -53,11 +56,13 @@ from .model import (  # noqa: F401  (recover_velocity: perfbench traces diagnost
     SimState,
     recover_velocity,
 )
-from .spectral import Grid, derivative, mean
+from .spectral import Grid, GridMismatchError, derivative, mean
 
 ENVELOPE_SLACK = 10.0  # slack factor 1 + ENVELOPE_SLACK * dx on grid extrema
 F_BOUND_ATOL = 1e-12  # absolute floor so roundoff-level f fields compare sanely
 MIN_B_CAP = 1e290  # moc_min_b reports +inf above this b
+_STRIDE = 16  # the lag bounds start at every 16th sample: a fixed choice, not a setting
+_LOG_SLACK = 2.0**-30  # relative rounding slack of the pruning for moc_min_b
 
 # a recorder row, in order: the DiagnosticsLog lists and the CSV header
 COLUMNS = ("t", "rho_min", "rho_max", "f_inf", "drho_inf", "bkm", "mass",
@@ -289,75 +294,156 @@ class MocReport:
     pair: tuple[int, int]
 
 
-def _lag_table(rho: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distances l/n, D[l] = max_i |rho_i - rho_{i+l}| and its first argmax i,
-    for the lags l = 1..n/2.
+def _lag_table(rho: np.ndarray, n: int, p: ModulusParams,
+               min_b: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lags l that may bind, their distances l/n, D[l] = max_i
+    |rho_i - rho_{i+l}| and its first argmax i.
 
-    Cost O(n^2) in one O(n) pass per lag, memory O(n): ``ext`` holds rho
-    followed by its first n/2 samples, so ``ext[l:l+n]`` is rho shifted by
-    l with no copy, and every lag writes into the one buffer ``buf``. D is
-    then read off at the argmaxes in one gather. The values are those of
-    ``abs(rho - roll(rho, -l))``, bit for bit. A (lags x n) tile over a
-    strided view of ``ext`` would make numpy buffer the strided operand,
-    copying about twice the tile per pass.
+    A lag may bind when ``_may_bind`` cannot rule out that it holds the
+    smallest gap of the check under ``p`` (no lag for b = inf) or, with
+    ``min_b``, the smallest passing B. A non-finite field, or n < 4 _STRIDE,
+    keeps every lag l = 1..n/2, so a NaN still fails the check. ``ext`` holds
+    rho followed by its first n/2 samples, so ``ext[l:l+n]`` is rho shifted
+    by l with no copy; each kept lag is one O(n) pass into the one buffer
+    ``buf``, and D is read off at the argmaxes in one gather. Memory O(n):
+    a (lags x n) tile over a strided view of ``ext`` would make numpy
+    buffer the strided operand. The values are those of
+    ``abs(rho - roll(rho, -l))``, bit for bit, and the report and B read
+    from the kept lags are those of all n/2.
     """
-    rho = np.asarray(rho, dtype=float)
     half = n // 2
     ext = np.concatenate((rho, rho[:half]))
+    if n >= 4 * _STRIDE and np.isfinite(rho).all():
+        lags = np.flatnonzero(_may_bind(rho, ext, p, min_b)) + 1
+    else:
+        lags = np.arange(1, half + 1)
     buf = np.empty(n)
-    at = np.empty(half, dtype=np.intp)
-    for lag in range(1, half + 1):
+    at = np.empty(lags.size, dtype=np.intp)
+    for k, lag in enumerate(lags.tolist()):
         np.subtract(rho, ext[lag:lag + n], out=buf)
         np.abs(buf, out=buf)
-        at[lag - 1] = buf.argmax()
-    lags = np.arange(1, half + 1)
-    return lags / n, np.abs(rho[at] - ext[at + lags]), at
+        at[k] = buf.argmax()
+    return lags, lags / n, np.abs(rho[at] - ext[at + lags]), at
 
 
-def _moc_report(table, p: ModulusParams, n: int) -> MocReport:
-    dists, diffs, at = table
-    gaps = omega_b(dists, p) - diffs
-    k = int(np.argmin(gaps))
-    i = int(at[k])
-    return MocReport(passed=bool(gaps[k] > 0.0), margin=float(gaps[k]),
-                     distance=float(dists[k]), pair=(i, (i + k + 1) % n))
+def _lag_bounds(rho: np.ndarray, ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo <= D[l] <= hi for the lags l = 1..n/2, in O(n^2 / _STRIDE).
+
+    lo is the largest |rho_j - rho_{j+l}| over the starts j, every
+    _STRIDE-th sample, one contiguous slice of ``ext`` per start. Every i
+    lies within r = _STRIDE // 2 of a start, so |rho_i - rho_{i+l}| exceeds
+    that start's value by at most 2 r L1, with L1 the largest neighbour
+    difference. 16 ulps of max |rho| cover the rounding of the differences
+    and the sum, so hi bounds D in floating point too.
+    """
+    n = rho.size
+    half = ext.size - n
+    lo = np.zeros(half)
+    buf = np.empty(half)
+    for j in range(0, n, _STRIDE):
+        np.subtract(rho[j], ext[j + 1:j + 1 + half], out=buf)
+        np.abs(buf, out=buf)
+        np.maximum(lo, buf, out=lo)
+    l1 = np.max(np.abs(np.diff(ext[:n + 1])))
+    peak = np.max(np.abs(rho))
+    return lo, lo + (2 * (_STRIDE // 2) * l1 + 16 * np.spacing(peak))
 
 
-def _min_b(table, delta: float, gamma: float, alpha: float) -> float:
-    ModulusParams(delta, gamma, 1.0, alpha)  # raises on bad parameters; no check depends on b
-    dists, diffs, _ = table
-    # log W^-1(D): closed-form on the log branch, NaN included; on the power
-    # branch Newton on the concave s - s^p - D from s = D, whose iterates rise
-    # to the root (np.maximum keeps rounding from lowering one), so the loop
-    # ends once none rises
+def _may_bind(rho: np.ndarray, ext: np.ndarray, p: ModulusParams, min_b: bool) -> np.ndarray:
+    """Mask of the lags whose bounds lo <= D <= hi leave open that they
+    hold the smallest gap w_B(xi) - D (b finite) or, with ``min_b``, the
+    largest log W^-1(D) - log xi.
+
+    Both are monotone in D, so a lag whose value at hi is beaten by another
+    lag's value at lo is dropped; ties keep it, so the first minimiser
+    stays. The B test reads closed-form bounds on log W^-1 (see
+    ``_log_inverse``) and, as Newton's root is monotone in D only up to its
+    last ulps, leaves the relative slack _LOG_SLACK.
+    """
+    lo, hi = _lag_bounds(rho, ext)
+    dists = np.arange(1, lo.size + 1) / rho.size
+    keep = np.zeros(lo.size, dtype=bool)
+    if not math.isinf(p.b):
+        w = omega_b(dists, p)
+        keep |= w - hi <= np.min(w - lo)
+    if min_b:
+        log_xi = np.log(dists)
+        top = float(np.max(_log_inverse(lo, p.delta, p.gamma, p.alpha, "below") - log_xi))
+        if top < math.inf:
+            top -= _LOG_SLACK * (1.0 + abs(top))
+        keep |= _log_inverse(hi, p.delta, p.gamma, p.alpha, "above") - log_xi >= top
+    return keep
+
+
+def _log_inverse(diffs: np.ndarray, delta: float, gamma: float, alpha: float,
+                 bound: str | None = None) -> np.ndarray:
+    """log W^-1(D) for each D in ``diffs``, where w_b(xi) = W(b xi), or with
+    ``bound`` a bound on it from "below" or "above".
+
+    Closed-form on the log branch, NaN included. On the power branch the
+    root s of s = D + s^p lies in [D, D / (1 - delta^(p-1))], and one
+    fixed-point step from either end stays on its side: that is the bound.
+    The value takes Newton on the concave s - s^p - D from s = D, whose
+    iterates rise to the root (np.maximum keeps rounding from lowering
+    one), so the loop ends once none rises. An entry that stops rising
+    never rises again, so each result depends on its own D alone.
+    """
     p = 1.0 + alpha / 2.0
     head = delta - delta ** p
     log_s = (diffs - head) / gamma + math.log(delta)
     low = diffs < head
     s = d = diffs[low]
-    while True:
-        nxt = s - (s - s ** p - d) / (1.0 - p * s ** (p - 1.0))
-        if not np.any(nxt > s):
-            break
-        s = np.maximum(s, nxt)
+    if bound is None:
+        while True:
+            nxt = s - (s - s ** p - d) / (1.0 - p * s ** (p - 1.0))
+            if not np.any(nxt > s):
+                break
+            s = np.maximum(s, nxt)
+    else:
+        end = d / (1.0 - delta ** (p - 1.0)) if bound == "above" else d
+        s = d + end ** p
     with np.errstate(divide="ignore"):  # D = 0 gives s = 0, which binds no b
         log_s[low] = np.log(s)
-    top = float(np.max(log_s - np.log(dists)))
+    return log_s
+
+
+def _moc_report(table, p: ModulusParams, n: int) -> MocReport:
+    lags, dists, diffs, at = table
+    gaps = omega_b(dists, p) - diffs
+    k = int(np.argmin(gaps))
+    i = int(at[k])
+    return MocReport(passed=bool(gaps[k] > 0.0), margin=float(gaps[k]),
+                     distance=float(dists[k]), pair=(i, (i + int(lags[k])) % n))
+
+
+def _min_b(table, delta: float, gamma: float, alpha: float) -> float:
+    _, dists, diffs, _ = table
+    top = float(np.max(_log_inverse(diffs, delta, gamma, alpha) - np.log(dists)))
     if not top <= math.log(MIN_B_CAP):  # NaN too
         return math.inf
     return math.exp(max(top, 0.0))
 
 
+def _field(rho: np.ndarray, grid: Grid) -> np.ndarray:
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (grid.n,):
+        raise GridMismatchError(f"expected shape ({grid.n},), got {rho.shape}")
+    return rho
+
+
 def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
     """Check |rho(x) - rho(y)| < w_B(d(x, y)) over all grid pairs.
 
-    Cost O(n^2), except for b = inf, where the gauge is +inf everywhere
-    and no pair can bind, so no pair is compared. Returns the pair with the
-    smallest gap, the shortest distance among ties.
+    Returns the pair with the smallest gap, the shortest distance among
+    ties. Cost O(n^2 / 16) for the bounds on the lag table plus O(n) per
+    lag they leave open; for b = inf the gauge is +inf everywhere and no
+    pair can bind, so no pair is compared. A rho not of shape (n,) raises
+    GridMismatchError.
     """
+    rho = _field(rho, grid)
     if math.isinf(p.b):
         return MocReport(passed=True, margin=math.inf, distance=0.5, pair=(0, 0))
-    return _moc_report(_lag_table(rho, grid.n), p, grid.n)
+    return _moc_report(_lag_table(rho, grid.n, p, min_b=False), p, grid.n)
 
 
 def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: Grid) -> float:
@@ -366,10 +452,13 @@ def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: G
     Every b above it passes and, unless it is 1, every b below fails. As
     w_b(xi) = W(b xi), it is max(1, max_l W^-1(D[l]) / xi_l): closed-form on
     the log branch, by Newton iteration on the power branch. +inf when it
-    exceeds MIN_B_CAP or the field is not finite. Cost: the O(n^2) lag
-    table, then O(n).
+    exceeds MIN_B_CAP or the field is not finite. Cost as ``moc_check``'s:
+    D is computed only at the lags whose bounds may hold the max. A rho
+    not of shape (n,) raises GridMismatchError.
     """
-    return _min_b(_lag_table(rho, grid.n), delta, gamma, alpha)
+    rho = _field(rho, grid)
+    p = ModulusParams(delta, gamma, math.inf, alpha)  # raises on bad parameters
+    return _min_b(_lag_table(rho, grid.n, p, min_b=True), delta, gamma, alpha)
 
 
 def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
@@ -516,10 +605,11 @@ class DiagnosticsRecorder:
     ``drho_inf``, shared with the run loop), the trapezoidal integral of
     its square, mass, the two envelope margins (NaN without ``bounds``),
     and the modulus verdict and the infimum of the passing B (see
-    ``moc_min_b``). The modulus columns share one O(n^2) lag table, read
-    twice in O(n), and run every ``moc_every`` steps, a positive integer
-    (else ValueError); rows in between, and every row without ``moc``,
-    carry NaN there. A row
+    ``moc_min_b``). The modulus columns share one lag table, computed at
+    the lags that may bind either (see ``moc_check``) and read twice, and
+    run every ``moc_every`` steps, a positive integer and not a bool (else
+    ValueError); rows in between, and every row without ``moc``, carry NaN
+    there. A row
     recovers no velocity: ``recover_velocity`` pins the momentum to m0 by
     construction, so a momentum column would only echo it.
     """
@@ -529,7 +619,9 @@ class DiagnosticsRecorder:
                  moc_every: int = 10, config_hash: str = ""):
         self.bounds = bounds
         self.moc = moc
-        if not isinstance(moc_every, numbers.Integral) or moc_every < 1:
+        # a bool is an Integral, but True is no cadence
+        if (isinstance(moc_every, bool) or not isinstance(moc_every, numbers.Integral)
+                or moc_every < 1):
             raise ValueError(f"moc_every must be a positive integer, got {moc_every!r}")
         self.moc_every = int(moc_every)
         self._hash = config_hash
@@ -560,7 +652,7 @@ class DiagnosticsRecorder:
         if self.moc is not None and step % self.moc_every == 0:
             # one lag table for both the check and the smallest passing B
             p = self.moc
-            table = _lag_table(state.rho, grid.n)
+            table = _lag_table(state.rho, grid.n, p, min_b=True)
             moc_pass = 1.0 if _moc_report(table, p, grid.n).passed else 0.0
             min_b = _min_b(table, p.delta, p.gamma, p.alpha)
         else:

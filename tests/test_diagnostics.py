@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epasim import diagnostics
@@ -25,9 +25,9 @@ from epasim.diagnostics import (
     omega_b,
 )
 from epasim.integrator import RunStatus, StepControl, run
-from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec
+from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
 from epasim.model import make_initial
-from epasim.spectral import Grid
+from epasim.spectral import Grid, GridMismatchError
 from conftest import random_positive_field, random_smooth_field
 from oracles import psi_alpha_min, reference_min_b, reference_omega_b, roll_lag_table
 
@@ -325,14 +325,193 @@ def lag_table_fields(n):
             "nan": with_nan, "inf": with_inf}
 
 
+# the gauge of the verify benchmark: the log branch binds at long lags
+VERIFY_GAUGE = ModulusParams(delta=0.1, gamma=0.029, b=1e14, alpha=0.5)
+# gauges of the pruning pins: power and log branches binding, a huge and an infinite b
+PRUNING_GAUGES = (VALID, VERIFY_GAUGE, ModulusParams(0.05, 0.01, 3.0, 1.0),
+                  ModulusParams(0.2, 0.02, 1e30, 0.5), ModulusParams(0.1, 0.029, math.inf, 0.5))
+
+
+def full_table(rho, n):
+    """``_lag_table``'s layout (lags, distances, D, argmax) over all n/2 lags,
+    from the roll loop."""
+    dists, diffs, at = roll_lag_table(rho, n)
+    return np.arange(1, n // 2 + 1), dists, diffs, at
+
+
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_lag_table_matches_roll_loop_bit_for_bit(n):
+    # every kept lag carries the roll loop's D and first argmax; a non-finite
+    # field keeps all n/2 lags, so a NaN still reaches the check
     for name, rho in lag_table_fields(n).items():
-        got = diagnostics._lag_table(rho, n)
-        want = roll_lag_table(rho, n)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype, name
-            assert np.array_equal(a, b, equal_nan=True), name
+        want = full_table(rho, n)
+        for min_b in (False, True):
+            got = diagnostics._lag_table(rho, n, VERIFY_GAUGE, min_b)
+            assert [a.dtype for a in got] == [b.dtype for b in want], name
+            lags, dists, diffs, at = got
+            assert lags.size > 0 and np.all(np.diff(lags) > 0), name
+            if name in ("nan", "inf"):
+                assert np.array_equal(lags, want[0]), name
+            assert np.array_equal(dists, want[1][lags - 1]), name
+            assert np.array_equal(diffs, want[2][lags - 1], equal_nan=True), name
+            assert np.array_equal(at, want[3][lags - 1]), name
+
+
+def tent_field(n):
+    """Period-32 tent in steps of 0.01: its peaks and troughs lie halfway
+    between the starts of the lag bounds, so at lag 16 the starts see no
+    difference and D is 0.16, exactly the upper bound's width."""
+    return 1.0 + 0.01 * np.abs((np.arange(n) + 8) % 32 - 16)
+
+
+def pruning_fields(n):
+    """Fields for the pruning pins: smooth, localised, rough, ties at many
+    lags, small ones, and constant or near-constant levels, zero included."""
+    x = np.arange(n) / n
+    rng = np.random.default_rng(n)
+    return {
+        "cosine": 1.0 + 0.5 * np.cos(2 * np.pi * x),
+        "gaussian": 0.5 + np.exp(-(((x - 0.4) / 0.05) ** 2)),
+        "random": 1.0 + 0.3 * rng.random(n),
+        "square": np.where((np.arange(n) // max(n // 8, 1)) % 2 == 0, 1.0, 1.25),
+        # every D below the gauges' power-branch joint, where B binds
+        "small cosine": 1.0 + 0.02 * np.cos(2 * np.pi * x),
+        "small square": np.where((np.arange(n) // max(n // 8, 1)) % 2 == 0, 1.0, 1.05),
+        "tent": tent_field(n),
+        "zero": np.zeros(n),
+        "small constant": np.full(n, 1e-3),
+        "constant": np.full(n, 2.3),
+        "near-constant": 1.0 + 1e-13 * rng.standard_normal(n),
+    }
+
+
+def assert_pruned_equals_full(rho, p, n):
+    grid = Grid(n)
+    full = full_table(rho, n)
+    want_b = diagnostics._min_b(full, p.delta, p.gamma, p.alpha)
+    assert moc_min_b(rho, p.delta, p.gamma, p.alpha, grid) == want_b
+    # the recorder's route: one table for the verdict and the smallest B;
+    # for b = inf every gap is +inf and the recorder reads only the verdict
+    both = diagnostics._lag_table(rho, n, p, min_b=True)
+    assert diagnostics._min_b(both, p.delta, p.gamma, p.alpha) == want_b
+    want = diagnostics._moc_report(full, p, n)
+    if math.isinf(p.b):
+        assert diagnostics._moc_report(both, p, n).passed == want.passed
+    else:
+        assert diagnostics._moc_report(both, p, n) == want
+        assert moc_check(rho, p, grid) == want
+
+
+@pytest.mark.parametrize("n", [8, 64, 256, 1024])
+def test_pruned_report_and_min_b_equal_the_full_table(n):
+    for name, rho in pruning_fields(n).items():
+        for p in PRUNING_GAUGES:
+            try:
+                assert_pruned_equals_full(rho, p, n)
+            except AssertionError as err:
+                raise AssertionError(f"{name}, {p}") from err
+
+
+@st.composite
+def gauges(draw):
+    alpha = draw(st.floats(0.1, 2.0))
+    delta = draw(st.floats(0.01, 0.4))
+    bend = (1.0 + alpha / 2.0) * delta ** (alpha / 2.0)
+    assume(bend < 1.0)
+    head = delta - delta ** (1.0 + alpha / 2.0)
+    gamma = draw(st.floats(0.01, 1.0)) * min(head / (2.0 * math.log(2.0)), delta * (1.0 - bend))
+    b = draw(st.one_of(st.just(math.inf), st.floats(0.0, 20.0).map(lambda e: 10.0 ** e)))
+    return ModulusParams(delta, gamma, b, alpha)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([64, 72, 128, 200]),
+       rough=st.floats(0.0, 1.0), amp=st.floats(1e-6, 10.0), p=gauges())
+@example(seed=0, n=64, rough=0.0, amp=1e-6, p=VALID)
+@settings(max_examples=40, deadline=None)
+def test_pruning_keeps_the_full_tables_report_and_min_b(seed, n, rough, amp, p):
+    rng = np.random.default_rng(seed)
+    grid = Grid(n)
+    smooth = random_smooth_field(grid, rng, amp=amp)
+    rho = 1.0 + (1.0 - rough) * smooth + rough * amp * rng.standard_normal(n)
+    assert_pruned_equals_full(rho, p, n)
+
+
+def rounding_field(n):
+    """A field whose D at lag n/2 rounds past the exact bound lo + 16 L1.
+
+    The starts 0 and 16 see a - b = 1.5 + 2^-52 + 2^-54, rounded down to
+    1.5 + 2^-52; the bump and the dip of height 1/4 in steps of L1 = 1/32
+    put 2 + 2^-52 + 2^-54 at sample 8, rounded up to 2 + 2^-51, while
+    lo + 16 L1 = 2 + 2^-52 rounds down to 2. The slopes in between are
+    below 1/32. Needs n >= 256.
+    """
+    half = n // 2
+    a, b = 1.5 + 2.0**-52, -(2.0**-54)
+    bump = (8 - np.abs(np.arange(17) - 8)) / 32
+    rho = np.empty(n)
+    rho[:17] = a + bump
+    rho[16:half + 1] = np.linspace(a, b, half - 15)
+    rho[half:half + 17] = b - bump
+    rho[half + 16:] = np.linspace(b, a, half - 15)[:-1]
+    return rho
+
+
+@pytest.mark.parametrize("n", [64, 72, 256, 1024])
+def test_lag_bounds_sandwich_the_table(n):
+    fields = list(pruning_fields(n).values())
+    if n >= 256:
+        fields.append(rounding_field(n))
+    for rho in fields:
+        ext = np.concatenate((rho, rho[:n // 2]))
+        lo, hi = diagnostics._lag_bounds(rho, ext)
+        d = roll_lag_table(rho, n)[1]
+        assert np.all(lo <= d) and np.all(d <= hi)
+
+
+def test_log_inverse_bounds_sandwich_newton():
+    # the closed-form bounds the pruning for B reads, on both branches
+    for p in PRUNING_GAUGES:
+        head = p.delta - p.delta ** (1.0 + p.alpha / 2.0)
+        diffs = np.concatenate(([0.0], np.geomspace(1e-12, 2.0, 400), [head]))
+        args = (diffs, p.delta, p.gamma, p.alpha)
+        below = diagnostics._log_inverse(*args, "below")
+        exact = diagnostics._log_inverse(*args)
+        above = diagnostics._log_inverse(*args, "above")
+        assert np.all(below <= exact) and np.all(exact <= above)
+        assert np.any(below < exact) and np.any(exact < above)
+
+
+@pytest.mark.parametrize("call", ["moc_check", "moc_min_b"])
+def test_modulus_checks_reject_a_field_off_the_grid(call, grid64):
+    for rho in (np.ones(63), np.ones((2, 64)), np.ones(65)):
+        with pytest.raises(GridMismatchError):
+            if call == "moc_check":
+                moc_check(rho, VALID, grid64)
+            else:
+                moc_min_b(rho, 0.2, 0.02, 0.5, grid64)
+
+
+def test_recorder_modulus_columns_match_the_full_table_bit_for_bit():
+    # the reference problem of the verify benchmark; its output check
+    # allows 1 % on moc_min_b, so it would not see a pruning error
+    n = 1024
+    kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=0.2))
+    pot = PotentialSpec(k=1.0, kreg=RegularPotential(kind="cosine", amp=0.05))
+    state = make_initial("cosine", Grid(n), kernel, pot, rho_amp=0.5, u_amp=0.5)
+    p = VERIFY_GAUGE
+    rows = []
+    rec = DiagnosticsRecorder(moc=p, moc_every=10)
+    out = run(state, StepControl(t_end=0.1),
+              (rec, lambda step, s: rows.append(s.rho) if step % 10 == 0 else None))
+    assert out.status is RunStatus.COMPLETED and len(rows) >= 10
+    want_pass, want_b = [], []
+    for rho in rows:
+        full = full_table(rho, n)
+        want_pass.append(1.0 if diagnostics._moc_report(full, p, n).passed else 0.0)
+        want_b.append(diagnostics._min_b(full, p.delta, p.gamma, p.alpha))
+    got_pass, got_b = out.log.column("moc_pass"), out.log.column("moc_min_b")
+    assert got_pass[~np.isnan(got_pass)].tolist() == want_pass
+    assert got_b[~np.isnan(got_b)].tolist() == want_b
 
 
 # (delta, gamma, alpha) of the moc_min_b pins
@@ -553,7 +732,7 @@ def test_bkm_linear_ramp():
     assert recorded_bkm(t, t) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("moc_every", [0, -3, 2.5, 2.0])
+@pytest.mark.parametrize("moc_every", [0, -3, 2.5, 2.0, True])
 def test_recorder_rejects_invalid_moc_every(moc_every):
     # refused when the recorder is built, not rounded to a cadence
     with pytest.raises(ValueError, match="moc_every"):

@@ -517,6 +517,23 @@ def test_step_and_rhs_peak_memory(potential):
         6.1 if potential.k else 5.1)
 
 
+def test_modulus_row_peak_memory():
+    # a modulus row of the recorder on the verify benchmark's problem and
+    # gauge: the lag bounds, the kept lags' passes and both reads of the
+    # table stay below a run-loop step, so a row never sets that run's peak
+    n = 1024
+    kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
+    st = make_initial("cosine", Grid(n), kernel, potential, rho_amp=0.5, u_amp=0.5)
+    st = step_ssprk3(st, 1e-4)
+    k1 = stage1_block(st)
+    rec = DiagnosticsRecorder(moc=ModulusParams(delta=0.1, gamma=0.029, b=1e14, alpha=0.5),
+                              moc_every=1)
+    rec(0, st)  # builds the log outside the count
+    row = _tracemalloc_peak(lambda: rec(1, st), n)
+    assert row <= 5.8
+    assert row < _tracemalloc_peak(lambda: step_ssprk3(st, 1e-4, k1), n)
+
+
 # The paper's dichotomy on burgers-shock data with psi_L = a = 0.5 and
 # rho_bar = 1, at the ratio r = 2 pi A / (a rho_bar) of the velocity
 # amplitude A. Without alignment or potential the density blows up iff
