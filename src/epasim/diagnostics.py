@@ -276,13 +276,20 @@ def omega_b(xi, p: ModulusParams) -> np.ndarray | float:
     if math.isinf(p.b):
         out = np.full_like(xi, np.inf)
     else:
-        bxi = p.b * xi
-        mask = bxi < p.delta
+        mask = p.b * xi < p.delta
         out = np.empty_like(xi)
-        out[mask] = bxi[mask] - bxi[mask] ** (1.0 + p.alpha / 2.0)
-        # log evaluated additively so huge b never overflows the argument
+        bxi = p.b * xi[mask]
+        out[mask] = bxi - bxi ** (1.0 + p.alpha / 2.0)
+        # log evaluated additively so huge b never overflows the argument,
+        # in place to keep one temporary
         head = p.delta - p.delta ** (1.0 + p.alpha / 2.0)
-        out[~mask] = p.gamma * (math.log(p.b) + np.log(xi[~mask]) - math.log(p.delta)) + head
+        rest = xi[~mask]
+        np.log(rest, out=rest)
+        rest += math.log(p.b)
+        rest -= math.log(p.delta)
+        rest *= p.gamma
+        rest += head
+        out[~mask] = rest
     return out if out.ndim else float(out)
 
 
@@ -302,54 +309,64 @@ def _lag_table(rho: np.ndarray, n: int, p: ModulusParams,
     A lag may bind when ``_may_bind`` cannot rule out that it holds the
     smallest gap of the check under ``p`` (no lag for b = inf) or, with
     ``min_b``, the smallest passing B. A non-finite field, or n < 4 _STRIDE,
-    keeps every lag l = 1..n/2, so a NaN still fails the check. ``ext`` holds
-    rho followed by its first n/2 samples, so ``ext[l:l+n]`` is rho shifted
-    by l with no copy; each kept lag is one O(n) pass into the one buffer
-    ``buf``, and D is read off at the argmaxes in one gather. Memory O(n):
-    a (lags x n) tile over a strided view of ``ext`` would make numpy
-    buffer the strided operand. The values are those of
-    ``abs(rho - roll(rho, -l))``, bit for bit, and the report and B read
-    from the kept lags are those of all n/2.
+    keeps every lag l = 1..n/2, so a NaN still fails the check. ``ext``,
+    made once the pruning is done, holds rho followed by its first n/2
+    samples, so ``ext[l:l+n]`` is rho shifted by l with no copy; each kept
+    lag is one O(n) pass into the one buffer ``buf``, and D is read off at
+    the argmaxes in one gather. Memory O(n): a (lags x n) tile over a
+    strided view of ``ext`` would make numpy buffer the strided operand.
+    The values are those of ``abs(rho - roll(rho, -l))``, bit for bit, and
+    the report and B read from the kept lags are those of all n/2.
     """
     half = n // 2
-    ext = np.concatenate((rho, rho[:half]))
     if n >= 4 * _STRIDE and np.isfinite(rho).all():
-        lags = np.flatnonzero(_may_bind(rho, ext, p, min_b)) + 1
+        lags = np.flatnonzero(_may_bind(rho, p, min_b)) + 1
     else:
         lags = np.arange(1, half + 1)
+    ext = np.concatenate((rho, rho[:half]))
     buf = np.empty(n)
     at = np.empty(lags.size, dtype=np.intp)
-    for k, lag in enumerate(lags.tolist()):
+    for k, lag in enumerate(lags):
         np.subtract(rho, ext[lag:lag + n], out=buf)
         np.abs(buf, out=buf)
         at[k] = buf.argmax()
-    return lags, lags / n, np.abs(rho[at] - ext[at + lags]), at
+    del buf
+    diffs = rho[at]
+    diffs -= ext[at + lags]
+    return lags, lags / n, np.abs(diffs, out=diffs), at
 
 
-def _lag_bounds(rho: np.ndarray, ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lag_bounds(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo <= D[l] <= hi for the lags l = 1..n/2, in O(n^2 / _STRIDE).
 
     lo is the largest |rho_j - rho_{j+l}| over the starts j, every
-    _STRIDE-th sample, one contiguous slice of ``ext`` per start. Every i
-    lies within r = _STRIDE // 2 of a start, so |rho_i - rho_{i+l}| exceeds
-    that start's value by at most 2 r L1, with L1 the largest neighbour
-    difference. 16 ulps of max |rho| cover the rounding of the differences
-    and the sum, so hi bounds D in floating point too.
+    _STRIDE-th sample, one contiguous slice of ``ext`` per start, where
+    ``ext`` is rho followed by its first n/2 samples, as in ``_lag_table``.
+    Every i lies within r = _STRIDE // 2 of a start, so |rho_i - rho_{i+l}|
+    exceeds that start's value by at most 2 r L1, with L1 the largest
+    neighbour difference. 16 ulps of max |rho| cover the rounding of the
+    differences and the sum, so hi bounds D in floating point too. Each
+    temporary is freed before the next is made: at most 2.5 n values live
+    at once.
     """
     n = rho.size
-    half = ext.size - n
+    half = n // 2
+    step = np.diff(rho)
+    l1 = max(float(np.abs(step, out=step).max()), abs(float(rho[0] - rho[-1])))
+    del step
+    ext = np.concatenate((rho, rho[:half]))
     lo = np.zeros(half)
     buf = np.empty(half)
     for j in range(0, n, _STRIDE):
         np.subtract(rho[j], ext[j + 1:j + 1 + half], out=buf)
         np.abs(buf, out=buf)
         np.maximum(lo, buf, out=lo)
-    l1 = np.max(np.abs(np.diff(ext[:n + 1])))
-    peak = np.max(np.abs(rho))
+    del ext, buf
+    peak = max(float(rho.max()), -float(rho.min()))
     return lo, lo + (2 * (_STRIDE // 2) * l1 + 16 * np.spacing(peak))
 
 
-def _may_bind(rho: np.ndarray, ext: np.ndarray, p: ModulusParams, min_b: bool) -> np.ndarray:
+def _may_bind(rho: np.ndarray, p: ModulusParams, min_b: bool) -> np.ndarray:
     """Mask of the lags whose bounds lo <= D <= hi leave open that they
     hold the smallest gap w_B(xi) - D (b finite) or, with ``min_b``, the
     largest log W^-1(D) - log xi.
@@ -358,20 +375,30 @@ def _may_bind(rho: np.ndarray, ext: np.ndarray, p: ModulusParams, min_b: bool) -
     lag's value at lo is dropped; ties keep it, so the first minimiser
     stays. The B test reads closed-form bounds on log W^-1 (see
     ``_log_inverse``) and, as Newton's root is monotone in D only up to its
-    last ulps, leaves the relative slack _LOG_SLACK.
+    last ulps, leaves the relative slack _LOG_SLACK. Each temporary is
+    freed once read, so at most five half-length arrays live at once.
     """
-    lo, hi = _lag_bounds(rho, ext)
+    lo, hi = _lag_bounds(rho)
     dists = np.arange(1, lo.size + 1) / rho.size
     keep = np.zeros(lo.size, dtype=bool)
     if not math.isinf(p.b):
         w = omega_b(dists, p)
-        keep |= w - hi <= np.min(w - lo)
+        least = np.min(w - lo)
+        w -= hi
+        keep |= w <= least
+        del w
     if min_b:
         log_xi = np.log(dists)
-        top = float(np.max(_log_inverse(lo, p.delta, p.gamma, p.alpha, "below") - log_xi))
+        del dists
+        below = _log_inverse(lo, p.delta, p.gamma, p.alpha, "below")
+        below -= log_xi
+        top = float(np.max(below))
+        del below, lo
         if top < math.inf:
             top -= _LOG_SLACK * (1.0 + abs(top))
-        keep |= _log_inverse(hi, p.delta, p.gamma, p.alpha, "above") - log_xi >= top
+        above = _log_inverse(hi, p.delta, p.gamma, p.alpha, "above")
+        above -= log_xi
+        keep |= above >= top
     return keep
 
 

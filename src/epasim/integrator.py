@@ -25,45 +25,55 @@ or gradient, or a capped accumulation of the squared-gradient history).
   dt omega <= cfl_diffuse / 5: at the default, a tenth of a radian per
   step, 63 steps per period of the potential's oscillation.
 
-The dynamics act on one (2, n) block whose rows are rho and g
-(``model.rhs_block``). The run loop evaluates the first RK stage itself:
-the same call gives sup |u| for the advective step bound and the stage-1
-derivative block that ``step_ssprk3`` then consumes, so each step costs
-three evaluations and no separate velocity recovery. Each stage updates
-the whole block with one call per operation. The two inner stages are
-checked by ``model.check_fields`` on the rows of their block, and only the
-accepted state is a new ``SimState``, whose construction runs the same
-check, so a step checks three sets of fields. The accepted state carries
-the result block, which the next step's first stage reads without a copy.
+The run loop advances the spectrum of the fields: the (2, n/2 + 1) rfft
+of the (2, n) block whose rows are rho and g. It transforms the initial
+block forward once, and evaluates the dynamics on the spectrum
+(``model.rhs_spectrum``), so no evaluation transforms its fields forward
+or its derivatives back. The SSP-RK3 combinations update whole complex
+blocks in place. A step makes 9 FFT calls over 16 transforms:
 
-Right after a step, before its monitors, the loop evaluates the next
-step's first stage. That evaluation's velocity transform carries
-d rho/dx as a second row, whose sup becomes the accepted state's
-``drho_inf``: the gradient detector and monitors such as the diagnostics
-recorder read it without another transform. The detectors still run in
-the same order, at the top of the next step, on the same values.
+- each inner stage: one irfft of its spectrum gives its fields (2
+  transforms), which ``model.check_fields`` checks before the evaluation
+  reads them, then the velocity irfft (1) and the flux rfft (2);
+- the accepted state: one irfft of the new spectrum (2), whose rows are
+  the fields of a new ``SimState``; building it runs the same check, so a
+  step checks three sets of fields;
+- the next step's first stage, evaluated right after, before the monitors:
+  the velocity irfft, which carries d rho/dx as a second row (2), and the
+  flux rfft (2). Its sup |u| sets the advective bound of that step, its
+  derivative spectrum is that step's stage 1, and the sup of d rho/dx
+  becomes the accepted state's ``drho_inf``: the gradient detector and
+  monitors such as the diagnostics recorder read it without another
+  transform. The detectors still run at the top of the next step.
+
+During a step the loop holds the spectrum and no state. A failed step
+reports the last accepted state, rebuilt from its spectrum, bit for bit the
+one the monitors saw (irfft works row by row), or the caller's own state
+when the first step fails.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .kernels import KernelSpec, PotentialSpec
 from .model import (  # noqa: F401  (rhs: perfbench traces integrator.rhs)
     NonFiniteError,
     SimState,
+    SpectralPlan,
     VacuumError,
     check_fields,
     recover_velocity,
     rhs,
-    rhs_block,
+    rhs_spectrum,
     spectral_plan,
 )
-from .spectral import MeanViolationError
+from .spectral import Grid, MeanViolationError
 from .spectral import derivative  # noqa: F401  (perfbench traces integrator.derivative)
 
 
@@ -195,37 +205,67 @@ def _stage3(d: np.ndarray, x: np.ndarray, x0: np.ndarray, dt: float) -> None:
     d /= 3.0
 
 
-def step_ssprk3(state: SimState, dt: float, k1: np.ndarray | None = None) -> SimState:
-    """One three-stage strong-stability-preserving RK3 update.
+class _Problem(NamedTuple):
+    """What a step reads of its problem besides the spectrum: fixed for a run."""
 
-    ``k1`` is the stage-1 derivative block of ``model.rhs_block`` on the
-    state's block when the caller has it already; it then holds the stage
-    values and is overwritten. Each stage works on whole (2, n) blocks. The
-    two inner stages' rows are checked by ``model.check_fields``, and the
-    result's when its ``SimState`` is built, so a stage that leaves the
-    valid region raises there: VacuumError, NonFiniteError or
-    MeanViolationError. The result carries its block for the next step.
+    plan: SpectralPlan
+    m0: float
+    rho_bar: float
+    grid: Grid
+    kernel: KernelSpec
+    potential: PotentialSpec
+
+
+def _accepted(spec: np.ndarray, t: float, prob: _Problem) -> SimState:
+    # the state at time t whose fields are the rows of one irfft of spec;
+    # building it checks them
+    x = np.fft.irfft(spec, n=prob.grid.n)
+    s = SimState(prob.grid, x[0], x[1], t, prob.rho_bar, prob.m0, prob.kernel, prob.potential)
+    vars(s)["_block"] = x
+    return s
+
+
+def _stage_fields(x: np.ndarray, t: float, prob: _Problem) -> np.ndarray:
+    # the fields of an inner stage: one irfft of its spectrum x, checked
+    # before the evaluation reads them
+    f = np.fft.irfft(x, n=prob.grid.n)
+    check_fields(f[0], f[1], t, prob.rho_bar, prob.grid, prob.kernel)
+    return f
+
+
+def _stage_rhs(x: np.ndarray, t: float, prob: _Problem) -> np.ndarray:
+    # the derivative spectrum of an inner stage; its fields are passed as a
+    # temporary, not a name, so the evaluation frees them once it has
+    # transformed the fluxes it writes into them
+    return rhs_spectrum(x, _stage_fields(x, t, prob), prob.plan, prob.m0, prob.rho_bar,
+                        prob.potential.k)[0]
+
+
+def step_ssprk3(x0: np.ndarray, d: np.ndarray, dt: float, t: float, prob: _Problem) -> np.ndarray:
+    """One three-stage strong-stability-preserving RK3 update of a spectrum.
+
+    x0 is the (2, n/2 + 1) spectrum of a valid state at time t and d its
+    stage-1 derivative spectrum from ``model.rhs_spectrum``, which then
+    holds the stage values and is overwritten. Returns the new spectrum.
+    The stages combine whole complex blocks. Each inner stage makes 3 FFT
+    calls over 5 transforms: one irfft of its spectrum gives its fields,
+    which ``model.check_fields`` checks before the evaluation's velocity
+    irfft and flux rfft read them, so a stage that leaves the valid region
+    raises there: VacuumError, NonFiniteError or MeanViolationError. The
+    result is checked when the run loop builds its state.
     """
-    x0 = state._block
-    args = (spectral_plan(state.grid, state.kernel, state.potential), state.m0,
-            state.rho_bar, state.potential.k)
-    check = (state.t, state.rho_bar, state.grid, state.kernel)
-    x = k1 if k1 is not None else rhs_block(x0, *args)[0]
     # stage 1: u1 = u0 + dt L(u0)
+    x = d
     x *= dt
     x += x0
-    check_fields(x[0], x[1], *check)
     # stage 2, into the stage-1 block: u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
-    d = rhs_block(x, *args)[0]
+    d = _stage_rhs(x, t, prob)
     _stage2(x, d, x0, dt)
     del d
-    check_fields(x[0], x[1], *check)
     # stage 3, into its own derivative block: (u0 + 2 (u2 + dt L(u2))) / 3
-    d = rhs_block(x, *args)[0]
+    d = _stage_rhs(x, t, prob)
     _stage3(d, x, x0, dt)
-    new = replace(state, rho=d[0], g=d[1], t=state.t + dt)
-    vars(new)["_block"] = d
-    return new
+    return d
 
 
 def run(state: SimState, ctl: StepControl, monitors: tuple = (),
@@ -234,53 +274,67 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
 
     Monitors are callables ``monitor(step, state)`` invoked after every
     accepted step (and once for the initial state); they own their own
-    cadence decisions and see read-only snapshots.
+    cadence decisions and see read-only snapshots. When a step fails, the
+    outcome carries the last accepted state (see the module docstring).
     """
     steps = 0
     bkm = 0.0
     dc = _dt_constants(state, ctl)
-    plan = spectral_plan(state.grid, state.kernel, state.potential)
+    prob = _Problem(spectral_plan(state.grid, state.kernel, state.potential), state.m0,
+                    state.rho_bar, state.grid, state.kernel, state.potential)
+    initial = state
 
-    def stage1(s):
+    def stage1(s, spec):
         # the next step's first stage, whose velocity transform also gives
         # s.drho_inf; None when no step follows
         if s.t >= ctl.t_end - 1e-12:
             return None
-        d, u_inf, vars(s)["drho_inf"] = rhs_block(s._block, plan, s.m0, s.rho_bar,
-                                                  s.potential.k, drho=True)
+        d, u_inf, vars(s)["drho_inf"] = rhs_spectrum(spec, s._block, prob.plan, prob.m0,
+                                                     prob.rho_bar, prob.potential.k, drho=True)
         return d, u_inf
-
-    k1 = stage1(state)
-    grad_inf = state.drho_inf
-    for m in monitors:
-        m(0, state)
 
     def outcome(status, detail=""):
         log = next((m.log for m in monitors if hasattr(m, "log")), None)
         return RunOutcome(status=status, t_final=state.t, steps=steps,
                           state=state, detail=detail, log=log)
 
+    spec = np.fft.rfft(state._block)
+    k1 = stage1(state, spec)
+    grad_inf = state.drho_inf
+    for m in monitors:
+        m(0, state)
+
     while k1 is not None:
-        rho_max = float(np.max(state.rho))
+        rho_max = float(state.rho.max())
         if rho_max > detection.rho_max_factor * state.rho_bar:
             return outcome(RunStatus.BLOWUP, f"max density {rho_max:.3e}")
         if grad_inf > detection.grad_rho_max:
             return outcome(RunStatus.BLOWUP, f"density gradient {grad_inf:.3e}")
         if bkm > detection.bkm_cap:
             return outcome(RunStatus.BLOWUP, f"squared-gradient accumulation {bkm:.3e}")
+        t = state.t
         try:
             d, u_inf = k1
+            k1 = None
             raw = _raw_dt(dc, rho_max, u_inf)
             if raw < ctl.dt_min:
                 return outcome(RunStatus.BLOWUP, f"stable step collapsed to {raw:.3e}")
-            dt = min(raw, ctl.dt_max, ctl.t_end - state.t)
-            state = step_ssprk3(state, dt, d)
-            del k1, d  # the stage block of the finished step
-            k1 = stage1(state)
-        except VacuumError as exc:
-            return outcome(RunStatus.VACUUM, str(exc))
-        except (NonFiniteError, MeanViolationError, FloatingPointError) as exc:
-            return outcome(RunStatus.NAN, str(exc))
+            dt = min(raw, ctl.dt_max, ctl.t_end - t)
+            state = None  # no physical copy of the accepted state during the step
+            new = step_ssprk3(spec, d, dt, t, prob)
+            del d  # the stage block of the finished step
+            state = _accepted(new, t + dt, prob)
+            spec = new
+            k1 = stage1(state, spec)
+        except (VacuumError, NonFiniteError, MeanViolationError, FloatingPointError) as exc:
+            if state is None:  # the last accepted state, as the monitors saw it
+                if steps == 0:
+                    state = initial
+                else:
+                    state = _accepted(spec, t, prob)
+                    vars(state)["drho_inf"] = grad_inf
+            status = RunStatus.VACUUM if isinstance(exc, VacuumError) else RunStatus.NAN
+            return outcome(status, str(exc))
         steps += 1
         prev_sq = grad_inf**2
         grad_inf = state.drho_inf

@@ -17,12 +17,11 @@ Every linear operator of the dynamics is a Fourier multiplier, and
 :func:`spectral_plan` builds them once per (grid, kernel, potential), in
 the rfft layout of ``np.fft.rfft``:
 
-- velocity: u_hat = -i inv_k (g_hat + vel_rho rho_hat), with
-  inv_k = 1/(2 pi k) and vel_rho = c (2 pi |k|)^alpha - psi_l_hat, so
-  -i inv_k vel_rho = (c (2 pi |k|)^alpha - psi_l_hat)/(2 pi i k); inv_k
-  is 0 at k = 0 and at Nyquist;
-- flux derivative: i flux, with flux = 2 pi k on the 2/3-rule band and 0
-  above it, so dealiasing and d/dx are one product;
+- velocity: u_hat = inv_ddx (g_hat + vel_rho rho_hat), with
+  inv_ddx = 1/(2 pi i k), 0 at k = 0 and at Nyquist, and
+  vel_rho = c (2 pi |k|)^alpha - psi_l_hat;
+- flux derivative: flux = -2 pi i k on the 2/3-rule band and 0 above it,
+  so dealiasing and -d/dx are one product;
 - potential source: source rho_hat with source = -k + (2 pi k)^2 K_reg_hat,
   plus k n rho_bar on mode 0 for the background.
 
@@ -31,13 +30,17 @@ zero-mean constraint that makes the velocity periodic. :func:`check_fields`
 checks it, with the density floor and finiteness; a :class:`SimState`
 runs it when it is built, so the dynamics take every state as valid.
 
-The dynamics are a function of one (2, n) field block, with rho and g as
-its rows: :func:`rhs_block` takes the block and the problem's plan, and
-:func:`rhs` and :func:`recover_velocity` are thin wrappers that read the
-block of a state. Transforms of the two fields run as the two rows of one
-FFT call, which pocketfft computes bit for bit as two separate calls. One
-evaluation makes 4 FFT calls over 7 transforms: the block, u, the stacked
-fluxes (rho u, g u) and both flux derivatives.
+The dynamics are evaluated on the spectrum of the field block, the
+(2, n/2 + 1) rfft of (rho, g): :func:`rhs_spectrum` takes it with the fields
+themselves and the problem's plan, and returns the spectrum of their time
+derivatives. One evaluation makes 2 FFT calls over 3 transforms: the
+irfft of u_hat and the rfft of the stacked fluxes (rho u, g u). The run
+loop advances the spectrum, so no evaluation transforms its fields forward
+or its derivatives back (see ``integrator``). :func:`rhs` and
+:func:`recover_velocity` are thin wrappers that transform the block of a
+state, at 4 calls over 7 transforms and 2 over 3. Transforms of the two
+fields run as the two rows of one FFT call, which pocketfft computes bit
+for bit as two separate calls.
 """
 
 from __future__ import annotations
@@ -83,9 +86,15 @@ class NonFiniteError(RuntimeError):
 
 
 class SpectralPlan(NamedTuple):
-    """Read-only real Fourier multipliers of one problem (see the module docstring)."""
+    """Read-only Fourier multipliers of one problem (see the module docstring).
 
-    inv_k: np.ndarray
+    All but two_pi_k are complex128: inv_ddx and flux carry the factor i,
+    and vel_rho and source carry the transforms of psi_l and K_reg, which
+    are complex for a kernel that is not even. inv_ddx and flux depend on
+    the grid alone, so the plans of one grid share them.
+    """
+
+    inv_ddx: np.ndarray
     vel_rho: np.ndarray
     flux: np.ndarray
     source: np.ndarray | None  # None without a potential
@@ -93,19 +102,25 @@ class SpectralPlan(NamedTuple):
 
 
 @lru_cache(maxsize=32)
+def _grid_multipliers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    # inv_ddx and flux of the plans on this grid (see the module docstring)
+    inv = np.zeros(grid.n // 2 + 1)
+    inv[1:-1] = 1.0 / grid.two_pi_k[1:-1]
+    return -1j * inv, -1j * np.where(grid.dealias_keep, grid.two_pi_k, 0.0)
+
+
+@lru_cache(maxsize=32)
 def spectral_plan(grid: Grid, kernel: KernelSpec, potential: PotentialSpec) -> SpectralPlan:
     """Multipliers of the dynamics on ``grid``, built once per problem."""
     two_pi_k = grid.two_pi_k
-    inv_k = np.zeros(grid.n // 2 + 1)
-    inv_k[1:-1] = 1.0 / two_pi_k[1:-1]
+    inv_ddx, flux = _grid_multipliers(grid)
     psi_l_hat = to_spectrum(lipschitz_on_grid(kernel.psi_l, grid), grid)
     vel_rho = kernel.c * two_pi_k**kernel.alpha - psi_l_hat
-    flux = np.where(grid.dealias_keep, two_pi_k, 0.0)
     source = None if potential.is_zero else g_source_multiplier(potential, grid)
-    for arr in (inv_k, vel_rho, flux, source):
+    for arr in (inv_ddx, vel_rho, flux, source):
         if arr is not None:
             arr.flags.writeable = False
-    return SpectralPlan(inv_k, vel_rho, flux, source, two_pi_k)
+    return SpectralPlan(inv_ddx, vel_rho, flux, source, two_pi_k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,12 +133,12 @@ class SimState:
     state is valid by construction. Nothing writes to the fields of a state
     that a step has returned, so a quantity derived from such a state is
     computed once: ``drho_inf`` is shared by the run loop's detectors and
-    the diagnostics recorder. The dynamics read ``_block``, the (2, n)
-    array whose rows are rho and g. A step's result carries the block its
-    fields are the rows of. A state built from separate arrays stacks them
-    once, on first use, and its rho and g become the rows of that block:
-    the same values, in one array instead of two, so a state holds no copy
-    of its fields.
+    the diagnostics recorder. ``_block`` is the (2, n) array whose rows are
+    rho and g. A state the run loop accepts carries the block its fields
+    are the rows of. A state built from separate arrays stacks them once,
+    on first use, and its rho and g become the rows of that block: the same
+    values, in one array instead of two, so a state holds no copy of its
+    fields.
     """
 
     grid: Grid
@@ -144,9 +159,12 @@ class SimState:
 
         The run loop stores it from the velocity transform of the next
         step's first stage, before the monitors and detectors read it (see
-        :func:`rhs_block`); any other state, such as a run's final one, pays
-        2 FFT calls on the first read. Both are bit for bit
-        ``max |spectral.derivative(rho)|``.
+        :func:`rhs_spectrum`). That transform differentiates the density row
+        of the spectrum the loop carries, so the value is
+        ``max |spectral.derivative(rho)|`` to rounding, and bit for bit for
+        a run's initial state, whose spectrum is the rfft of its fields. Any
+        other state, such as a run's final one, pays 2 FFT calls on the
+        first read, for exactly that value.
         """
         return float(np.max(np.abs(derivative(self.rho, self.grid))))
 
@@ -212,31 +230,29 @@ def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) ->
     return g
 
 
-def _velocity(x: np.ndarray, plan: SpectralPlan, m0: float,
-              drho_row: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum of the field block x and the velocity, as row 0 of a new block.
+def _velocity(spec: np.ndarray, rho: np.ndarray, plan: SpectralPlan, m0: float,
+              drho_row: bool = False) -> np.ndarray:
+    """Velocity of the block with spectrum spec and density rho, as row 0 of a new block.
 
-    2 FFT calls over 3 transforms: one rfft of x, one irfft of u_hat. With
-    ``drho_row`` the irfft carries i 2 pi k rho_hat (Nyquist zeroed) as a
-    second row, 4 transforms in all: row 1 is then d rho/dx, bit for bit
-    ``spectral.derivative(rho)``.
+    One irfft of u_hat, one transform. With ``drho_row`` the call carries
+    i 2 pi k rho_hat (Nyquist zeroed) as a second row, two transforms in
+    all: row 1 is then d rho/dx.
     """
-    n = x.shape[1]
-    spec = np.fft.rfft(x)
     rho_hat = spec[0]
     rows = np.empty((1 + drho_row, rho_hat.size), dtype=complex)
     u_hat = rows[0]
     np.multiply(plan.vel_rho, rho_hat, out=u_hat)
     u_hat += spec[1]
-    u_hat *= plan.inv_k
-    u_hat *= -1j
+    u_hat *= plan.inv_ddx
     if drho_row:
-        np.multiply(rho_hat, 1j * plan.two_pi_k, out=rows[1])
+        np.multiply(rho_hat, plan.two_pi_k, out=rows[1])
+        rows[1] *= 1j
         rows[1, -1] = 0.0
+    n = rho.size
     w = np.fft.irfft(rows, n=n)
     u = w[0]
-    u += (m0 * n - np.dot(x[0], u)) / rho_hat[0].real
-    return spec, w
+    u += (m0 * n - np.dot(rho, u)) / rho_hat[0].real
+    return w
 
 
 def recover_velocity(state: SimState) -> np.ndarray:
@@ -250,60 +266,67 @@ def recover_velocity(state: SimState) -> np.ndarray:
     was built.
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
-    return _velocity(state._block, plan, state.m0)[1][0]
+    return _velocity(np.fft.rfft(state._block), state.rho, plan, state.m0)[0]
 
 
-def rhs_block(x: np.ndarray, plan: SpectralPlan, m0: float, rho_bar: float, k: float,
-              drho: bool = False) -> tuple[np.ndarray, float, float | None]:
-    """Time derivatives of the field block x = (rho, g), as a new (2, n) block.
+def rhs_spectrum(spec: np.ndarray, x: np.ndarray, plan: SpectralPlan, m0: float,
+                 rho_bar: float, k: float,
+                 drho: bool = False) -> tuple[np.ndarray, float, float | None]:
+    """Spectrum of the time derivatives of the field block x = (rho, g), whose spectrum is spec.
 
-    Also returns sup |u| of the velocity behind them and, with ``drho``,
-    sup |d rho/dx|, else None. m0 and rho_bar are the state's conserved
-    references and k the potential's Newtonian strength. Quadratic products
-    are dealiased. 4 FFT calls over 7 transforms: the two of
-    :func:`_velocity`, then one rfft of the fluxes (rho u, g u) and one
-    irfft of both flux derivatives, written into the flux buffer. With
-    ``drho`` the velocity transform also gives d rho/dx (one transform
-    more, in the same call); the run loop sets it on the first stage of
-    each step. Checks nothing: x is the block of a valid state or of a
-    stage that was checked, and a non-finite derivative fails the check of
-    the next stage.
+    Returns a new (2, n/2 + 1) block, sup |u| of the velocity behind it
+    and, with ``drho``, sup |d rho/dx|, else None. m0 and rho_bar are the
+    state's conserved references and k the potential's Newtonian strength.
+    Quadratic products are dealiased. 2 FFT calls over 3 transforms: the
+    velocity irfft of :func:`_velocity` and one rfft of the fluxes
+    (rho u, g u), which are written into x. With ``drho`` the velocity
+    transform also gives d rho/dx, one transform more in the same call, and
+    the fluxes go into its block instead, so x is only read; the run loop
+    sets it on the first stage of each step, whose x is the accepted state's.
+    Checks nothing: x holds the fields of a valid state or of a stage that
+    was checked, and a non-finite derivative fails the check of the next
+    stage.
     """
     n = x.shape[1]
-    spec, w = _velocity(x, plan, m0, drho)
-    drho_inf = float(np.max(np.abs(w[1]))) if drho else None
+    w = _velocity(spec, x[0], plan, m0, drho)
     u = w[0]
-    u_inf = max(float(np.max(u)), -float(np.min(u)))
-    src = None
-    if plan.source is not None:
-        src = spec[0] * plan.source
-        src[0] += k * n * rho_bar
-    del spec  # free the spectrum, all but the source row, before the flux transform
+    u_inf = max(float(u.max()), -float(u.min()))
+    drho_inf = None
     # the elementwise work with an (n,) operand goes row by row: an in-place
     # op on a (2, n) block with an (n,) operand would allocate a (2, n) buffer
-    flux = np.empty((2, n))
-    np.multiply(x[0], u, out=flux[0])
-    np.multiply(x[1], u, out=flux[1])
+    if drho:
+        drho_inf = float(np.abs(w[1]).max())
+        flux = w
+        np.multiply(x[1], u, out=flux[1])
+        flux[0] *= x[0]
+    else:
+        flux = x
+        flux[0] *= u
+        flux[1] *= u
     del w, u
-    f_hat = np.fft.rfft(flux)
-    for row in f_hat:  # spectrum of -d/dx of the dealiased flux
+    d = np.fft.rfft(flux)
+    del flux, x  # x passed as a temporary is freed here, before the products below
+    for row in d:  # spectrum of -d/dx of the dealiased flux
         row *= plan.flux
-        row *= -1j
-    if src is not None:
-        f_hat[1] += src
-    np.fft.irfft(f_hat, n=n, out=flux)
-    return flux, u_inf, drho_inf
+    if plan.source is not None:
+        d[1] += spec[0] * plan.source
+        d[1, 0] += k * n * rho_bar
+    return d, u_inf, drho_inf
 
 
 def rhs(state: SimState) -> tuple[np.ndarray, np.ndarray, float]:
     """Time derivatives of (rho, g) and sup |u| of the velocity behind them.
 
-    :func:`rhs_block` on the state's block, through the problem's
-    :func:`spectral_plan`; the two derivatives are the rows of one (2, n)
-    array. Checks nothing: the state was validated when it was built.
+    :func:`rhs_spectrum` on the spectrum of the state's block and a copy of
+    it, through the problem's :func:`spectral_plan`, and one irfft back:
+    4 FFT calls over 7 transforms. The two derivatives are the rows of one
+    (2, n) array. Checks nothing: the state was validated when it was built.
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
-    d, u_inf, _ = rhs_block(state._block, plan, state.m0, state.rho_bar, state.potential.k)
+    x = state._block
+    d, u_inf, _ = rhs_spectrum(np.fft.rfft(x), x.copy(), plan, state.m0, state.rho_bar,
+                               state.potential.k)
+    d = np.fft.irfft(d, n=state.grid.n)
     return d[0], d[1], u_inf
 
 

@@ -9,8 +9,12 @@ integral) check the operators themselves. ``kernel_values`` is the one
 pointwise evaluation of the effective kernel, and ``dense_kernel_min`` the
 dense search that ``kernels.kernel_min`` must never exceed.
 ``reference_step`` is the SSP-RK3 step as it was before the array core:
-three ``rhs(state)`` calls and one ``SimState`` per stage, which the run
-loop's accepted states must equal bit for bit. ``roll_lag_table`` is the
+three ``rhs(state)`` calls and one ``SimState`` per stage.
+``spectral_reference_step`` is the step the run loop takes on the spectrum
+of the fields, with its step size: three ``rhs_spectrum`` evaluations and
+one ``SimState`` per stage, built from one irfft of the stage's spectrum.
+The run loop's accepted states must equal it bit for bit, and the physical
+``reference_step`` to rounding. ``roll_lag_table`` is the
 plain loop that ``diagnostics._lag_table`` must
 match bit for bit, and ``reference_min_b`` a bisection to within
 ``MIN_B_RTOL``, at or below whose answer the exact infimum
@@ -39,8 +43,8 @@ from epasim.kernels import (
     potential_on_grid,
     psi_alpha,
 )
-from epasim.integrator import StepControl
-from epasim.model import SimState, recover_velocity, rhs
+from epasim.integrator import StepControl, _dt_constants, _raw_dt
+from epasim.model import SimState, recover_velocity, rhs, rhs_spectrum, spectral_plan
 from epasim.spectral import (
     MEAN_TOL,
     Grid,
@@ -203,6 +207,35 @@ def reference_step(state: SimState, dt: float) -> SimState:
     r, g, _ = rhs(s2)
     return replace(state, rho=(state.rho + 2.0 * (s2.rho + dt * r)) / 3.0,
                    g=(state.g + 2.0 * (s2.g + dt * g)) / 3.0, t=state.t + dt)
+
+
+def spectral_reference_step(state: SimState, spec: np.ndarray,
+                            ctl: StepControl) -> tuple[SimState, np.ndarray, float]:
+    """One Shu-Osher SSP-RK3 step of the spectrum spec of the state's block,
+    with the run loop's step size: returns the new state, its spectrum and dt.
+
+    Three ``rhs_spectrum`` calls, on a copy of each stage's fields, and each
+    stage's fields, one irfft of its spectrum, checked by building its own
+    ``SimState``. dt is the loop's: the step bounds at max rho and at the
+    sup |u| of the first evaluation, capped by dt_max and by t_end."""
+    plan = spectral_plan(state.grid, state.kernel, state.potential)
+
+    def deriv(s, x):
+        return rhs_spectrum(x, s._block.copy(), plan, s.m0, s.rho_bar, s.potential.k)
+
+    def stage(x, t):
+        f = np.fft.irfft(x, n=state.grid.n)
+        return replace(state, rho=f[0], g=f[1], t=t)
+
+    d, u_inf, _ = deriv(state, spec)
+    raw = _raw_dt(_dt_constants(state, ctl), float(np.max(state.rho)), u_inf)
+    dt = min(raw, ctl.dt_max, ctl.t_end - state.t)
+    x1 = spec + dt * d
+    s1 = stage(x1, state.t)
+    x2 = 0.75 * spec + 0.25 * (x1 + dt * deriv(s1, x1)[0])
+    s2 = stage(x2, state.t)
+    x3 = (spec + 2.0 * (x2 + dt * deriv(s2, x2)[0])) / 3.0
+    return stage(x3, state.t + dt), x3, dt
 
 
 def legacy_stable_dt(state: SimState, ctl: StepControl, cfl_diffuse: float = 0.3) -> float:

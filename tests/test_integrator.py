@@ -30,15 +30,43 @@ from epasim.model import (
     compute_g,
     make_initial,
     rhs,
-    rhs_block,
+    rhs_spectrum,
     spectral_plan,
 )
 from epasim.spectral import Grid, derivative, mean, to_spectrum
 from conftest import KERNEL_POTENTIAL_PAIRS
-from oracles import characteristic_beta, legacy_stable_dt, ode_blowup_time, reference_step
+from oracles import (
+    characteristic_beta,
+    legacy_stable_dt,
+    ode_blowup_time,
+    reference_step,
+    spectral_reference_step,
+)
 
 EA = KernelSpec(c=1.0, alpha=0.5)
 OFF = KernelSpec(c=0.0, alpha=0.5)
+
+
+def problem(st):
+    return integrator._Problem(spectral_plan(st.grid, st.kernel, st.potential), st.m0,
+                               st.rho_bar, st.grid, st.kernel, st.potential)
+
+
+def stage1_spectrum(st, spec, prob):
+    # the run loop's first stage on the state st, whose block has spectrum spec
+    return rhs_spectrum(spec, st._block, prob.plan, st.m0, st.rho_bar, st.potential.k,
+                        drho=True)[0]
+
+
+def advance(st, dt, steps=1):
+    # steps of a fixed size as the run loop takes them: the spectrum of the
+    # state's block, carried from step to step, and a state per step
+    prob = problem(st)
+    spec = np.fft.rfft(st._block)
+    for _ in range(steps):
+        spec = step_ssprk3(spec, stage1_spectrum(st, spec, prob), dt, st.t, prob)
+        st = integrator._accepted(spec, st.t + dt, prob)
+    return st
 
 
 def ssprk3_real_limit():
@@ -109,8 +137,7 @@ def test_stiff_bound_is_the_stability_limit(n, alpha, fraction):
     assert dt * np.max(rho) * (2 * np.pi * kc) ** alpha == pytest.approx(
         fraction * ssprk3_real_limit(), rel=1e-12)
     amp0 = abs(to_spectrum(st.rho, grid)[kc])
-    for _ in range(10):
-        st = step_ssprk3(st, dt)
+    st = advance(st, dt, 10)
     w = -dt * st.rho_bar * (2 * np.pi * kc) ** alpha
     growth = abs(1 + w + w**2 / 2 + w**3 / 6) ** 10
     assert abs(to_spectrum(st.rho, grid)[kc]) / amp0 == pytest.approx(growth, rel=1e-6)
@@ -170,7 +197,7 @@ def test_step_control_validation():
 def test_step_equilibrium_fixed_point():
     g = Grid(64)
     st = make_initial("uniform", g, EA, rho_base=1.5)
-    new = step_ssprk3(st, 0.01)
+    new = advance(st, 0.01)
     assert new.t == pytest.approx(0.01)
     np.testing.assert_allclose(new.rho, st.rho, atol=1e-14)
     np.testing.assert_allclose(new.g, st.g, atol=1e-14)
@@ -188,7 +215,7 @@ def test_step_matches_rk3_linear_decay_polynomial():
     dt = 0.2
     lam = (2 * np.pi) ** 0.5
     z = lam * dt
-    new = step_ssprk3(st, dt)
+    new = advance(st, dt)
     amp0 = 2 * abs(to_spectrum(st.rho, g)[1])
     amp1 = 2 * abs(to_spectrum(new.rho, g)[1])
     ratio = amp1 / amp0
@@ -203,11 +230,7 @@ def test_step_self_convergence_third_order():
                        potential=None)
 
     def integrate(dt, t_end=0.25):
-        st = st0
-        steps = round(t_end / dt)
-        for _ in range(steps):
-            st = step_ssprk3(st, dt)
-        return st.rho
+        return advance(st0, dt, round(t_end / dt)).rho
 
     dt = 0.01  # divides t_end exactly so all runs compare at the same time
     ref = integrate(dt / 8)
@@ -367,20 +390,24 @@ def count_checks(monkeypatch):
 
 
 def assert_fft_budget(monkeypatch, monitors=()):
-    # 3 evaluations of 4 FFT calls over 7 transforms, and stage 1's velocity
-    # irfft carries d rho/dx as one more row: 12 calls and 22 transforms a
-    # step. Only the final state, which no step follows, differentiates its
-    # density on its own: 2 calls, once per run.
+    # a step makes 9 FFT calls over 16 transforms: each inner stage an irfft
+    # of its spectrum (2 transforms), the velocity irfft (1) and the flux
+    # rfft (2); the accepted state one irfft of its spectrum (2); and the
+    # next step's first stage, on that state, a velocity irfft that carries
+    # d rho/dx as a second row (2) and the flux rfft (2). Once per run: the
+    # rfft of the initial block (1 call, 2 transforms), and the final
+    # state, which no step follows, differentiates its density on its own
+    # (2 calls over 2 transforms).
     st = reference_problem_64()
     rhs(st)  # builds the spectral plan outside the count
     dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
     evals = {"n": 0}
     ffts = count_ffts(monkeypatch)
-    monkeypatch.setattr(integrator, "rhs_block", counted(integrator.rhs_block, evals))
+    monkeypatch.setattr(integrator, "rhs_spectrum", counted(integrator.rhs_spectrum, evals))
     checks = count_checks(monkeypatch)
     out = run(st, StepControl(t_end=20 * dt, dt_max=dt), monitors=monitors)
     assert out.completed and out.steps == 20
-    assert ffts == {"calls": 12 * out.steps + 2, "transforms": 22 * out.steps + 2}
+    assert ffts == {"calls": 9 * out.steps + 3, "transforms": 16 * out.steps + 4}
     assert evals["n"] == 3 * out.steps
     # one check per stage: the two inner stages and the accepted state
     assert checks["n"] == 3 * out.steps
@@ -413,11 +440,17 @@ class _Stop(Exception):
     pass
 
 
+def sup_rel(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
 @pytest.mark.parametrize("kernel, potential", KERNEL_POTENTIAL_PAIRS)
 def test_run_matches_the_reference_step_bit_for_bit(kernel, potential):
-    # the block core, its in-place stages and the carried block give the
-    # states of the SimState-per-stage route exactly, and so does a step
-    # from a state whose fields are copied, separate arrays
+    # the in-place stages on the carried spectrum, the checks of the stages'
+    # fields and the state built per step give the states of the
+    # SimState-per-stage route on the spectrum exactly, step sizes included;
+    # the route on the fields, which transforms each stage forward and its
+    # derivative back, agrees to rounding
     st = make_initial("cosine", Grid(64), kernel, potential, rho_amp=0.4, u_amp=0.3)
     ctl = StepControl(t_end=2.0)  # beyond the 20 steps, so none is clipped
     seen = []
@@ -429,37 +462,64 @@ def test_run_matches_the_reference_step_bit_for_bit(kernel, potential):
 
     with pytest.raises(_Stop):
         run(st, ctl, monitors=(watch,))
-    ref = st
-    for s, nxt in zip(seen, seen[1:]):
-        dt = stable_dt(ref, ctl)
-        ref = reference_step(ref, dt)
-        copied = step_ssprk3(replace(s, rho=s.rho.copy(), g=s.g.copy()), dt)
-        for got in (nxt, copied):
-            assert got.t == ref.t
-            assert np.array_equal(got.rho, ref.rho) and np.array_equal(got.g, ref.g)
-    assert len(seen) == 21
-
-
-def stage1_block(st):
-    plan = spectral_plan(st.grid, st.kernel, st.potential)
-    return rhs_block(st._block, plan, st.m0, st.rho_bar, st.potential.k, drho=True)[0]
+    assert len(seen) == 21 and seen[0] is st
+    ref, spec, phys = st, np.fft.rfft(st._block), st
+    for got in seen[1:]:
+        ref, spec, dt = spectral_reference_step(ref, spec, ctl)
+        phys = reference_step(phys, dt)
+        assert got.t == ref.t
+        assert np.array_equal(got.rho, ref.rho) and np.array_equal(got.g, ref.g)
+        assert max(sup_rel(got.rho, phys.rho), sup_rel(got.g, phys.g)) <= 1e-12
 
 
 def test_step_checks_stage_one_before_the_next_evaluation(monkeypatch):
     st = reference_problem_64()
+    prob = problem(st)
+    spec = np.fft.rfft(st._block)
     dt = 1e-3
     evals = {"n": 0}
-    monkeypatch.setattr(integrator, "rhs_block", counted(integrator.rhs_block, evals))
-    d = stage1_block(st)
+    monkeypatch.setattr(integrator, "rhs_spectrum", counted(integrator.rhs_spectrum, evals))
+    d = stage1_spectrum(st, spec, prob)
     d[1, 5] = np.nan
     with pytest.raises(NonFiniteError):
-        step_ssprk3(st, dt, d)
+        step_ssprk3(spec, d, dt, st.t, prob)
     # a derivative that empties one density sample, and nothing else
     d = np.zeros((2, st.grid.n))
     d[0, 7] = -st.rho[7] / dt
     with pytest.raises(VacuumError):
-        step_ssprk3(st, dt, d)
+        step_ssprk3(spec, np.fft.rfft(d), dt, st.t, prob)
     assert evals["n"] == 0
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_run_reports_the_last_state_the_monitors_saw(monkeypatch, k):
+    # a NaN in the stage-2 derivative of step k fails the check of stage 3;
+    # the outcome carries the state of step k - 1, rebuilt from its
+    # spectrum, or for k = 1 the caller's own state
+    st = reference_problem_64()
+    seen = []
+    evals = {"n": 0}
+    evaluate = integrator.rhs_spectrum
+
+    def poisoned(*args, **kwargs):
+        evals["n"] += 1
+        d, u_inf, drho_inf = evaluate(*args, **kwargs)
+        if evals["n"] == 3 * (k - 1) + 2:  # stage 1 of each step is its first
+            d[1, 3] = np.nan
+        return d, u_inf, drho_inf
+
+    monkeypatch.setattr(integrator, "rhs_spectrum", poisoned)
+    out = run(st, StepControl(t_end=1.0), monitors=(lambda j, s: seen.append(s),))
+    assert out.status is RunStatus.NAN and "non-finite" in out.detail
+    assert out.steps == k - 1 and len(seen) == k
+    last = seen[-1]
+    if k == 1:
+        assert out.state is st
+    else:
+        assert out.state is not last
+        assert np.array_equal(out.state.rho, last.rho) and np.array_equal(out.state.g, last.g)
+    assert out.state.t == last.t == out.t_final
+    assert out.state.drho_inf == last.drho_inf
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -467,23 +527,36 @@ def test_step_checks_stage_one_before_the_next_evaluation(monkeypatch):
 @pytest.mark.parametrize("with_recorder", [False, True])
 def test_run_drho_inf_is_the_derivative_bit_for_bit(n, potential, with_recorder):
     # every accepted state's drho_inf comes from the next step's stage-1
-    # velocity transform (the final state's from its own derivative), and
-    # equals a fresh spectral derivative of its density exactly
+    # velocity transform: bit for bit the derivative of the density row of
+    # the spectrum the loop carries, which the spectral reference step
+    # reproduces. A fresh spectral derivative of the state's density, which
+    # transforms the fields forward again, agrees to rounding; the final
+    # state's, which no step follows, is that derivative. The recorder
+    # reads the states' values
     st = make_initial("cosine", Grid(n), EA, potential, rho_amp=0.4, u_amp=0.3)
+    ctl = StepControl(t_end=0.05)
     seen = []
     rec = DiagnosticsRecorder()
     monitors = (lambda k, s: seen.append((s, s.drho_inf)),) + ((rec,) if with_recorder else ())
-    out = run(st, StepControl(t_end=0.05), monitors=monitors)
+    out = run(st, ctl, monitors=monitors)
     assert out.completed and len(seen) == out.steps + 1 > 3
+    drho = [d for _, d in seen]
     fresh = [float(np.max(np.abs(derivative(s.rho, s.grid)))) for s, _ in seen]
-    assert [d for _, d in seen] == fresh
+    ref, spec, carried = st, np.fft.rfft(st._block), []
+    for _ in seen[1:]:
+        dh = spec[0] * (1j * st.grid.two_pi_k)
+        dh[-1] = 0.0
+        carried.append(float(np.max(np.abs(np.fft.irfft(dh, n=n)))))
+        ref, spec, _ = spectral_reference_step(ref, spec, ctl)
+    assert drho == carried + [fresh[-1]] and drho[0] == fresh[0]
+    assert drho == pytest.approx(fresh, rel=1e-12)
     if with_recorder:
         log = rec.log
-        assert log.drho_inf == fresh
+        assert log.drho_inf == drho
         t = [s.t for s, _ in seen]
         bkm = [0.0]
         for i in range(1, len(t)):
-            bkm.append(bkm[-1] + 0.5 * (fresh[i - 1] ** 2 + fresh[i] ** 2) * (t[i] - t[i - 1]))
+            bkm.append(bkm[-1] + 0.5 * (drho[i - 1] ** 2 + drho[i] ** 2) * (t[i] - t[i - 1]))
         assert log.t == t and log.bkm == bkm
 
 
@@ -499,39 +572,52 @@ def _tracemalloc_peak(fn, n):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("potential", [PotentialSpec(), PotentialSpec(k=1.0)])
-def test_step_and_rhs_peak_memory(potential):
-    # the batched transforms do their elementwise work row by row: an
-    # in-place op on a (2, n) block with an (n,) operand allocates a (2, n)
-    # buffer, which would raise these peaks by 2 to 3 n-doubles
+VERIFY_GAUGE = ModulusParams(delta=0.1, gamma=0.029, b=1e14, alpha=0.5)
+
+
+def verify_recorder(st):
+    return DiagnosticsRecorder(bound_constants(st), VERIFY_GAUGE, moc_every=5)
+
+
+# Measured on the loop that stepped the (2, n) fields, with this test: 9.21
+# n-doubles without a potential, 10.22 with it and 10.64 with the recorder,
+# whose modulus row took 5.3 on top of the fields and the stage-1 derivative
+# block. The spectral loop measures 8.40, 8.40 and 9.37: it frees each inner
+# stage's fields after their flux transform, and its modulus row takes 2.9.
+@pytest.mark.parametrize("potential, recorder, bound", [
+    (PotentialSpec(), False, 8.5),
+    (KERNEL_POTENTIAL_PAIRS[0][1], False, 8.5),
+    (KERNEL_POTENTIAL_PAIRS[0][1], True, 9.5),
+], ids=["no-potential", "potential", "recorder"])
+def test_run_peak_memory(potential, recorder, bound):
+    # a whole run at n = 1024, the reference kernel with and without its
+    # potential, and with the verify benchmark's recorder; the elementwise
+    # work with an (n,) operand goes row by row, or an in-place op on a
+    # (2, n) block would allocate a (2, n) buffer
     n = 1024
-    st = make_initial("cosine", Grid(n), EA, potential, rho_amp=0.4, u_amp=0.3)
-    step_ssprk3(st, 1e-4)  # builds the spectral plan and the block outside the count
-    assert _tracemalloc_peak(lambda: step_ssprk3(st, 1e-4), n) <= 8.2
-    assert _tracemalloc_peak(lambda: rhs(st), n) <= 6.1
-    # the run loop's path: a step's result, whose block the stage-1
-    # derivative block is evaluated on, stepped with that block
-    st = step_ssprk3(st, 1e-4)
-    k1 = stage1_block(st)
-    assert _tracemalloc_peak(lambda: step_ssprk3(st, 1e-4, k1), n) <= (
-        6.1 if potential.k else 5.1)
+    kernel = KERNEL_POTENTIAL_PAIRS[0][0]
+    st = make_initial("cosine", Grid(n), kernel, potential, rho_amp=0.5, u_amp=0.5)
+    ctl = StepControl(t_end=0.01)
+
+    def monitors():
+        return (verify_recorder(st),) if recorder else ()
+
+    assert run(st, ctl, monitors()).steps >= 10  # fills the caches outside the count
+    fresh = monitors()
+    assert _tracemalloc_peak(lambda: run(st, ctl, fresh), n) <= bound
 
 
 def test_modulus_row_peak_memory():
     # a modulus row of the recorder on the verify benchmark's problem and
-    # gauge: the lag bounds, the kept lags' passes and both reads of the
-    # table stay below a run-loop step, so a row never sets that run's peak
+    # gauge: the lag bounds and the pruning run before the extended copy of
+    # rho is made, and every temporary is freed once read
     n = 1024
     kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
-    st = make_initial("cosine", Grid(n), kernel, potential, rho_amp=0.5, u_amp=0.5)
-    st = step_ssprk3(st, 1e-4)
-    k1 = stage1_block(st)
-    rec = DiagnosticsRecorder(moc=ModulusParams(delta=0.1, gamma=0.029, b=1e14, alpha=0.5),
-                              moc_every=1)
+    st = advance(make_initial("cosine", Grid(n), kernel, potential, rho_amp=0.5, u_amp=0.5),
+                 1e-4)
+    rec = DiagnosticsRecorder(moc=VERIFY_GAUGE, moc_every=1)
     rec(0, st)  # builds the log outside the count
-    row = _tracemalloc_peak(lambda: rec(1, st), n)
-    assert row <= 5.8
-    assert row < _tracemalloc_peak(lambda: step_ssprk3(st, 1e-4, k1), n)
+    assert _tracemalloc_peak(lambda: rec(1, st), n) <= 2.9
 
 
 # The paper's dichotomy on burgers-shock data with psi_L = a = 0.5 and
