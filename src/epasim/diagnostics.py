@@ -52,10 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import kernel_min
-from .model import (  # noqa: F401  (recover_velocity: perfbench traces diagnostics.recover_velocity)
-    SimState,
-    recover_velocity,
-)
+from .model import SimState
+from .model import recover_velocity  # noqa: F401  (perfbench traces diagnostics.recover_velocity)
 from .spectral import Grid, GridMismatchError, derivative, mean
 
 ENVELOPE_SLACK = 10.0  # slack factor 1 + ENVELOPE_SLACK * dx on grid extrema
@@ -171,6 +169,8 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
     """
     if not 0.0 < eps_fraction < 1.0:
         raise ValueError("eps_fraction must be in (0, 1)")
+    if not (math.isfinite(c1) and c1 > 0.0):
+        raise ValueError(f"c1 must be finite and positive, got {c1}")
     if not state.kernel.enabled:
         raise ValueError("bound constants require an active alignment kernel")
     rho0_min, rho0_max = float(np.min(state.rho)), float(np.max(state.rho))
@@ -251,9 +251,9 @@ class ModulusParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:  # NaN fails every comparison
             raise ValueError("gamma must be positive")
-        if self.b < 1.0:
+        if not self.b >= 1.0:
             raise ValueError("b must be at least 1")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must be in (0, 2]")
@@ -503,8 +503,8 @@ def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
     inputs and may overflow to +inf; data-driven monitoring should prefer
     moc_min_b.
     """
-    if c2 <= 0 or c3 <= 0 or t_end < 0:
-        raise ValueError("c2, c3 must be positive and t_end nonnegative")
+    if not all(math.isfinite(c) and c > 0 for c in (c2, c3)) or t_end < 0:
+        raise ValueError("c2, c3 must be finite and positive and t_end nonnegative")
     if c_f is not None and c_f < 0:
         raise ValueError("c_f must be nonnegative")
     alpha = bc.alpha
@@ -663,10 +663,11 @@ class DiagnosticsRecorder:
         log = self.log
         grid = state.grid
         t = state.t
-        rho_min = float(np.min(state.rho))
-        rho_max = float(np.max(state.rho))
+        rho = state.rho
+        rho_min = float(np.min(rho))
+        rho_max = float(np.max(rho))
         drho = state.drho_inf
-        f_inf = float(np.max(np.abs(state.g / state.rho)))
+        f_inf = float(np.max(np.abs(state.g / rho)))
         if log.t:
             bkm = log.bkm[-1] + 0.5 * (log.drho_inf[-1] ** 2 + drho**2) * (t - log.t[-1])
         else:
@@ -679,13 +680,13 @@ class DiagnosticsRecorder:
         if self.moc is not None and step % self.moc_every == 0:
             # one lag table for both the check and the smallest passing B
             p = self.moc
-            table = _lag_table(state.rho, grid.n, p, min_b=True)
+            table = _lag_table(rho, grid.n, p, min_b=True)
             moc_pass = 1.0 if _moc_report(table, p, grid.n).passed else 0.0
             min_b = _min_b(table, p.delta, p.gamma, p.alpha)
         else:
             moc_pass = math.nan
             min_b = math.nan
-        row = (t, rho_min, rho_max, f_inf, drho, bkm, mean(state.rho), low, up, moc_pass, min_b)
+        row = (t, rho_min, rho_max, f_inf, drho, bkm, mean(rho), low, up, moc_pass, min_b)
         for name, v in zip(COLUMNS, row):
             getattr(log, name).append(v)
 

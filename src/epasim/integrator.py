@@ -26,11 +26,13 @@ or gradient, or a capped accumulation of the squared-gradient history).
   step, 63 steps per period of the potential's oscillation.
 
 The run loop advances the spectrum of the fields: the (2, n/2 + 1) rfft
-of the (2, n) block whose rows are rho and g. It transforms the initial
-block forward once, and evaluates the dynamics on the spectrum
+of a state's (2, n) block x, whose rows are rho and g. It transforms the
+initial block forward once, and evaluates the dynamics on the spectrum
 (``model.rhs_spectrum``), so no evaluation transforms its fields forward
 or its derivatives back. The SSP-RK3 combinations update whole complex
-blocks in place. A step makes 9 FFT calls over 16 transforms:
+blocks in place. An evaluation makes 2 FFT calls over 3 transforms, the
+velocity irfft and the flux rfft, and a step makes 9 calls over 16
+transforms:
 
 - each inner stage: one irfft of its spectrum gives its fields (2
   transforms), which ``model.check_fields`` checks before the evaluation
@@ -62,19 +64,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import KernelSpec, PotentialSpec
-from .model import (  # noqa: F401  (rhs: perfbench traces integrator.rhs)
+from .model import (
     NonFiniteError,
     SimState,
     SpectralPlan,
     VacuumError,
     check_fields,
-    recover_velocity,
-    rhs,
     rhs_spectrum,
     spectral_plan,
 )
 from .spectral import Grid, MeanViolationError
-from .spectral import derivative  # noqa: F401  (perfbench traces integrator.derivative)
+
+# imported only for perfbench/tracer.py, which wraps integrator.rhs,
+# integrator.recover_velocity and integrator.derivative
+from .model import recover_velocity, rhs  # noqa: F401
+from .spectral import derivative  # noqa: F401
 
 
 class RunStatus(enum.Enum):
@@ -104,8 +108,8 @@ class StepControl:
 
     def __post_init__(self) -> None:
         vals = (self.t_end, self.cfl_advect, self.cfl_diffuse, self.dt_min, self.dt_max)
-        if any(v <= 0 for v in vals):
-            raise ValueError("all step-control parameters must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in vals):
+            raise ValueError("all step-control parameters must be finite and positive")
         if self.dt_min >= self.dt_max:
             raise ValueError("dt_min must be below dt_max")
 
@@ -178,15 +182,6 @@ def _raw_dt(dc: _DtConstants, rho_max: float, u_inf: float) -> float:
     return min(dt, dc.nonstiff / rate) if rate > 0 else dt
 
 
-def stable_dt(state: SimState, ctl: StepControl) -> float:
-    """Stability-bounded step: min of the step bounds and dt_max, clamped
-    below by dt_min. Recovers the velocity of the state, which was checked
-    when it was built, so it raises nothing."""
-    u_inf = float(np.max(np.abs(recover_velocity(state))))
-    raw = _raw_dt(_dt_constants(state, ctl), float(np.max(state.rho)), u_inf)
-    return max(min(raw, ctl.dt_max), ctl.dt_min)
-
-
 def _stage2(x: np.ndarray, d: np.ndarray, x0: np.ndarray, dt: float) -> None:
     # x <- 3/4 x0 + 1/4 (x + dt d), in place; d is overwritten
     d *= dt
@@ -219,17 +214,15 @@ class _Problem(NamedTuple):
 def _accepted(spec: np.ndarray, t: float, prob: _Problem) -> SimState:
     # the state at time t whose fields are the rows of one irfft of spec;
     # building it checks them
-    x = np.fft.irfft(spec, n=prob.grid.n)
-    s = SimState(prob.grid, x[0], x[1], t, prob.rho_bar, prob.m0, prob.kernel, prob.potential)
-    vars(s)["_block"] = x
-    return s
+    return SimState(prob.grid, np.fft.irfft(spec, n=prob.grid.n), t, prob.rho_bar, prob.m0,
+                    prob.kernel, prob.potential)
 
 
 def _stage_fields(x: np.ndarray, t: float, prob: _Problem) -> np.ndarray:
     # the fields of an inner stage: one irfft of its spectrum x, checked
     # before the evaluation reads them
     f = np.fft.irfft(x, n=prob.grid.n)
-    check_fields(f[0], f[1], t, prob.rho_bar, prob.grid, prob.kernel)
+    check_fields(f, t, prob.rho_bar, prob.grid, prob.kernel)
     return f
 
 
@@ -247,12 +240,12 @@ def step_ssprk3(x0: np.ndarray, d: np.ndarray, dt: float, t: float, prob: _Probl
     x0 is the (2, n/2 + 1) spectrum of a valid state at time t and d its
     stage-1 derivative spectrum from ``model.rhs_spectrum``, which then
     holds the stage values and is overwritten. Returns the new spectrum.
-    The stages combine whole complex blocks. Each inner stage makes 3 FFT
-    calls over 5 transforms: one irfft of its spectrum gives its fields,
-    which ``model.check_fields`` checks before the evaluation's velocity
-    irfft and flux rfft read them, so a stage that leaves the valid region
-    raises there: VacuumError, NonFiniteError or MeanViolationError. The
-    result is checked when the run loop builds its state.
+    The stages combine whole complex blocks. Each inner stage's fields, one
+    irfft of its spectrum, are checked by ``model.check_fields`` before the
+    evaluation reads them (FFT budget: see the module docstring), so a
+    stage that leaves the valid region raises there: VacuumError,
+    NonFiniteError or MeanViolationError. The result is checked when the
+    run loop builds its state.
     """
     # stage 1: u1 = u0 + dt L(u0)
     x = d
@@ -289,7 +282,7 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         # s.drho_inf; None when no step follows
         if s.t >= ctl.t_end - 1e-12:
             return None
-        d, u_inf, vars(s)["drho_inf"] = rhs_spectrum(spec, s._block, prob.plan, prob.m0,
+        d, u_inf, vars(s)["drho_inf"] = rhs_spectrum(spec, s.x, prob.plan, prob.m0,
                                                      prob.rho_bar, prob.potential.k, drho=True)
         return d, u_inf
 
@@ -298,7 +291,7 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         return RunOutcome(status=status, t_final=state.t, steps=steps,
                           state=state, detail=detail, log=log)
 
-    spec = np.fft.rfft(state._block)
+    spec = np.fft.rfft(state.x)
     k1 = stage1(state, spec)
     grad_inf = state.drho_inf
     for m in monitors:

@@ -19,7 +19,8 @@ the rfft layout of ``np.fft.rfft``:
 
 - velocity: u_hat = inv_ddx (g_hat + vel_rho rho_hat), with
   inv_ddx = 1/(2 pi i k), 0 at k = 0 and at Nyquist, and
-  vel_rho = c (2 pi |k|)^alpha - psi_l_hat;
+  vel_rho = c (2 pi |k|)^alpha - psi_l_hat, built once per (grid, kernel)
+  and shared with :func:`compute_g`, which inverts this relation;
 - flux derivative: flux = -2 pi i k on the 2/3-rule band and 0 above it,
   so dealiasing and -d/dx are one product;
 - potential source: source rho_hat with source = -k + (2 pi k)^2 K_reg_hat,
@@ -30,17 +31,13 @@ zero-mean constraint that makes the velocity periodic. :func:`check_fields`
 checks it, with the density floor and finiteness; a :class:`SimState`
 runs it when it is built, so the dynamics take every state as valid.
 
-The dynamics are evaluated on the spectrum of the field block, the
-(2, n/2 + 1) rfft of (rho, g): :func:`rhs_spectrum` takes it with the fields
-themselves and the problem's plan, and returns the spectrum of their time
-derivatives. One evaluation makes 2 FFT calls over 3 transforms: the
-irfft of u_hat and the rfft of the stacked fluxes (rho u, g u). The run
-loop advances the spectrum, so no evaluation transforms its fields forward
-or its derivatives back (see ``integrator``). :func:`rhs` and
-:func:`recover_velocity` are thin wrappers that transform the block of a
-state, at 4 calls over 7 transforms and 2 over 3. Transforms of the two
-fields run as the two rows of one FFT call, which pocketfft computes bit
-for bit as two separate calls.
+A state stores its fields as the rows of one (2, n) block x = (rho, g).
+The dynamics are evaluated on the block's spectrum, its (2, n/2 + 1) rfft:
+:func:`rhs_spectrum` takes it with the fields themselves and the problem's
+plan, and returns the spectrum of their time derivatives. The FFT budget
+of an evaluation and of a step is stated once, in ``integrator``. Both
+rows of a block go through one FFT call, which pocketfft computes bit for
+bit as two separate calls.
 """
 
 from __future__ import annotations
@@ -52,14 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import (  # noqa: F401  (g_source: perfbench traces model.g_source)
-    KernelSpec,
-    LipschitzKernel,
-    PotentialSpec,
-    g_source,
-    g_source_multiplier,
-    lipschitz_on_grid,
-)
+from .kernels import KernelSpec, PotentialSpec, g_source_multiplier, lipschitz_on_grid
+from .kernels import g_source  # noqa: F401  (perfbench traces model.g_source)
 from .spectral import (
     MEAN_TOL,
     Grid,
@@ -67,9 +58,7 @@ from .spectral import (
     MeanViolationError,
     _check,
     convolve,
-    dealias,
     derivative,
-    fractional_laplacian,
     mean,
     to_spectrum,
 )
@@ -101,49 +90,52 @@ class SpectralPlan(NamedTuple):
     two_pi_k: np.ndarray  # the grid's d/dx multiplier, divided by i
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=32)
 def _grid_multipliers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     # inv_ddx and flux of the plans on this grid (see the module docstring)
     inv = np.zeros(grid.n // 2 + 1)
     inv[1:-1] = 1.0 / grid.two_pi_k[1:-1]
-    return -1j * inv, -1j * np.where(grid.dealias_keep, grid.two_pi_k, 0.0)
+    flux = -1j * np.where(grid.dealias_keep, grid.two_pi_k, 0.0)
+    return _read_only(-1j * inv), _read_only(flux)
+
+
+@lru_cache(maxsize=32)
+def _vel_rho(grid: Grid, kernel: KernelSpec) -> np.ndarray:
+    # c (2 pi |k|)^alpha - psi_l_hat: the plan's vel_rho, whose mode 0 is
+    # -mean(psi_l) on the grid
+    psi_l_hat = to_spectrum(lipschitz_on_grid(kernel.psi_l, grid), grid)
+    return _read_only(kernel.c * grid.two_pi_k**kernel.alpha - psi_l_hat)
 
 
 @lru_cache(maxsize=32)
 def spectral_plan(grid: Grid, kernel: KernelSpec, potential: PotentialSpec) -> SpectralPlan:
     """Multipliers of the dynamics on ``grid``, built once per problem."""
-    two_pi_k = grid.two_pi_k
     inv_ddx, flux = _grid_multipliers(grid)
-    psi_l_hat = to_spectrum(lipschitz_on_grid(kernel.psi_l, grid), grid)
-    vel_rho = kernel.c * two_pi_k**kernel.alpha - psi_l_hat
-    source = None if potential.is_zero else g_source_multiplier(potential, grid)
-    for arr in (inv_ddx, vel_rho, flux, source):
-        if arr is not None:
-            arr.flags.writeable = False
-    return SpectralPlan(inv_ddx, vel_rho, flux, source, two_pi_k)
+    source = None if potential.is_zero else _read_only(g_source_multiplier(potential, grid))
+    return SpectralPlan(inv_ddx, _vel_rho(grid, kernel), flux, source, grid.two_pi_k)
 
 
 @dataclass(frozen=True, eq=False)
 class SimState:
     """Snapshot of the evolved pair plus its conserved references.
 
-    rho_bar is the conserved mean density and m0 the conserved momentum
-    integral; both are fixed at initialization time. Building a state, by
-    any route, runs :meth:`validate`, the one check of its fields, so every
-    state is valid by construction. Nothing writes to the fields of a state
-    that a step has returned, so a quantity derived from such a state is
-    computed once: ``drho_inf`` is shared by the run loop's detectors and
-    the diagnostics recorder. ``_block`` is the (2, n) array whose rows are
-    rho and g. A state the run loop accepts carries the block its fields
-    are the rows of. A state built from separate arrays stacks them once,
-    on first use, and its rho and g become the rows of that block: the same
-    values, in one array instead of two, so a state holds no copy of its
-    fields.
+    x is the (2, n) block whose rows are the fields rho and g. rho_bar is
+    the conserved mean density and m0 the conserved momentum integral;
+    both are fixed at initialization time. Building a state, by any route,
+    runs :meth:`validate`, the one check of its fields, so every state is
+    valid by construction. Nothing writes to the fields of a state that a
+    step has returned, so a quantity derived from such a state is computed
+    once: ``drho_inf`` is shared by the run loop's detectors and the
+    diagnostics recorder.
     """
 
     grid: Grid
-    rho: np.ndarray
-    g: np.ndarray
+    x: np.ndarray
     t: float
     rho_bar: float
     m0: float
@@ -152,6 +144,14 @@ class SimState:
 
     def __post_init__(self) -> None:
         self.validate()
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.x[0]
+
+    @property
+    def g(self) -> np.ndarray:
+        return self.x[1]
 
     @cached_property
     def drho_inf(self) -> float:
@@ -168,66 +168,57 @@ class SimState:
         """
         return float(np.max(np.abs(derivative(self.rho, self.grid))))
 
-    @cached_property
-    def _block(self) -> np.ndarray:
-        block = np.stack((self.rho, self.g))
-        object.__setattr__(self, "rho", block[0])
-        object.__setattr__(self, "g", block[1])
-        return block
-
     def validate(self) -> None:
         """Run :func:`check_fields` on the state; raises on the first violation."""
-        check_fields(self.rho, self.g, self.t, self.rho_bar, self.grid, self.kernel)
+        check_fields(self.x, self.t, self.rho_bar, self.grid, self.kernel)
 
 
-@lru_cache(maxsize=32)
-def _psi_l_mean(psi_l: LipschitzKernel, grid: Grid) -> float:
-    """mean(psi_l) on the grid, summed once per problem for :func:`check_fields`."""
-    return float(lipschitz_on_grid(psi_l, grid).sum()) / grid.n
-
-
-def check_fields(rho: np.ndarray, g: np.ndarray, t: float, rho_bar: float, grid: Grid,
+def check_fields(x: np.ndarray, t: float, rho_bar: float, grid: Grid,
                  kernel: KernelSpec) -> None:
-    """Check the fields of a state at time t, in order; raises on the first violation.
+    """Check the field block x = (rho, g) at time t, in order; raises on the first violation.
 
-    Shape (n,) (GridMismatchError); finite, read from the sums, so an
+    Shape (2, n) (GridMismatchError); finite, read from the sums, so an
     overflowing sum counts (NonFiniteError, which means only this);
     min rho above RHO_FLOOR (VacuumError); mean(rho) = rho_bar and
     mean(g - psi_l * rho) = mean(g) - mean(psi_l) mean(rho) = 0 (both
-    MeanViolationError), where only a residual above MEAN_TOL pays for
-    the guard's scale max(1, |g - psi_l * rho|_inf). The RK stages of a
-    step call it on their rows directly, without building a state.
+    MeanViolationError), with mean(psi_l) read from mode 0 of the plan's
+    vel_rho, where only a residual above MEAN_TOL pays for the guard's
+    scale max(1, |g - psi_l * rho|_inf). The RK stages of a step call it on
+    their fields directly, without building a state.
     """
     n = grid.n
-    if rho.shape != (n,) or g.shape != (n,):
-        raise GridMismatchError(f"fields of shape {rho.shape} and {g.shape} "
-                                f"on a grid of {n} points")
-    rho_mean = float(rho.sum()) / n
-    g_mean = float(g.sum()) / n
+    if x.shape != (2, n):
+        raise GridMismatchError(f"fields of shape {x.shape} on a grid of {n} points")
+    rho_sum, g_sum = x.sum(axis=1).tolist()  # bit for bit the sums of the rows
+    rho_mean = rho_sum / n
+    g_mean = g_sum / n
     if not math.isfinite(rho_mean + g_mean):
         raise NonFiniteError(f"non-finite state at t={t:.6f}")
-    rho_min = float(rho.min())
+    rho_min = float(x[0].min())
     if rho_min <= RHO_FLOOR:
         raise VacuumError(f"min density {rho_min:.3e} at t={t:.6f}")
     if abs(rho_mean - rho_bar) > MEAN_TOL * max(1.0, abs(rho_bar)):
         raise MeanViolationError("mean density drifted from its conserved value")
-    resid = g_mean - _psi_l_mean(kernel.psi_l, grid) * rho_mean
+    resid = g_mean + float(_vel_rho(grid, kernel)[0].real) * rho_mean
     if abs(resid) > MEAN_TOL:
-        f = g - convolve(lipschitz_on_grid(kernel.psi_l, grid), rho, grid)
+        f = x[1] - convolve(lipschitz_on_grid(kernel.psi_l, grid), x[0], grid)
         if abs(resid) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):
             raise MeanViolationError(f"mean(g - psi_l * rho) = {resid:.3e} is not zero")
 
 
 def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) -> np.ndarray:
-    """Transform (rho, u) into the advected gradient variable."""
-    rho = _check(rho, grid)
-    u = _check(u, grid)
-    g = derivative(u, grid)
-    if kernel.c > 0:
-        g = g - kernel.c * fractional_laplacian(rho, kernel.alpha, grid)
-    if not kernel.psi_l.is_zero:
-        g = g + convolve(lipschitz_on_grid(kernel.psi_l, grid), rho, grid)
-    return g
+    """Transform (rho, u) into the advected gradient variable.
+
+    g_hat = 2 pi i k u_hat (Nyquist zeroed) - vel_rho rho_hat, the velocity
+    relation of the module docstring solved for g_hat: one rfft of the
+    stacked (rho, u) and one irfft.
+    """
+    h = np.fft.rfft(np.stack((_check(rho, grid), _check(u, grid))))
+    g_hat = h[1]
+    g_hat *= 1j * grid.two_pi_k
+    g_hat[-1] = 0.0
+    g_hat -= _vel_rho(grid, kernel) * h[0]
+    return np.fft.irfft(g_hat, n=grid.n)
 
 
 def _velocity(spec: np.ndarray, rho: np.ndarray, plan: SpectralPlan, m0: float,
@@ -266,7 +257,7 @@ def recover_velocity(state: SimState) -> np.ndarray:
     was built.
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
-    return _velocity(np.fft.rfft(state._block), state.rho, plan, state.m0)[0]
+    return _velocity(np.fft.rfft(state.x), state.rho, plan, state.m0)[0]
 
 
 def rhs_spectrum(spec: np.ndarray, x: np.ndarray, plan: SpectralPlan, m0: float,
@@ -277,12 +268,12 @@ def rhs_spectrum(spec: np.ndarray, x: np.ndarray, plan: SpectralPlan, m0: float,
     Returns a new (2, n/2 + 1) block, sup |u| of the velocity behind it
     and, with ``drho``, sup |d rho/dx|, else None. m0 and rho_bar are the
     state's conserved references and k the potential's Newtonian strength.
-    Quadratic products are dealiased. 2 FFT calls over 3 transforms: the
-    velocity irfft of :func:`_velocity` and one rfft of the fluxes
-    (rho u, g u), which are written into x. With ``drho`` the velocity
-    transform also gives d rho/dx, one transform more in the same call, and
-    the fluxes go into its block instead, so x is only read; the run loop
-    sets it on the first stage of each step, whose x is the accepted state's.
+    Quadratic products are dealiased. The velocity irfft of
+    :func:`_velocity` is followed by one rfft of the fluxes (rho u, g u),
+    which are written into x (FFT budget: see ``integrator``). With ``drho``
+    the velocity transform also gives d rho/dx as a second row, and the
+    fluxes go into its block instead, so x is only read; the run loop sets
+    it on the first stage of each step, whose x is the accepted state's.
     Checks nothing: x holds the fields of a valid state or of a stage that
     was checked, and a non-finite derivative fails the check of the next
     stage.
@@ -323,7 +314,7 @@ def rhs(state: SimState) -> tuple[np.ndarray, np.ndarray, float]:
     (2, n) array. Checks nothing: the state was validated when it was built.
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
-    x = state._block
+    x = state.x
     d, u_inf, _ = rhs_spectrum(np.fft.rfft(x), x.copy(), plan, state.m0, state.rho_bar,
                                state.potential.k)
     d = np.fft.irfft(d, n=state.grid.n)
@@ -347,6 +338,11 @@ def initial_fields(preset: str, grid: Grid, **params) -> tuple[np.ndarray, np.nd
     if unknown:
         raise ValueError(f"preset {preset!r} does not take parameters {sorted(unknown)}")
     x = grid.x
+
+    def bump():  # a gaussian of the given width, periodized
+        w = params.get("width", 0.1)
+        return sum(np.exp(-((x + m) ** 2) / (2 * w**2)) for m in range(-4, 5))
+
     if preset == "uniform":
         rho = np.full(grid.n, params.get("rho_base", 1.0))
         u = np.full(grid.n, params.get("u_mean", 0.0))
@@ -354,21 +350,13 @@ def initial_fields(preset: str, grid: Grid, **params) -> tuple[np.ndarray, np.nd
         rho = params.get("rho_base", 1.0) + params.get("rho_amp", 0.5) * np.cos(2 * np.pi * x)
         u = params.get("u_mean", 0.0) + params.get("u_amp", 0.0) * np.sin(2 * np.pi * x)
     elif preset == "gaussian-bump":
-        width = params.get("width", 0.1)
-        bump = np.zeros(grid.n)
-        for m in range(-4, 5):
-            bump += np.exp(-((x + m) ** 2) / (2 * width**2))
-        rho = params.get("rho_base", 1.0) + params.get("amp", 0.5) * bump
+        rho = params.get("rho_base", 1.0) + params.get("amp", 0.5) * bump()
         u = params.get("u_mean", 0.0) + params.get("u_amp", 0.0) * np.sin(2 * np.pi * x)
     elif preset == "burgers-shock":
         rho = np.full(grid.n, params.get("rho_base", 1.0))
         u = -params.get("u_amp", 1.0) * np.sin(2 * np.pi * x)
     else:  # near-vacuum
-        width = params.get("width", 0.1)
-        bump = np.zeros(grid.n)
-        for m in range(-4, 5):
-            bump += np.exp(-((x + m) ** 2) / (2 * width**2))
-        rho = params.get("eps", 1e-2) + params.get("amp", 1.0) * bump
+        rho = params.get("eps", 1e-2) + params.get("amp", 1.0) * bump()
         u = np.zeros(grid.n)
     return rho, u
 
@@ -377,23 +365,18 @@ def make_initial(preset: str, grid: Grid, kernel: KernelSpec,
                  potential: PotentialSpec | None = None, **params) -> SimState:
     """Build a simulation state from a preset.
 
-    Fields are dealiased so the evolved state starts band-limited; the
-    conserved mean density and momentum are taken from the (dealiased)
-    initial data, and the gradient variable is produced by the transform.
-    A density not above ``RHO_FLOOR`` raises VacuumError, as for any state.
+    Fields are dealiased (2/3 rule) as one (2, n) transform pair, so the
+    evolved state starts band-limited; the conserved mean density and
+    momentum are taken from the dealiased initial data, and the gradient
+    variable is produced by the transform. A density not above
+    ``RHO_FLOOR`` raises VacuumError, as for any state.
     """
-    rho, u = initial_fields(preset, grid, **params)
-    rho = dealias(rho, grid)
-    u = dealias(u, grid)
-    g = compute_g(rho, u, kernel, grid)
-    return SimState(
-        grid=grid,
-        rho=rho,
-        g=g,
-        t=0.0,
-        rho_bar=mean(rho),
-        m0=mean(rho * u),
-        kernel=kernel,
-        potential=potential if potential is not None else PotentialSpec(),
-    )
+    h = np.fft.rfft(np.stack(initial_fields(preset, grid, **params)))
+    h[:, ~grid.dealias_keep] = 0.0
+    x = np.fft.irfft(h, n=grid.n)  # rows rho and u, then rho and g
+    rho, u = x
+    rho_bar, m0 = mean(rho), mean(rho * u)
+    x[1] = compute_g(rho, u, kernel, grid)
+    return SimState(grid, x, 0.0, rho_bar, m0, kernel,
+                    potential if potential is not None else PotentialSpec())
 

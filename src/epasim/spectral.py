@@ -4,12 +4,13 @@ Fields are plain float64 arrays sampled at the uniform points
 x_j = -1/2 + j/n of a :class:`Grid`. Spectral coefficients follow the
 e^{2 pi i k x} convention on the unit-length torus, so the derivative
 multiplier is 2*pi*i*k and the fractional Laplacian multiplier is
-(2*pi*|k|)^alpha. All operators are pure functions of their inputs and
-are safe to call concurrently.
+(2*pi*|k|)^alpha, which ``model.spectral_plan`` applies. All operators
+are pure functions of their inputs and are safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,17 @@ class Grid:
     Parameters
     ----------
     n : int
-        Number of points; must be even and at least 8 so the 2/3
-        dealiasing cutoff is well defined. Powers of two give the
-        fastest transforms but are not required.
+        Number of points, an integer and not a bool; must be even and at
+        least 8 so the 2/3 dealiasing cutoff is well defined. Powers of two
+        give the fastest transforms but are not required.
     """
 
     n: int
 
     def __post_init__(self) -> None:
+        # Grid(64.0) and Grid(True) would compare and hash equal to int grids
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"grid size must be an integer, got {self.n!r}")
         if self.n < 8:
             raise ValueError(f"grid size must be >= 8, got {self.n}")
         if self.n % 2 != 0:
@@ -104,20 +108,6 @@ def second_derivative(f: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfft(fh, n=grid.n)
 
 
-def fractional_laplacian(f: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
-    """Fractional Laplacian (-d^2/dx^2)^{alpha/2}.
-
-    Acts as the multiplier (2*pi*|k|)^alpha; the k = 0 mode maps to 0,
-    so the output has zero mean for any input.
-    """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    fh = np.fft.rfft(_check(f, grid))
-    fh[0] = 0.0
-    fh[1:] *= grid.two_pi_k[1:] ** alpha
-    return np.fft.irfft(fh, n=grid.n)
-
-
 def convolve(f: np.ndarray, g: np.ndarray, grid: Grid) -> np.ndarray:
     """Periodic convolution (f*g)(x) = int_T f(y) g(x-y) dy.
 
@@ -126,10 +116,3 @@ def convolve(f: np.ndarray, g: np.ndarray, grid: Grid) -> np.ndarray:
     fh = np.fft.rfft(_check(f, grid))
     gh = np.fft.rfft(_check(g, grid))
     return np.fft.irfft(_origin_phase(grid) * fh * gh / grid.n, n=grid.n)
-
-
-def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Zero all modes with |k| > n/3 (2/3 rule for quadratic products)."""
-    fh = np.fft.rfft(_check(f, grid))
-    fh[~grid.dealias_keep] = 0.0
-    return np.fft.irfft(fh, n=grid.n)

@@ -3,9 +3,12 @@
 Most compose per-operator functions, one transform per operator, the way
 the solver did before its multipliers were fused into
 ``model.spectral_plan``. The fused ``rhs`` and ``recover_velocity`` are
-checked against them. The force and quadrature routes (among them
-``alignment_direct``, a midpoint-rule quadrature of the alignment
-integral) check the operators themselves. ``kernel_values`` is the one
+checked against them, and ``model.compute_g`` against
+``derivative(u) - c fractional_laplacian(rho) + convolve(psi_l, rho)``.
+``fractional_laplacian`` and ``dealias`` are per-operator transforms that
+the solver applies through its plan's multipliers. The force and
+quadrature routes (among them ``alignment_direct``, a midpoint-rule
+quadrature of the alignment integral) check the operators themselves. ``kernel_values`` is the one
 pointwise evaluation of the effective kernel, and ``dense_kernel_min`` the
 dense search that ``kernels.kernel_min`` must never exceed.
 ``reference_step`` is the SSP-RK3 step as it was before the array core:
@@ -18,8 +21,10 @@ The run loop's accepted states must equal it bit for bit, and the physical
 plain loop that ``diagnostics._lag_table`` must
 match bit for bit, and ``reference_min_b`` a bisection to within
 ``MIN_B_RTOL``, at or below whose answer the exact infimum
-``diagnostics.moc_min_b`` must lie. ``legacy_stable_dt`` is the step bound
-that ``integrator.stable_dt`` replaced and must never fall below.
+``diagnostics.moc_min_b`` must lie. ``stable_dt`` is the step bound of a
+state, the run loop's first step, and ``legacy_stable_dt`` the bound it
+replaced and must never fall below. ``with_fields`` replaces a state's
+rows by name.
 ``characteristic_beta`` and ``ode_blowup_time`` solve the flow exactly
 along its characteristics when the kernel is a constant and the potential
 Newtonian.
@@ -45,19 +50,37 @@ from epasim.kernels import (
 )
 from epasim.integrator import StepControl, _dt_constants, _raw_dt
 from epasim.model import SimState, recover_velocity, rhs, rhs_spectrum, spectral_plan
-from epasim.spectral import (
-    MEAN_TOL,
-    Grid,
-    MeanViolationError,
-    _check,
-    convolve,
-    dealias,
-    derivative,
-    fractional_laplacian,
-    mean,
-)
+from epasim.spectral import MEAN_TOL, Grid, MeanViolationError, _check, convolve, derivative, mean
 
 MIN_B_RTOL = 0.01  # relative resolution of reference_min_b's bisection
+
+
+def with_fields(state: SimState, rho: np.ndarray | None = None, g: np.ndarray | None = None,
+                **changes) -> SimState:
+    """``dataclasses.replace`` of a state, with its rows rho and g replaced by name."""
+    x = np.stack((state.rho if rho is None else rho, state.g if g is None else g))
+    return replace(state, x=x, **changes)
+
+
+def fractional_laplacian(f: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
+    """Fractional Laplacian (-d^2/dx^2)^{alpha/2}.
+
+    Acts as the multiplier (2*pi*|k|)^alpha; the k = 0 mode maps to 0,
+    so the output has zero mean for any input.
+    """
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must be in (0, 2], got {alpha}")
+    fh = np.fft.rfft(_check(f, grid))
+    fh[0] = 0.0
+    fh[1:] *= grid.two_pi_k[1:] ** alpha
+    return np.fft.irfft(fh, n=grid.n)
+
+
+def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Zero all modes with |k| > n/3 (2/3 rule for quadratic products)."""
+    fh = np.fft.rfft(_check(f, grid))
+    fh[~grid.dealias_keep] = 0.0
+    return np.fft.irfft(fh, n=grid.n)
 
 
 def antiderivative(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -199,14 +222,13 @@ def composed_rhs(state: SimState) -> tuple[np.ndarray, np.ndarray]:
 def reference_step(state: SimState, dt: float) -> SimState:
     """One Shu-Osher SSP-RK3 step: three ``rhs(state)`` calls, and each
     stage's fields checked by building its own ``SimState``."""
-    r, g, _ = rhs(state)
-    s1 = replace(state, rho=state.rho + dt * r, g=state.g + dt * g)
-    r, g, _ = rhs(s1)
-    s2 = replace(state, rho=0.75 * state.rho + 0.25 * (s1.rho + dt * r),
-                 g=0.75 * state.g + 0.25 * (s1.g + dt * g))
-    r, g, _ = rhs(s2)
-    return replace(state, rho=(state.rho + 2.0 * (s2.rho + dt * r)) / 3.0,
-                   g=(state.g + 2.0 * (s2.g + dt * g)) / 3.0, t=state.t + dt)
+
+    def deriv(s):
+        return np.stack(rhs(s)[:2])
+
+    s1 = replace(state, x=state.x + dt * deriv(state))
+    s2 = replace(state, x=0.75 * state.x + 0.25 * (s1.x + dt * deriv(s1)))
+    return replace(state, x=(state.x + 2.0 * (s2.x + dt * deriv(s2))) / 3.0, t=state.t + dt)
 
 
 def spectral_reference_step(state: SimState, spec: np.ndarray,
@@ -221,11 +243,10 @@ def spectral_reference_step(state: SimState, spec: np.ndarray,
     plan = spectral_plan(state.grid, state.kernel, state.potential)
 
     def deriv(s, x):
-        return rhs_spectrum(x, s._block.copy(), plan, s.m0, s.rho_bar, s.potential.k)
+        return rhs_spectrum(x, s.x.copy(), plan, s.m0, s.rho_bar, s.potential.k)
 
     def stage(x, t):
-        f = np.fft.irfft(x, n=state.grid.n)
-        return replace(state, rho=f[0], g=f[1], t=t)
+        return replace(state, x=np.fft.irfft(x, n=state.grid.n), t=t)
 
     d, u_inf, _ = deriv(state, spec)
     raw = _raw_dt(_dt_constants(state, ctl), float(np.max(state.rho)), u_inf)
@@ -236,6 +257,14 @@ def spectral_reference_step(state: SimState, spec: np.ndarray,
     s2 = stage(x2, state.t)
     x3 = (spec + 2.0 * (x2 + dt * deriv(s2, x2)[0])) / 3.0
     return stage(x3, state.t + dt), x3, dt
+
+
+def stable_dt(state: SimState, ctl: StepControl) -> float:
+    """Stability-bounded step: min of the run loop's step bounds and dt_max,
+    clamped below by dt_min, from the velocity recovered from the state."""
+    u_inf = float(np.max(np.abs(recover_velocity(state))))
+    raw = _raw_dt(_dt_constants(state, ctl), float(np.max(state.rho)), u_inf)
+    return max(min(raw, ctl.dt_max), ctl.dt_min)
 
 
 def legacy_stable_dt(state: SimState, ctl: StepControl, cfl_diffuse: float = 0.3) -> float:

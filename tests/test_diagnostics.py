@@ -1,6 +1,5 @@
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +28,13 @@ from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPo
 from epasim.model import make_initial
 from epasim.spectral import Grid, GridMismatchError
 from conftest import random_positive_field, random_smooth_field
-from oracles import psi_alpha_min, reference_min_b, reference_omega_b, roll_lag_table
+from oracles import (
+    psi_alpha_min,
+    reference_min_b,
+    reference_omega_b,
+    roll_lag_table,
+    with_fields,
+)
 
 EA = KernelSpec(c=1.0, alpha=0.5)
 
@@ -141,6 +146,14 @@ def test_bound_constants_rejects_disabled_kernel():
         bound_constants(st)
 
 
+@pytest.mark.parametrize("c1", [0.0, -1.0, math.nan, math.inf])
+def test_bound_constants_rejects_c1_not_finite_and_positive(c1):
+    # 0 divided by zero, and -1 and NaN gave a finite c_big with no error
+    st = make_initial("cosine", Grid(64), EA, rho_amp=0.3)
+    with pytest.raises(ValueError, match="c1"):
+        bound_constants(st, c1=c1)
+
+
 # ---------------------------------------------------------------------------
 # envelope and f-bound checks
 
@@ -225,6 +238,15 @@ def test_modulus_params_validation():
     # delta so large the power branch bends over
     with pytest.raises(ValueError):
         ModulusParams(delta=0.6, gamma=1e-4, b=2.0, alpha=0.5)
+
+
+def test_modulus_params_rejects_nan():
+    # NaN fails "gamma <= 0" and "b < 1" alike; b = inf stays a valid gauge
+    with pytest.raises(ValueError, match="gamma"):
+        ModulusParams(delta=0.1, gamma=math.nan, b=2.0, alpha=0.5)
+    with pytest.raises(ValueError, match="b must"):
+        ModulusParams(delta=0.1, gamma=0.02, b=math.nan, alpha=0.5)
+    assert ModulusParams(delta=0.1, gamma=0.02, b=math.inf, alpha=0.5).b == math.inf
 
 
 def test_omega_b_branch_continuity():
@@ -676,6 +698,14 @@ def test_certified_params_t_independent_without_forcing():
     assert p1.delta < 2 * bc.rho0_max / drho0
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["c2", "c3"])
+def test_certified_params_reject_c2_c3_not_finite_and_positive(name, c):
+    st = make_initial("cosine", Grid(64), EA, rho_amp=0.3)
+    with pytest.raises(ValueError, match="c2, c3"):
+        certified_modulus_params(st, bound_constants(st), 1.0, **{name: c})
+
+
 def test_certified_params_monotone_in_horizon():
     g = Grid(64)
     st = make_initial("cosine", g, EA, rho_amp=0.3, potential=PotentialSpec(k=1.0))
@@ -712,7 +742,7 @@ def recorded_bkm(t, drho):
     rec = DiagnosticsRecorder()
     for step, (ti, a) in enumerate(zip(t, drho)):
         rho = 1.0 + a / (2 * np.pi) * np.cos(2 * np.pi * g.x)
-        rec(step, replace(st, rho=rho, t=float(ti)))
+        rec(step, with_fields(st, rho=rho, t=float(ti)))
     return rec.log.bkm[-1]
 
 

@@ -19,7 +19,6 @@ from epasim.integrator import (
     RunStatus,
     StepControl,
     run,
-    stable_dt,
     step_ssprk3,
 )
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
@@ -41,6 +40,8 @@ from oracles import (
     ode_blowup_time,
     reference_step,
     spectral_reference_step,
+    stable_dt,
+    with_fields,
 )
 
 EA = KernelSpec(c=1.0, alpha=0.5)
@@ -54,7 +55,7 @@ def problem(st):
 
 def stage1_spectrum(st, spec, prob):
     # the run loop's first stage on the state st, whose block has spectrum spec
-    return rhs_spectrum(spec, st._block, prob.plan, st.m0, st.rho_bar, st.potential.k,
+    return rhs_spectrum(spec, st.x, prob.plan, st.m0, st.rho_bar, st.potential.k,
                         drho=True)[0]
 
 
@@ -62,7 +63,7 @@ def advance(st, dt, steps=1):
     # steps of a fixed size as the run loop takes them: the spectrum of the
     # state's block, carried from step to step, and a state per step
     prob = problem(st)
-    spec = np.fft.rfft(st._block)
+    spec = np.fft.rfft(st.x)
     for _ in range(steps):
         spec = step_ssprk3(spec, stage1_spectrum(st, spec, prob), dt, st.t, prob)
         st = integrator._accepted(spec, st.t + dt, prob)
@@ -131,7 +132,7 @@ def test_stiff_bound_is_the_stability_limit(n, alpha, fraction):
     kc = n // 3
     kernel = KernelSpec(c=1.0, alpha=alpha)
     rho = 1.0 + 1e-6 * np.cos(2 * np.pi * kc * grid.x)
-    st = SimState(grid=grid, rho=rho, g=np.zeros(n), t=0.0, rho_bar=mean(rho), m0=0.0,
+    st = SimState(grid=grid, x=np.stack((rho, np.zeros(n))), t=0.0, rho_bar=mean(rho), m0=0.0,
                   kernel=kernel, potential=PotentialSpec())
     dt = stable_dt(st, StepControl(t_end=1.0, cfl_diffuse=fraction, dt_max=1.0))
     assert dt * np.max(rho) * (2 * np.pi * kc) ** alpha == pytest.approx(
@@ -184,7 +185,7 @@ def test_stable_dt_raises_at_density_floor():
     rho = st.rho.copy()
     rho[5] = 1e-9
     with pytest.raises(VacuumError):
-        stable_dt(replace(st, rho=rho), StepControl(t_end=1.0))
+        stable_dt(with_fields(st, rho=rho), StepControl(t_end=1.0))
 
 
 def test_step_control_validation():
@@ -192,6 +193,14 @@ def test_step_control_validation():
         StepControl(t_end=0.0)
     with pytest.raises(ValueError):
         StepControl(t_end=1.0, dt_min=1.0, dt_max=0.5)
+
+
+@pytest.mark.parametrize("field", ["t_end", "cfl_advect", "cfl_diffuse", "dt_min", "dt_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_step_control_rejects_non_finite(field, value):
+    # t_end = nan passes every "<= 0" test, and a run to it never ends
+    with pytest.raises(ValueError, match="finite"):
+        StepControl(**{"t_end": 1.0, field: value})
 
 
 def test_step_equilibrium_fixed_point():
@@ -210,7 +219,7 @@ def test_step_matches_rk3_linear_decay_polynomial():
     g = Grid(64)
     eps = 1e-6
     rho = 1.0 + eps * np.cos(2 * np.pi * g.x)
-    st = SimState(grid=g, rho=rho, g=np.zeros(64), t=0.0, rho_bar=mean(rho),
+    st = SimState(grid=g, x=np.stack((rho, np.zeros(64))), t=0.0, rho_bar=mean(rho),
                   m0=0.0, kernel=EA, potential=PotentialSpec())
     dt = 0.2
     lam = (2 * np.pi) ** 0.5
@@ -286,7 +295,7 @@ def test_run_reports_broken_zero_mean_as_nan(monkeypatch):
     st = make_initial("cosine", Grid(64), EA, rho_amp=0.3, u_amp=0.2)
     with monkeypatch.context() as m:
         m.setattr(model, "MEAN_TOL", 1e-3)
-        bad = replace(st, g=st.g + 1e-6)
+        bad = with_fields(st, g=st.g + 1e-6)
     out = run(bad, StepControl(t_end=0.01))
     assert out.status is RunStatus.NAN
     assert out.steps == 0 and "is not zero" in out.detail
@@ -305,8 +314,7 @@ def test_run_mass_and_momentum_conserved():
     g = Grid(128)
     pot = PotentialSpec(k=1.0)
     st = make_initial("cosine", g, EA, rho_amp=0.4, u_amp=0.4, u_mean=0.25)
-    st = SimState(grid=g, rho=st.rho, g=st.g, t=0.0, rho_bar=st.rho_bar, m0=st.m0,
-                  kernel=st.kernel, potential=pot)
+    st = replace(st, potential=pot)
     masses, momenta = [], []
 
     def watch(_, s):
@@ -463,7 +471,7 @@ def test_run_matches_the_reference_step_bit_for_bit(kernel, potential):
     with pytest.raises(_Stop):
         run(st, ctl, monitors=(watch,))
     assert len(seen) == 21 and seen[0] is st
-    ref, spec, phys = st, np.fft.rfft(st._block), st
+    ref, spec, phys = st, np.fft.rfft(st.x), st
     for got in seen[1:]:
         ref, spec, dt = spectral_reference_step(ref, spec, ctl)
         phys = reference_step(phys, dt)
@@ -475,7 +483,7 @@ def test_run_matches_the_reference_step_bit_for_bit(kernel, potential):
 def test_step_checks_stage_one_before_the_next_evaluation(monkeypatch):
     st = reference_problem_64()
     prob = problem(st)
-    spec = np.fft.rfft(st._block)
+    spec = np.fft.rfft(st.x)
     dt = 1e-3
     evals = {"n": 0}
     monkeypatch.setattr(integrator, "rhs_spectrum", counted(integrator.rhs_spectrum, evals))
@@ -542,7 +550,7 @@ def test_run_drho_inf_is_the_derivative_bit_for_bit(n, potential, with_recorder)
     assert out.completed and len(seen) == out.steps + 1 > 3
     drho = [d for _, d in seen]
     fresh = [float(np.max(np.abs(derivative(s.rho, s.grid)))) for s, _ in seen]
-    ref, spec, carried = st, np.fft.rfft(st._block), []
+    ref, spec, carried = st, np.fft.rfft(st.x), []
     for _ in seen[1:]:
         dh = spec[0] * (1j * st.grid.two_pi_k)
         dh[-1] = 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epasim import model
+from epasim import kernels, model, spectral
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
 from epasim.model import (
     NonFiniteError,
@@ -16,14 +16,16 @@ from epasim.model import (
     recover_velocity,
     rhs,
 )
-from epasim.spectral import Grid, GridMismatchError, MeanViolationError, derivative, mean
+from epasim.spectral import Grid, GridMismatchError, MeanViolationError, convolve, derivative, mean
 from conftest import KERNEL_POTENTIAL_PAIRS, random_positive_field, random_smooth_field
 from oracles import (
     alignment_direct,
     alignment_spectral,
     composed_rhs,
     composed_velocity,
+    fractional_laplacian,
     psi_l_conv,
+    with_fields,
 )
 
 EA_KERNEL = KernelSpec(c=1.0, alpha=0.5)
@@ -32,7 +34,7 @@ EA_KERNEL = KernelSpec(c=1.0, alpha=0.5)
 def state_from(rho, u, kernel, grid, potential=None, m0=None):
     g = compute_g(rho, u, kernel, grid)
     return SimState(
-        grid=grid, rho=rho, g=g, t=0.0, rho_bar=mean(rho),
+        grid=grid, x=np.stack((rho, g)), t=0.0, rho_bar=mean(rho),
         m0=mean(rho * u) if m0 is None else m0,
         kernel=kernel, potential=potential or PotentialSpec(),
     )
@@ -64,7 +66,6 @@ def test_transform_round_trip(grid128, psi_l):
         got = recover_velocity(st)
         assert np.max(np.abs(got - u)) <= 1e-8
         # the defining relation du/dx = c Lambda^a rho + g - psi_l * rho
-        from epasim.spectral import derivative, fractional_laplacian
         lhs = derivative(got, grid128)
         rhs_ = kernel.c * fractional_laplacian(rho, kernel.alpha, grid128) + st.g - psi_l_conv(st)
         assert np.max(np.abs(lhs - rhs_)) <= 1e-8
@@ -95,7 +96,7 @@ def test_recover_velocity_vacuum(grid64):
     rho = np.full(64, 1.0)
     rho[5] = 1e-12
     with pytest.raises(VacuumError, match="min density"):
-        SimState(grid=grid64, rho=rho, g=np.zeros(64), t=0.0, rho_bar=mean(rho),
+        SimState(grid=grid64, x=np.stack((rho, np.zeros(64))), t=0.0, rho_bar=mean(rho),
                  m0=0.0, kernel=EA_KERNEL, potential=PotentialSpec())
 
 
@@ -112,7 +113,7 @@ def test_rhs_linear_mode_algebra(grid64):
     # rho = rho_bar, g = eps cos -> d(rho)/dt = -rho_bar * g + O(eps^2)
     eps, rho_bar = 1e-6, 1.3
     g = eps * np.cos(2 * np.pi * grid64.x)
-    st = SimState(grid=grid64, rho=np.full(64, rho_bar), g=g, t=0.0,
+    st = SimState(grid=grid64, x=np.stack((np.full(64, rho_bar), g)), t=0.0,
                   rho_bar=rho_bar, m0=0.0, kernel=EA_KERNEL,
                   potential=PotentialSpec(k=1.0))
     drho, dg, _ = rhs(st)
@@ -188,7 +189,7 @@ def test_drho_inf_is_read_only_and_computed_once(grid64, monkeypatch):
         st.drho_inf = 0.0
     monkeypatch.undo()
     # a new state derives its own value
-    assert replace(st, rho=np.ones(64)).drho_inf == 0.0
+    assert with_fields(st, rho=np.ones(64)).drho_inf == 0.0
 
 
 def test_make_initial_cosine_positive(grid64):
@@ -227,7 +228,7 @@ def test_make_initial_burgers_characteristics_oracle(grid64):
 def test_validate_flags_broken_mean(grid64):
     st = make_initial("cosine", grid64, EA_KERNEL, rho_amp=0.3)
     with pytest.raises(MeanViolationError, match="drifted"):
-        SimState(grid=grid64, rho=st.rho + 0.1, g=st.g, t=0.0, rho_bar=st.rho_bar,
+        SimState(grid=grid64, x=np.stack((st.rho + 0.1, st.g)), t=0.0, rho_bar=st.rho_bar,
                  m0=st.m0, kernel=st.kernel, potential=st.potential)
 
 
@@ -235,10 +236,9 @@ def test_state_shape_checked_at_construction(grid64):
     # fields sampled on another grid are refused when the state is built,
     # not when a run first differentiates them
     st = make_initial("uniform", grid64, EA_KERNEL)
-    with pytest.raises(GridMismatchError):
-        replace(st, rho=np.ones(32), g=np.zeros(32))
-    with pytest.raises(GridMismatchError):
-        replace(st, g=np.zeros((64, 1)))
+    for x in (np.ones((2, 32)), np.ones((64, 2)), np.ones((2, 64, 1)), np.ones(64)):
+        with pytest.raises(GridMismatchError):
+            replace(st, x=x)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -266,7 +266,7 @@ def test_broken_zero_mean_of_g_is_rejected(grid64):
     st = make_initial("cosine", grid64, kernel, rho_amp=0.3, u_amp=0.2)
     assert abs(mean(st.g + 1e-6 - psi_l_conv(st))) > 1e-7
     with pytest.raises(MeanViolationError):
-        replace(st, g=st.g + 1e-6)
+        with_fields(st, g=st.g + 1e-6)
     st.validate()
 
 
@@ -277,7 +277,7 @@ def test_rhs_rejects_non_finite_state(grid64):
         g = st.g.copy()
         g[3] = bad
         with pytest.raises(NonFiniteError):
-            replace(st, g=g)
+            with_fields(st, g=g)
 
 
 def test_zero_mean_guard_scales_with_g_minus_psi_l_conv(grid64):
@@ -289,25 +289,68 @@ def test_zero_mean_guard_scales_with_g_minus_psi_l_conv(grid64):
     x = grid64.x
     rho = 1e6 * (1.0 + 0.5 * np.cos(2 * np.pi * x))
     h = 1e3 * np.sin(2 * np.pi * x)
-    st = SimState(grid=grid64, rho=rho, g=mean(rho) + h + 1e-9, t=0.0, rho_bar=mean(rho),
-                  m0=0.0, kernel=kernel, potential=PotentialSpec())
+    st = SimState(grid=grid64, x=np.stack((rho, mean(rho) + h + 1e-9)), t=0.0,
+                  rho_bar=mean(rho), m0=0.0, kernel=kernel, potential=PotentialSpec())
     assert 1e-10 < abs(mean(st.g - psi_l_conv(st))) < 1e-7
     rhs(st)
     recover_velocity(st)
     with pytest.raises(MeanViolationError):
-        replace(st, g=st.g + 1e-6)
+        with_fields(st, g=st.g + 1e-6)
 
 
 def test_check_fields_sums_psi_l_once_per_problem(grid64, monkeypatch):
     # the checks of a run's states and stages read one mean of psi_l on the
-    # grid, summed when the problem's first state is checked
+    # grid, mode 0 of the plan's vel_rho, built when the problem's first
+    # state is checked
     kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.3, b=0.1))
     st = make_initial("cosine", grid64, kernel, rho_amp=0.3, u_amp=0.2)
-    model._psi_l_mean.cache_clear()
+    model._vel_rho.cache_clear()
+    model.spectral_plan.cache_clear()  # its plans hold the cleared arrays
     sums = []
     lookup = model.lipschitz_on_grid
     monkeypatch.setattr(model, "lipschitz_on_grid", lambda *a: sums.append(a) or lookup(*a))
     for _ in range(3):
         st.validate()
-        model.check_fields(st.rho, st.g, st.t, st.rho_bar, grid64, kernel)
+        model.check_fields(st.x, st.t, st.rho_bar, grid64, kernel)
     assert sums == [(kernel.psi_l, grid64)]
+    assert -model._vel_rho(grid64, kernel)[0].real == pytest.approx(0.3, abs=1e-15)
+
+
+def test_plan_shares_the_kernel_multiplier(grid64):
+    # one vel_rho per (grid, kernel): every plan of the kernel, whatever
+    # its potential, holds the array compute_g and check_fields read
+    kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
+    model.spectral_plan.cache_clear()
+    vel_rho = model._vel_rho(grid64, kernel)
+    assert model.spectral_plan(grid64, kernel, potential).vel_rho is vel_rho
+    assert model.spectral_plan(grid64, kernel, PotentialSpec()).vel_rho is vel_rho
+    assert not vel_rho.flags.writeable
+
+
+@pytest.mark.parametrize("kernel, potential", KERNEL_POTENTIAL_PAIRS)
+def test_compute_g_matches_the_operator_composition(kernel, potential):
+    # g = du/dx - c Lambda^alpha rho + psi_l * rho, one transform per operator
+    grid = Grid(128)
+    rng = np.random.default_rng(5)
+    rho = random_positive_field(grid, rng, kmax=50)
+    u = random_smooth_field(grid, rng, kmax=50, offset=0.3)
+    want = derivative(u, grid) - kernel.c * fractional_laplacian(rho, kernel.alpha, grid)
+    want += convolve(np.asarray(kernel.psi_l(grid.x)), rho, grid)
+    got = compute_g(rho, u, kernel, grid)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_make_initial_from_cleared_caches_makes_five_ffts(monkeypatch):
+    # the dealiasing of (rho, u) as one transform pair (2 calls), compute_g
+    # (2) and the kernel's vel_rho (1); no spectral plan is built
+    for mod in (spectral, kernels, model):
+        for obj in list(vars(mod).values()):
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+    calls = []
+    for name in ("rfft", "irfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
+    make_initial("cosine", Grid(256), kernel, potential, rho_amp=0.5, u_amp=0.5)
+    assert len(calls) <= 5

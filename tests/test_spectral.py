@@ -9,9 +9,7 @@ from epasim.spectral import (
     InvalidFieldError,
     MeanViolationError,
     convolve,
-    dealias,
     derivative,
-    fractional_laplacian,
     mean,
     second_derivative,
 )
@@ -19,6 +17,8 @@ from conftest import random_smooth_field
 from oracles import (
     antiderivative,
     circular_correlate,
+    dealias,
+    fractional_laplacian,
     fractional_laplacian_antiderivative,
     midpoint_offsets,
     resample_midpoints,
@@ -35,6 +35,14 @@ def test_grid_points():
 def test_grid_rejects_small_or_odd(n):
     with pytest.raises(ValueError):
         Grid(n)
+
+
+@pytest.mark.parametrize("n", [64.0, True, np.float64(64.0)])
+def test_grid_rejects_non_integer_size(n):
+    # Grid(64.0) would compare and hash equal to Grid(64) and share its caches
+    with pytest.raises(ValueError, match="integer"):
+        Grid(n)
+    assert Grid(np.int64(64)) == Grid(64)
 
 
 def test_invalid_field_rejected(grid64):
