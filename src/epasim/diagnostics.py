@@ -22,10 +22,9 @@ values at a horizon T and a pairwise grid check of the gauge. The
 pairwise check reads the per-lag table D[l] = max_i |rho_i - rho_{i+l}|;
 as w_B(xi) = W(B xi) with W increasing, the check and the infimum
 max(1, max_l W^-1(D[l]) / xi_l) of the passing B each read it in O(n).
-Bounds lo <= D <= hi from every 16th sample, O(n^2 / 16) time, rule out
-most lags, and D is computed, in O(n) each, only at the lags they leave
-open; the verdict, the pair and B are those of the full table, bit for
-bit. Memory O(n).
+Bounds on blocks of (lag, sample) pairs rule out most of the table, which
+is computed only where they leave it open; the verdict, the pair and B
+are those of the full table, bit for bit. Memory O(n).
 The recorder logs these quantities along a run, one row per step, among
 them the running trapezoidal integral of |d rho/dx|_inf^2 whose
 finiteness is the regularity criterion. ``COLUMNS`` names the columns of
@@ -59,8 +58,7 @@ from .spectral import Grid, GridMismatchError, derivative, mean
 ENVELOPE_SLACK = 10.0  # slack factor 1 + ENVELOPE_SLACK * dx on grid extrema
 F_BOUND_ATOL = 1e-12  # absolute floor so roundoff-level f fields compare sanely
 MIN_B_CAP = 1e290  # moc_min_b reports +inf above this b
-_STRIDE = 16  # the lag bounds start at every 16th sample: a fixed choice, not a setting
-_LOG_SLACK = 2.0**-30  # relative rounding slack of the pruning for moc_min_b
+_LOG_SLACK = 2.0**-30  # relative rounding slack of the lag table's pruning
 
 # a recorder row, in order: the DiagnosticsLog lists and the CSV header
 COLUMNS = ("t", "rho_min", "rho_max", "f_inf", "drho_inf", "bkm", "mass",
@@ -303,134 +301,135 @@ class MocReport:
 
 def _lag_table(rho: np.ndarray, n: int, p: ModulusParams,
                min_b: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The lags l that may bind, their distances l/n, D[l] = max_i
-    |rho_i - rho_{i+l}| and its first argmax i.
+    """The lags l that may bind, their distances l/n, D[l] = max_i |rho_i -
+    rho_{i+l}| and its first argmax i, bit for bit those of ``abs(rho -
+    roll(rho, -l))``; the report and B read from them are those of all n/2.
 
-    A lag may bind when ``_may_bind`` cannot rule out that it holds the
-    smallest gap of the check under ``p`` (no lag for b = inf) or, with
-    ``min_b``, the smallest passing B. A non-finite field, or n < 4 _STRIDE,
-    keeps every lag l = 1..n/2, so a NaN still fails the check. ``ext``,
-    made once the pruning is done, holds rho followed by its first n/2
-    samples, so ``ext[l:l+n]`` is rho shifted by l with no copy; each kept
-    lag is one O(n) pass into the one buffer ``buf``, and D is read off at
-    the argmaxes in one gather. Memory O(n): a (lags x n) tile over a
-    strided view of ``ext`` would make numpy buffer the strided operand.
-    The values are those of ``abs(rho - roll(rho, -l))``, bit for bit, and
-    the report and B read from the kept lags are those of all n/2.
+    Branch and bound over blocks of s samples, s^2 <= n < 4 s^2, and of s
+    lags. Seed passes at lag 1, n/2 and in the lag block of the largest
+    bound give the D each lag block needs to bind; the block pairs whose
+    bound exceeds it are refined by ``_tiles``, or by ``_passes`` where most
+    of a lag block's pairs do, and the refined lags whose D exceeds it are
+    kept: all blocks that may hold their max were refined. A field of
+    infinite spread keeps every lag, so a NaN still fails the check.
     """
     half = n // 2
-    if n >= 4 * _STRIDE and np.isfinite(rho).all():
-        lags = np.flatnonzero(_may_bind(rho, p, min_b)) + 1
-    else:
+    s = 1 << (n.bit_length() - 1) // 2
+    nb, nl = -(-n // s), -(-half // s)  # the last blocks may be ragged
+    if not math.isfinite(float(rho.max() - rho.min())):
         lags = np.arange(1, half + 1)
-    ext = np.concatenate((rho, rho[:half]))
+        return (lags, lags / n, *_passes(rho, lags, np.empty(n)))
+    bound = _block_bounds(rho, s, nb, nl)
+    reach = bound(slice(None)).max(axis=1)
+    first = np.arange(1, half + 1, s)  # the first lag of each lag block
+    seeds = np.array([1, min(first[reach.argmax()] + s // 2, half), half])
     buf = np.empty(n)
-    at = np.empty(lags.size, dtype=np.intp)
-    for k, lag in enumerate(lags):
-        np.subtract(rho, ext[lag:lag + n], out=buf)
-        np.abs(buf, out=buf)
-        at[k] = buf.argmax()
-    del buf
-    diffs = rho[at]
-    diffs -= ext[at + lags]
-    return lags, lags / n, np.abs(diffs, out=diffs), at
-
-
-def _lag_bounds(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lo <= D[l] <= hi for the lags l = 1..n/2, in O(n^2 / _STRIDE).
-
-    lo is the largest |rho_j - rho_{j+l}| over the starts j, every
-    _STRIDE-th sample, one contiguous slice of ``ext`` per start, where
-    ``ext`` is rho followed by its first n/2 samples, as in ``_lag_table``.
-    Every i lies within r = _STRIDE // 2 of a start, so |rho_i - rho_{i+l}|
-    exceeds that start's value by at most 2 r L1, with L1 the largest
-    neighbour difference. 16 ulps of max |rho| cover the rounding of the
-    differences and the sum, so hi bounds D in floating point too. Each
-    temporary is freed before the next is made: at most 2.5 n values live
-    at once.
-    """
-    n = rho.size
-    half = n // 2
-    step = np.diff(rho)
-    l1 = max(float(np.abs(step, out=step).max()), abs(float(rho[0] - rho[-1])))
-    del step
-    ext = np.concatenate((rho, rho[:half]))
-    lo = np.zeros(half)
-    buf = np.empty(half)
-    for j in range(0, n, _STRIDE):
-        np.subtract(rho[j], ext[j + 1:j + 1 + half], out=buf)
-        np.abs(buf, out=buf)
-        np.maximum(lo, buf, out=lo)
-    del ext, buf
-    peak = max(float(rho.max()), -float(rho.min()))
-    return lo, lo + (2 * (_STRIDE // 2) * l1 + 16 * np.spacing(peak))
-
-
-def _may_bind(rho: np.ndarray, p: ModulusParams, min_b: bool) -> np.ndarray:
-    """Mask of the lags whose bounds lo <= D <= hi leave open that they
-    hold the smallest gap w_B(xi) - D (b finite) or, with ``min_b``, the
-    largest log W^-1(D) - log xi.
-
-    Both are monotone in D, so a lag whose value at hi is beaten by another
-    lag's value at lo is dropped; ties keep it, so the first minimiser
-    stays. The B test reads closed-form bounds on log W^-1 (see
-    ``_log_inverse``) and, as Newton's root is monotone in D only up to its
-    last ulps, leaves the relative slack _LOG_SLACK. Each temporary is
-    freed once read, so at most five half-length arrays live at once.
-    """
-    lo, hi = _lag_bounds(rho)
-    dists = np.arange(1, lo.size + 1) / rho.size
-    keep = np.zeros(lo.size, dtype=bool)
+    seed_d, seed_at = _passes(rho, seeds, buf)
+    # the D a lag of each lag block must exceed to tie the seeds' smallest gap w_b(xi) - D
+    # or largest log W^-1(D) - log xi: W(b xi) - gap or W(xi e^top) at its first lag, as W
+    # increases, less _LOG_SLACK for rounding and Newton's root, monotone in D to its last ulps
+    log_xi, log_d = np.log(np.concatenate((seeds, first)) / n), math.log(p.delta)
+    top = float(np.max(_log_inverse(seed_d, p.delta, p.gamma, p.alpha, below=True)
+                       - log_xi[:3])) if min_b else -math.inf
+    top -= _LOG_SLACK * (1.0 + abs(top))
+    log_x = np.concatenate((log_xi + math.log(p.b), log_xi[3:] + top))
+    w = np.exp(np.minimum(log_x, log_d))  # W: its power branch, then its log branch's rise
+    w += p.gamma * np.maximum(log_x - log_d, 0.0) - w ** (1.0 + p.alpha / 2.0)
+    need = w[3 + nl:]
     if not math.isinf(p.b):
-        w = omega_b(dists, p)
-        least = np.min(w - lo)
-        w -= hi
-        keep |= w <= least
-        del w
-    if min_b:
-        log_xi = np.log(dists)
-        del dists
-        below = _log_inverse(lo, p.delta, p.gamma, p.alpha, "below")
-        below -= log_xi
-        top = float(np.max(below))
-        del below, lo
-        if top < math.inf:
-            top -= _LOG_SLACK * (1.0 + abs(top))
-        above = _log_inverse(hi, p.delta, p.gamma, p.alpha, "above")
-        above -= log_xi
-        keep |= above >= top
-    return keep
+        gap = float(np.min(w[:3] - seed_d))
+        margin = w[3:3 + nl] - gap - _LOG_SLACK * (w[3:3 + nl] + abs(gap))
+        need = np.minimum(need, margin) if min_b else margin
+    todo = [(lam, np.flatnonzero(bound(lam) > need[lam])) for lam in np.flatnonzero(reach > need)]
+    del bound  # frees its arrays before the tiles
+    parts = [(seeds[:0], seed_d[:0], seed_at[:0])]
+    for lam, blocks in todo:
+        lags = np.arange(first[lam], min(first[lam] + s, half + 1))
+        diffs, at = (_passes(rho, lags, buf) if 2 * blocks.size > nb
+                     else _tiles(rho, s, blocks, lags, buf))
+        sel = diffs > need[lam]
+        parts.append((lags[sel], diffs[sel], at[sel]))
+    lags, diffs, at = (np.concatenate(c) for c in zip(*parts))
+    if not lags.size:  # a constant field under b = inf: every lag gives B = 1
+        lags, diffs, at = seeds[:1], seed_d[:1], seed_at[:1]
+    return lags, lags / n, diffs, at
+
+
+def _passes(rho: np.ndarray, lags: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D at ``lags`` and its first argmax, one pass over all n samples each."""
+    at = np.empty(lags.size, dtype=np.intp)
+    for k, lag in enumerate(lags.tolist()):
+        np.subtract(rho[:-lag], rho[lag:], out=buf[:-lag])  # rho minus its roll
+        np.subtract(rho[-lag:], rho[:lag], out=buf[-lag:])
+        at[k] = np.abs(buf, out=buf).argmax()
+    return np.abs(rho[at] - rho.take(at + lags, mode="wrap")), at
+
+
+def _tiles(rho: np.ndarray, s: int, blocks: np.ndarray, lags: np.ndarray,
+           buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D at ``lags``, a run, over the sample ``blocks`` and its first argmax:
+    a tile per block, made half by half in ``buf`` from copies of the
+    samples and of their partners, a Hankel view of ``seg`` (numpy would
+    buffer a broadcast or overlapping operand of the whole tile)."""
+    n, h = rho.size, -(-lags.size // 2)
+    at = np.empty((blocks.size, lags.size), dtype=np.intp)
+    for j, i0 in enumerate((blocks * s).tolist()):
+        rows = min(s, n - i0)
+        tile, samples = buf[:h * rows].reshape(h, rows), buf[h * rows:2 * h * rows].reshape(h, rows)
+        start = (i0 + int(lags[0])) % n
+        stop = start + lags.size + rows - 1
+        seg = rho[start:stop] if stop <= n else rho.take(np.arange(start, stop), mode="wrap")
+        np.copyto(samples, rho[i0:i0 + rows])
+        for c in range(0, lags.size, h):
+            part = tile[:lags.size - c]
+            np.copyto(part, np.ndarray(part.shape, buffer=seg, offset=seg.itemsize * c,
+                                       strides=2 * seg.strides))
+            np.abs(np.subtract(samples[:len(part)], part, out=part), out=part)
+            part.argmax(axis=1, out=at[j, c:c + h])
+    at += (blocks * s)[:, None]
+    diffs = np.abs(rho[at] - rho.take(at + lags, mode="wrap"))
+    best = diffs.argmax(axis=0) * lags.size + np.arange(lags.size)  # the first block wins ties
+    return diffs.ravel().take(best), at.ravel().take(best)
+
+
+def _block_bounds(rho: np.ndarray, s: int, nb: int, nl: int):
+    """Bounds on |rho_i - rho_{i+l}| over sample block b and lag block lam,
+    a function of lam, an index or a slice into their (nl, nb) array. Row e
+    of ``ext`` holds rho_{(e s + t) mod n}, t < s: row b covers block b, and
+    the partners i + l lie in rows b + lam and b + lam + 1. Floating-point
+    subtraction is monotone, so the bound needs no slack."""
+    ext = np.concatenate((rho, rho[:(nb + nl) * s - rho.size])).reshape(nb + nl, s)
+    top, bot = ext.max(axis=1), ext.min(axis=1)
+    hankel = dict(shape=(nl, nb), strides=2 * top.strides)  # [lam, b] reads row b + lam
+    hi = np.ndarray(buffer=np.maximum(top[1:], top[:-1]), **hankel)
+    lo = np.ndarray(buffer=np.minimum(bot[1:], bot[:-1]), **hankel)
+    return lambda lam: np.maximum(top[:nb] - lo[lam], hi[lam] - bot[:nb])
 
 
 def _log_inverse(diffs: np.ndarray, delta: float, gamma: float, alpha: float,
-                 bound: str | None = None) -> np.ndarray:
+                 below: bool = False) -> np.ndarray:
     """log W^-1(D) for each D in ``diffs``, where w_b(xi) = W(b xi), or with
-    ``bound`` a bound on it from "below" or "above".
+    ``below`` a bound on it from below.
 
     Closed-form on the log branch, NaN included. On the power branch the
-    root s of s = D + s^p lies in [D, D / (1 - delta^(p-1))], and one
-    fixed-point step from either end stays on its side: that is the bound.
-    The value takes Newton on the concave s - s^p - D from s = D, whose
-    iterates rise to the root (np.maximum keeps rounding from lowering
-    one), so the loop ends once none rises. An entry that stops rising
-    never rises again, so each result depends on its own D alone.
+    root s of s = D + s^p lies above D, and the bound is one fixed-point
+    step from D. The value takes Newton on the concave s - s^p - D from
+    s = D, whose iterates rise to the root (np.maximum keeps rounding from
+    lowering one), so the loop ends once none rises. An entry that stops
+    rising never rises again, so each result depends on its own D alone.
     """
     p = 1.0 + alpha / 2.0
     head = delta - delta ** p
     log_s = (diffs - head) / gamma + math.log(delta)
     low = diffs < head
     s = d = diffs[low]
-    if bound is None:
-        while True:
-            nxt = s - (s - s ** p - d) / (1.0 - p * s ** (p - 1.0))
-            if not np.any(nxt > s):
-                break
-            s = np.maximum(s, nxt)
-    else:
-        end = d / (1.0 - delta ** (p - 1.0)) if bound == "above" else d
-        s = d + end ** p
+    while not below:
+        nxt = s - (s - s ** p - d) / (1.0 - p * s ** (p - 1.0))
+        if not np.any(nxt > s):
+            break
+        s = np.maximum(s, nxt)
     with np.errstate(divide="ignore"):  # D = 0 gives s = 0, which binds no b
-        log_s[low] = np.log(s)
+        log_s[low] = np.log(d + d ** p if below else s)
     return log_s
 
 
@@ -462,9 +461,9 @@ def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
     """Check |rho(x) - rho(y)| < w_B(d(x, y)) over all grid pairs.
 
     Returns the pair with the smallest gap, the shortest distance among
-    ties. Cost O(n^2 / 16) for the bounds on the lag table plus O(n) per
-    lag they leave open; for b = inf the gauge is +inf everywhere and no
-    pair can bind, so no pair is compared. A rho not of shape (n,) raises
+    ties. Cost O(n) for the block bounds of the lag table plus O(n) per
+    block pair or lag they leave open; for b = inf the gauge is +inf and
+    no pair can bind, so no pair is compared. A rho not of shape (n,) raises
     GridMismatchError.
     """
     rho = _field(rho, grid)
@@ -480,8 +479,8 @@ def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: G
     w_b(xi) = W(b xi), it is max(1, max_l W^-1(D[l]) / xi_l): closed-form on
     the log branch, by Newton iteration on the power branch. +inf when it
     exceeds MIN_B_CAP or the field is not finite. Cost as ``moc_check``'s:
-    D is computed only at the lags whose bounds may hold the max. A rho
-    not of shape (n,) raises GridMismatchError.
+    D is computed only where the block bounds may hold the max. A rho not
+    of shape (n,) raises GridMismatchError.
     """
     rho = _field(rho, grid)
     p = ModulusParams(delta, gamma, math.inf, alpha)  # raises on bad parameters
@@ -503,7 +502,7 @@ def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
     inputs and may overflow to +inf; data-driven monitoring should prefer
     moc_min_b.
     """
-    if not all(math.isfinite(c) and c > 0 for c in (c2, c3)) or t_end < 0:
+    if not all(math.isfinite(c) and c > 0 for c in (c2, c3)) or not t_end >= 0:  # NaN too
         raise ValueError("c2, c3 must be finite and positive and t_end nonnegative")
     if c_f is not None and c_f < 0:
         raise ValueError("c_f must be nonnegative")

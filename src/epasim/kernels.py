@@ -255,8 +255,8 @@ class KernelSpec:
     psi_l: LipschitzKernel = field(default_factory=LipschitzKernel)
 
     def __post_init__(self) -> None:
-        if self.c < 0:
-            raise ValueError("singular coefficient c must be >= 0")
+        if not (math.isfinite(self.c) and self.c >= 0):  # NaN fails every comparison
+            raise ValueError(f"singular coefficient c must be finite and >= 0, got {self.c}")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
         if self.c > 0 and self.alpha >= 2.0:
@@ -277,6 +277,10 @@ class PotentialSpec:
 
     k: float = 0.0
     kreg: RegularPotential = field(default_factory=RegularPotential)
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.k):
+            raise ValueError(f"Newtonian strength k must be finite, got {self.k}")
 
     @property
     def is_zero(self) -> bool:

@@ -380,9 +380,9 @@ def test_lag_table_matches_roll_loop_bit_for_bit(n):
 
 
 def tent_field(n):
-    """Period-32 tent in steps of 0.01: its peaks and troughs lie halfway
-    between the starts of the lag bounds, so at lag 16 the starts see no
-    difference and D is 0.16, exactly the upper bound's width."""
+    """Period-32 tent in steps of 0.01: D is 0.16 at every lag 16 (mod 32),
+    from a pair in every period, so the maximum ties across many lags and
+    across every block of samples."""
     return 1.0 + 0.01 * np.abs((np.arange(n) + 8) % 32 - 16)
 
 
@@ -446,7 +446,7 @@ def gauges(draw):
     return ModulusParams(delta, gamma, b, alpha)
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([64, 72, 128, 200]),
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([64, 72, 128, 200, 256, 1024]),
        rough=st.floats(0.0, 1.0), amp=st.floats(1e-6, 10.0), p=gauges())
 @example(seed=0, n=64, rough=0.0, amp=1e-6, p=VALID)
 @settings(max_examples=40, deadline=None)
@@ -459,9 +459,10 @@ def test_pruning_keeps_the_full_tables_report_and_min_b(seed, n, rough, amp, p):
 
 
 def rounding_field(n):
-    """A field whose D at lag n/2 rounds past the exact bound lo + 16 L1.
+    """A field whose D at lag n/2 rounds up past a bound made of sampled
+    differences plus exact widths, lo + 16 L1 with lo from every 16th sample.
 
-    The starts 0 and 16 see a - b = 1.5 + 2^-52 + 2^-54, rounded down to
+    The samples 0 and 16 see a - b = 1.5 + 2^-52 + 2^-54, rounded down to
     1.5 + 2^-52; the bump and the dip of height 1/4 in steps of L1 = 1/32
     put 2 + 2^-52 + 2^-54 at sample 8, rounded up to 2 + 2^-51, while
     lo + 16 L1 = 2 + 2^-52 rounds down to 2. The slopes in between are
@@ -478,28 +479,84 @@ def rounding_field(n):
     return rho
 
 
-@pytest.mark.parametrize("n", [64, 72, 256, 1024])
+def wrap_field(n):
+    """A peak at sample n - 2 and a dip at sample 3: D[5] = 2 comes from a
+    pair whose partner wraps past sample n - 1."""
+    rho = np.ones(n)
+    rho[n - 2], rho[3] = 2.0, 0.0
+    return rho
+
+
+@pytest.mark.parametrize("n", [64, 72, 200, 256, 1024])
 def test_lag_bounds_sandwich_the_table(n):
-    fields = list(pruning_fields(n).values())
+    # the bound on each pair of a lag block and a sample block lies between
+    # the largest |rho_i - rho_{i+l}| over the pair and the largest difference
+    # between the block's samples and its two partner blocks; ragged blocks
+    # (s = 7) and the rounding field included, as the bound has no slack
+    half = n // 2
+    fields = [*pruning_fields(n).values(), wrap_field(n)]
     if n >= 256:
         fields.append(rounding_field(n))
     for rho in fields:
-        lo, hi = diagnostics._lag_bounds(rho)
-        d = roll_lag_table(rho, n)[1]
-        assert np.all(lo <= d) and np.all(d <= hi)
+        table = np.abs(rho - np.stack([np.roll(rho, -lag) for lag in range(1, half + 1)]))
+        for s in (1 << (n.bit_length() - 1) // 2, 7):
+            nb, nl = -(-n // s), -(-half // s)
+            bound = diagnostics._block_bounds(rho, s, nb, nl)(slice(None))
+            pairs = np.maximum.reduceat(table, np.arange(0, half, s), axis=0)
+            assert np.all(np.maximum.reduceat(pairs, np.arange(0, n, s), axis=1) <= bound)
+            rows = np.resize(rho, (nb + nl, s))
+            for lam in range(nl):
+                for b in range(nb):
+                    partners = rows[b + lam:b + lam + 2].ravel()
+                    assert np.abs(rows[b][:, None] - partners).max() == bound[lam, b]
 
 
 def test_log_inverse_bounds_sandwich_newton():
-    # the closed-form bounds the pruning for B reads, on both branches
+    # the closed-form bound from below the pruning for B reads: exact on the
+    # log branch, below Newton's root on the power branch
     for p in PRUNING_GAUGES:
         head = p.delta - p.delta ** (1.0 + p.alpha / 2.0)
         diffs = np.concatenate(([0.0], np.geomspace(1e-12, 2.0, 400), [head]))
         args = (diffs, p.delta, p.gamma, p.alpha)
-        below = diagnostics._log_inverse(*args, "below")
+        below = diagnostics._log_inverse(*args, below=True)
         exact = diagnostics._log_inverse(*args)
-        above = diagnostics._log_inverse(*args, "above")
-        assert np.all(below <= exact) and np.all(exact <= above)
-        assert np.any(below < exact) and np.any(exact < above)
+        assert np.all(below <= exact) and np.any(below < exact)
+        assert np.array_equal(below[diffs >= head], exact[diffs >= head])
+
+
+def count_refinement(monkeypatch):
+    """Counts of the block pairs ``_lag_table`` refines by tiles and of its
+    passes over all n samples, through patched helpers."""
+    counts = {"pairs": 0, "passes": 0}
+    tiles, passes = diagnostics._tiles, diagnostics._passes
+
+    def counted_tiles(rho, s, blocks, lags, buf):
+        counts["pairs"] += blocks.size
+        return tiles(rho, s, blocks, lags, buf)
+
+    def counted_passes(rho, lags, buf):
+        counts["passes"] += lags.size
+        return passes(rho, lags, buf)
+
+    monkeypatch.setattr(diagnostics, "_tiles", counted_tiles)
+    monkeypatch.setattr(diagnostics, "_passes", counted_passes)
+    return counts
+
+
+def test_pruning_refines_a_few_block_pairs(monkeypatch):
+    # a timing-free guard on the branch and bound: on a smooth field the
+    # verify gauge refines a handful of the 512 block pairs, and a constant
+    # field, where every pair ties, takes no more passes than the full table
+    n = 1024
+    counts = count_refinement(monkeypatch)
+    rho = 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
+    for min_b in (False, True):
+        diagnostics._lag_table(rho, n, VERIFY_GAUGE, min_b)
+        assert counts["pairs"] <= 16 and counts["passes"] <= 4
+        counts.update(pairs=0, passes=0)
+    # every sample block of lag block 0 survives, so it takes passes, no tiles
+    diagnostics._lag_table(np.full(n, 2.3), n, VERIFY_GAUGE, min_b=True)
+    assert counts["pairs"] == 0 and counts["passes"] <= n // 2
 
 
 @pytest.mark.parametrize("call", ["moc_check", "moc_min_b"])
@@ -696,6 +753,13 @@ def test_certified_params_t_independent_without_forcing():
     from epasim.spectral import derivative
     drho0 = float(np.max(np.abs(derivative(st.rho, g))))
     assert p1.delta < 2 * bc.rho0_max / drho0
+
+
+@pytest.mark.parametrize("t_end", [-1.0, math.nan])
+def test_certified_params_reject_a_negative_or_nan_horizon(t_end):
+    st = make_initial("cosine", Grid(64), EA, rho_amp=0.3)
+    with pytest.raises(ValueError, match="t_end"):
+        certified_modulus_params(st, bound_constants(st), t_end)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])

@@ -244,6 +244,15 @@ def test_gaussian_potential_curvature():
     assert pot.second_derivative_sup == pytest.approx(0.5 / 0.08**2, rel=1e-3)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_specs_reject_a_non_finite_coefficient(value):
+    # fails where the spec is built, not later as a non-finite state
+    with pytest.raises(ValueError, match="c must be finite"):
+        KernelSpec(c=value, alpha=0.5)
+    with pytest.raises(ValueError, match="k must be finite"):
+        PotentialSpec(k=value)
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(c=-1.0, alpha=0.5)
