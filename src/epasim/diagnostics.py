@@ -24,7 +24,14 @@ as w_B(xi) = W(B xi) with W increasing, the check and the infimum
 max(1, max_l W^-1(D[l]) / xi_l) of the passing B each read it in O(n).
 Bounds on blocks of (lag, sample) pairs rule out most of the table, which
 is computed only where they leave it open; the verdict, the pair and B
-are those of the full table, bit for bit. Memory O(n).
+are those of the full table, bit for bit. Memory O(n). At the grid sizes
+of a run a modulus row costs its numpy calls, most of them on a few dozen
+values, more than its O(n) arithmetic: on verify-1024 about 250, of which
+the tiles of the refined block pairs make about half (``_tiles``) and the
+rest go to the bounds, the seed passes, the needs and the two readings of
+the table (``_lag_table``). So the row avoids the calls that cost most:
+numpy's wrappers of ndarray methods, buffered broadcast or overlapping
+operands, and work that no kept lag needs.
 The recorder logs these quantities along a run, one row per step, among
 them the running trapezoidal integral of |d rho/dx|_inf^2 whose
 finiteness is the regularity criterion. ``COLUMNS`` names the columns of
@@ -53,7 +60,7 @@ import numpy as np
 from .kernels import kernel_min
 from .model import SimState
 from .model import recover_velocity  # noqa: F401  (perfbench traces diagnostics.recover_velocity)
-from .spectral import Grid, GridMismatchError, derivative, mean
+from .spectral import Grid, GridMismatchError, derivative
 
 ENVELOPE_SLACK = 10.0  # slack factor 1 + ENVELOPE_SLACK * dx on grid extrema
 F_BOUND_ATOL = 1e-12  # absolute floor so roundoff-level f fields compare sanely
@@ -276,19 +283,36 @@ def omega_b(xi, p: ModulusParams) -> np.ndarray | float:
     else:
         mask = p.b * xi < p.delta
         out = np.empty_like(xi)
-        bxi = p.b * xi[mask]
-        out[mask] = bxi - bxi ** (1.0 + p.alpha / 2.0)
-        # log evaluated additively so huge b never overflows the argument,
-        # in place to keep one temporary
-        head = p.delta - p.delta ** (1.0 + p.alpha / 2.0)
-        rest = xi[~mask]
-        np.log(rest, out=rest)
-        rest += math.log(p.b)
-        rest -= math.log(p.delta)
-        rest *= p.gamma
-        rest += head
-        out[~mask] = rest
+        out[mask] = _power_branch(xi[mask], p)
+        out[~mask] = _log_branch(xi[~mask], p)
     return out if out.ndim else float(out)
+
+
+def _power_branch(xi: np.ndarray, p: ModulusParams) -> np.ndarray:
+    bxi = p.b * xi
+    return bxi - bxi ** (1.0 + p.alpha / 2.0)
+
+
+def _log_branch(xi: np.ndarray, p: ModulusParams) -> np.ndarray:
+    # evaluated additively so huge b never overflows the argument, in place
+    # to keep one array
+    out = np.log(xi)
+    out += math.log(p.b)
+    out -= math.log(p.delta)
+    out *= p.gamma
+    out += p.delta - p.delta ** (1.0 + p.alpha / 2.0)
+    return out
+
+
+def _gauge(dists: np.ndarray, p: ModulusParams) -> np.ndarray:
+    """``omega_b`` at the ascending distances of a lag table, bit for bit,
+    without its checks: one branch's formula when every distance lies on it,
+    as on verify-1024's gauge. For b = inf the log branch gives +inf."""
+    if p.b * dists[0] >= p.delta:
+        return _log_branch(dists, p)
+    if p.b * dists[-1] < p.delta:
+        return _power_branch(dists, p)
+    return omega_b(dists, p)
 
 
 @dataclass(frozen=True)
@@ -307,121 +331,180 @@ def _lag_table(rho: np.ndarray, n: int, p: ModulusParams,
 
     Branch and bound over blocks of s samples, s^2 <= n < 4 s^2, and of s
     lags. Seed passes at lag 1, n/2 and in the lag block of the largest
-    bound give the D each lag block needs to bind; the block pairs whose
-    bound exceeds it are refined by ``_tiles``, or by ``_passes`` where most
-    of a lag block's pairs do, and the refined lags whose D exceeds it are
-    kept: all blocks that may hold their max were refined. A field of
-    infinite spread keeps every lag, so a NaN still fails the check.
+    bound give the D each lag block needs to bind (``_needs``); the block
+    pairs whose bound exceeds it are refined by ``_tiles``, or by
+    ``_passes`` where most of a lag block's pairs do, and the refined lags
+    whose D exceeds it are kept: all blocks that may hold their max were
+    refined. A field of infinite spread keeps every lag, so a NaN still
+    fails the check.
+
+    Its numpy calls on verify-1024 (n = 1024, 6-11 refined pairs in 2-4
+    lag blocks), about 220: 12 for the (nl, nb) bounds, computed once and
+    read by every lag block; 4 per seed pass; about 35 for the needs; 2 per
+    refined lag block to pick its pairs; 10 at the end to keep the lags;
+    the rest in the tiles (see there).
     """
     half = n // 2
     s = 1 << (n.bit_length() - 1) // 2
     nb, nl = -(-n // s), -(-half // s)  # the last blocks may be ragged
-    if not math.isfinite(float(rho.max() - rho.min())):
+    bound = _block_bounds(rho, s, nb, nl)
+    if bound is None:
         lags = np.arange(1, half + 1)
         return (lags, lags / n, *_passes(rho, lags, np.empty(n)))
-    bound = _block_bounds(rho, s, nb, nl)
-    reach = bound(slice(None)).max(axis=1)
-    first = np.arange(1, half + 1, s)  # the first lag of each lag block
-    seeds = np.array([1, min(first[reach.argmax()] + s // 2, half), half])
+    reach = bound.max(axis=1)
+    seeds = np.array((1, min(int(reach.argmax()) * s + 1 + s // 2, half), half))
     buf = np.empty(n)
     seed_d, seed_at = _passes(rho, seeds, buf)
-    # the D a lag of each lag block must exceed to tie the seeds' smallest gap w_b(xi) - D
-    # or largest log W^-1(D) - log xi: W(b xi) - gap or W(xi e^top) at its first lag, as W
-    # increases, less _LOG_SLACK for rounding and Newton's root, monotone in D to its last ulps
-    log_xi, log_d = np.log(np.concatenate((seeds, first)) / n), math.log(p.delta)
-    top = float(np.max(_log_inverse(seed_d, p.delta, p.gamma, p.alpha, below=True)
-                       - log_xi[:3])) if min_b else -math.inf
+    need = _needs(seeds, seed_d, n, s, nl, p, min_b)
+    lams = (reach > need).nonzero()[0]
+    todo = [(lam, (bound[lam] > need[lam]).nonzero()[0]) for lam in lams.tolist()]
+    del bound  # freed before the tiles
+    parts = []
+    for lam, blocks in todo:
+        lags = np.arange(lam * s + 1, min(lam * s + s, half) + 1)
+        parts.append((lags, *(_passes(rho, lags, buf) if 2 * blocks.size > nb
+                              else _tiles(rho, s, blocks, lags, buf))))
+    if parts:
+        lags, diffs, at = (np.concatenate(c) for c in zip(*parts))
+        # each lag's need; only the last lag block, which comes last, may be ragged
+        keep = diffs > need[lams].repeat(s)[:lags.size]
+        lags, diffs, at = lags[keep], diffs[keep], at[keep]
+        if lags.size:
+            return lags, lags / n, diffs, at
+    # a constant field under b = inf: every lag gives B = 1
+    return seeds[:1], seeds[:1] / n, seed_d[:1], seed_at[:1]
+
+
+def _needs(seeds: np.ndarray, seed_d: np.ndarray, n: int, s: int, nl: int,
+           p: ModulusParams, min_b: bool) -> np.ndarray:
+    """The D a lag of each lag block must exceed to tie the seeds' smallest
+    gap w_b(xi) - D or, with ``min_b``, their largest log W^-1(D) - log xi:
+    W(b xi) - gap or W(xi e^top) at the block's first lag, as W increases,
+    less _LOG_SLACK for rounding and Newton's root, monotone in D to its
+    last ulps. One vector holds W at the seeds and at both needs."""
+    log_xi = np.log(np.concatenate((seeds, np.arange(1, n // 2 + 1, s))) / n)
+    top = -math.inf
+    if min_b:
+        top = _log_inverse(seed_d, p.delta, p.gamma, p.alpha, below=True)
+        top -= log_xi[:3]
+        top = float(top.max())
     top -= _LOG_SLACK * (1.0 + abs(top))
+    log_d = math.log(p.delta)
     log_x = np.concatenate((log_xi + math.log(p.b), log_xi[3:] + top))
     w = np.exp(np.minimum(log_x, log_d))  # W: its power branch, then its log branch's rise
     w += p.gamma * np.maximum(log_x - log_d, 0.0) - w ** (1.0 + p.alpha / 2.0)
-    need = w[3 + nl:]
-    if not math.isinf(p.b):
-        gap = float(np.min(w[:3] - seed_d))
-        margin = w[3:3 + nl] - gap - _LOG_SLACK * (w[3:3 + nl] + abs(gap))
-        need = np.minimum(need, margin) if min_b else margin
-    todo = [(lam, np.flatnonzero(bound(lam) > need[lam])) for lam in np.flatnonzero(reach > need)]
-    del bound  # frees its arrays before the tiles
-    parts = [(seeds[:0], seed_d[:0], seed_at[:0])]
-    for lam, blocks in todo:
-        lags = np.arange(first[lam], min(first[lam] + s, half + 1))
-        diffs, at = (_passes(rho, lags, buf) if 2 * blocks.size > nb
-                     else _tiles(rho, s, blocks, lags, buf))
-        sel = diffs > need[lam]
-        parts.append((lags[sel], diffs[sel], at[sel]))
-    lags, diffs, at = (np.concatenate(c) for c in zip(*parts))
-    if not lags.size:  # a constant field under b = inf: every lag gives B = 1
-        lags, diffs, at = seeds[:1], seed_d[:1], seed_at[:1]
-    return lags, lags / n, diffs, at
+    if math.isinf(p.b):
+        return w[3 + nl:]
+    gap = float((w[:3] - seed_d).min())
+    margin = w[3:3 + nl] - gap - _LOG_SLACK * (w[3:3 + nl] + abs(gap))
+    return np.minimum(w[3 + nl:], margin) if min_b else margin
 
 
 def _passes(rho: np.ndarray, lags: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D at ``lags`` and its first argmax, one pass over all n samples each."""
-    at = np.empty(lags.size, dtype=np.intp)
+    diffs, at = np.empty(lags.size), np.empty(lags.size, dtype=np.intp)
     for k, lag in enumerate(lags.tolist()):
         np.subtract(rho[:-lag], rho[lag:], out=buf[:-lag])  # rho minus its roll
         np.subtract(rho[-lag:], rho[:lag], out=buf[-lag:])
-        at[k] = np.abs(buf, out=buf).argmax()
-    return np.abs(rho[at] - rho.take(at + lags, mode="wrap")), at
+        i = at[k] = np.abs(buf, out=buf).argmax()
+        diffs[k] = buf[i]
+    return diffs, at
 
 
 def _tiles(rho: np.ndarray, s: int, blocks: np.ndarray, lags: np.ndarray,
            buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D at ``lags``, a run, over the sample ``blocks`` and its first argmax:
-    a tile per block, made half by half in ``buf`` from copies of the
-    samples and of their partners, a Hankel view of ``seg`` (numpy would
-    buffer a broadcast or overlapping operand of the whole tile)."""
-    n, h = rho.size, -(-lags.size // 2)
-    at = np.empty((blocks.size, lags.size), dtype=np.intp)
-    for j, i0 in enumerate((blocks * s).tolist()):
+    """D at ``lags``, a run, over the sample ``blocks`` and its first argmax.
+
+    A tile per block, made in ``buf`` in parts of h lags next to h copies
+    of the block's samples, so that every operand is contiguous: numpy
+    would buffer a broadcast or overlapping operand, a copy of the whole
+    part. A part takes 4 calls: the copy of its partners from a Hankel view
+    of rho, subtract, abs and argmax; a block takes 1 more for its samples
+    (3 where its partners wrap past sample n - 1), and the run about 10 to
+    gather D and pick the block that holds each max, the first on ties.
+    """
+    n, size, lag0 = rho.size, lags.size, int(lags[0])
+    h = min(size, n // (2 * s))  # a part and its samples fill at most buf
+    # row r is rho[r:r + s]: the partners of the samples from r - l on at lag l
+    windows = np.ndarray((n - s + 1, s), buffer=rho, strides=2 * rho.strides)
+    tile, samples = buf[:h * s].reshape(h, s), buf[h * s:2 * h * s].reshape(h, s)
+    starts = blocks * s
+    at = np.empty(blocks.size * size, dtype=np.intp)
+    for j, i0 in enumerate(starts.tolist()):
         rows = min(s, n - i0)
-        tile, samples = buf[:h * rows].reshape(h, rows), buf[h * rows:2 * h * rows].reshape(h, rows)
-        start = (i0 + int(lags[0])) % n
-        stop = start + lags.size + rows - 1
-        seg = rho[start:stop] if stop <= n else rho.take(np.arange(start, stop), mode="wrap")
-        np.copyto(samples, rho[i0:i0 + rows])
-        for c in range(0, lags.size, h):
-            part = tile[:lags.size - c]
-            np.copyto(part, np.ndarray(part.shape, buffer=seg, offset=seg.itemsize * c,
-                                       strides=2 * seg.strides))
-            np.abs(np.subtract(samples[:len(part)], part, out=part), out=part)
-            part.argmax(axis=1, out=at[j, c:c + h])
-    at += (blocks * s)[:, None]
-    diffs = np.abs(rho[at] - rho.take(at + lags, mode="wrap"))
-    best = diffs.argmax(axis=0) * lags.size + np.arange(lags.size)  # the first block wins ties
-    return diffs.ravel().take(best), at.ravel().take(best)
+        if rows < s:  # the last block of a ragged n
+            tile = buf[:h * rows].reshape(h, rows)
+            samples = buf[h * rows:2 * h * rows].reshape(h, rows)
+        start = (i0 + lag0) % n
+        if start + size + s - 1 <= n:
+            hankel = windows[start:start + size, :rows]
+        else:
+            seg = rho.take(np.arange(start, start + size + rows - 1), mode="wrap")
+            hankel = np.ndarray((size, rows), buffer=seg, strides=2 * seg.strides)
+        samples[...] = rho[i0:i0 + rows]
+        for c in range(0, size, h):
+            part = tile[:size - c]
+            part[...] = hankel[c:c + h]
+            np.abs(np.subtract(samples[:len(part)], part, part), part)
+            part.argmax(1, at[j * size + c:j * size + c + len(part)])
+    # flat arrays: numpy would buffer a broadcast operand
+    at += starts.repeat(size)
+    diffs = rho[at]
+    diffs -= rho.take(np.concatenate((lags,) * blocks.size) + at, mode="wrap")
+    np.abs(diffs, diffs)
+    if blocks.size > 1:
+        best = diffs.reshape(blocks.size, size).argmax(axis=0)
+        best *= size
+        best += np.arange(size)
+        diffs, at = diffs[best], at[best]
+    return diffs, at
 
 
-def _block_bounds(rho: np.ndarray, s: int, nb: int, nl: int):
+def _block_bounds(rho: np.ndarray, s: int, nb: int, nl: int) -> np.ndarray | None:
     """Bounds on |rho_i - rho_{i+l}| over sample block b and lag block lam,
-    a function of lam, an index or a slice into their (nl, nb) array. Row e
-    of ``ext`` holds rho_{(e s + t) mod n}, t < s: row b covers block b, and
-    the partners i + l lie in rows b + lam and b + lam + 1. Floating-point
-    subtraction is monotone, so the bound needs no slack."""
+    their (nl, nb) array, or None when the spread max - min of rho is not
+    finite. Row e of ``ext`` holds rho_{(e s + t) mod n}, t < s: row b
+    covers block b, and the partners i + l lie in rows b + lam and
+    b + lam + 1. Floating-point subtraction is monotone, so the bound needs
+    no slack."""
     ext = np.concatenate((rho, rho[:(nb + nl) * s - rho.size])).reshape(nb + nl, s)
     top, bot = ext.max(axis=1), ext.min(axis=1)
+    del ext
+    if not math.isfinite(float(top.max() - bot.min())):
+        return None
     hankel = dict(shape=(nl, nb), strides=2 * top.strides)  # [lam, b] reads row b + lam
     hi = np.ndarray(buffer=np.maximum(top[1:], top[:-1]), **hankel)
     lo = np.ndarray(buffer=np.minimum(bot[1:], bot[:-1]), **hankel)
-    return lambda lam: np.maximum(top[:nb] - lo[lam], hi[lam] - bot[:nb])
+    # numpy would buffer each broadcast or Hankel operand, a copy of the whole
+    # array, so the Hankel ones are copied first and one term is made at a time
+    bound = lo.copy()
+    np.subtract(top[:nb], bound, out=bound)
+    rise = hi.copy()
+    np.subtract(rise, bot[:nb], out=rise)
+    return np.maximum(bound, rise, out=bound)
 
 
 def _log_inverse(diffs: np.ndarray, delta: float, gamma: float, alpha: float,
                  below: bool = False) -> np.ndarray:
     """log W^-1(D) for each D in ``diffs``, where w_b(xi) = W(b xi), or with
-    ``below`` a bound on it from below.
+    ``below`` a bound on it from below, in a new array.
 
-    Closed-form on the log branch, NaN included. On the power branch the
-    root s of s = D + s^p lies above D, and the bound is one fixed-point
-    step from D. The value takes Newton on the concave s - s^p - D from
-    s = D, whose iterates rise to the root (np.maximum keeps rounding from
-    lowering one), so the loop ends once none rises. An entry that stops
-    rising never rises again, so each result depends on its own D alone.
+    Closed-form on the log branch, NaN included, and nothing more when no D
+    lies below the branch joint. On the power branch the root s of
+    s = D + s^p lies above D, and the bound is one fixed-point step from D.
+    The value takes Newton on the concave s - s^p - D from s = D, whose
+    iterates rise to the root (np.maximum keeps rounding from lowering one),
+    so the loop ends once none rises. An entry that stops rising never
+    rises again, so each result depends on its own D alone.
     """
     p = 1.0 + alpha / 2.0
     head = delta - delta ** p
-    log_s = (diffs - head) / gamma + math.log(delta)
+    log_s = diffs - head
+    log_s /= gamma
+    log_s += math.log(delta)
     low = diffs < head
+    if not low.any():
+        return log_s
     s = d = diffs[low]
     while not below:
         nxt = s - (s - s ** p - d) / (1.0 - p * s ** (p - 1.0))
@@ -435,8 +518,9 @@ def _log_inverse(diffs: np.ndarray, delta: float, gamma: float, alpha: float,
 
 def _moc_report(table, p: ModulusParams, n: int) -> MocReport:
     lags, dists, diffs, at = table
-    gaps = omega_b(dists, p) - diffs
-    k = int(np.argmin(gaps))
+    gaps = _gauge(dists, p)
+    gaps -= diffs
+    k = int(gaps.argmin())
     i = int(at[k])
     return MocReport(passed=bool(gaps[k] > 0.0), margin=float(gaps[k]),
                      distance=float(dists[k]), pair=(i, (i + int(lags[k])) % n))
@@ -444,7 +528,9 @@ def _moc_report(table, p: ModulusParams, n: int) -> MocReport:
 
 def _min_b(table, delta: float, gamma: float, alpha: float) -> float:
     _, dists, diffs, _ = table
-    top = float(np.max(_log_inverse(diffs, delta, gamma, alpha) - np.log(dists)))
+    top = _log_inverse(diffs, delta, gamma, alpha)
+    top -= np.log(dists)
+    top = float(top.max())
     if not top <= math.log(MIN_B_CAP):  # NaN too
         return math.inf
     return math.exp(max(top, 0.0))
@@ -454,7 +540,7 @@ def _field(rho: np.ndarray, grid: Grid) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (grid.n,):
         raise GridMismatchError(f"expected shape ({grid.n},), got {rho.shape}")
-    return rho
+    return np.ascontiguousarray(rho)  # the tiles view its buffer
 
 
 def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
@@ -635,9 +721,12 @@ class DiagnosticsRecorder:
     the lags that may bind either (see ``moc_check``) and read twice, and
     run every ``moc_every`` steps, a positive integer and not a bool (else
     ValueError); rows in between, and every row without ``moc``, carry NaN
-    there. A row
-    recovers no velocity: ``recover_velocity`` pins the momentum to m0 by
-    construction, so a momentum column would only echo it.
+    there. A row recovers no velocity: ``recover_velocity`` pins the
+    momentum to m0 by construction, so a momentum column would only echo
+    it. A plain row makes about a dozen numpy calls, its reductions through
+    ndarray methods, which return the bits of ``np.min``, ``np.max`` and
+    ``np.mean`` in half their time; a modulus row adds the table's (see
+    ``_lag_table``) and about 15 to read it.
     """
 
     def __init__(self, bounds: BoundConstants | None = None,
@@ -663,10 +752,12 @@ class DiagnosticsRecorder:
         grid = state.grid
         t = state.t
         rho = state.rho
-        rho_min = float(np.min(rho))
-        rho_max = float(np.max(rho))
+        rho_min = float(rho.min())
+        rho_max = float(rho.max())
         drho = state.drho_inf
-        f_inf = float(np.max(np.abs(state.g / rho)))
+        f = state.g / rho
+        f_inf = float(np.abs(f, out=f).max())
+        del f  # freed before the lag table
         if log.t:
             bkm = log.bkm[-1] + 0.5 * (log.drho_inf[-1] ** 2 + drho**2) * (t - log.t[-1])
         else:
@@ -685,7 +776,8 @@ class DiagnosticsRecorder:
         else:
             moc_pass = math.nan
             min_b = math.nan
-        row = (t, rho_min, rho_max, f_inf, drho, bkm, mean(rho), low, up, moc_pass, min_b)
+        row = (t, rho_min, rho_max, f_inf, drho, bkm, float(rho.sum() / grid.n), low, up, moc_pass,
+               min_b)
         for name, v in zip(COLUMNS, row):
             getattr(log, name).append(v)
 

@@ -192,12 +192,16 @@ def _stage2(x: np.ndarray, d: np.ndarray, x0: np.ndarray, dt: float) -> None:
 
 
 def _stage3(d: np.ndarray, x: np.ndarray, x0: np.ndarray, dt: float) -> None:
-    # d <- (x0 + 2 (x + dt d)) / 3, in place
+    # d <- (x0 + 2 (x + dt d)) / 3, in place. numpy divides a complex block
+    # by 3.0 as by 3 + 0j, which it computes as (a + b 0) (1/3): the product
+    # of its float64 view with 1/3 has the same bits, but for the sign of a
+    # zero part, in a sixth of the time at n = 4096
     d *= dt
     d += x
     d *= 2.0
     d += x0
-    d /= 3.0
+    real = d.view(np.float64)
+    real *= 1.0 / 3.0
 
 
 class _Problem(NamedTuple):
@@ -222,7 +226,7 @@ def _stage_fields(x: np.ndarray, t: float, prob: _Problem) -> np.ndarray:
     # the fields of an inner stage: one irfft of its spectrum x, checked
     # before the evaluation reads them
     f = np.fft.irfft(x, n=prob.grid.n)
-    check_fields(f, t, prob.rho_bar, prob.grid, prob.kernel)
+    check_fields(f, t, prob.rho_bar, prob.grid, prob.kernel, prob.plan.vel_rho)
     return f
 
 

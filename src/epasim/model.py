@@ -170,11 +170,12 @@ class SimState:
 
     def validate(self) -> None:
         """Run :func:`check_fields` on the state; raises on the first violation."""
-        check_fields(self.x, self.t, self.rho_bar, self.grid, self.kernel)
+        check_fields(self.x, self.t, self.rho_bar, self.grid, self.kernel,
+                     _vel_rho(self.grid, self.kernel))
 
 
 def check_fields(x: np.ndarray, t: float, rho_bar: float, grid: Grid,
-                 kernel: KernelSpec) -> None:
+                 kernel: KernelSpec, vel_rho: np.ndarray) -> None:
     """Check the field block x = (rho, g) at time t, in order; raises on the first violation.
 
     Shape (2, n) (GridMismatchError); finite, read from the sums, so an
@@ -184,7 +185,8 @@ def check_fields(x: np.ndarray, t: float, rho_bar: float, grid: Grid,
     MeanViolationError), with mean(psi_l) read from mode 0 of the plan's
     vel_rho, where only a residual above MEAN_TOL pays for the guard's
     scale max(1, |g - psi_l * rho|_inf). The RK stages of a step call it on
-    their fields directly, without building a state.
+    their fields directly, without building a state, with the vel_rho of
+    the run's plan, so that no cache lookup runs on the stage path.
     """
     n = grid.n
     if x.shape != (2, n):
@@ -199,7 +201,7 @@ def check_fields(x: np.ndarray, t: float, rho_bar: float, grid: Grid,
         raise VacuumError(f"min density {rho_min:.3e} at t={t:.6f}")
     if abs(rho_mean - rho_bar) > MEAN_TOL * max(1.0, abs(rho_bar)):
         raise MeanViolationError("mean density drifted from its conserved value")
-    resid = g_mean + float(_vel_rho(grid, kernel)[0].real) * rho_mean
+    resid = g_mean + float(vel_rho[0].real) * rho_mean
     if abs(resid) > MEAN_TOL:
         f = x[1] - convolve(lipschitz_on_grid(kernel.psi_l, grid), x[0], grid)
         if abs(resid) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):

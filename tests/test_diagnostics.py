@@ -501,7 +501,7 @@ def test_lag_bounds_sandwich_the_table(n):
         table = np.abs(rho - np.stack([np.roll(rho, -lag) for lag in range(1, half + 1)]))
         for s in (1 << (n.bit_length() - 1) // 2, 7):
             nb, nl = -(-n // s), -(-half // s)
-            bound = diagnostics._block_bounds(rho, s, nb, nl)(slice(None))
+            bound = diagnostics._block_bounds(rho, s, nb, nl)
             pairs = np.maximum.reduceat(table, np.arange(0, half, s), axis=0)
             assert np.all(np.maximum.reduceat(pairs, np.arange(0, n, s), axis=1) <= bound)
             rows = np.resize(rho, (nb + nl, s))
@@ -522,6 +522,24 @@ def test_log_inverse_bounds_sandwich_newton():
         exact = diagnostics._log_inverse(*args)
         assert np.all(below <= exact) and np.any(below < exact)
         assert np.array_equal(below[diffs >= head], exact[diffs >= head])
+
+
+def test_table_gauge_equals_omega_b():
+    # the report's gauge at a table's distances, without omega_b's checks:
+    # omega_b's values bit for bit on either branch alone, across the joint
+    # (0.05, 0.01, 3.0, 1.0 has it at 1/60), and at the kept distances of
+    # every pruning field
+    xi = np.arange(1, 513) / 1024
+    for p in PRUNING_GAUGES:
+        power = p.b * xi < p.delta
+        for dists in (xi, xi[power], xi[~power]):
+            if dists.size:
+                assert np.array_equal(diagnostics._gauge(dists, p), omega_b(dists, p)), p
+    for n in (64, 256, 1024):
+        for name, rho in pruning_fields(n).items():
+            for p in PRUNING_GAUGES:
+                dists = diagnostics._lag_table(rho, n, p, min_b=True)[1]
+                assert np.array_equal(diagnostics._gauge(dists, p), omega_b(dists, p)), (name, p)
 
 
 def count_refinement(monkeypatch):
@@ -861,6 +879,20 @@ def test_recorder_and_csv_round_trip(tmp_path):
         b = back.column(name)
         np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
         np.testing.assert_array_equal(a[~np.isnan(a)], b[~np.isnan(b)])
+
+
+def test_recorder_plain_columns_read_the_state(grid64):
+    # a plain row's reductions through ndarray methods: the bits of np.min,
+    # np.max and np.mean, and |g/rho|_inf from a negative entry here
+    st = make_initial("cosine", grid64, EA, rho_amp=0.3)
+    st = with_fields(st, g=2.0 * np.cos(2.0 * np.pi * grid64.x))
+    f = st.g / st.rho
+    assert -f.min() > f.max()
+    rec = DiagnosticsRecorder()
+    rec(0, st)
+    log = rec.log
+    assert (log.rho_min, log.rho_max) == ([float(np.min(st.rho))], [float(np.max(st.rho))])
+    assert log.f_inf == [float(np.max(np.abs(f)))] and log.mass == [float(np.mean(st.rho))]
 
 
 def test_csv_round_trip_through_a_path_and_a_stream(tmp_path):

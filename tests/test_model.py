@@ -311,7 +311,7 @@ def test_check_fields_sums_psi_l_once_per_problem(grid64, monkeypatch):
     monkeypatch.setattr(model, "lipschitz_on_grid", lambda *a: sums.append(a) or lookup(*a))
     for _ in range(3):
         st.validate()
-        model.check_fields(st.x, st.t, st.rho_bar, grid64, kernel)
+        model.check_fields(st.x, st.t, st.rho_bar, grid64, kernel, model._vel_rho(grid64, kernel))
     assert sums == [(kernel.psi_l, grid64)]
     assert -model._vel_rho(grid64, kernel)[0].real == pytest.approx(0.3, abs=1e-15)
 
