@@ -17,8 +17,12 @@ It also implements the two-branch modulus-of-continuity gauge
     w_B(xi) = B xi - (B xi)^(1+alpha/2)          for xi <  delta/B
             = gamma log(B xi/delta) + delta - delta^(1+alpha/2)  otherwise
 
-together with the recipe that selects (delta, gamma, B) from the envelope
-values at a horizon T and a pairwise grid check of the gauge. The
+and a pairwise grid check of the gauge. The gauge is checked with
+data-driven parameters: for a given (delta, gamma), ``moc_min_b`` gives
+the least B that passes. The paper's recipe, which selects
+(delta, gamma, B) from the envelope values at a horizon, gives a B that
+is double-exponential in the data and overflows to +inf on every
+problem tried, so it is kept only as a reference in the tests. The
 pairwise check reads the per-lag table D[l] = max_i |rho_i - rho_{i+l}|;
 as w_B(xi) = W(B xi) with W increasing, the check and the infimum
 max(1, max_l W^-1(D[l]) / xi_l) of the passing B each read it in O(n).
@@ -573,58 +577,6 @@ def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: G
     return _min_b(_lag_table(rho, grid.n, p, min_b=True), delta, gamma, alpha)
 
 
-def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
-                             c2: float = 1.0, c3: float = 1.0,
-                             c_f: float | None = None,
-                             margin: float = 0.99) -> ModulusParams:
-    """Select (delta, gamma, B) from the envelope values at horizon t_end.
-
-    c2 and c3 are the alpha-dependent constants of the gauge-transport
-    estimates (no numeric values are derivable; defaults 1). c_f is the
-    Lipschitz-transfer constant; when omitted it is computed exactly in
-    the forcing-free case (where the ratio gradient is transported) and
-    defaults to 1 otherwise. All strict inequalities are applied with the
-    given safety margin. The certified B is double-exponential in the
-    inputs and may overflow to +inf; data-driven monitoring should prefer
-    moc_min_b.
-    """
-    if not all(math.isfinite(c) and c > 0 for c in (c2, c3)) or not t_end >= 0:  # NaN too
-        raise ValueError("c2, c3 must be finite and positive and t_end nonnegative")
-    if c_f is not None and c_f < 0:
-        raise ValueError("c_f must be nonnegative")
-    alpha = bc.alpha
-    rho_m = float(bc.rho_min_envelope(t_end))
-    rho_big = max(float(bc.rho_max_envelope(t_end)), 1.0)
-    f_big = float(bc.f_bound(t_end))
-    if c_f is None:
-        c_f = rho_big * bc.q0_inf if bc.kappa == 0 else 1.0
-    denom = max(4.0 * c2, 12.0 * rho_big * f_big, 6.0 * rho_big**2 * c_f)
-    bend_cap = (1.0 / (1.0 + alpha / 2.0)) ** (2.0 / alpha)
-    rho0_sup = bc.rho0_max
-    drho0 = state0.drho_inf
-    slope_cap = 2.0 * rho0_sup / drho0 if drho0 > 0 else math.inf
-    delta = margin * min(1.0, slope_cap, (c3 * rho_m / denom) ** (2.0 / alpha), bend_cap)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"selected delta {delta} is out of (0, 1)")
-    head = delta - delta ** (1.0 + alpha / 2.0)
-    bend = (1.0 + alpha / 2.0) * delta ** (alpha / 2.0)
-    gamma = margin * min(
-        c3 / (4.0 * c2) * rho_m,
-        min(1.0 / (2.0 * math.log(2.0)), alpha) * head,
-        delta * (1.0 - bend),
-        1.0,
-    )
-    if gamma <= 0.0:
-        raise ValueError("selected gamma is not positive")
-    log_b = 0.0
-    if drho0 > 0:
-        log_b = max(log_b, math.log(delta * drho0 / (2.0 * rho0_sup)) + 2.0 * rho0_sup / gamma)
-    log_b = max(log_b, math.log(2.0 * delta) + 6.0 * rho_big**2 * f_big / (c3 * gamma * rho_m))
-    log_b -= math.log(margin)
-    b = math.exp(log_b) if log_b < math.log(1e308) else math.inf
-    return ModulusParams(delta=delta, gamma=gamma, b=max(b, 1.0), alpha=alpha)
-
-
 # ---------------------------------------------------------------------------
 # run log and recorder
 
@@ -836,22 +788,3 @@ def check_f_bound(log: DiagnosticsLog, bc: BoundConstants) -> CheckReport:
     gaps = bound - log.column("f_inf")
     i = int(np.argmin(gaps))
     return CheckReport(bool(gaps[i] >= 0.0), float(gaps[i]), float(t[i]))
-
-
-def check_f_transported(log: DiagnosticsLog, atol: float = 1e-6) -> CheckReport:
-    """Forcing-free property: |f|_inf never increases along the log.
-
-    ``atol`` absorbs integrator-level fluctuation (scaled by the initial
-    size); only meaningful when k = 0 and the regular potential is off.
-    """
-    f = log.column("f_inf")
-    if f.size == 0:
-        return CheckReport(False, math.nan, math.nan, "empty log")
-    tol = atol * max(1.0, f[0])
-    steps = np.diff(f)
-    gaps = tol - steps
-    i = int(np.argmin(gaps)) if steps.size else 0
-    worst = float(gaps[i]) if steps.size else math.inf
-    t = log.column("t")
-    return CheckReport(bool(worst >= 0.0), worst, float(t[i + 1] if steps.size else t[0]))
-

@@ -25,12 +25,12 @@ or gradient, or a capped accumulation of the squared-gradient history).
   dt omega <= cfl_diffuse / 5: at the default, a tenth of a radian per
   step, 63 steps per period of the potential's oscillation.
 
-The run loop advances the spectrum of the fields: the (2, n/2 + 1) rfft
-of a state's (2, n) block x, whose rows are rho and g. It transforms the
-initial block forward once, and evaluates the dynamics on the spectrum
-(``model.rhs_spectrum``), so no evaluation transforms its fields forward
-or its derivatives back. The SSP-RK3 combinations update whole complex
-blocks in place. An evaluation makes 2 FFT calls over 3 transforms, the
+The run loop advances the spectrum of the fields: the (2, b) band of the
+rfft of a state's (2, n) block x, whose rows are rho and g, in the layout
+that ``model`` states. It transforms the initial block forward once, and
+evaluates the dynamics on the band (``model.rhs_spectrum``), so no
+evaluation transforms its fields forward or its derivatives back. The
+SSP-RK3 combinations update whole complex blocks in place. An evaluation makes 2 FFT calls over 3 transforms, the
 velocity irfft and the flux rfft, and a step makes 9 calls over 16
 transforms:
 
@@ -241,15 +241,15 @@ def _stage_rhs(x: np.ndarray, t: float, prob: _Problem) -> np.ndarray:
 def step_ssprk3(x0: np.ndarray, d: np.ndarray, dt: float, t: float, prob: _Problem) -> np.ndarray:
     """One three-stage strong-stability-preserving RK3 update of a spectrum.
 
-    x0 is the (2, n/2 + 1) spectrum of a valid state at time t and d its
-    stage-1 derivative spectrum from ``model.rhs_spectrum``, which then
-    holds the stage values and is overwritten. Returns the new spectrum.
-    The stages combine whole complex blocks. Each inner stage's fields, one
-    irfft of its spectrum, are checked by ``model.check_fields`` before the
-    evaluation reads them (FFT budget: see the module docstring), so a
-    stage that leaves the valid region raises there: VacuumError,
-    NonFiniteError or MeanViolationError. The result is checked when the
-    run loop builds its state.
+    x0 is the (2, b) band of the spectrum of a valid state at time t (see
+    the module docstring) and d its stage-1 derivative band from
+    ``model.rhs_spectrum``, which then holds the stage values and is
+    overwritten. Returns the new band. The stages combine whole complex
+    blocks. Each inner stage's fields, one irfft of its band, are checked
+    by ``model.check_fields`` before the evaluation reads them (FFT budget:
+    see the module docstring), so a stage that leaves the valid region
+    raises there: VacuumError, NonFiniteError or MeanViolationError. The
+    result is checked when the run loop builds its state.
     """
     # stage 1: u1 = u0 + dt L(u0)
     x = d
@@ -295,7 +295,7 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         return RunOutcome(status=status, t_final=state.t, steps=steps,
                           state=state, detail=detail, log=log)
 
-    spec = np.fft.rfft(state.x)
+    spec = np.fft.rfft(state.x)[:, :state.grid.band]
     k1 = stage1(state, spec)
     grad_inf = state.drho_inf
     for m in monitors:

@@ -323,13 +323,16 @@ def g_source(rho: np.ndarray, rho_bar: float, pot: PotentialSpec, grid: Grid) ->
 
 
 def g_source_multiplier(pot: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Multiplier -k + (2 pi k)^2 K_reg_hat of the potential source, rfft layout.
+    """Multiplier -k + (2 pi k)^2 K_reg_hat of the potential source, on the band.
 
-    Applied to rfft(rho) it gives rfft(g_source(rho, rho_bar, pot, grid))
-    on every mode but k = 0, which needs k n rho_bar added for the
-    background.
+    It has the ``grid.band`` modes k = 0 .. n // 3 of the rfft layout that
+    the solver carries. Applied to the band of rfft(rho) it gives the band
+    of rfft(g_source(rho, rho_bar, pot, grid)) on every mode but k = 0,
+    which needs k n rho_bar added for the background.
     """
-    out = np.full(grid.n // 2 + 1, -pot.k, dtype=complex)
+    b = grid.band
+    out = np.full(b, -pot.k, dtype=complex)
     if not pot.kreg.is_zero:
-        out += np.square(grid.two_pi_k) * to_spectrum(potential_on_grid(pot.kreg, grid), grid)
+        kreg_hat = to_spectrum(potential_on_grid(pot.kreg, grid), grid)[:b]
+        out += np.square(grid.two_pi_k[:b]) * kreg_hat
     return out

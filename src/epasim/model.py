@@ -14,15 +14,18 @@ with the velocity recovered from (rho, g) up to a constant fixed by
 momentum conservation. Velocity is always derived, never advanced.
 
 Every linear operator of the dynamics is a Fourier multiplier, and
-:func:`spectral_plan` builds them once per (grid, kernel, potential), in
-the rfft layout of ``np.fft.rfft``:
+:func:`spectral_plan` builds them once per (grid, kernel, potential), on
+the band that the 2/3 rule keeps: the modes k = 0 .. n // 3, the first
+b = ``Grid.band`` entries of the rfft layout of ``np.fft.rfft``. The band
+is the solver's dealiasing: every spectrum it carries or multiplies has
+b modes, and ``np.fft.irfft(band, n=n)`` zero-pads the modes above it.
+The Nyquist mode n/2 is never in the band.
 
 - velocity: u_hat = inv_ddx (g_hat + vel_rho rho_hat), with
-  inv_ddx = 1/(2 pi i k), 0 at k = 0 and at Nyquist, and
+  inv_ddx = 1/(2 pi i k), 0 at k = 0, and
   vel_rho = c (2 pi |k|)^alpha - psi_l_hat, built once per (grid, kernel)
   and shared with :func:`compute_g`, which inverts this relation;
-- flux derivative: flux = -2 pi i k on the 2/3-rule band and 0 above it,
-  so dealiasing and -d/dx are one product;
+- flux derivative: flux = -2 pi i k;
 - potential source: source rho_hat with source = -k + (2 pi k)^2 K_reg_hat,
   plus k n rho_bar on mode 0 for the background.
 
@@ -32,12 +35,12 @@ checks it, with the density floor and finiteness; a :class:`SimState`
 runs it when it is built, so the dynamics take every state as valid.
 
 A state stores its fields as the rows of one (2, n) block x = (rho, g).
-The dynamics are evaluated on the block's spectrum, its (2, n/2 + 1) rfft:
-:func:`rhs_spectrum` takes it with the fields themselves and the problem's
-plan, and returns the spectrum of their time derivatives. The FFT budget
-of an evaluation and of a step is stated once, in ``integrator``. Both
-rows of a block go through one FFT call, which pocketfft computes bit for
-bit as two separate calls.
+The dynamics are evaluated on the block's spectrum, the (2, b) band of
+its rfft: :func:`rhs_spectrum` takes it with the fields themselves and the
+problem's plan, and returns the band of the spectrum of their time
+derivatives. The FFT budget of an evaluation and of a step is stated
+once, in ``integrator``. Both rows of a block go through one FFT call,
+which pocketfft computes bit for bit as two separate calls.
 """
 
 from __future__ import annotations
@@ -77,10 +80,11 @@ class NonFiniteError(RuntimeError):
 class SpectralPlan(NamedTuple):
     """Read-only Fourier multipliers of one problem (see the module docstring).
 
-    All but two_pi_k are complex128: inv_ddx and flux carry the factor i,
-    and vel_rho and source carry the transforms of psi_l and K_reg, which
-    are complex for a kernel that is not even. inv_ddx and flux depend on
-    the grid alone, so the plans of one grid share them.
+    Each has the b entries of the band. All but two_pi_k are complex128:
+    inv_ddx and flux carry the factor i, and vel_rho and source carry the
+    transforms of psi_l and K_reg, which are complex for a kernel that is
+    not even. inv_ddx and flux depend on the grid alone, so the plans of
+    one grid share them; vel_rho is a view of the kernel's one array.
     """
 
     inv_ddx: np.ndarray
@@ -98,10 +102,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _grid_multipliers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     # inv_ddx and flux of the plans on this grid (see the module docstring)
-    inv = np.zeros(grid.n // 2 + 1)
-    inv[1:-1] = 1.0 / grid.two_pi_k[1:-1]
-    flux = -1j * np.where(grid.dealias_keep, grid.two_pi_k, 0.0)
-    return _read_only(-1j * inv), _read_only(flux)
+    two_pi_k = grid.two_pi_k[:grid.band]
+    inv = np.zeros(two_pi_k.size)
+    inv[1:] = 1.0 / two_pi_k[1:]
+    return _read_only(-1j * inv), _read_only(-1j * two_pi_k)
 
 
 @lru_cache(maxsize=32)
@@ -115,9 +119,10 @@ def _vel_rho(grid: Grid, kernel: KernelSpec) -> np.ndarray:
 @lru_cache(maxsize=32)
 def spectral_plan(grid: Grid, kernel: KernelSpec, potential: PotentialSpec) -> SpectralPlan:
     """Multipliers of the dynamics on ``grid``, built once per problem."""
+    b = grid.band
     inv_ddx, flux = _grid_multipliers(grid)
     source = None if potential.is_zero else _read_only(g_source_multiplier(potential, grid))
-    return SpectralPlan(inv_ddx, _vel_rho(grid, kernel), flux, source, grid.two_pi_k)
+    return SpectralPlan(inv_ddx, _vel_rho(grid, kernel)[:b], flux, source, grid.two_pi_k[:b])
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +165,10 @@ class SimState:
         The run loop stores it from the velocity transform of the next
         step's first stage, before the monitors and detectors read it (see
         :func:`rhs_spectrum`). That transform differentiates the density row
-        of the spectrum the loop carries, so the value is
-        ``max |spectral.derivative(rho)|`` to rounding, and bit for bit for
-        a run's initial state, whose spectrum is the rfft of its fields. Any
-        other state, such as a run's final one, pays 2 FFT calls on the
-        first read, for exactly that value.
+        of the band the loop carries, so the value is
+        ``max |spectral.derivative(rho)|`` to rounding. Any other state,
+        such as a run's final one, pays 2 FFT calls on the first read, for
+        exactly that value.
         """
         return float(np.max(np.abs(derivative(self.rho, self.grid))))
 
@@ -228,8 +232,8 @@ def _velocity(spec: np.ndarray, rho: np.ndarray, plan: SpectralPlan, m0: float,
     """Velocity of the block with spectrum spec and density rho, as row 0 of a new block.
 
     One irfft of u_hat, one transform. With ``drho_row`` the call carries
-    i 2 pi k rho_hat (Nyquist zeroed) as a second row, two transforms in
-    all: row 1 is then d rho/dx.
+    i 2 pi k rho_hat as a second row, two transforms in all: row 1 is then
+    d rho/dx.
     """
     rho_hat = spec[0]
     rows = np.empty((1 + drho_row, rho_hat.size), dtype=complex)
@@ -240,7 +244,6 @@ def _velocity(spec: np.ndarray, rho: np.ndarray, plan: SpectralPlan, m0: float,
     if drho_row:
         np.multiply(rho_hat, plan.two_pi_k, out=rows[1])
         rows[1] *= 1j
-        rows[1, -1] = 0.0
     n = rho.size
     w = np.fft.irfft(rows, n=n)
     u = w[0]
@@ -259,7 +262,7 @@ def recover_velocity(state: SimState) -> np.ndarray:
     was built.
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
-    return _velocity(np.fft.rfft(state.x), state.rho, plan, state.m0)[0]
+    return _velocity(np.fft.rfft(state.x)[:, :state.grid.band], state.rho, plan, state.m0)[0]
 
 
 def rhs_spectrum(spec: np.ndarray, x: np.ndarray, plan: SpectralPlan, m0: float,
@@ -267,12 +270,13 @@ def rhs_spectrum(spec: np.ndarray, x: np.ndarray, plan: SpectralPlan, m0: float,
                  drho: bool = False) -> tuple[np.ndarray, float, float | None]:
     """Spectrum of the time derivatives of the field block x = (rho, g), whose spectrum is spec.
 
-    Returns a new (2, n/2 + 1) block, sup |u| of the velocity behind it
+    Returns a new (2, b) band, sup |u| of the velocity behind it
     and, with ``drho``, sup |d rho/dx|, else None. m0 and rho_bar are the
     state's conserved references and k the potential's Newtonian strength.
-    Quadratic products are dealiased. The velocity irfft of
-    :func:`_velocity` is followed by one rfft of the fluxes (rho u, g u),
-    which are written into x (FFT budget: see ``integrator``). With ``drho``
+    The velocity irfft of :func:`_velocity` is followed by one rfft of the
+    fluxes (rho u, g u), which are written into x (FFT budget: see
+    ``integrator``); the products with the plan's flux multiplier read its
+    band alone, which dealiases the quadratic products. With ``drho``
     the velocity transform also gives d rho/dx as a second row, and the
     fluxes go into its block instead, so x is only read; the run loop sets
     it on the first stage of each step, whose x is the accepted state's.
@@ -299,8 +303,7 @@ def rhs_spectrum(spec: np.ndarray, x: np.ndarray, plan: SpectralPlan, m0: float,
     del w, u
     d = np.fft.rfft(flux)
     del flux, x  # x passed as a temporary is freed here, before the products below
-    for row in d:  # spectrum of -d/dx of the dealiased flux
-        row *= plan.flux
+    d = d[:, :plan.flux.size] * plan.flux  # band of -d/dx of the dealiased flux
     if plan.source is not None:
         d[1] += spec[0] * plan.source
         d[1, 0] += k * n * rho_bar
@@ -310,15 +313,15 @@ def rhs_spectrum(spec: np.ndarray, x: np.ndarray, plan: SpectralPlan, m0: float,
 def rhs(state: SimState) -> tuple[np.ndarray, np.ndarray, float]:
     """Time derivatives of (rho, g) and sup |u| of the velocity behind them.
 
-    :func:`rhs_spectrum` on the spectrum of the state's block and a copy of
+    :func:`rhs_spectrum` on the band of the state's block and a copy of
     it, through the problem's :func:`spectral_plan`, and one irfft back:
     4 FFT calls over 7 transforms. The two derivatives are the rows of one
     (2, n) array. Checks nothing: the state was validated when it was built.
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
     x = state.x
-    d, u_inf, _ = rhs_spectrum(np.fft.rfft(x), x.copy(), plan, state.m0, state.rho_bar,
-                               state.potential.k)
+    d, u_inf, _ = rhs_spectrum(np.fft.rfft(x)[:, :state.grid.band], x.copy(), plan, state.m0,
+                               state.rho_bar, state.potential.k)
     d = np.fft.irfft(d, n=state.grid.n)
     return d[0], d[1], u_inf
 
@@ -367,15 +370,15 @@ def make_initial(preset: str, grid: Grid, kernel: KernelSpec,
                  potential: PotentialSpec | None = None, **params) -> SimState:
     """Build a simulation state from a preset.
 
-    Fields are dealiased (2/3 rule) as one (2, n) transform pair, so the
-    evolved state starts band-limited; the conserved mean density and
-    momentum are taken from the dealiased initial data, and the gradient
-    variable is produced by the transform. A density not above
-    ``RHO_FLOOR`` raises VacuumError, as for any state.
+    Fields are dealiased (2/3 rule) as one (2, n) transform pair, the
+    irfft of the band of their rfft, so the evolved state starts
+    band-limited; the conserved mean density and momentum are taken from
+    the dealiased initial data, and the gradient variable is produced by
+    the transform. A density not above ``RHO_FLOOR`` raises VacuumError,
+    as for any state.
     """
     h = np.fft.rfft(np.stack(initial_fields(preset, grid, **params)))
-    h[:, ~grid.dealias_keep] = 0.0
-    x = np.fft.irfft(h, n=grid.n)  # rows rho and u, then rho and g
+    x = np.fft.irfft(h[:, :grid.band], n=grid.n)  # rows rho and u, then rho and g
     rho, u = x
     rho_bar, m0 = mean(rho), mean(rho * u)
     x[1] = compute_g(rho, u, kernel, grid)

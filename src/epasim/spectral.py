@@ -57,11 +57,12 @@ class Grid:
             raise ValueError(f"grid size must be even, got {self.n}")
         object.__setattr__(self, "dx", 1.0 / self.n)
         object.__setattr__(self, "x", -0.5 + np.arange(self.n) / self.n)
-        # rfft layout: integer modes k = 0 .. n/2
+        # rfft layout: integer modes k = 0 .. n/2, of which the 2/3 rule
+        # keeps the band k = 0 .. n // 3
         k = np.arange(self.n // 2 + 1)
         object.__setattr__(self, "modes", k)
         object.__setattr__(self, "two_pi_k", 2.0 * np.pi * k)
-        object.__setattr__(self, "dealias_keep", k <= self.n // 3)
+        object.__setattr__(self, "band", self.n // 3 + 1)
 
 
 def _check(f: np.ndarray, grid: Grid) -> np.ndarray:

@@ -13,9 +13,10 @@ pointwise evaluation of the effective kernel, and ``dense_kernel_min`` the
 dense search that ``kernels.kernel_min`` must never exceed.
 ``reference_step`` is the SSP-RK3 step as it was before the array core:
 three ``rhs(state)`` calls and one ``SimState`` per stage.
-``spectral_reference_step`` is the step the run loop takes on the spectrum
-of the fields, with its step size: three ``rhs_spectrum`` evaluations and
-one ``SimState`` per stage, built from one irfft of the stage's spectrum.
+``spectral_reference_step`` is the step the run loop takes on the band of
+the spectrum of the fields, with its step size: three ``rhs_spectrum``
+evaluations and one ``SimState`` per stage, built from one irfft of the
+stage's band.
 The run loop's accepted states must equal it bit for bit, and the physical
 ``reference_step`` to rounding. ``roll_lag_table`` is the
 plain loop that ``diagnostics._lag_table`` must
@@ -28,6 +29,11 @@ rows by name.
 ``characteristic_beta`` and ``ode_blowup_time`` solve the flow exactly
 along its characteristics when the kernel is a constant and the potential
 Newtonian.
+``certified_modulus_params`` is the paper's recipe for the modulus gauge
+(delta, gamma, B) from the envelope values at a horizon; its B overflows
+on every problem tried, so the recorder checks the gauge with the
+data-driven ``diagnostics.moc_min_b`` instead. ``check_f_transported`` is
+the forcing-free check that |f|_inf never increases along a log.
 """
 
 from __future__ import annotations
@@ -39,7 +45,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from epasim.diagnostics import MIN_B_CAP, ModulusParams
+from epasim.diagnostics import (
+    MIN_B_CAP,
+    BoundConstants,
+    CheckReport,
+    DiagnosticsLog,
+    ModulusParams,
+)
 from epasim.kernels import (
     KernelSpec,
     PotentialSpec,
@@ -79,7 +91,7 @@ def fractional_laplacian(f: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
 def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Zero all modes with |k| > n/3 (2/3 rule for quadratic products)."""
     fh = np.fft.rfft(_check(f, grid))
-    fh[~grid.dealias_keep] = 0.0
+    fh[grid.modes > grid.n // 3] = 0.0
     return np.fft.irfft(fh, n=grid.n)
 
 
@@ -233,11 +245,12 @@ def reference_step(state: SimState, dt: float) -> SimState:
 
 def spectral_reference_step(state: SimState, spec: np.ndarray,
                             ctl: StepControl) -> tuple[SimState, np.ndarray, float]:
-    """One Shu-Osher SSP-RK3 step of the spectrum spec of the state's block,
-    with the run loop's step size: returns the new state, its spectrum and dt.
+    """One Shu-Osher SSP-RK3 step of the band spec of the spectrum of the
+    state's block (modes 0 .. n // 3), with the run loop's step size:
+    returns the new state, its band and dt.
 
     Three ``rhs_spectrum`` calls, on a copy of each stage's fields, and each
-    stage's fields, one irfft of its spectrum, checked by building its own
+    stage's fields, one irfft of its band, checked by building its own
     ``SimState``. dt is the loop's: the step bounds at max rho and at the
     sup |u| of the first evaluation, capped by dt_max and by t_end."""
     plan = spectral_plan(state.grid, state.kernel, state.potential)
@@ -472,3 +485,73 @@ def reference_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float,
         else:
             lo = mid
     return math.exp(hi)
+
+
+def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
+                             c2: float = 1.0, c3: float = 1.0,
+                             c_f: float | None = None,
+                             margin: float = 0.99) -> ModulusParams:
+    """Select (delta, gamma, B) from the envelope values at horizon t_end.
+
+    c2 and c3 are the alpha-dependent constants of the gauge-transport
+    estimates (no numeric values are derivable; defaults 1). c_f is the
+    Lipschitz-transfer constant; when omitted it is computed exactly in
+    the forcing-free case (where the ratio gradient is transported) and
+    defaults to 1 otherwise. All strict inequalities are applied with the
+    given safety margin. The certified B is double-exponential in the
+    inputs and may overflow to +inf; data-driven monitoring should prefer
+    moc_min_b.
+    """
+    if not all(math.isfinite(c) and c > 0 for c in (c2, c3)) or not t_end >= 0:  # NaN too
+        raise ValueError("c2, c3 must be finite and positive and t_end nonnegative")
+    if c_f is not None and c_f < 0:
+        raise ValueError("c_f must be nonnegative")
+    alpha = bc.alpha
+    rho_m = float(bc.rho_min_envelope(t_end))
+    rho_big = max(float(bc.rho_max_envelope(t_end)), 1.0)
+    f_big = float(bc.f_bound(t_end))
+    if c_f is None:
+        c_f = rho_big * bc.q0_inf if bc.kappa == 0 else 1.0
+    denom = max(4.0 * c2, 12.0 * rho_big * f_big, 6.0 * rho_big**2 * c_f)
+    bend_cap = (1.0 / (1.0 + alpha / 2.0)) ** (2.0 / alpha)
+    rho0_sup = bc.rho0_max
+    drho0 = state0.drho_inf
+    slope_cap = 2.0 * rho0_sup / drho0 if drho0 > 0 else math.inf
+    delta = margin * min(1.0, slope_cap, (c3 * rho_m / denom) ** (2.0 / alpha), bend_cap)
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"selected delta {delta} is out of (0, 1)")
+    head = delta - delta ** (1.0 + alpha / 2.0)
+    bend = (1.0 + alpha / 2.0) * delta ** (alpha / 2.0)
+    gamma = margin * min(
+        c3 / (4.0 * c2) * rho_m,
+        min(1.0 / (2.0 * math.log(2.0)), alpha) * head,
+        delta * (1.0 - bend),
+        1.0,
+    )
+    if gamma <= 0.0:
+        raise ValueError("selected gamma is not positive")
+    log_b = 0.0
+    if drho0 > 0:
+        log_b = max(log_b, math.log(delta * drho0 / (2.0 * rho0_sup)) + 2.0 * rho0_sup / gamma)
+    log_b = max(log_b, math.log(2.0 * delta) + 6.0 * rho_big**2 * f_big / (c3 * gamma * rho_m))
+    log_b -= math.log(margin)
+    b = math.exp(log_b) if log_b < math.log(1e308) else math.inf
+    return ModulusParams(delta=delta, gamma=gamma, b=max(b, 1.0), alpha=alpha)
+
+
+def check_f_transported(log: DiagnosticsLog, atol: float = 1e-6) -> CheckReport:
+    """Forcing-free property: |f|_inf never increases along the log.
+
+    ``atol`` absorbs integrator-level fluctuation (scaled by the initial
+    size); only meaningful when k = 0 and the regular potential is off.
+    """
+    f = log.column("f_inf")
+    if f.size == 0:
+        return CheckReport(False, math.nan, math.nan, "empty log")
+    tol = atol * max(1.0, f[0])
+    steps = np.diff(f)
+    gaps = tol - steps
+    i = int(np.argmin(gaps)) if steps.size else 0
+    worst = float(gaps[i]) if steps.size else math.inf
+    t = log.column("t")
+    return CheckReport(bool(worst >= 0.0), worst, float(t[i + 1] if steps.size else t[0]))

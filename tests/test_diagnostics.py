@@ -14,9 +14,7 @@ from epasim.diagnostics import (
     DiagnosticsRecorder,
     ModulusParams,
     bound_constants,
-    certified_modulus_params,
     check_f_bound,
-    check_f_transported,
     check_lower_envelope,
     check_upper_envelope,
     moc_check,
@@ -29,6 +27,8 @@ from epasim.model import make_initial
 from epasim.spectral import Grid, GridMismatchError
 from conftest import random_positive_field, random_smooth_field
 from oracles import (
+    certified_modulus_params,
+    check_f_transported,
     psi_alpha_min,
     reference_min_b,
     reference_omega_b,

@@ -318,12 +318,15 @@ def test_check_fields_sums_psi_l_once_per_problem(grid64, monkeypatch):
 
 def test_plan_shares_the_kernel_multiplier(grid64):
     # one vel_rho per (grid, kernel): every plan of the kernel, whatever
-    # its potential, holds the array compute_g and check_fields read
+    # its potential, holds a view of the band of the array compute_g and
+    # check_fields read
     kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
     model.spectral_plan.cache_clear()
     vel_rho = model._vel_rho(grid64, kernel)
-    assert model.spectral_plan(grid64, kernel, potential).vel_rho is vel_rho
-    assert model.spectral_plan(grid64, kernel, PotentialSpec()).vel_rho is vel_rho
+    for pot in (potential, PotentialSpec()):
+        plan_vel_rho = model.spectral_plan(grid64, kernel, pot).vel_rho
+        assert plan_vel_rho.base is vel_rho and plan_vel_rho.size == grid64.band
+        assert not plan_vel_rho.flags.writeable
     assert not vel_rho.flags.writeable
 
 
@@ -338,6 +341,22 @@ def test_compute_g_matches_the_operator_composition(kernel, potential):
     want += convolve(np.asarray(kernel.psi_l(grid.x)), rho, grid)
     got = compute_g(rho, u, kernel, grid)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("preset", sorted(model._PRESET_PARAMS))
+@pytest.mark.parametrize("n", [64, 200])
+def test_make_initial_dealiases_through_the_band_bit_for_bit(preset, n):
+    # the irfft of the band of the fields' rfft gives the bits of the route
+    # that zeroed the modes above n // 3 of the full spectrum
+    grid = Grid(n)
+    kernel = KERNEL_POTENTIAL_PAIRS[0][0]
+    st = make_initial(preset, grid, kernel)
+    h = np.fft.rfft(np.stack(model.initial_fields(preset, grid)))
+    h[:, grid.modes > n // 3] = 0.0
+    rho, u = np.fft.irfft(h, n=n)
+    want = np.stack((rho, compute_g(rho, u, kernel, grid)))
+    assert np.array_equal(st.x.view(np.uint64), want.view(np.uint64))
+    assert st.rho_bar == mean(rho) and st.m0 == mean(rho * u)
 
 
 def test_make_initial_from_cleared_caches_makes_five_ffts(monkeypatch):

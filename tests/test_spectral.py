@@ -197,6 +197,22 @@ def test_dealias_idempotent(grid128):
     np.testing.assert_allclose(dealias(once, grid128), once, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [8, 64, 72, 200, 256, 1024, 4096])
+def test_irfft_of_the_band_zero_pads_bit_for_bit(n):
+    # the solver carries the band k = 0 .. n // 3 of a spectrum and
+    # transforms it back with irfft(band, n=n): the bits of the irfft of
+    # the full spectrum with every mode above the band zeroed
+    grid = Grid(n)
+    assert grid.band == n // 3 + 1 and grid.band < n // 2 + 1
+    rng = np.random.default_rng(n)
+    band = rng.standard_normal((2, grid.band)) + 1j * rng.standard_normal((2, grid.band))
+    full = np.zeros((2, n // 2 + 1), dtype=complex)
+    full[:, :grid.band] = band
+    got = np.fft.irfft(band, n=n)
+    want = np.fft.irfft(full, n=n)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_midpoint_offsets_symmetric():
     y = midpoint_offsets(16)
     assert y.min() >= -0.5 and y.max() < 0.5
