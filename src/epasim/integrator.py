@@ -30,9 +30,11 @@ rfft of a state's (2, n) block x, whose rows are rho and g, in the layout
 that ``model`` states. It transforms the initial block forward once, and
 evaluates the dynamics on the band (``model.rhs_spectrum``), so no
 evaluation transforms its fields forward or its derivatives back. The
-SSP-RK3 combinations update whole complex blocks in place. An evaluation makes 2 FFT calls over 3 transforms, the
-velocity irfft and the flux rfft, and a step makes 9 calls over 16
-transforms:
+SSP-RK3 combinations update whole complex blocks in place. An FFT call is
+one call of ``spectral.rfft`` or ``spectral.irfft``, the home of every
+transform, and transforms one row per row of its block. An evaluation
+makes 2 FFT calls over 3 transforms, the velocity irfft and the flux
+rfft, and a step makes 9 calls over 16 transforms:
 
 - each inner stage: one irfft of its spectrum gives its fields (2
   transforms), which ``model.check_fields`` checks before the evaluation
@@ -63,6 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import spectral
 from .kernels import KernelSpec, PotentialSpec
 from .model import (
     NonFiniteError,
@@ -218,14 +221,14 @@ class _Problem(NamedTuple):
 def _accepted(spec: np.ndarray, t: float, prob: _Problem) -> SimState:
     # the state at time t whose fields are the rows of one irfft of spec;
     # building it checks them
-    return SimState(prob.grid, np.fft.irfft(spec, n=prob.grid.n), t, prob.rho_bar, prob.m0,
+    return SimState(prob.grid, spectral.irfft(spec, n=prob.grid.n), t, prob.rho_bar, prob.m0,
                     prob.kernel, prob.potential)
 
 
 def _stage_fields(x: np.ndarray, t: float, prob: _Problem) -> np.ndarray:
     # the fields of an inner stage: one irfft of its spectrum x, checked
     # before the evaluation reads them
-    f = np.fft.irfft(x, n=prob.grid.n)
+    f = spectral.irfft(x, n=prob.grid.n)
     check_fields(f, t, prob.rho_bar, prob.grid, prob.kernel, prob.plan.vel_rho)
     return f
 
@@ -295,7 +298,7 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         return RunOutcome(status=status, t_final=state.t, steps=steps,
                           state=state, detail=detail, log=log)
 
-    spec = np.fft.rfft(state.x)[:, :state.grid.band]
+    spec = spectral.rfft(state.x)[:, :state.grid.band]
     k1 = stage1(state, spec)
     grad_inf = state.drho_inf
     for m in monitors:

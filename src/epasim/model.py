@@ -16,10 +16,12 @@ momentum conservation. Velocity is always derived, never advanced.
 Every linear operator of the dynamics is a Fourier multiplier, and
 :func:`spectral_plan` builds them once per (grid, kernel, potential), on
 the band that the 2/3 rule keeps: the modes k = 0 .. n // 3, the first
-b = ``Grid.band`` entries of the rfft layout of ``np.fft.rfft``. The band
-is the solver's dealiasing: every spectrum it carries or multiplies has
-b modes, and ``np.fft.irfft(band, n=n)`` zero-pads the modes above it.
-The Nyquist mode n/2 is never in the band.
+b = ``Grid.band`` entries of the rfft layout. Every transform is a call
+of ``spectral.rfft`` or ``spectral.irfft``, the one home of the FFT, whose
+results are ``np.fft``'s bit for bit. The band is the solver's
+dealiasing: every spectrum it carries or multiplies has b modes, and
+``spectral.irfft(band, n)`` zero-pads the modes above it. The Nyquist
+mode n/2 is never in the band.
 
 - velocity: u_hat = inv_ddx (g_hat + vel_rho rho_hat), with
   inv_ddx = 1/(2 pi i k), 0 at k = 0, and
@@ -52,6 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import spectral
 from .kernels import KernelSpec, PotentialSpec, g_source_multiplier, lipschitz_on_grid
 from .kernels import g_source  # noqa: F401  (perfbench traces model.g_source)
 from .spectral import (
@@ -167,8 +170,8 @@ class SimState:
         :func:`rhs_spectrum`). That transform differentiates the density row
         of the band the loop carries, so the value is
         ``max |spectral.derivative(rho)|`` to rounding. Any other state,
-        such as a run's final one, pays 2 FFT calls on the first read, for
-        exactly that value.
+        such as a run's final one, pays 2 FFT calls on the first read, one
+        ``spectral.rfft`` and one ``spectral.irfft``, for exactly that value.
         """
         return float(np.max(np.abs(derivative(self.rho, self.grid))))
 
@@ -219,12 +222,12 @@ def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) ->
     relation of the module docstring solved for g_hat: one rfft of the
     stacked (rho, u) and one irfft.
     """
-    h = np.fft.rfft(np.stack((_check(rho, grid), _check(u, grid))))
+    h = spectral.rfft(np.stack((_check(rho, grid), _check(u, grid))))
     g_hat = h[1]
     g_hat *= 1j * grid.two_pi_k
     g_hat[-1] = 0.0
     g_hat -= _vel_rho(grid, kernel) * h[0]
-    return np.fft.irfft(g_hat, n=grid.n)
+    return spectral.irfft(g_hat, n=grid.n)
 
 
 def _velocity(spec: np.ndarray, rho: np.ndarray, plan: SpectralPlan, m0: float,
@@ -245,7 +248,7 @@ def _velocity(spec: np.ndarray, rho: np.ndarray, plan: SpectralPlan, m0: float,
         np.multiply(rho_hat, plan.two_pi_k, out=rows[1])
         rows[1] *= 1j
     n = rho.size
-    w = np.fft.irfft(rows, n=n)
+    w = spectral.irfft(rows, n=n)
     u = w[0]
     u += (m0 * n - np.dot(rho, u)) / rho_hat[0].real
     return w
@@ -262,7 +265,7 @@ def recover_velocity(state: SimState) -> np.ndarray:
     was built.
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
-    return _velocity(np.fft.rfft(state.x)[:, :state.grid.band], state.rho, plan, state.m0)[0]
+    return _velocity(spectral.rfft(state.x)[:, :state.grid.band], state.rho, plan, state.m0)[0]
 
 
 def rhs_spectrum(spec: np.ndarray, x: np.ndarray, plan: SpectralPlan, m0: float,
@@ -301,7 +304,7 @@ def rhs_spectrum(spec: np.ndarray, x: np.ndarray, plan: SpectralPlan, m0: float,
         flux[0] *= u
         flux[1] *= u
     del w, u
-    d = np.fft.rfft(flux)
+    d = spectral.rfft(flux)
     del flux, x  # x passed as a temporary is freed here, before the products below
     d = d[:, :plan.flux.size] * plan.flux  # band of -d/dx of the dealiased flux
     if plan.source is not None:
@@ -320,9 +323,9 @@ def rhs(state: SimState) -> tuple[np.ndarray, np.ndarray, float]:
     """
     plan = spectral_plan(state.grid, state.kernel, state.potential)
     x = state.x
-    d, u_inf, _ = rhs_spectrum(np.fft.rfft(x)[:, :state.grid.band], x.copy(), plan, state.m0,
+    d, u_inf, _ = rhs_spectrum(spectral.rfft(x)[:, :state.grid.band], x.copy(), plan, state.m0,
                                state.rho_bar, state.potential.k)
-    d = np.fft.irfft(d, n=state.grid.n)
+    d = spectral.irfft(d, n=state.grid.n)
     return d[0], d[1], u_inf
 
 
@@ -377,8 +380,8 @@ def make_initial(preset: str, grid: Grid, kernel: KernelSpec,
     the transform. A density not above ``RHO_FLOOR`` raises VacuumError,
     as for any state.
     """
-    h = np.fft.rfft(np.stack(initial_fields(preset, grid, **params)))
-    x = np.fft.irfft(h[:, :grid.band], n=grid.n)  # rows rho and u, then rho and g
+    h = spectral.rfft(np.stack(initial_fields(preset, grid, **params)))
+    x = spectral.irfft(h[:, :grid.band], n=grid.n)  # rows rho and u, then rho and g
     rho, u = x
     rho_bar, m0 = mean(rho), mean(rho * u)
     x[1] = compute_g(rho, u, kernel, grid)

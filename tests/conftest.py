@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epasim import diagnostics, integrator, kernels, model, spectral
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
 from epasim.spectral import Grid
 
@@ -19,6 +20,14 @@ KERNEL_POTENTIAL_PAIRS = [
     # singular part only, no potential
     (KernelSpec(c=1.0, alpha=1.5), PotentialSpec()),
 ]
+
+
+def clear_caches() -> None:
+    """Empty epasim's memo tables, so that what follows builds them again."""
+    for mod in (spectral, kernels, model, integrator, diagnostics):
+        for obj in list(vars(mod).values()):
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
 
 
 def random_smooth_field(grid: Grid, rng: np.random.Generator, kmax: int = 8,

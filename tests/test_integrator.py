@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epasim import integrator, model
+from epasim import integrator, model, spectral
 from epasim.diagnostics import (
     DiagnosticsRecorder,
     ModulusParams,
@@ -33,7 +33,7 @@ from epasim.model import (
     spectral_plan,
 )
 from epasim.spectral import Grid, derivative, mean, to_spectrum
-from conftest import KERNEL_POTENTIAL_PAIRS
+from conftest import KERNEL_POTENTIAL_PAIRS, clear_caches
 from oracles import (
     characteristic_beta,
     legacy_stable_dt,
@@ -378,7 +378,8 @@ def test_run_samples_gaussian_curvature_once(monkeypatch):
 
 
 def count_ffts(monkeypatch):
-    # calls of np.fft.rfft / irfft, and transforms: one per row of a call
+    # calls of spectral.rfft / irfft, the home of every transform, and
+    # transforms: one per row of a call
     box = {"calls": 0, "transforms": 0}
 
     def counting(fn):
@@ -388,8 +389,8 @@ def count_ffts(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft))
-    monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
+    monkeypatch.setattr(spectral, "rfft", counting(spectral.rfft))
+    monkeypatch.setattr(spectral, "irfft", counting(spectral.irfft))
     return box
 
 
@@ -448,6 +449,27 @@ def test_rhs_and_recover_velocity_batch_their_transforms(monkeypatch):
     assert ffts == {"calls": 2, "transforms": 3}
     rhs(st)
     assert ffts == {"calls": 6, "transforms": 10}
+
+
+def test_no_transform_reaches_np_fft(monkeypatch):
+    # every transform goes through spectral.rfft / irfft: with numpy's
+    # wrappers made to raise and every plan and kernel transform rebuilt,
+    # a problem is set up, evaluated and run, with and without the recorder
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.fft called outside spectral.rfft / irfft")
+
+    clear_caches()
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    monkeypatch.setattr(np.fft, "irfft", refuse)
+    st = reference_problem_64()
+    constants = bound_constants(st)
+    model.recover_velocity(st)
+    rhs(st)
+    gauge = ModulusParams(delta=0.1, gamma=0.029, b=1e14, alpha=0.5)
+    for monitors in ((), (DiagnosticsRecorder(constants, gauge, moc_every=10),)):
+        out = run(st, StepControl(t_end=0.2), monitors=monitors)
+        assert out.completed and out.steps >= 10
+    assert np.sum(~np.isnan(monitors[0].log.column("moc_pass"))) >= 2
 
 
 class _Stop(Exception):

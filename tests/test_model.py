@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epasim import kernels, model, spectral
+from epasim import model, spectral
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
 from epasim.model import (
     NonFiniteError,
@@ -17,7 +17,12 @@ from epasim.model import (
     rhs,
 )
 from epasim.spectral import Grid, GridMismatchError, MeanViolationError, convolve, derivative, mean
-from conftest import KERNEL_POTENTIAL_PAIRS, random_positive_field, random_smooth_field
+from conftest import (
+    KERNEL_POTENTIAL_PAIRS,
+    clear_caches,
+    random_positive_field,
+    random_smooth_field,
+)
 from oracles import (
     alignment_direct,
     alignment_spectral,
@@ -362,14 +367,11 @@ def test_make_initial_dealiases_through_the_band_bit_for_bit(preset, n):
 def test_make_initial_from_cleared_caches_makes_five_ffts(monkeypatch):
     # the dealiasing of (rho, u) as one transform pair (2 calls), compute_g
     # (2) and the kernel's vel_rho (1); no spectral plan is built
-    for mod in (spectral, kernels, model):
-        for obj in list(vars(mod).values()):
-            if callable(getattr(obj, "cache_clear", None)):
-                obj.cache_clear()
+    clear_caches()
     calls = []
     for name in ("rfft", "irfft"):
-        fn = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        fn = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
     kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
     make_initial("cosine", Grid(256), kernel, potential, rho_amp=0.5, u_amp=0.5)
     assert len(calls) <= 5

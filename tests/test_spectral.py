@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epasim import spectral
 from epasim.spectral import (
     Grid,
     GridMismatchError,
@@ -200,17 +201,35 @@ def test_dealias_idempotent(grid128):
 @pytest.mark.parametrize("n", [8, 64, 72, 200, 256, 1024, 4096])
 def test_irfft_of_the_band_zero_pads_bit_for_bit(n):
     # the solver carries the band k = 0 .. n // 3 of a spectrum and
-    # transforms it back with irfft(band, n=n): the bits of the irfft of
-    # the full spectrum with every mode above the band zeroed
+    # transforms it back with spectral.irfft(band, n): the bits of the
+    # irfft of the full spectrum with every mode above the band zeroed
     grid = Grid(n)
     assert grid.band == n // 3 + 1 and grid.band < n // 2 + 1
     rng = np.random.default_rng(n)
     band = rng.standard_normal((2, grid.band)) + 1j * rng.standard_normal((2, grid.band))
     full = np.zeros((2, n // 2 + 1), dtype=complex)
     full[:, :grid.band] = band
-    got = np.fft.irfft(band, n=n)
-    want = np.fft.irfft(full, n=n)
+    got = spectral.irfft(band, n)
+    want = spectral.irfft(full, n)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [(), (1,), (2,), (4,)])
+@pytest.mark.parametrize("n", [8, 9, 64, 72, 200, 201, 256, 1024, 4096])
+def test_the_fft_home_is_np_fft_bit_for_bit(n, rows):
+    # spectral.rfft / irfft call pocketfft's gufuncs without numpy's
+    # wrapper; the odd lengths take the other rfft kernel. The inverse reads
+    # full spectra and bands of them, contiguous and as strided views
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(rows + (n,))
+    pairs = [(spectral.rfft(x), np.fft.rfft(x))]
+    full = pairs[0][1]
+    band = full[..., :n // 3 + 1]
+    for spec in (full, band, band.copy()):
+        pairs.append((spectral.irfft(spec, n), np.fft.irfft(spec, n=n)))
+    for got, want in pairs:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_midpoint_offsets_symmetric():
