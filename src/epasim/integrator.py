@@ -50,6 +50,12 @@ rfft, and a step makes 9 calls over 16 transforms:
   monitors such as the diagnostics recorder read it without another
   transform. The detectors still run at the top of the next step.
 
+A step also makes 10 ufunc reductions, each called as a ufunc's
+``reduce``: 2 in each field check (the row sums and min rho), 2 for the
+first stage's sup |u|, 1 for its sup |d rho/dx| and 1 for the density
+detector. Every state of a run shares the initial state's
+``model.Problem``, so no step looks up a cache.
+
 During a step the loop holds the spectrum and no state. A failed step
 reports the last accepted state, rebuilt from its spectrum, bit for bit the
 one the monitors saw (irfft works row by row), or the caller's own state
@@ -66,17 +72,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .kernels import KernelSpec, PotentialSpec
 from .model import (
     NonFiniteError,
+    Problem,
     SimState,
-    SpectralPlan,
     VacuumError,
     check_fields,
     rhs_spectrum,
-    spectral_plan,
 )
-from .spectral import Grid, MeanViolationError
+from .spectral import MeanViolationError
 
 # imported only for perfbench/tracer.py, which wraps integrator.rhs,
 # integrator.recover_velocity and integrator.derivative
@@ -95,12 +99,10 @@ class RunStatus(enum.Enum):
 class StepControl:
     """Step-size policy for a run up to t_end.
 
-    cfl_advect is the Courant number of the advective bound. cfl_diffuse
-    is the fraction of SSP-RK3's stability limits that the stiff and the
-    non-stiff bounds allow: of R ~ 2.5127 on the real axis for the singular
-    term's largest rate, and of sqrt(3) in the left half-plane for the
-    bounded rates. A fifth of it caps the potential's phase per step,
-    dt omega, for accuracy (see the module docstring).
+    cfl_advect is the Courant number of the advective bound, and
+    cfl_diffuse the fraction of SSP-RK3's stability limits that the stiff
+    and the non-stiff bounds allow; a fifth of it caps the potential's
+    phase per step (see the module docstring).
     """
 
     t_end: float
@@ -124,12 +126,17 @@ class DetectionThresholds:
     Defaults are far outside anything a regular run reaches; control
     scenarios (no alignment) override them to taste. Vacuum has no setting
     here: a state below ``model.RHO_FLOOR`` cannot be built, so the run
-    reports VACUUM when a stage's construction refuses one.
+    reports VACUUM when a stage's construction refuses one. Thresholds are
+    positive, inf turning a detector off; a NaN, which would too, is refused.
     """
 
     rho_max_factor: float = 1e6  # fire when max rho exceeds factor * rho_bar
     grad_rho_max: float = 1e8
     bkm_cap: float = math.inf  # cap on the running integral of |d rho/dx|_inf^2
+
+    def __post_init__(self) -> None:
+        if not (self.rho_max_factor > 0 and self.grad_rho_max > 0 and self.bkm_cap > 0):
+            raise ValueError("detection thresholds must be positive (inf allowed), not NaN")
 
 
 @dataclass
@@ -157,19 +164,19 @@ class _DtConstants(NamedTuple):
     stiffness: float  # sqrt(|k| + sup |K_reg''|), omega / sqrt(max rho)
 
 
-def _dt_constants(state: SimState, ctl: StepControl) -> _DtConstants:
-    kern, pot = state.kernel, state.potential
+def _dt_constants(problem: Problem, ctl: StepControl) -> _DtConstants:
+    kern, pot = problem.kernel, problem.potential
     # SSP-RK3's stability polynomial is -1 at z = -R, the real root of
     # z^3 + 3 z^2 + 6 z + 12 = 0 (Cardano); the left half of the disc
     # |z| <= sqrt(3) lies inside its stability region
     real_limit = 1 + np.cbrt(4 + math.sqrt(17)) - np.cbrt(math.sqrt(17) - 4)
-    stiff_rate = kern.c * (2 * np.pi * (state.grid.n // 3)) ** kern.alpha
+    stiff_rate = kern.c * (2 * np.pi * (problem.grid.n // 3)) ** kern.alpha
     return _DtConstants(
-        adv=ctl.cfl_advect * state.grid.dx,
+        adv=ctl.cfl_advect * problem.grid.dx,
         stiff=ctl.cfl_diffuse * float(real_limit) / stiff_rate if stiff_rate > 0 else math.inf,
         nonstiff=ctl.cfl_diffuse * math.sqrt(3),
         phase=ctl.cfl_diffuse / 5,
-        damping=kern.psi_l.sup_norm() * state.rho_bar,
+        damping=kern.psi_l.sup_norm() * problem.rho_bar,
         stiffness=math.sqrt(abs(pot.k) + pot.kreg.second_derivative_sup),
     )
 
@@ -207,63 +214,40 @@ def _stage3(d: np.ndarray, x: np.ndarray, x0: np.ndarray, dt: float) -> None:
     real *= 1.0 / 3.0
 
 
-class _Problem(NamedTuple):
-    """What a step reads of its problem besides the spectrum: fixed for a run."""
-
-    plan: SpectralPlan
-    m0: float
-    rho_bar: float
-    grid: Grid
-    kernel: KernelSpec
-    potential: PotentialSpec
-
-
-def _accepted(spec: np.ndarray, t: float, prob: _Problem) -> SimState:
+def _accepted(spec: np.ndarray, t: float, problem: Problem) -> SimState:
     # the state at time t whose fields are the rows of one irfft of spec;
     # building it checks them
-    return SimState(prob.grid, spectral.irfft(spec, n=prob.grid.n), t, prob.rho_bar, prob.m0,
-                    prob.kernel, prob.potential)
+    return SimState(problem, spectral.irfft(spec, n=problem.grid.n), t)
 
 
-def _stage_fields(x: np.ndarray, t: float, prob: _Problem) -> np.ndarray:
-    # the fields of an inner stage: one irfft of its spectrum x, checked
-    # before the evaluation reads them
-    f = spectral.irfft(x, n=prob.grid.n)
-    check_fields(f, t, prob.rho_bar, prob.grid, prob.kernel, prob.plan.vel_rho)
-    return f
+def _stage_rhs(x: np.ndarray, t: float, problem: Problem) -> np.ndarray:
+    # the derivative spectrum of an inner stage with spectrum x; its checked
+    # fields, one irfft of x, are a temporary, not a name, so the evaluation
+    # frees them once it has transformed the fluxes it writes into them
+    return rhs_spectrum(x, check_fields(spectral.irfft(x, n=problem.grid.n), t, problem),
+                        problem)[0]
 
 
-def _stage_rhs(x: np.ndarray, t: float, prob: _Problem) -> np.ndarray:
-    # the derivative spectrum of an inner stage; its fields are passed as a
-    # temporary, not a name, so the evaluation frees them once it has
-    # transformed the fluxes it writes into them
-    return rhs_spectrum(x, _stage_fields(x, t, prob), prob.plan, prob.m0, prob.rho_bar,
-                        prob.potential.k)[0]
+def step_ssprk3(x0: np.ndarray, d: np.ndarray, dt: float, t: float,
+                problem: Problem) -> np.ndarray:
+    """One SSP-RK3 update of x0, the band of a valid state's spectrum at time t.
 
-
-def step_ssprk3(x0: np.ndarray, d: np.ndarray, dt: float, t: float, prob: _Problem) -> np.ndarray:
-    """One three-stage strong-stability-preserving RK3 update of a spectrum.
-
-    x0 is the (2, b) band of the spectrum of a valid state at time t (see
-    the module docstring) and d its stage-1 derivative band from
-    ``model.rhs_spectrum``, which then holds the stage values and is
-    overwritten. Returns the new band. The stages combine whole complex
-    blocks. Each inner stage's fields, one irfft of its band, are checked
-    by ``model.check_fields`` before the evaluation reads them (FFT budget:
-    see the module docstring), so a stage that leaves the valid region
-    raises there: VacuumError, NonFiniteError or MeanViolationError. The
-    result is checked when the run loop builds its state.
+    d is x0's stage-1 derivative band from ``model.rhs_spectrum``; it then
+    holds the stage values and is overwritten. Returns the new band. Each
+    inner stage's fields are checked before they are evaluated (see the
+    module docstring), so a stage that leaves the valid region raises
+    there: VacuumError, NonFiniteError or MeanViolationError.
     """
     # stage 1: u1 = u0 + dt L(u0)
     x = d
     x *= dt
     x += x0
     # stage 2, into the stage-1 block: u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
-    d = _stage_rhs(x, t, prob)
+    d = _stage_rhs(x, t, problem)
     _stage2(x, d, x0, dt)
     del d
     # stage 3, into its own derivative block: (u0 + 2 (u2 + dt L(u2))) / 3
-    d = _stage_rhs(x, t, prob)
+    d = _stage_rhs(x, t, problem)
     _stage3(d, x, x0, dt)
     return d
 
@@ -279,9 +263,8 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
     """
     steps = 0
     bkm = 0.0
-    dc = _dt_constants(state, ctl)
-    prob = _Problem(spectral_plan(state.grid, state.kernel, state.potential), state.m0,
-                    state.rho_bar, state.grid, state.kernel, state.potential)
+    problem = state.problem
+    dc = _dt_constants(problem, ctl)
     initial = state
 
     def stage1(s, spec):
@@ -289,8 +272,8 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         # s.drho_inf; None when no step follows
         if s.t >= ctl.t_end - 1e-12:
             return None
-        d, u_inf, vars(s)["drho_inf"] = rhs_spectrum(spec, s.x, prob.plan, prob.m0,
-                                                     prob.rho_bar, prob.potential.k, drho=True)
+        d, u_inf, drho_inf = rhs_spectrum(spec, s.x, problem, drho=True)
+        object.__setattr__(s, "drho_inf", drho_inf)
         return d, u_inf
 
     def outcome(status, detail=""):
@@ -298,15 +281,15 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         return RunOutcome(status=status, t_final=state.t, steps=steps,
                           state=state, detail=detail, log=log)
 
-    spec = spectral.rfft(state.x)[:, :state.grid.band]
+    spec = spectral.rfft(state.x)[:, :problem.grid.band]
     k1 = stage1(state, spec)
     grad_inf = state.drho_inf
     for m in monitors:
         m(0, state)
 
     while k1 is not None:
-        rho_max = float(state.rho.max())
-        if rho_max > detection.rho_max_factor * state.rho_bar:
+        rho_max = float(np.maximum.reduce(state.x[0]))
+        if rho_max > detection.rho_max_factor * problem.rho_bar:
             return outcome(RunStatus.BLOWUP, f"max density {rho_max:.3e}")
         if grad_inf > detection.grad_rho_max:
             return outcome(RunStatus.BLOWUP, f"density gradient {grad_inf:.3e}")
@@ -321,9 +304,9 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
                 return outcome(RunStatus.BLOWUP, f"stable step collapsed to {raw:.3e}")
             dt = min(raw, ctl.dt_max, ctl.t_end - t)
             state = None  # no physical copy of the accepted state during the step
-            new = step_ssprk3(spec, d, dt, t, prob)
+            new = step_ssprk3(spec, d, dt, t, problem)
             del d  # the stage block of the finished step
-            state = _accepted(new, t + dt, prob)
+            state = _accepted(new, t + dt, problem)
             spec = new
             k1 = stage1(state, spec)
         except (VacuumError, NonFiniteError, MeanViolationError, FloatingPointError) as exc:
@@ -331,8 +314,8 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
                 if steps == 0:
                     state = initial
                 else:
-                    state = _accepted(spec, t, prob)
-                    vars(state)["drho_inf"] = grad_inf
+                    state = _accepted(spec, t, problem)
+                    object.__setattr__(state, "drho_inf", grad_inf)
             status = RunStatus.VACUUM if isinstance(exc, VacuumError) else RunStatus.NAN
             return outcome(status, str(exc))
         steps += 1

@@ -16,9 +16,7 @@ momentum conservation. Velocity is always derived, never advanced.
 Every linear operator of the dynamics is a Fourier multiplier, and
 :func:`spectral_plan` builds them once per (grid, kernel, potential), on
 the band that the 2/3 rule keeps: the modes k = 0 .. n // 3, the first
-b = ``Grid.band`` entries of the rfft layout. Every transform is a call
-of ``spectral.rfft`` or ``spectral.irfft``, the one home of the FFT, whose
-results are ``np.fft``'s bit for bit. The band is the solver's
+b = ``Grid.band`` entries of the rfft layout. The band is the solver's
 dealiasing: every spectrum it carries or multiplies has b modes, and
 ``spectral.irfft(band, n)`` zero-pads the modes above it. The Nyquist
 mode n/2 is never in the band.
@@ -36,20 +34,22 @@ zero-mean constraint that makes the velocity periodic. :func:`check_fields`
 checks it, with the density floor and finiteness; a :class:`SimState`
 runs it when it is built, so the dynamics take every state as valid.
 
-A state stores its fields as the rows of one (2, n) block x = (rho, g).
-The dynamics are evaluated on the block's spectrum, the (2, b) band of
-its rfft: :func:`rhs_spectrum` takes it with the fields themselves and the
-problem's plan, and returns the band of the spectrum of their time
-derivatives. The FFT budget of an evaluation and of a step is stated
-once, in ``integrator``. Both rows of a block go through one FFT call,
-which pocketfft computes bit for bit as two separate calls.
+A state is (problem, x, t): a :class:`Problem` holds what a run keeps
+fixed, and x is the (2, n) block of the fields (rho, g). The dynamics are
+evaluated on the block's spectrum, the (2, b) band of its rfft:
+:func:`rhs_spectrum` takes it with the fields themselves and the problem,
+and returns the band of the spectrum of their time derivatives. The FFT
+and reduction budgets of an evaluation and of a step are stated once, in
+``integrator``. Both rows of a block go through one FFT call, which
+pocketfft computes bit for bit as two separate calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -128,91 +128,111 @@ def spectral_plan(grid: Grid, kernel: KernelSpec, potential: PotentialSpec) -> S
     return SpectralPlan(inv_ddx, _vel_rho(grid, kernel)[:b], flux, source, grid.two_pi_k[:b])
 
 
-@dataclass(frozen=True, eq=False)
-class SimState:
-    """Snapshot of the evolved pair plus its conserved references.
+@dataclass(frozen=True, eq=False, slots=True)
+class Problem:
+    """What a run keeps fixed: the grid, the kernel, the potential, the
+    conserved mean density rho_bar and the conserved momentum integral m0.
 
-    x is the (2, n) block whose rows are the fields rho and g. rho_bar is
-    the conserved mean density and m0 the conserved momentum integral;
-    both are fixed at initialization time. Building a state, by any route,
-    runs :meth:`validate`, the one check of its fields, so every state is
-    valid by construction. Nothing writes to the fields of a state that a
-    step has returned, so a quantity derived from such a state is computed
-    once: ``drho_inf`` is shared by the run loop's detectors and the
-    diagnostics recorder.
+    It looks up the arrays it shares with other problems once, so no step
+    looks up a cache: ``vel_rho0``, mode 0 of vel_rho or -mean(psi_l), when
+    it is built, and ``plan``, its :func:`spectral_plan`, on first read.
     """
 
     grid: Grid
-    x: np.ndarray
-    t: float
-    rho_bar: float
-    m0: float
     kernel: KernelSpec
     potential: PotentialSpec
+    rho_bar: float
+    m0: float
+    vel_rho0: float = field(init=False, repr=False)
+    plan: SpectralPlan = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vel_rho0", float(_vel_rho(self.grid, self.kernel)[0].real))
+
+    def __getattr__(self, name: str) -> SpectralPlan:
+        # reached only by a name the problem does not hold: plan before its first read
+        if name != "plan":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        plan = spectral_plan(self.grid, self.kernel, self.potential)
+        object.__setattr__(self, "plan", plan)
+        return plan
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class SimState:
+    """Snapshot of the evolved pair at time t, on its problem.
+
+    x is the (2, n) block whose rows are the fields rho and g; the
+    problem's constants read through the state. Building a state, by any
+    route, runs :meth:`validate`, so every state is valid by construction.
+    ``drho_inf``, sup |d rho/dx|, is computed once: a state computes
+    ``max |spectral.derivative(rho)|`` on its first read, and the run loop
+    stores that value, to rounding, from the next step's first stage (see
+    ``integrator``).
+    Slots keep a state and its problem about 500 bytes smaller than the
+    instance dicts of ``cached_property`` (Python 3.11).
+    """
+
+    problem: Problem
+    x: np.ndarray
+    t: float
+    drho_inf: float = field(init=False, repr=False)
+
+    rho = property(lambda self: self.x[0])
+    g = property(lambda self: self.x[1])
+    grid = property(attrgetter("problem.grid"))
+    kernel = property(attrgetter("problem.kernel"))
+    potential = property(attrgetter("problem.potential"))
+    rho_bar = property(attrgetter("problem.rho_bar"))
+    m0 = property(attrgetter("problem.m0"))
 
     def __post_init__(self) -> None:
         self.validate()
 
-    @property
-    def rho(self) -> np.ndarray:
-        return self.x[0]
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.x[1]
-
-    @cached_property
-    def drho_inf(self) -> float:
-        """sup |d rho/dx| on the grid, computed once per state.
-
-        The run loop stores it from the velocity transform of the next
-        step's first stage, before the monitors and detectors read it (see
-        :func:`rhs_spectrum`). That transform differentiates the density row
-        of the band the loop carries, so the value is
-        ``max |spectral.derivative(rho)|`` to rounding. Any other state,
-        such as a run's final one, pays 2 FFT calls on the first read, one
-        ``spectral.rfft`` and one ``spectral.irfft``, for exactly that value.
-        """
-        return float(np.max(np.abs(derivative(self.rho, self.grid))))
+    def __getattr__(self, name: str) -> float:
+        # reached only by a name the state does not hold: drho_inf before its first read
+        if name != "drho_inf":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        drho_inf = float(np.max(np.abs(derivative(self.rho, self.grid))))
+        object.__setattr__(self, "drho_inf", drho_inf)
+        return drho_inf
 
     def validate(self) -> None:
         """Run :func:`check_fields` on the state; raises on the first violation."""
-        check_fields(self.x, self.t, self.rho_bar, self.grid, self.kernel,
-                     _vel_rho(self.grid, self.kernel))
+        check_fields(self.x, self.t, self.problem)
 
 
-def check_fields(x: np.ndarray, t: float, rho_bar: float, grid: Grid,
-                 kernel: KernelSpec, vel_rho: np.ndarray) -> None:
-    """Check the field block x = (rho, g) at time t, in order; raises on the first violation.
+def check_fields(x: np.ndarray, t: float, problem: Problem) -> np.ndarray:
+    """Return the field block x = (rho, g) of the problem at time t, checked in order.
 
-    Shape (2, n) (GridMismatchError); finite, read from the sums, so an
-    overflowing sum counts (NonFiniteError, which means only this);
-    min rho above RHO_FLOOR (VacuumError); mean(rho) = rho_bar and
-    mean(g - psi_l * rho) = mean(g) - mean(psi_l) mean(rho) = 0 (both
-    MeanViolationError), with mean(psi_l) read from mode 0 of the plan's
-    vel_rho, where only a residual above MEAN_TOL pays for the guard's
-    scale max(1, |g - psi_l * rho|_inf). The RK stages of a step call it on
-    their fields directly, without building a state, with the vel_rho of
-    the run's plan, so that no cache lookup runs on the stage path.
+    Raises on the first violation: shape (2, n) (GridMismatchError);
+    finite, read from the sums, so an overflowing sum counts
+    (NonFiniteError, which means only this); min rho above RHO_FLOOR
+    (VacuumError); mean(rho) = rho_bar and mean(g - psi_l * rho) =
+    mean(g) - mean(psi_l) mean(rho) = 0 (both MeanViolationError), with
+    -mean(psi_l) the problem's ``vel_rho0``, where only a residual above
+    MEAN_TOL pays for the guard's scale max(1, |g - psi_l * rho|_inf).
     """
+    grid = problem.grid
     n = grid.n
     if x.shape != (2, n):
         raise GridMismatchError(f"fields of shape {x.shape} on a grid of {n} points")
-    rho_sum, g_sum = x.sum(axis=1).tolist()  # bit for bit the sums of the rows
+    rho_sum, g_sum = np.add.reduce(x, axis=1).tolist()
     rho_mean = rho_sum / n
     g_mean = g_sum / n
     if not math.isfinite(rho_mean + g_mean):
         raise NonFiniteError(f"non-finite state at t={t:.6f}")
-    rho_min = float(x[0].min())
+    rho_min = float(np.minimum.reduce(x[0]))
     if rho_min <= RHO_FLOOR:
         raise VacuumError(f"min density {rho_min:.3e} at t={t:.6f}")
-    if abs(rho_mean - rho_bar) > MEAN_TOL * max(1.0, abs(rho_bar)):
+    if abs(rho_mean - problem.rho_bar) > MEAN_TOL * max(1.0, abs(problem.rho_bar)):
         raise MeanViolationError("mean density drifted from its conserved value")
-    resid = g_mean + float(vel_rho[0].real) * rho_mean
+    resid = g_mean + problem.vel_rho0 * rho_mean
     if abs(resid) > MEAN_TOL:
-        f = x[1] - convolve(lipschitz_on_grid(kernel.psi_l, grid), x[0], grid)
+        f = x[1] - convolve(lipschitz_on_grid(problem.kernel.psi_l, grid), x[0], grid)
         if abs(resid) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):
             raise MeanViolationError(f"mean(g - psi_l * rho) = {resid:.3e} is not zero")
+    return x
 
 
 def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) -> np.ndarray:
@@ -230,7 +250,7 @@ def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) ->
     return spectral.irfft(g_hat, n=grid.n)
 
 
-def _velocity(spec: np.ndarray, rho: np.ndarray, plan: SpectralPlan, m0: float,
+def _velocity(spec: np.ndarray, rho: np.ndarray, problem: Problem,
               drho_row: bool = False) -> np.ndarray:
     """Velocity of the block with spectrum spec and density rho, as row 0 of a new block.
 
@@ -238,6 +258,7 @@ def _velocity(spec: np.ndarray, rho: np.ndarray, plan: SpectralPlan, m0: float,
     i 2 pi k rho_hat as a second row, two transforms in all: row 1 is then
     d rho/dx.
     """
+    plan = problem.plan
     rho_hat = spec[0]
     rows = np.empty((1 + drho_row, rho_hat.size), dtype=complex)
     u_hat = rows[0]
@@ -250,7 +271,7 @@ def _velocity(spec: np.ndarray, rho: np.ndarray, plan: SpectralPlan, m0: float,
     n = rho.size
     w = spectral.irfft(rows, n=n)
     u = w[0]
-    u += (m0 * n - np.dot(rho, u)) / rho_hat[0].real
+    u += (problem.m0 * n - float(np.dot(rho, u))) / float(rho_hat[0].real)
     return w
 
 
@@ -260,46 +281,43 @@ def recover_velocity(state: SimState) -> np.ndarray:
     u = c * Lambda^alpha d^-1 (rho - rho_bar) + d^-1 (g - psi_l * rho) + I0,
     with the constant I0 solved from int rho u = m0 at every call, so the
     momentum integral is enforced structurally rather than tracked. Costs
-    2 FFT calls over 3 transforms through the problem's
-    :func:`spectral_plan`. Checks nothing: the state was validated when it
-    was built.
+    2 FFT calls over 3 transforms through the problem's plan. Checks
+    nothing: the state was validated when it was built.
     """
-    plan = spectral_plan(state.grid, state.kernel, state.potential)
-    return _velocity(spectral.rfft(state.x)[:, :state.grid.band], state.rho, plan, state.m0)[0]
+    problem = state.problem
+    return _velocity(spectral.rfft(state.x)[:, :problem.grid.band], state.rho, problem)[0]
 
 
-def rhs_spectrum(spec: np.ndarray, x: np.ndarray, plan: SpectralPlan, m0: float,
-                 rho_bar: float, k: float,
-                 drho: bool = False) -> tuple[np.ndarray, float, float | None]:
+def rhs_spectrum(spec: np.ndarray, x: np.ndarray, problem: Problem,
+                 drho: bool = False) -> tuple[np.ndarray, float | None, float | None]:
     """Spectrum of the time derivatives of the field block x = (rho, g), whose spectrum is spec.
 
-    Returns a new (2, b) band, sup |u| of the velocity behind it
-    and, with ``drho``, sup |d rho/dx|, else None. m0 and rho_bar are the
-    state's conserved references and k the potential's Newtonian strength.
-    The velocity irfft of :func:`_velocity` is followed by one rfft of the
-    fluxes (rho u, g u), which are written into x (FFT budget: see
-    ``integrator``); the products with the plan's flux multiplier read its
-    band alone, which dealiases the quadratic products. With ``drho``
-    the velocity transform also gives d rho/dx as a second row, and the
-    fluxes go into its block instead, so x is only read; the run loop sets
-    it on the first stage of each step, whose x is the accepted state's.
-    Checks nothing: x holds the fields of a valid state or of a stage that
-    was checked, and a non-finite derivative fails the check of the next
-    stage.
+    Returns a new (2, b) band and, with ``drho``, the flag of a step's
+    first stage, sup |u| of the velocity behind it and sup |d rho/dx|, else
+    None for both: the inner stages need neither. The velocity irfft of
+    :func:`_velocity` is followed by one rfft of the fluxes (rho u, g u),
+    which are written into x (budgets: see ``integrator``); the products
+    with the plan's flux multiplier read its band alone, which dealiases the
+    quadratic products. With ``drho`` the velocity transform also gives
+    d rho/dx as a second row, and the fluxes go into its block instead, so
+    x is only read. Checks nothing: x holds the fields of a valid state or
+    of a stage that was checked, and a non-finite derivative fails the
+    check of the next stage.
     """
+    plan = problem.plan
     n = x.shape[1]
-    w = _velocity(spec, x[0], plan, m0, drho)
+    w = _velocity(spec, x[0], problem, drho)
     u = w[0]
-    u_inf = max(float(u.max()), -float(u.min()))
-    drho_inf = None
     # the elementwise work with an (n,) operand goes row by row: an in-place
     # op on a (2, n) block with an (n,) operand would allocate a (2, n) buffer
     if drho:
-        drho_inf = float(np.abs(w[1]).max())
+        u_inf = max(float(np.maximum.reduce(u)), -float(np.minimum.reduce(u)))
+        drho_inf = float(np.maximum.reduce(np.abs(w[1], out=w[1])))
         flux = w
         np.multiply(x[1], u, out=flux[1])
         flux[0] *= x[0]
     else:
+        u_inf = drho_inf = None
         flux = x
         flux[0] *= u
         flux[1] *= u
@@ -309,23 +327,21 @@ def rhs_spectrum(spec: np.ndarray, x: np.ndarray, plan: SpectralPlan, m0: float,
     d = d[:, :plan.flux.size] * plan.flux  # band of -d/dx of the dealiased flux
     if plan.source is not None:
         d[1] += spec[0] * plan.source
-        d[1, 0] += k * n * rho_bar
+        d[1, 0] += problem.potential.k * n * problem.rho_bar
     return d, u_inf, drho_inf
 
 
 def rhs(state: SimState) -> tuple[np.ndarray, np.ndarray, float]:
     """Time derivatives of (rho, g) and sup |u| of the velocity behind them.
 
-    :func:`rhs_spectrum` on the band of the state's block and a copy of
-    it, through the problem's :func:`spectral_plan`, and one irfft back:
-    4 FFT calls over 7 transforms. The two derivatives are the rows of one
-    (2, n) array. Checks nothing: the state was validated when it was built.
+    :func:`rhs_spectrum` as a first stage, on the band of the state's
+    block, and one irfft back: 4 FFT calls over 8 transforms. The two
+    derivatives are the rows of one (2, n) array. Checks nothing.
     """
-    plan = spectral_plan(state.grid, state.kernel, state.potential)
-    x = state.x
-    d, u_inf, _ = rhs_spectrum(spectral.rfft(x)[:, :state.grid.band], x.copy(), plan, state.m0,
-                               state.rho_bar, state.potential.k)
-    d = spectral.irfft(d, n=state.grid.n)
+    problem = state.problem
+    d, u_inf, _ = rhs_spectrum(spectral.rfft(state.x)[:, :problem.grid.band], state.x, problem,
+                               drho=True)
+    d = spectral.irfft(d, n=problem.grid.n)
     return d[0], d[1], u_inf
 
 
@@ -375,16 +391,15 @@ def make_initial(preset: str, grid: Grid, kernel: KernelSpec,
 
     Fields are dealiased (2/3 rule) as one (2, n) transform pair, the
     irfft of the band of their rfft, so the evolved state starts
-    band-limited; the conserved mean density and momentum are taken from
-    the dealiased initial data, and the gradient variable is produced by
-    the transform. A density not above ``RHO_FLOOR`` raises VacuumError,
-    as for any state.
+    band-limited; the conserved mean density and momentum of the state's
+    new :class:`Problem` are taken from the dealiased initial data, and the
+    gradient variable is produced by the transform. A density not above
+    ``RHO_FLOOR`` raises VacuumError, as for any state.
     """
     h = spectral.rfft(np.stack(initial_fields(preset, grid, **params)))
     x = spectral.irfft(h[:, :grid.band], n=grid.n)  # rows rho and u, then rho and g
     rho, u = x
     rho_bar, m0 = mean(rho), mean(rho * u)
     x[1] = compute_g(rho, u, kernel, grid)
-    return SimState(grid, x, 0.0, rho_bar, m0, kernel,
-                    potential if potential is not None else PotentialSpec())
+    return SimState(Problem(grid, kernel, potential or PotentialSpec(), rho_bar, m0), x, 0.0)
 

@@ -61,7 +61,7 @@ from epasim.kernels import (
     psi_alpha,
 )
 from epasim.integrator import StepControl, _dt_constants, _raw_dt
-from epasim.model import SimState, recover_velocity, rhs, rhs_spectrum, spectral_plan
+from epasim.model import SimState, recover_velocity, rhs, rhs_spectrum
 from epasim.spectral import MEAN_TOL, Grid, MeanViolationError, _check, convolve, derivative, mean
 
 MIN_B_RTOL = 0.01  # relative resolution of reference_min_b's bisection
@@ -252,23 +252,23 @@ def spectral_reference_step(state: SimState, spec: np.ndarray,
     Three ``rhs_spectrum`` calls, on a copy of each stage's fields, and each
     stage's fields, one irfft of its band, checked by building its own
     ``SimState``. dt is the loop's: the step bounds at max rho and at the
-    sup |u| of the first evaluation, capped by dt_max and by t_end."""
-    plan = spectral_plan(state.grid, state.kernel, state.potential)
+    sup |u| of the first evaluation, the only one that computes it, capped
+    by dt_max and by t_end."""
 
     def deriv(s, x):
-        return rhs_spectrum(x, s.x.copy(), plan, s.m0, s.rho_bar, s.potential.k)
+        return rhs_spectrum(x, s.x.copy(), s.problem)[0]
 
     def stage(x, t):
         return replace(state, x=np.fft.irfft(x, n=state.grid.n), t=t)
 
-    d, u_inf, _ = deriv(state, spec)
-    raw = _raw_dt(_dt_constants(state, ctl), float(np.max(state.rho)), u_inf)
+    d, u_inf, _ = rhs_spectrum(spec, state.x.copy(), state.problem, drho=True)
+    raw = _raw_dt(_dt_constants(state.problem, ctl), float(np.max(state.rho)), u_inf)
     dt = min(raw, ctl.dt_max, ctl.t_end - state.t)
     x1 = spec + dt * d
     s1 = stage(x1, state.t)
-    x2 = 0.75 * spec + 0.25 * (x1 + dt * deriv(s1, x1)[0])
+    x2 = 0.75 * spec + 0.25 * (x1 + dt * deriv(s1, x1))
     s2 = stage(x2, state.t)
-    x3 = (spec + 2.0 * (x2 + dt * deriv(s2, x2)[0])) / 3.0
+    x3 = (spec + 2.0 * (x2 + dt * deriv(s2, x2))) / 3.0
     return stage(x3, state.t + dt), x3, dt
 
 
@@ -276,7 +276,7 @@ def stable_dt(state: SimState, ctl: StepControl) -> float:
     """Stability-bounded step: min of the run loop's step bounds and dt_max,
     clamped below by dt_min, from the velocity recovered from the state."""
     u_inf = float(np.max(np.abs(recover_velocity(state))))
-    raw = _raw_dt(_dt_constants(state, ctl), float(np.max(state.rho)), u_inf)
+    raw = _raw_dt(_dt_constants(state.problem, ctl), float(np.max(state.rho)), u_inf)
     return max(min(raw, ctl.dt_max), ctl.dt_min)
 
 

@@ -1,11 +1,11 @@
 import math
+import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from epasim import integrator, model, spectral
+from epasim import integrator, kernels, model, spectral
 from epasim.diagnostics import (
     DiagnosticsRecorder,
     ModulusParams,
@@ -24,13 +24,13 @@ from epasim.integrator import (
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
 from epasim.model import (
     NonFiniteError,
+    Problem,
     SimState,
     VacuumError,
     compute_g,
     make_initial,
     rhs,
     rhs_spectrum,
-    spectral_plan,
 )
 from epasim.spectral import Grid, derivative, mean, to_spectrum
 from conftest import KERNEL_POTENTIAL_PAIRS, clear_caches
@@ -48,31 +48,24 @@ EA = KernelSpec(c=1.0, alpha=0.5)
 OFF = KernelSpec(c=0.0, alpha=0.5)
 
 
-def problem(st):
-    return integrator._Problem(spectral_plan(st.grid, st.kernel, st.potential), st.m0,
-                               st.rho_bar, st.grid, st.kernel, st.potential)
-
-
 def band_spectrum(st):
     # the band of the spectrum of the state's block, as the run loop carries it
     return np.fft.rfft(st.x)[:, :st.grid.band]
 
 
-def stage1_spectrum(st, spec, prob):
+def stage1_spectrum(st, spec):
     # the run loop's first stage on the state st, whose block has band spec
-    return rhs_spectrum(spec, st.x, prob.plan, st.m0, st.rho_bar, st.potential.k,
-                        drho=True)[0]
+    return rhs_spectrum(spec, st.x, st.problem, drho=True)[0]
 
 
 def advance(st, dt, steps=1):
     # steps of a fixed size as the run loop takes them: the band of the
     # spectrum of the state's block, carried from step to step, and a state
     # per step
-    prob = problem(st)
     spec = band_spectrum(st)
     for _ in range(steps):
-        spec = step_ssprk3(spec, stage1_spectrum(st, spec, prob), dt, st.t, prob)
-        st = integrator._accepted(spec, st.t + dt, prob)
+        spec = step_ssprk3(spec, stage1_spectrum(st, spec), dt, st.t, st.problem)
+        st = integrator._accepted(spec, st.t + dt, st.problem)
     return st
 
 
@@ -138,8 +131,8 @@ def test_stiff_bound_is_the_stability_limit(n, alpha, fraction):
     kc = n // 3
     kernel = KernelSpec(c=1.0, alpha=alpha)
     rho = 1.0 + 1e-6 * np.cos(2 * np.pi * kc * grid.x)
-    st = SimState(grid=grid, x=np.stack((rho, np.zeros(n))), t=0.0, rho_bar=mean(rho), m0=0.0,
-                  kernel=kernel, potential=PotentialSpec())
+    st = SimState(Problem(grid, kernel, PotentialSpec(), mean(rho), 0.0),
+                  np.stack((rho, np.zeros(n))), 0.0)
     dt = stable_dt(st, StepControl(t_end=1.0, cfl_diffuse=fraction, dt_max=1.0))
     assert dt * np.max(rho) * (2 * np.pi * kc) ** alpha == pytest.approx(
         fraction * ssprk3_real_limit(), rel=1e-12)
@@ -209,6 +202,16 @@ def test_step_control_rejects_non_finite(field, value):
         StepControl(**{"t_end": 1.0, field: value})
 
 
+@pytest.mark.parametrize("field", ["rho_max_factor", "grad_rho_max", "bkm_cap"])
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+def test_detection_thresholds_reject_nan_and_non_positive(field, value):
+    # a NaN threshold fails every comparison, so its detector would never
+    # fire; inf switches a detector off on purpose
+    with pytest.raises(ValueError, match="positive"):
+        DetectionThresholds(**{field: value})
+    assert getattr(DetectionThresholds(**{field: math.inf}), field) == math.inf
+
+
 def test_step_equilibrium_fixed_point():
     g = Grid(64)
     st = make_initial("uniform", g, EA, rho_base=1.5)
@@ -225,8 +228,8 @@ def test_step_matches_rk3_linear_decay_polynomial():
     g = Grid(64)
     eps = 1e-6
     rho = 1.0 + eps * np.cos(2 * np.pi * g.x)
-    st = SimState(grid=g, x=np.stack((rho, np.zeros(64))), t=0.0, rho_bar=mean(rho),
-                  m0=0.0, kernel=EA, potential=PotentialSpec())
+    st = SimState(Problem(g, EA, PotentialSpec(), mean(rho), 0.0),
+                  np.stack((rho, np.zeros(64))), 0.0)
     dt = 0.2
     lam = (2 * np.pi) ** 0.5
     z = lam * dt
@@ -318,9 +321,7 @@ def test_run_bkm_cap_detector():
 
 def test_run_mass_and_momentum_conserved():
     g = Grid(128)
-    pot = PotentialSpec(k=1.0)
-    st = make_initial("cosine", g, EA, rho_amp=0.4, u_amp=0.4, u_mean=0.25)
-    st = replace(st, potential=pot)
+    st = make_initial("cosine", g, EA, PotentialSpec(k=1.0), rho_amp=0.4, u_amp=0.4, u_mean=0.25)
     masses, momenta = [], []
 
     def watch(_, s):
@@ -441,14 +442,76 @@ def test_run_fft_budget_per_step_with_recorder(monkeypatch):
     assert len(rec.log.t) == 21 and np.sum(~np.isnan(rec.log.column("moc_pass"))) == 3
 
 
+def test_run_reduction_budget_per_step():
+    # a step makes 10 ufunc reductions: 2 in each of the three field checks,
+    # 2 for the first stage's sup |u|, 1 for its sup |d rho/dx| and 1 for
+    # the density detector; the inner stages compute no sup |u|. Counted
+    # between the monitor calls after steps 1 .. 20; the last step has no
+    # next first stage, and its state differentiates its density itself
+    st = reference_problem_64()
+    dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
+    count, marks = [0], []
+
+    def profile(frame, event, arg):
+        if (event == "c_call" and getattr(arg, "__name__", None) == "reduce"
+                and isinstance(getattr(arg, "__self__", None), np.ufunc)):
+            count[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = run(st, StepControl(t_end=20 * dt, dt_max=dt),
+                  monitors=(lambda k, s: marks.append(count[0]),))
+    finally:
+        sys.setprofile(None)
+    assert out.completed and out.steps == 20
+    assert np.diff(marks)[:-1].tolist() == [10] * 19
+
+
+def cache_lookups():
+    # hits and misses of the memo tables behind a problem's arrays
+    tables = (model.spectral_plan, model._vel_rho, model._grid_multipliers,
+              kernels.lipschitz_on_grid)
+    return sum(t.cache_info().hits + t.cache_info().misses for t in tables)
+
+
+@pytest.mark.parametrize("with_recorder", [False, True])
+def test_no_step_looks_up_a_cache(with_recorder):
+    # a run looks its problem's plan up once, on the first read, and no step
+    # or recorder row looks up anything: 50 steps make the lookups of 5
+    dt = 0.5 * stable_dt(reference_problem_64(), StepControl(t_end=1.0))
+    made = []
+    for steps in (5, 50):
+        st = reference_problem_64()
+        monitors = (verify_recorder(st),) if with_recorder else ()
+        before = cache_lookups()
+        out = run(st, StepControl(t_end=steps * dt, dt_max=dt), monitors)
+        made.append(cache_lookups() - before)
+        assert out.completed and out.steps == steps
+    assert made == [1, 1]
+
+
+def test_a_run_shares_its_problem_and_problems_share_their_plan():
+    # every accepted state of a run has the initial state's problem, and two
+    # problems on one (grid, kernel, potential) read one set of plan arrays
+    kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
+    a, b = (make_initial("cosine", Grid(64), kernel, potential, rho_amp=amp, u_amp=0.3)
+            for amp in (0.3, 0.5))
+    seen = []
+    out = run(a, StepControl(t_end=0.05), monitors=(lambda k, s: seen.append(s),))
+    assert out.completed and len(seen) == out.steps + 1 > 3
+    assert all(s.problem is a.problem for s in seen + [out.state])
+    assert b.problem is not a.problem
+    assert b.problem.plan.vel_rho.base is a.problem.plan.vel_rho.base
+
+
 def test_rhs_and_recover_velocity_batch_their_transforms(monkeypatch):
     st = reference_problem_64()
     rhs(st)  # builds the spectral plan outside the count
     ffts = count_ffts(monkeypatch)
     model.recover_velocity(st)
     assert ffts == {"calls": 2, "transforms": 3}
-    rhs(st)
-    assert ffts == {"calls": 6, "transforms": 10}
+    rhs(st)  # its evaluation is a first stage's, whose velocity irfft carries d rho/dx
+    assert ffts == {"calls": 6, "transforms": 11}
 
 
 def test_no_transform_reaches_np_fft(monkeypatch):
@@ -527,15 +590,14 @@ def test_stage3_matches_its_formula_bit_for_bit():
 
 def test_step_checks_stage_one_before_the_next_evaluation(monkeypatch):
     st = reference_problem_64()
-    prob = problem(st)
     spec = band_spectrum(st)
     dt = 1e-3
     evals = {"n": 0}
     monkeypatch.setattr(integrator, "rhs_spectrum", counted(integrator.rhs_spectrum, evals))
-    d = stage1_spectrum(st, spec, prob)
+    d = stage1_spectrum(st, spec)
     d[1, 5] = np.nan
     with pytest.raises(NonFiniteError):
-        step_ssprk3(spec, d, dt, st.t, prob)
+        step_ssprk3(spec, d, dt, st.t, st.problem)
     # a band-limited derivative that empties density sample 7 and keeps the
     # mass: the band of a spike at the sample, without its mean, scaled so
     # that one step of dt takes rho[7] to 0
@@ -547,7 +609,7 @@ def test_step_checks_stage_one_before_the_next_evaluation(monkeypatch):
     d[0] = dip * (-st.rho[7] / (dt * np.fft.irfft(dip, n=st.grid.n)[7]))
     assert abs(np.fft.irfft(spec[0] + dt * d[0], n=st.grid.n)[7]) <= model.RHO_FLOOR
     with pytest.raises(VacuumError):
-        step_ssprk3(spec, d, dt, st.t, prob)
+        step_ssprk3(spec, d, dt, st.t, st.problem)
     assert evals["n"] == 0
 
 

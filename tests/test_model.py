@@ -9,6 +9,7 @@ from epasim import model, spectral
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
 from epasim.model import (
     NonFiniteError,
+    Problem,
     SimState,
     VacuumError,
     compute_g,
@@ -38,11 +39,9 @@ EA_KERNEL = KernelSpec(c=1.0, alpha=0.5)
 
 def state_from(rho, u, kernel, grid, potential=None, m0=None):
     g = compute_g(rho, u, kernel, grid)
-    return SimState(
-        grid=grid, x=np.stack((rho, g)), t=0.0, rho_bar=mean(rho),
-        m0=mean(rho * u) if m0 is None else m0,
-        kernel=kernel, potential=potential or PotentialSpec(),
-    )
+    problem = Problem(grid, kernel, potential or PotentialSpec(), mean(rho),
+                      mean(rho * u) if m0 is None else m0)
+    return SimState(problem, np.stack((rho, g)), 0.0)
 
 
 def test_compute_g_constant_density_zero_velocity(grid64):
@@ -101,8 +100,8 @@ def test_recover_velocity_vacuum(grid64):
     rho = np.full(64, 1.0)
     rho[5] = 1e-12
     with pytest.raises(VacuumError, match="min density"):
-        SimState(grid=grid64, x=np.stack((rho, np.zeros(64))), t=0.0, rho_bar=mean(rho),
-                 m0=0.0, kernel=EA_KERNEL, potential=PotentialSpec())
+        SimState(Problem(grid64, EA_KERNEL, PotentialSpec(), mean(rho), 0.0),
+                 np.stack((rho, np.zeros(64))), 0.0)
 
 
 def test_rhs_equilibrium_is_zero(grid64):
@@ -118,9 +117,8 @@ def test_rhs_linear_mode_algebra(grid64):
     # rho = rho_bar, g = eps cos -> d(rho)/dt = -rho_bar * g + O(eps^2)
     eps, rho_bar = 1e-6, 1.3
     g = eps * np.cos(2 * np.pi * grid64.x)
-    st = SimState(grid=grid64, x=np.stack((np.full(64, rho_bar), g)), t=0.0,
-                  rho_bar=rho_bar, m0=0.0, kernel=EA_KERNEL,
-                  potential=PotentialSpec(k=1.0))
+    st = SimState(Problem(grid64, EA_KERNEL, PotentialSpec(k=1.0), rho_bar, 0.0),
+                  np.stack((np.full(64, rho_bar), g)), 0.0)
     drho, dg, _ = rhs(st)
     np.testing.assert_allclose(drho, -rho_bar * g, atol=1e-12 + 1e-3 * eps**2)
     # u = eps sin(2 pi x) / (2 pi), so -d(g u)/dx = -eps^2 cos(4 pi x) exactly;
@@ -233,8 +231,7 @@ def test_make_initial_burgers_characteristics_oracle(grid64):
 def test_validate_flags_broken_mean(grid64):
     st = make_initial("cosine", grid64, EA_KERNEL, rho_amp=0.3)
     with pytest.raises(MeanViolationError, match="drifted"):
-        SimState(grid=grid64, x=np.stack((st.rho + 0.1, st.g)), t=0.0, rho_bar=st.rho_bar,
-                 m0=st.m0, kernel=st.kernel, potential=st.potential)
+        SimState(st.problem, np.stack((st.rho + 0.1, st.g)), 0.0)
 
 
 def test_state_shape_checked_at_construction(grid64):
@@ -294,8 +291,8 @@ def test_zero_mean_guard_scales_with_g_minus_psi_l_conv(grid64):
     x = grid64.x
     rho = 1e6 * (1.0 + 0.5 * np.cos(2 * np.pi * x))
     h = 1e3 * np.sin(2 * np.pi * x)
-    st = SimState(grid=grid64, x=np.stack((rho, mean(rho) + h + 1e-9)), t=0.0,
-                  rho_bar=mean(rho), m0=0.0, kernel=kernel, potential=PotentialSpec())
+    st = SimState(Problem(grid64, kernel, PotentialSpec(), mean(rho), 0.0),
+                  np.stack((rho, mean(rho) + h + 1e-9)), 0.0)
     assert 1e-10 < abs(mean(st.g - psi_l_conv(st))) < 1e-7
     rhs(st)
     recover_velocity(st)
@@ -305,8 +302,8 @@ def test_zero_mean_guard_scales_with_g_minus_psi_l_conv(grid64):
 
 def test_check_fields_sums_psi_l_once_per_problem(grid64, monkeypatch):
     # the checks of a run's states and stages read one mean of psi_l on the
-    # grid, mode 0 of the plan's vel_rho, built when the problem's first
-    # state is checked
+    # grid, mode 0 of the kernel's vel_rho, which the problem reads when it
+    # is built
     kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.3, b=0.1))
     st = make_initial("cosine", grid64, kernel, rho_amp=0.3, u_amp=0.2)
     model._vel_rho.cache_clear()
@@ -314,17 +311,18 @@ def test_check_fields_sums_psi_l_once_per_problem(grid64, monkeypatch):
     sums = []
     lookup = model.lipschitz_on_grid
     monkeypatch.setattr(model, "lipschitz_on_grid", lambda *a: sums.append(a) or lookup(*a))
+    st = SimState(Problem(grid64, kernel, PotentialSpec(), st.rho_bar, st.m0), st.x, 0.0)
     for _ in range(3):
         st.validate()
-        model.check_fields(st.x, st.t, st.rho_bar, grid64, kernel, model._vel_rho(grid64, kernel))
+        model.check_fields(st.x, st.t, st.problem)
     assert sums == [(kernel.psi_l, grid64)]
-    assert -model._vel_rho(grid64, kernel)[0].real == pytest.approx(0.3, abs=1e-15)
+    assert -st.problem.vel_rho0 == pytest.approx(0.3, abs=1e-15)
 
 
 def test_plan_shares_the_kernel_multiplier(grid64):
     # one vel_rho per (grid, kernel): every plan of the kernel, whatever
     # its potential, holds a view of the band of the array compute_g and
-    # check_fields read
+    # each problem read
     kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
     model.spectral_plan.cache_clear()
     vel_rho = model._vel_rho(grid64, kernel)

@@ -214,6 +214,14 @@ def test_irfft_of_the_band_zero_pads_bit_for_bit(n):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("shape", [(1,), (8,), (9,), (200,), (256,), (4097,), (2, 256), (3, 7)])
+def test_mean_is_np_mean_bit_for_bit(shape):
+    # one sum over every axis divided by the size, without np.mean's wrapper
+    rng = np.random.default_rng(shape[-1])
+    for f in (rng.standard_normal(shape), 1e150 * rng.standard_normal(shape) + 3.0):
+        assert spectral.mean(f) == float(np.mean(f))
+
+
 @pytest.mark.parametrize("rows", [(), (1,), (2,), (4,)])
 @pytest.mark.parametrize("n", [8, 9, 64, 72, 200, 201, 256, 1024, 4096])
 def test_the_fft_home_is_np_fft_bit_for_bit(n, rows):
