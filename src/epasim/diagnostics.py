@@ -118,9 +118,6 @@ class BoundConstants:
     def rho_min_envelope(self, t: np.ndarray | float) -> np.ndarray | float:
         return self.c_m * np.exp(-self.a_m * t)
 
-    def rho_max_envelope(self, t: np.ndarray | float) -> np.ndarray | float:
-        return self.c_big * np.exp(self.a_big * t)
-
     def f_bound(self, t: np.ndarray | float) -> np.ndarray | float:
         """Growth envelope F_M(t) for the transported ratio.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -294,18 +294,14 @@ def kernel_min(spec: KernelSpec) -> float:
     return singular + spec.psi_l.value_range()[0]
 
 
-@lru_cache(maxsize=64)
 def lipschitz_on_grid(psi_l: LipschitzKernel, grid: Grid) -> np.ndarray:
-    vals = np.asarray(psi_l(grid.x), dtype=float)
-    vals.flags.writeable = False
-    return vals
+    """psi_l at the grid's points, sampled anew on each call: not cached."""
+    return np.asarray(psi_l(grid.x), dtype=float)
 
 
-@lru_cache(maxsize=64)
 def potential_on_grid(kreg: RegularPotential, grid: Grid) -> np.ndarray:
-    vals = np.asarray(kreg(grid.x), dtype=float)
-    vals.flags.writeable = False
-    return vals
+    """K_reg at the grid's points, sampled anew on each call: not cached."""
+    return np.asarray(kreg(grid.x), dtype=float)
 
 
 # ---------------------------------------------------------------------------

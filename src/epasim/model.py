@@ -23,8 +23,9 @@ mode n/2 is never in the band.
 
 - velocity: u_hat = inv_ddx (g_hat + vel_rho rho_hat), with
   inv_ddx = 1/(2 pi i k), 0 at k = 0, and
-  vel_rho = c (2 pi |k|)^alpha - psi_l_hat, built once per (grid, kernel)
-  and shared with :func:`compute_g`, which inverts this relation;
+  vel_rho = c (2 pi |k|)^alpha - psi_l_hat, the kernel's one band array
+  per grid, which :func:`make_initial` also reads to solve this relation
+  for g_hat;
 - flux derivative: flux = -2 pi i k;
 - potential source: source rho_hat with source = -k + (2 pi k)^2 K_reg_hat,
   plus k n rho_bar on mode 0 for the background.
@@ -62,7 +63,6 @@ from .spectral import (
     Grid,
     GridMismatchError,
     MeanViolationError,
-    _check,
     convolve,
     derivative,
     mean,
@@ -86,8 +86,9 @@ class SpectralPlan(NamedTuple):
     Each has the b entries of the band. All but two_pi_k are complex128:
     inv_ddx and flux carry the factor i, and vel_rho and source carry the
     transforms of psi_l and K_reg, which are complex for a kernel that is
-    not even. inv_ddx and flux depend on the grid alone, so the plans of
-    one grid share them; vel_rho is a view of the kernel's one array.
+    not even. inv_ddx, flux and two_pi_k depend on the grid alone, so the
+    plans of one grid share them; vel_rho is the kernel's band array, which
+    the plans of one (grid, kernel) share.
     """
 
     inv_ddx: np.ndarray
@@ -103,29 +104,29 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _grid_multipliers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    # inv_ddx and flux of the plans on this grid (see the module docstring)
-    two_pi_k = grid.two_pi_k[:grid.band]
+def _grid_multipliers(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # inv_ddx, flux and two_pi_k of the plans on this grid (see the module docstring)
+    two_pi_k = grid.two_pi_k[:grid.band].copy()
     inv = np.zeros(two_pi_k.size)
     inv[1:] = 1.0 / two_pi_k[1:]
-    return _read_only(-1j * inv), _read_only(-1j * two_pi_k)
+    return _read_only(-1j * inv), _read_only(-1j * two_pi_k), _read_only(two_pi_k)
 
 
 @lru_cache(maxsize=32)
 def _vel_rho(grid: Grid, kernel: KernelSpec) -> np.ndarray:
-    # c (2 pi |k|)^alpha - psi_l_hat: the plan's vel_rho, whose mode 0 is
-    # -mean(psi_l) on the grid
-    psi_l_hat = to_spectrum(lipschitz_on_grid(kernel.psi_l, grid), grid)
-    return _read_only(kernel.c * grid.two_pi_k**kernel.alpha - psi_l_hat)
+    # c (2 pi |k|)^alpha - psi_l_hat on the band: the plan's vel_rho, whose
+    # mode 0 is -mean(psi_l) on the grid
+    b = grid.band
+    psi_l_hat = to_spectrum(lipschitz_on_grid(kernel.psi_l, grid), grid)[:b]
+    return _read_only(kernel.c * grid.two_pi_k[:b]**kernel.alpha - psi_l_hat)
 
 
 @lru_cache(maxsize=32)
 def spectral_plan(grid: Grid, kernel: KernelSpec, potential: PotentialSpec) -> SpectralPlan:
     """Multipliers of the dynamics on ``grid``, built once per problem."""
-    b = grid.band
-    inv_ddx, flux = _grid_multipliers(grid)
+    inv_ddx, flux, two_pi_k = _grid_multipliers(grid)
     source = None if potential.is_zero else _read_only(g_source_multiplier(potential, grid))
-    return SpectralPlan(inv_ddx, _vel_rho(grid, kernel)[:b], flux, source, grid.two_pi_k[:b])
+    return SpectralPlan(inv_ddx, _vel_rho(grid, kernel), flux, source, two_pi_k)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -233,21 +234,6 @@ def check_fields(x: np.ndarray, t: float, problem: Problem) -> np.ndarray:
         if abs(resid) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):
             raise MeanViolationError(f"mean(g - psi_l * rho) = {resid:.3e} is not zero")
     return x
-
-
-def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) -> np.ndarray:
-    """Transform (rho, u) into the advected gradient variable.
-
-    g_hat = 2 pi i k u_hat (Nyquist zeroed) - vel_rho rho_hat, the velocity
-    relation of the module docstring solved for g_hat: one rfft of the
-    stacked (rho, u) and one irfft.
-    """
-    h = spectral.rfft(np.stack((_check(rho, grid), _check(u, grid))))
-    g_hat = h[1]
-    g_hat *= 1j * grid.two_pi_k
-    g_hat[-1] = 0.0
-    g_hat -= _vel_rho(grid, kernel) * h[0]
-    return spectral.irfft(g_hat, n=grid.n)
 
 
 def _velocity(spec: np.ndarray, rho: np.ndarray, problem: Problem,
@@ -392,14 +378,19 @@ def make_initial(preset: str, grid: Grid, kernel: KernelSpec,
     Fields are dealiased (2/3 rule) as one (2, n) transform pair, the
     irfft of the band of their rfft, so the evolved state starts
     band-limited; the conserved mean density and momentum of the state's
-    new :class:`Problem` are taken from the dealiased initial data, and the
-    gradient variable is produced by the transform. A density not above
-    ``RHO_FLOOR`` raises VacuumError, as for any state.
+    new :class:`Problem` are taken from the dealiased initial data. The
+    gradient variable is one irfft of g_hat = 2 pi i k u_hat - vel_rho
+    rho_hat on the same band, the velocity relation of the module docstring
+    solved for g_hat. A density not above ``RHO_FLOOR`` raises VacuumError,
+    as for any state.
     """
-    h = spectral.rfft(np.stack(initial_fields(preset, grid, **params)))
-    x = spectral.irfft(h[:, :grid.band], n=grid.n)  # rows rho and u, then rho and g
+    h = spectral.rfft(np.stack(initial_fields(preset, grid, **params)))[:, :grid.band]
+    x = spectral.irfft(h, n=grid.n)  # rows rho and u, then rho and g
     rho, u = x
     rho_bar, m0 = mean(rho), mean(rho * u)
-    x[1] = compute_g(rho, u, kernel, grid)
+    g_hat = h[1]
+    g_hat *= 1j * grid.two_pi_k[:grid.band]
+    g_hat -= _vel_rho(grid, kernel) * h[0]
+    x[1] = spectral.irfft(g_hat, n=grid.n)
     return SimState(Problem(grid, kernel, potential or PotentialSpec(), rho_bar, m0), x, 0.0)
 

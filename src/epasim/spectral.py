@@ -53,6 +53,12 @@ class MeanViolationError(ValueError):
 class Grid:
     """Uniform periodic grid with n points on the unit torus.
 
+    A grid stores ``n``, the spacing ``dx = 1/n`` and ``band = n // 3 + 1``,
+    the number of rfft modes k = 0 .. n // 3 that the 2/3 rule keeps, and no
+    array: the points ``x``, the rfft modes ``modes`` (k = 0 .. n/2) and
+    ``two_pi_k`` are computed on each read, as only set-up and the cached
+    builders of multipliers read them.
+
     Parameters
     ----------
     n : int
@@ -72,13 +78,11 @@ class Grid:
         if self.n % 2 != 0:
             raise ValueError(f"grid size must be even, got {self.n}")
         object.__setattr__(self, "dx", 1.0 / self.n)
-        object.__setattr__(self, "x", -0.5 + np.arange(self.n) / self.n)
-        # rfft layout: integer modes k = 0 .. n/2, of which the 2/3 rule
-        # keeps the band k = 0 .. n // 3
-        k = np.arange(self.n // 2 + 1)
-        object.__setattr__(self, "modes", k)
-        object.__setattr__(self, "two_pi_k", 2.0 * np.pi * k)
         object.__setattr__(self, "band", self.n // 3 + 1)
+
+    x = property(lambda self: -0.5 + np.arange(self.n) / self.n)
+    modes = property(lambda self: np.arange(self.n // 2 + 1))
+    two_pi_k = property(lambda self: 2.0 * np.pi * self.modes)
 
 
 def rfft(x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from epasim import diagnostics, integrator, kernels, model, spectral
+import epasim
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
 from epasim.spectral import Grid
 
@@ -22,12 +25,19 @@ KERNEL_POTENTIAL_PAIRS = [
 ]
 
 
+def memo_tables() -> list:
+    """Every memo table of epasim: the functions with a ``cache_clear`` that
+    its modules define, found in every module of the package, not listed."""
+    mods = [importlib.import_module(f"epasim.{m.name}")
+            for m in pkgutil.iter_modules(epasim.__path__)]
+    return [obj for mod in mods for obj in vars(mod).values()
+            if callable(getattr(obj, "cache_clear", None)) and obj.__module__ == mod.__name__]
+
+
 def clear_caches() -> None:
     """Empty epasim's memo tables, so that what follows builds them again."""
-    for mod in (spectral, kernels, model, integrator, diagnostics):
-        for obj in list(vars(mod).values()):
-            if callable(getattr(obj, "cache_clear", None)):
-                obj.cache_clear()
+    for table in memo_tables():
+        table.cache_clear()
 
 
 def random_smooth_field(grid: Grid, rng: np.random.Generator, kmax: int = 8,

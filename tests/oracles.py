@@ -3,7 +3,8 @@
 Most compose per-operator functions, one transform per operator, the way
 the solver did before its multipliers were fused into
 ``model.spectral_plan``. The fused ``rhs`` and ``recover_velocity`` are
-checked against them, and ``model.compute_g`` against
+checked against them. ``compute_g`` is g from (rho, u) on the full
+spectrum, one rfft and one irfft, checked against
 ``derivative(u) - c fractional_laplacian(rho) + convolve(psi_l, rho)``.
 ``fractional_laplacian`` and ``dealias`` are per-operator transforms that
 the solver applies through its plan's multipliers. The force and
@@ -33,7 +34,9 @@ Newtonian.
 (delta, gamma, B) from the envelope values at a horizon; its B overflows
 on every problem tried, so the recorder checks the gauge with the
 data-driven ``diagnostics.moc_min_b`` instead. ``check_f_transported`` is
-the forcing-free check that |f|_inf never increases along a log.
+the forcing-free check that |f|_inf never increases along a log, and
+``rho_max_envelope`` the exponential envelope C e^{A t} on max rho that it
+uses at the horizon.
 """
 
 from __future__ import annotations
@@ -62,7 +65,16 @@ from epasim.kernels import (
 )
 from epasim.integrator import StepControl, _dt_constants, _raw_dt
 from epasim.model import SimState, recover_velocity, rhs, rhs_spectrum
-from epasim.spectral import MEAN_TOL, Grid, MeanViolationError, _check, convolve, derivative, mean
+from epasim.spectral import (
+    MEAN_TOL,
+    Grid,
+    MeanViolationError,
+    _check,
+    convolve,
+    derivative,
+    mean,
+    to_spectrum,
+)
 
 MIN_B_RTOL = 0.01  # relative resolution of reference_min_b's bisection
 
@@ -72,6 +84,22 @@ def with_fields(state: SimState, rho: np.ndarray | None = None, g: np.ndarray | 
     """``dataclasses.replace`` of a state, with its rows rho and g replaced by name."""
     x = np.stack((state.rho if rho is None else rho, state.g if g is None else g))
     return replace(state, x=x, **changes)
+
+
+def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) -> np.ndarray:
+    """The gradient variable g = du/dx - c Lambda^alpha rho + psi_l * rho.
+
+    g_hat = 2 pi i k u_hat (Nyquist zeroed) - (c (2 pi |k|)^alpha - psi_l_hat)
+    rho_hat on every rfft mode: one rfft of the stacked (rho, u) and one
+    irfft, with no dealiasing.
+    """
+    h = np.fft.rfft(np.stack((_check(rho, grid), _check(u, grid))))
+    g_hat = h[1]
+    g_hat *= 1j * grid.two_pi_k
+    g_hat[-1] = 0.0
+    psi_l_hat = to_spectrum(lipschitz_on_grid(kernel.psi_l, grid), grid)
+    g_hat -= (kernel.c * grid.two_pi_k**kernel.alpha - psi_l_hat) * h[0]
+    return np.fft.irfft(g_hat, n=grid.n)
 
 
 def fractional_laplacian(f: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
@@ -508,7 +536,7 @@ def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
         raise ValueError("c_f must be nonnegative")
     alpha = bc.alpha
     rho_m = float(bc.rho_min_envelope(t_end))
-    rho_big = max(float(bc.rho_max_envelope(t_end)), 1.0)
+    rho_big = max(float(rho_max_envelope(bc, t_end)), 1.0)
     f_big = float(bc.f_bound(t_end))
     if c_f is None:
         c_f = rho_big * bc.q0_inf if bc.kappa == 0 else 1.0
@@ -537,6 +565,11 @@ def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
     log_b -= math.log(margin)
     b = math.exp(log_b) if log_b < math.log(1e308) else math.inf
     return ModulusParams(delta=delta, gamma=gamma, b=max(b, 1.0), alpha=alpha)
+
+
+def rho_max_envelope(bc: BoundConstants, t: np.ndarray | float) -> np.ndarray | float:
+    """C e^{A t} with the constants C and A of ``bc``, for a float or an array t."""
+    return bc.c_big * np.exp(bc.a_big * t)
 
 
 def check_f_transported(log: DiagnosticsLog, atol: float = 1e-6) -> CheckReport:

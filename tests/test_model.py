@@ -12,7 +12,6 @@ from epasim.model import (
     Problem,
     SimState,
     VacuumError,
-    compute_g,
     make_initial,
     recover_velocity,
     rhs,
@@ -29,6 +28,7 @@ from oracles import (
     alignment_spectral,
     composed_rhs,
     composed_velocity,
+    compute_g,
     fractional_laplacian,
     psi_l_conv,
     with_fields,
@@ -306,8 +306,7 @@ def test_check_fields_sums_psi_l_once_per_problem(grid64, monkeypatch):
     # is built
     kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.3, b=0.1))
     st = make_initial("cosine", grid64, kernel, rho_amp=0.3, u_amp=0.2)
-    model._vel_rho.cache_clear()
-    model.spectral_plan.cache_clear()  # its plans hold the cleared arrays
+    clear_caches()
     sums = []
     lookup = model.lipschitz_on_grid
     monkeypatch.setattr(model, "lipschitz_on_grid", lambda *a: sums.append(a) or lookup(*a))
@@ -320,17 +319,16 @@ def test_check_fields_sums_psi_l_once_per_problem(grid64, monkeypatch):
 
 
 def test_plan_shares_the_kernel_multiplier(grid64):
-    # one vel_rho per (grid, kernel): every plan of the kernel, whatever
-    # its potential, holds a view of the band of the array compute_g and
-    # each problem read
+    # one vel_rho per (grid, kernel), of the band's modes alone: every plan
+    # of the kernel, whatever its potential, holds the array that
+    # make_initial and each problem read
     kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
-    model.spectral_plan.cache_clear()
+    clear_caches()
     vel_rho = model._vel_rho(grid64, kernel)
-    for pot in (potential, PotentialSpec()):
-        plan_vel_rho = model.spectral_plan(grid64, kernel, pot).vel_rho
-        assert plan_vel_rho.base is vel_rho and plan_vel_rho.size == grid64.band
-        assert not plan_vel_rho.flags.writeable
+    assert vel_rho.shape == (grid64.band,) and vel_rho.base is None
     assert not vel_rho.flags.writeable
+    for pot in (potential, PotentialSpec()):
+        assert model.spectral_plan(grid64, kernel, pot).vel_rho is vel_rho
 
 
 @pytest.mark.parametrize("kernel, potential", KERNEL_POTENTIAL_PAIRS)
@@ -350,21 +348,28 @@ def test_compute_g_matches_the_operator_composition(kernel, potential):
 @pytest.mark.parametrize("n", [64, 200])
 def test_make_initial_dealiases_through_the_band_bit_for_bit(preset, n):
     # the irfft of the band of the fields' rfft gives the bits of the route
-    # that zeroed the modes above n // 3 of the full spectrum
+    # that zeroed the modes above n // 3 of the full spectrum, and g is the
+    # irfft of 2 pi i k u_hat - vel_rho rho_hat on that band
     grid = Grid(n)
     kernel = KERNEL_POTENTIAL_PAIRS[0][0]
     st = make_initial(preset, grid, kernel)
     h = np.fft.rfft(np.stack(model.initial_fields(preset, grid)))
     h[:, grid.modes > n // 3] = 0.0
     rho, u = np.fft.irfft(h, n=n)
-    want = np.stack((rho, compute_g(rho, u, kernel, grid)))
+    b = grid.band
+    g = np.fft.irfft(1j * grid.two_pi_k[:b] * h[1, :b] - model._vel_rho(grid, kernel) * h[0, :b],
+                     n=n)
+    want = np.stack((rho, g))
     assert np.array_equal(st.x.view(np.uint64), want.view(np.uint64))
     assert st.rho_bar == mean(rho) and st.m0 == mean(rho * u)
+    # the full-spectrum relation gives g to rounding
+    assert np.max(np.abs(g - compute_g(rho, u, kernel, grid))) <= 1e-13 * np.max(np.abs(g))
 
 
-def test_make_initial_from_cleared_caches_makes_five_ffts(monkeypatch):
-    # the dealiasing of (rho, u) as one transform pair (2 calls), compute_g
-    # (2) and the kernel's vel_rho (1); no spectral plan is built
+def test_make_initial_from_cleared_caches_makes_four_ffts(monkeypatch):
+    # the dealiasing of (rho, u) as one transform pair (2 calls), the
+    # kernel's vel_rho (1) and the irfft of g on the band (1); no spectral
+    # plan is built
     clear_caches()
     calls = []
     for name in ("rfft", "irfft"):
@@ -372,4 +377,4 @@ def test_make_initial_from_cleared_caches_makes_five_ffts(monkeypatch):
         monkeypatch.setattr(spectral, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
     kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
     make_initial("cosine", Grid(256), kernel, potential, rho_amp=0.5, u_amp=0.5)
-    assert len(calls) <= 5
+    assert len(calls) <= 4
