@@ -39,10 +39,11 @@ operands, and work that no kept lag needs.
 The recorder logs these quantities along a run, one row per step, among
 them the running trapezoidal integral of |d rho/dx|_inf^2 whose
 finiteness is the regularity criterion. ``COLUMNS`` names the columns of
-a row in order; it is also the header of the CSV log. Apart from the lag
-table of a modulus row, a recorder row is O(n) and takes no transform:
-|d rho/dx|_inf is read from the state, where the run loop has computed
-it already.
+a row in order; it is also the header of the CSV log, whose columns a
+log keeps as typed float64 arrays, 8 bytes a value (``column`` returns a
+numpy copy). Apart from the lag table of a modulus row, a recorder row
+is O(n) and takes no transform: |d rho/dx|_inf is read from the state,
+where the run loop has computed it already.
 
 Grid extrema under-sample continuum extrema, so every envelope comparison
 carries the slack factor 1 + 10 dx; margins are reported with the slack
@@ -57,6 +58,7 @@ import math
 import numbers
 import os
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +73,7 @@ F_BOUND_ATOL = 1e-12  # absolute floor so roundoff-level f fields compare sanely
 MIN_B_CAP = 1e290  # moc_min_b reports +inf above this b
 _LOG_SLACK = 2.0**-30  # relative rounding slack of the lag table's pruning
 
-# a recorder row, in order: the DiagnosticsLog lists and the CSV header
+# a recorder row, in order: the DiagnosticsLog's float64 columns and the CSV header
 COLUMNS = ("t", "rho_min", "rho_max", "f_inf", "drho_inf", "bkm", "mass",
            "env_lower_margin", "env_upper_margin", "moc_pass", "moc_min_b")
 
@@ -580,8 +582,9 @@ def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: G
 
 @dataclass
 class DiagnosticsLog:
-    """Column-oriented time series of the monitored quantities: one list
-    attribute per name in COLUMNS."""
+    """Column-oriented time series of the monitored quantities: one float64
+    ``array("d")`` per name in COLUMNS. ``column`` copies, as a numpy view
+    would make the next append raise BufferError."""
 
     n: int
     alpha: float
@@ -590,14 +593,14 @@ class DiagnosticsLog:
 
     def __post_init__(self) -> None:
         for name in COLUMNS:
-            setattr(self, name, [])
+            setattr(self, name, array("d"))
 
     @property
     def dx(self) -> float:
         return 1.0 / self.n
 
     def column(self, name: str) -> np.ndarray:
-        return np.asarray(getattr(self, name), dtype=float)
+        return np.array(getattr(self, name), dtype=float)
 
     def to_csv(self, target) -> None:
         """Write the log to a path or an open text stream."""
@@ -661,12 +664,14 @@ def _opened(target, mode: str):
 class DiagnosticsRecorder:
     """Monitor collecting the diagnostics log during a run.
 
-    A row is recorded at every step, with the columns of ``COLUMNS``:
-    time, min and max density, |g/rho|_inf, |d rho/dx|_inf (the state's
-    ``drho_inf``, shared with the run loop), the trapezoidal integral of
-    its square, mass, the two envelope margins (NaN without ``bounds``),
-    and the modulus verdict and the infimum of the passing B (see
-    ``moc_min_b``). The modulus columns share one lag table, computed at
+    Step 0, a run's first monitor call, starts a new log, so each run
+    through one recorder has its own, and an earlier run's outcome keeps
+    its log as it was. A row is recorded at every step, with the columns
+    of ``COLUMNS``: time, min and max density, |g/rho|_inf,
+    |d rho/dx|_inf (the state's ``drho_inf``, shared with the run loop),
+    the trapezoidal integral of its square, mass, the two envelope margins
+    (NaN without ``bounds``), and the modulus verdict and the infimum of
+    the passing B (see ``moc_min_b``). The modulus columns share one lag table, computed at
     the lags that may bind either (see ``moc_check``) and read twice, and
     run every ``moc_every`` steps, a positive integer and not a bool (else
     ValueError); rows in between, and every row without ``moc``, carry NaN
@@ -692,7 +697,7 @@ class DiagnosticsRecorder:
         self.log: DiagnosticsLog | None = None
 
     def __call__(self, step: int, state: SimState) -> None:
-        if self.log is None:
+        if step == 0 or self.log is None:
             self.log = DiagnosticsLog(
                 n=state.grid.n, alpha=state.kernel.alpha, k=state.potential.k,
                 config_hash=self._hash,

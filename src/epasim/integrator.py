@@ -43,12 +43,13 @@ rfft, and a step makes 9 calls over 16 transforms:
   the fields of a new ``SimState``; building it runs the same check, so a
   step checks three sets of fields;
 - the next step's first stage, evaluated right after, before the monitors:
-  the velocity irfft, which carries d rho/dx as a second row (2), and the
-  flux rfft (2). Its sup |u| sets the advective bound of that step, its
-  derivative spectrum is that step's stage 1, and the sup of d rho/dx
-  becomes the accepted state's ``drho_inf``: the gradient detector and
-  monitors such as the diagnostics recorder read it without another
-  transform. The detectors still run at the top of the next step.
+  the velocity irfft, which carries -d rho/dx, the density spectrum times
+  the plan's flux multiplier, as a second row (2), and the flux rfft (2).
+  Its sup |u| sets the advective bound of that step, its derivative
+  spectrum is that step's stage 1, and the sup of |d rho/dx| becomes the
+  accepted state's ``drho_inf``: the gradient detector and monitors such
+  as the diagnostics recorder read it without another transform. The
+  detectors still run at the top of the next step.
 
 A step also makes 10 ufunc reductions, each called as a ufunc's
 ``reduce``: 2 in each field check (the row sums and min rho), 2 for the

@@ -26,7 +26,8 @@ mode n/2 is never in the band.
   vel_rho = c (2 pi |k|)^alpha - psi_l_hat, the kernel's one band array
   per grid, which :func:`make_initial` also reads to solve this relation
   for g_hat;
-- flux derivative: flux = -2 pi i k;
+- flux derivative: flux = -2 pi i k, which also gives the first stage's
+  gradient row rho_hat flux, -d rho/dx, one complex product;
 - potential source: source rho_hat with source = -k + (2 pi k)^2 K_reg_hat,
   plus k n rho_bar on mode 0 for the background.
 
@@ -83,19 +84,19 @@ class NonFiniteError(RuntimeError):
 class SpectralPlan(NamedTuple):
     """Read-only Fourier multipliers of one problem (see the module docstring).
 
-    Each has the b entries of the band. All but two_pi_k are complex128:
-    inv_ddx and flux carry the factor i, and vel_rho and source carry the
-    transforms of psi_l and K_reg, which are complex for a kernel that is
-    not even. inv_ddx, flux and two_pi_k depend on the grid alone, so the
-    plans of one grid share them; vel_rho is the kernel's band array, which
-    the plans of one (grid, kernel) share.
+    Each has the b entries of the band, as complex128: inv_ddx and flux
+    carry the factor i, and vel_rho and source carry the transforms of
+    psi_l and K_reg, which are complex for a kernel that is not even. flux
+    is also the d/dx band, negated (see :func:`_velocity`). inv_ddx and
+    flux depend on the grid alone, so the plans of one grid share them;
+    vel_rho is the kernel's band array, which the plans of one (grid,
+    kernel) share.
     """
 
     inv_ddx: np.ndarray
     vel_rho: np.ndarray
     flux: np.ndarray
     source: np.ndarray | None  # None without a potential
-    two_pi_k: np.ndarray  # the grid's d/dx multiplier, divided by i
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -104,12 +105,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _grid_multipliers(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # inv_ddx, flux and two_pi_k of the plans on this grid (see the module docstring)
-    two_pi_k = grid.two_pi_k[:grid.band].copy()
+def _grid_multipliers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    # inv_ddx and flux of the plans on this grid (see the module docstring)
+    two_pi_k = grid.two_pi_k[:grid.band]
     inv = np.zeros(two_pi_k.size)
     inv[1:] = 1.0 / two_pi_k[1:]
-    return _read_only(-1j * inv), _read_only(-1j * two_pi_k), _read_only(two_pi_k)
+    return _read_only(-1j * inv), _read_only(-1j * two_pi_k)
 
 
 @lru_cache(maxsize=32)
@@ -124,9 +125,9 @@ def _vel_rho(grid: Grid, kernel: KernelSpec) -> np.ndarray:
 @lru_cache(maxsize=32)
 def spectral_plan(grid: Grid, kernel: KernelSpec, potential: PotentialSpec) -> SpectralPlan:
     """Multipliers of the dynamics on ``grid``, built once per problem."""
-    inv_ddx, flux, two_pi_k = _grid_multipliers(grid)
+    inv_ddx, flux = _grid_multipliers(grid)
     source = None if potential.is_zero else _read_only(g_source_multiplier(potential, grid))
-    return SpectralPlan(inv_ddx, _vel_rho(grid, kernel), flux, source, two_pi_k)
+    return SpectralPlan(inv_ddx, _vel_rho(grid, kernel), flux, source)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -241,8 +242,9 @@ def _velocity(spec: np.ndarray, rho: np.ndarray, problem: Problem,
     """Velocity of the block with spectrum spec and density rho, as row 0 of a new block.
 
     One irfft of u_hat, one transform. With ``drho_row`` the call carries
-    i 2 pi k rho_hat as a second row, two transforms in all: row 1 is then
-    d rho/dx.
+    rho_hat flux = -2 pi i k rho_hat as a second row, two transforms in
+    all: row 1 is then -d rho/dx, bit for bit the negated derivative, as
+    flux has a zero real part and the irfft of -X is -irfft(X).
     """
     plan = problem.plan
     rho_hat = spec[0]
@@ -252,8 +254,7 @@ def _velocity(spec: np.ndarray, rho: np.ndarray, problem: Problem,
     u_hat += spec[1]
     u_hat *= plan.inv_ddx
     if drho_row:
-        np.multiply(rho_hat, plan.two_pi_k, out=rows[1])
-        rows[1] *= 1j
+        np.multiply(rho_hat, plan.flux, out=rows[1])
     n = rho.size
     w = spectral.irfft(rows, n=n)
     u = w[0]
@@ -285,7 +286,7 @@ def rhs_spectrum(spec: np.ndarray, x: np.ndarray, problem: Problem,
     which are written into x (budgets: see ``integrator``); the products
     with the plan's flux multiplier read its band alone, which dealiases the
     quadratic products. With ``drho`` the velocity transform also gives
-    d rho/dx as a second row, and the fluxes go into its block instead, so
+    -d rho/dx as a second row, and the fluxes go into its block instead, so
     x is only read. Checks nothing: x holds the fields of a valid state or
     of a stage that was checked, and a non-finite derivative fails the
     check of the next stage.

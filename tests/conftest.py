@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,30 @@ def clear_caches() -> None:
     """Empty epasim's memo tables, so that what follows builds them again."""
     for table in memo_tables():
         table.cache_clear()
+
+
+def tracemalloc_peak(fn, n: int) -> float:
+    """Peak of the bytes that fn allocates while it runs, in n-doubles (8 n bytes)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / (8 * n)
+    finally:
+        tracemalloc.stop()
+
+
+def tracemalloc_held(fn, n: int) -> tuple:
+    """fn's result, and the bytes that fn leaves allocated, that result
+    included, in n-doubles (8 n bytes)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, (tracemalloc.get_traced_memory()[0] - base) / (8 * n)
+    finally:
+        tracemalloc.stop()
 
 
 def random_smooth_field(grid: Grid, rng: np.random.Generator, kmax: int = 8,

@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +31,13 @@ from epasim.model import (
     rhs_spectrum,
 )
 from epasim.spectral import Grid, derivative, mean, to_spectrum
-from conftest import KERNEL_POTENTIAL_PAIRS, clear_caches, memo_tables
+from conftest import (
+    KERNEL_POTENTIAL_PAIRS,
+    clear_caches,
+    memo_tables,
+    tracemalloc_held,
+    tracemalloc_peak,
+)
 from oracles import (
     characteristic_beta,
     legacy_stable_dt,
@@ -670,24 +675,12 @@ def test_run_drho_inf_is_the_derivative_bit_for_bit(n, potential, with_recorder)
     assert drho == pytest.approx(fresh, rel=1e-12)
     if with_recorder:
         log = rec.log
-        assert log.drho_inf == drho
+        assert list(log.drho_inf) == drho
         t = [s.t for s, _ in seen]
         bkm = [0.0]
         for i in range(1, len(t)):
             bkm.append(bkm[-1] + 0.5 * (drho[i - 1] ** 2 + drho[i] ** 2) * (t[i] - t[i - 1]))
-        assert log.t == t and log.bkm == bkm
-
-
-def _tracemalloc_peak(fn, n):
-    # peak of the bytes that fn allocates, in units of n float64 values
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return (tracemalloc.get_traced_memory()[1] - base) / (8 * n)
-    finally:
-        tracemalloc.stop()
+        assert list(log.t) == t and list(log.bkm) == bkm
 
 
 VERIFY_GAUGE = ModulusParams(delta=0.1, gamma=0.029, b=1e14, alpha=0.5)
@@ -725,19 +718,21 @@ def test_run_peak_memory(potential, recorder, bound):
 
     assert run(st, ctl, monitors()).steps >= 10  # fills the caches outside the count
     fresh = monitors()
-    assert _tracemalloc_peak(lambda: run(st, ctl, fresh), n) <= bound
+    assert tracemalloc_peak(lambda: run(st, ctl, fresh), n) <= bound
 
 
 def test_held_footprint_of_a_problem():
     # the bytes still held, in n-doubles, from cleared memo tables at
     # n = 1024 with the reference kernel and potential: after make_initial
     # the state's two rows and the kernel's band vel_rho, and after a run,
-    # its outcome dropped, the plan's band multipliers as well; a grid holds
-    # no array. Measured 2.81 and 5.29; 6.24 and 9.45 while a grid held its
-    # points and modes, psi_l and K_reg on the grid were memoised and
-    # vel_rho held all n/2 + 1 modes
+    # its outcome dropped, the plan's band multipliers inv_ddx, flux and
+    # source as well; a grid holds no array. Measured 2.81 and 4.94; 5.29
+    # after the run while the plan also held its d/dx band two_pi_k, and
+    # 6.24 and 9.45 while a grid held its points and modes, psi_l and K_reg
+    # on the grid were memoised and vel_rho held all n/2 + 1 modes
     n = 1024
     assert not any(isinstance(v, np.ndarray) for v in vars(Grid(n)).values())
+    assert model.SpectralPlan._fields == ("inv_ddx", "vel_rho", "flux", "source")
     kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
     ctl = StepControl(t_end=0.01)
 
@@ -746,16 +741,13 @@ def test_held_footprint_of_a_problem():
 
     assert run(initial(), ctl).steps >= 10  # the first calls' one-off costs, outside the count
     clear_caches()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        st = initial()
-        held = [tracemalloc.get_traced_memory()[0] - base]
+    st, held = tracemalloc_held(initial, n)
+
+    def run_dropped():
         run(st, ctl)
-        held.append(tracemalloc.get_traced_memory()[0] - base)
-    finally:
-        tracemalloc.stop()
-    assert held[0] <= 3.3 * 8 * n and held[1] <= 5.6 * 8 * n
+
+    ran = tracemalloc_held(run_dropped, n)[1]
+    assert held <= 3.3 and held + ran <= 5.2
 
 
 def test_modulus_row_peak_memory():
@@ -769,7 +761,7 @@ def test_modulus_row_peak_memory():
                  1e-4)
     rec = DiagnosticsRecorder(moc=VERIFY_GAUGE, moc_every=1)
     rec(0, st)  # builds the log outside the count
-    assert _tracemalloc_peak(lambda: rec(1, st), n) <= 2.25
+    assert tracemalloc_peak(lambda: rec(1, st), n) <= 2.25
 
 
 # The paper's dichotomy on burgers-shock data with psi_L = a = 0.5 and
