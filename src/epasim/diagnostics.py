@@ -66,7 +66,7 @@ import numpy as np
 from .kernels import kernel_min
 from .model import SimState
 from .model import recover_velocity  # noqa: F401  (perfbench traces diagnostics.recover_velocity)
-from .spectral import Grid, GridMismatchError, derivative
+from .spectral import Grid, GridMismatchError
 
 ENVELOPE_SLACK = 10.0  # slack factor 1 + ENVELOPE_SLACK * dx on grid extrema
 F_BOUND_ATOL = 1e-12  # absolute floor so roundoff-level f fields compare sanely
@@ -98,15 +98,12 @@ class BoundConstants:
     kxx_sup: float
     k: float
     f0_inf: float
-    q0_inf: float
     rho0_min: float
     rho0_max: float
     eps_star: float
     eps: float
     a_m: float
     c_m: float
-    a_big: float
-    c_big: float
     c1: float
     general: bool
 
@@ -138,8 +135,14 @@ class BoundConstants:
 
     @property
     def rho_max_floor(self) -> float:
-        """The time-independent branches of the upper bound on max rho."""
-        return _rho_max_floor(self.rho0_max, self.rho_bar, self.psi_l_sup, self.alpha, self.c1)
+        """The time-independent branches of the upper bound on max rho:
+        max(rho0_max, 3 rho_bar) and, with psi_l != 0,
+        (2 |psi_l|_inf rho_bar / C_1)^(1/(1+alpha))."""
+        floor = max(self.rho0_max, 3.0 * self.rho_bar)
+        if self.psi_l_sup > 0:
+            lip = 2.0 * self.psi_l_sup * self.rho_bar / self.c1
+            floor = max(floor, lip ** (1.0 / (1.0 + self.alpha)))
+        return floor
 
     def rho_max_bound(self, t: np.ndarray | float) -> np.ndarray | float:
         """Pointwise-in-time upper bound on max rho (three/four branch)."""
@@ -156,15 +159,6 @@ class BoundConstants:
         return self.rho_max_bound(t) * _slack(dx) / rho_max
 
 
-def _rho_max_floor(rho0_max: float, rho_bar: float, psi_l_sup: float, alpha: float,
-                   c1: float) -> float:
-    # max(rho0_max, 3 rho_bar) and, with psi_l != 0, (2 |psi_l|_inf rho_bar / C_1)^(1/(1+alpha))
-    floor = max(rho0_max, 3.0 * rho_bar)
-    if psi_l_sup > 0:
-        floor = max(floor, (2.0 * psi_l_sup * rho_bar / c1) ** (1.0 / (1.0 + alpha)))
-    return floor
-
-
 def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0) -> BoundConstants:
     """Evaluate every envelope constant from the initial state.
 
@@ -172,8 +166,8 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
     user-supplied nonlinear-maximum-principle constant (no numeric value
     is derivable here, so it defaults to 1 and the upper-envelope check
     additionally reports the value fitted from the run). psi_m is
-    ``kernel_min``: exact, or for c > 0 with a table or b < 0 cosine psi_l
-    a certified lower bound that makes every constant more conservative.
+    ``kernel_min``: exact, or for c > 0 with a b < 0 cosine psi_l a
+    certified lower bound that makes every constant more conservative.
     """
     if not 0.0 < eps_fraction < 1.0:
         raise ValueError("eps_fraction must be in (0, 1)")
@@ -194,9 +188,7 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
         raise ValueError("effective kernel has no positive lower bound")
     psi_l_sup = state.kernel.psi_l.sup_norm()
     kxx_sup = state.potential.kreg.second_derivative_sup
-    f0 = state.g / state.rho
-    f0_inf = float(np.max(np.abs(f0)))
-    q0_inf = float(np.max(np.abs(derivative(f0, state.grid) / state.rho)))
+    f0_inf = float(np.max(np.abs(state.g / state.rho)))
     eps_star = 0.5 * (
         math.sqrt(1.0 + 4.0 * psi_m / (math.e * (psi_m + psi_l_sup + f0_inf))) - 1.0
     )
@@ -204,18 +196,6 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
     kappa = abs(state.potential.k) + kxx_sup
     a_m = kappa / psi_m * (1.0 + eps)
     c_m = min(rho0_min, eps * math.e * state.rho_bar)
-    general = (psi_l_sup > 0.0) or (kxx_sup > 0.0)
-    fac = 2.0 if general else 1.0
-    if kappa > 0:
-        # kappa / a_m = psi_m / (1 + eps): nothing divides by a_m, which
-        # underflows to 0 for subnormal kappa
-        kappa_over_a_m = psi_m / (1.0 + eps)
-        peak = (f0_inf + abs(state.potential.k) / kappa * kappa_over_a_m / math.e
-                + kappa_over_a_m * state.rho_bar / c_m)
-    else:
-        peak = f0_inf
-    branch3 = (fac * peak / c1) ** (1.0 / alpha)
-    c_big = max(_rho_max_floor(rho0_max, state.rho_bar, psi_l_sup, alpha, c1), branch3)
     return BoundConstants(
         alpha=alpha,
         rho_bar=state.rho_bar,
@@ -224,17 +204,14 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
         kxx_sup=kxx_sup,
         k=state.potential.k,
         f0_inf=f0_inf,
-        q0_inf=q0_inf,
         rho0_min=rho0_min,
         rho0_max=rho0_max,
         eps_star=eps_star,
         eps=eps,
         a_m=a_m,
         c_m=c_m,
-        a_big=a_m / alpha,
-        c_big=c_big,
         c1=c1,
-        general=general,
+        general=(psi_l_sup > 0.0) or (kxx_sup > 0.0),
     )
 
 

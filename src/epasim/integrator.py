@@ -149,10 +149,6 @@ class RunOutcome:
     detail: str = ""
     log: object | None = None  # first monitor exposing a .log attribute, if any
 
-    @property
-    def completed(self) -> bool:
-        return self.status is RunStatus.COMPLETED
-
 
 class _DtConstants(NamedTuple):
     """The factors of the step bounds that are fixed for a run (see ``_raw_dt``)."""

@@ -9,12 +9,19 @@ strictly positive away from the origin; the envelope bounds need this,
 so ``diagnostics.bound_constants`` rejects a kernel whose ``kernel_min``
 is not positive. psi_alpha is convex on (0, 1) and symmetric about 1/2,
 so ``kernel_min`` is c psi_alpha(1/2) + min psi_l: the infimum over x != 0
-when c = 0 or psi_l is zero, constant or a + b cos 2 pi x with b >= 0,
-and a certified but possibly loose lower bound otherwise.
+for every kernel but one with c > 0 and a cosine psi_l with b < 0, where
+it is a certified but possibly loose lower bound.
 
 Potentials split into a Newtonian part of strength k (whose induced force
 solves the Poisson equation with background) and a twice-differentiable
 regular part.
+
+Every preset, kernel or potential, is even in x, as in the model: the
+alignment and the regular force then act on each pair of points with
+equal and opposite momentum, so the dynamics conserve the momentum
+int rho u, which every velocity recovery pins to its initial value. A
+kernel that is not even would make that pin silently wrong, so there is
+no kind for arbitrary samples.
 """
 
 from __future__ import annotations
@@ -112,48 +119,24 @@ def psi_alpha(x, alpha: float, tol: float = 1e-12):
 # kernel and potential presets
 
 
-def _interp_periodic(x, xs, vs):
-    return np.interp(np.asarray(x, dtype=float), np.asarray(xs), np.asarray(vs), period=1.0)
-
-
-def _validate_table(xs, vs) -> None:
-    xs = np.asarray(xs)
-    vs = np.asarray(vs)
-    if xs.size < 2 or xs.size != vs.size:
-        raise ValueError("sampled table needs at least two (x, value) rows")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
-        raise ValueError("sampled table contains non-finite entries")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("table abscissae must be strictly increasing")
-    if xs[0] < -0.5 or xs[-1] >= 0.5:
-        raise ValueError("table abscissae must lie in [-1/2, 1/2)")
-
-
 @dataclass(frozen=True)
 class LipschitzKernel:
     """Bounded Lipschitz kernel part, from a closed preset list.
 
-    kind: "zero" | "constant" (value a) | "cosine" (a + b cos 2 pi x)
-    | "table" (periodic linear interpolation of sampled points).
+    kind: "zero" | "constant" (value a) | "cosine" (a + b cos 2 pi x).
     """
 
     kind: str = "zero"
     a: float = 0.0
     b: float = 0.0
-    xs: tuple = ()
-    vs: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("zero", "constant", "cosine", "table"):
+        if self.kind not in ("zero", "constant", "cosine"):
             raise ValueError(f"unknown Lipschitz kernel kind {self.kind!r}")
-        if self.kind == "table":
-            _validate_table(self.xs, self.vs)
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or (
-            self.kind in ("constant", "cosine") and self.a == 0.0 and self.b == 0.0
-        )
+        return self.kind == "zero" or (self.a == 0.0 and self.b == 0.0)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -161,9 +144,7 @@ class LipschitzKernel:
             return np.zeros_like(x)
         if self.kind == "constant":
             return np.full_like(x, self.a)
-        if self.kind == "cosine":
-            return self.a + self.b * np.cos(2 * np.pi * x)
-        return _interp_periodic(x, self.xs, self.vs)
+        return self.a + self.b * np.cos(2 * np.pi * x)
 
     def value_range(self) -> tuple[float, float]:
         """Minimum and maximum over the torus."""
@@ -171,9 +152,7 @@ class LipschitzKernel:
             return 0.0, 0.0
         if self.kind == "constant":
             return self.a, self.a
-        if self.kind == "cosine":
-            return self.a - abs(self.b), self.a + abs(self.b)
-        return float(np.min(self.vs)), float(np.max(self.vs))
+        return self.a - abs(self.b), self.a + abs(self.b)
 
     def sup_norm(self) -> float:
         lo, hi = self.value_range()
@@ -185,27 +164,22 @@ class RegularPotential:
     """W^{2,inf} potential part.
 
     kind: "zero" | "cosine" (amp cos 2 pi x) | "gaussian" (periodized
-    amp exp(-x^2 / 2 width^2)) | "table" (sampled values, linear
-    interpolation; curvature estimated by divided differences).
+    amp exp(-x^2 / 2 width^2)).
     """
 
     kind: str = "zero"
     amp: float = 0.0
     width: float = 0.1
-    xs: tuple = ()
-    vs: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("zero", "cosine", "gaussian", "table"):
+        if self.kind not in ("zero", "cosine", "gaussian"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "gaussian" and self.width <= 0:
             raise ValueError("gaussian potential needs width > 0")
-        if self.kind == "table":
-            _validate_table(self.xs, self.vs)
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or (self.kind in ("cosine", "gaussian") and self.amp == 0.0)
+        return self.kind == "zero" or self.amp == 0.0
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -213,12 +187,10 @@ class RegularPotential:
             return np.zeros_like(x)
         if self.kind == "cosine":
             return self.amp * np.cos(2 * np.pi * x)
-        if self.kind == "gaussian":
-            out = np.zeros_like(x)
-            for m in range(-6, 7):
-                out += np.exp(-((x + m) ** 2) / (2.0 * self.width**2))
-            return self.amp * out
-        return _interp_periodic(x, self.xs, self.vs)
+        out = np.zeros_like(x)
+        for m in range(-6, 7):
+            out += np.exp(-((x + m) ** 2) / (2.0 * self.width**2))
+        return self.amp * out
 
     @cached_property
     def second_derivative_sup(self) -> float:
@@ -227,23 +199,13 @@ class RegularPotential:
             return 0.0
         if self.kind == "cosine":
             return abs(self.amp) * (2 * np.pi) ** 2
-        if self.kind == "gaussian":
-            x = np.linspace(-0.5, 0.5, 4097)
-            w2 = self.width**2
-            out = np.zeros_like(x)
-            for m in range(-6, 7):
-                u = x + m
-                out += (u**2 / w2 - 1.0) / w2 * np.exp(-(u**2) / (2.0 * w2))
-            return float(np.max(np.abs(self.amp * out)))
-        # three-point divided differences on the sampled nodes, periodic wrap
-        xs = np.asarray(self.xs)
-        vs = np.asarray(self.vs)
-        xe = np.concatenate(([xs[-1] - 1.0], xs, [xs[0] + 1.0]))
-        ve = np.concatenate(([vs[-1]], vs, [vs[0]]))
-        h0 = xe[1:-1] - xe[:-2]
-        h1 = xe[2:] - xe[1:-1]
-        dd = 2.0 * (ve[2:] * h0 + ve[:-2] * h1 - ve[1:-1] * (h0 + h1)) / (h0 * h1 * (h0 + h1))
-        return float(np.max(np.abs(dd)))
+        x = np.linspace(-0.5, 0.5, 4097)
+        w2 = self.width**2
+        out = np.zeros_like(x)
+        for m in range(-6, 7):
+            u = x + m
+            out += (u**2 / w2 - 1.0) / w2 * np.exp(-(u**2) / (2.0 * w2))
+        return float(np.max(np.abs(self.amp * out)))
 
 
 @dataclass(frozen=True)
@@ -289,19 +251,9 @@ class PotentialSpec:
 
 def kernel_min(spec: KernelSpec) -> float:
     """Lower bound c psi_alpha(1/2) + min psi_l of the kernel on x != 0; exact
-    for c = 0 and for a zero, constant or b >= 0 cosine psi_l."""
+    but for c > 0 with a cosine psi_l whose b < 0."""
     singular = spec.c * psi_alpha(0.5, spec.alpha) if spec.c > 0 else 0.0
     return singular + spec.psi_l.value_range()[0]
-
-
-def lipschitz_on_grid(psi_l: LipschitzKernel, grid: Grid) -> np.ndarray:
-    """psi_l at the grid's points, sampled anew on each call: not cached."""
-    return np.asarray(psi_l(grid.x), dtype=float)
-
-
-def potential_on_grid(kreg: RegularPotential, grid: Grid) -> np.ndarray:
-    """K_reg at the grid's points, sampled anew on each call: not cached."""
-    return np.asarray(kreg(grid.x), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +266,7 @@ def g_source(rho: np.ndarray, rho_bar: float, pot: PotentialSpec, grid: Grid) ->
     if pot.k != 0.0:
         out -= pot.k * (rho - rho_bar)
     if not pot.kreg.is_zero:
-        out -= second_derivative(convolve(potential_on_grid(pot.kreg, grid), rho, grid), grid)
+        out -= second_derivative(convolve(pot.kreg(grid.x), rho, grid), grid)
     return out
 
 
@@ -329,6 +281,6 @@ def g_source_multiplier(pot: PotentialSpec, grid: Grid) -> np.ndarray:
     b = grid.band
     out = np.full(b, -pot.k, dtype=complex)
     if not pot.kreg.is_zero:
-        kreg_hat = to_spectrum(potential_on_grid(pot.kreg, grid), grid)[:b]
+        kreg_hat = to_spectrum(pot.kreg(grid.x), grid)[:b]
         out += np.square(grid.two_pi_k[:b]) * kreg_hat
     return out

@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .kernels import KernelSpec, PotentialSpec, g_source_multiplier, lipschitz_on_grid
+from .kernels import KernelSpec, PotentialSpec, g_source_multiplier
 from .kernels import g_source  # noqa: F401  (perfbench traces model.g_source)
 from .spectral import (
     MEAN_TOL,
@@ -86,11 +86,13 @@ class SpectralPlan(NamedTuple):
 
     Each has the b entries of the band, as complex128: inv_ddx and flux
     carry the factor i, and vel_rho and source carry the transforms of
-    psi_l and K_reg, which are complex for a kernel that is not even. flux
-    is also the d/dx band, negated (see :func:`_velocity`). inv_ddx and
-    flux depend on the grid alone, so the plans of one grid share them;
-    vel_rho is the kernel's band array, which the plans of one (grid,
-    kernel) share.
+    psi_l and K_reg. Those are real to rounding, as every kernel and
+    potential is even, but stay complex so that every product with a
+    spectrum is complex-by-complex: a complex-by-real product goes through
+    numpy's buffered cast. flux is also the d/dx band, negated (see
+    :func:`_velocity`). inv_ddx and flux depend on the grid alone, so the
+    plans of one grid share them; vel_rho is the kernel's band array,
+    which the plans of one (grid, kernel) share.
     """
 
     inv_ddx: np.ndarray
@@ -118,7 +120,7 @@ def _vel_rho(grid: Grid, kernel: KernelSpec) -> np.ndarray:
     # c (2 pi |k|)^alpha - psi_l_hat on the band: the plan's vel_rho, whose
     # mode 0 is -mean(psi_l) on the grid
     b = grid.band
-    psi_l_hat = to_spectrum(lipschitz_on_grid(kernel.psi_l, grid), grid)[:b]
+    psi_l_hat = to_spectrum(kernel.psi_l(grid.x), grid)[:b]
     return _read_only(kernel.c * grid.two_pi_k[:b]**kernel.alpha - psi_l_hat)
 
 
@@ -231,7 +233,7 @@ def check_fields(x: np.ndarray, t: float, problem: Problem) -> np.ndarray:
         raise MeanViolationError("mean density drifted from its conserved value")
     resid = g_mean + problem.vel_rho0 * rho_mean
     if abs(resid) > MEAN_TOL:
-        f = x[1] - convolve(lipschitz_on_grid(problem.kernel.psi_l, grid), x[0], grid)
+        f = x[1] - convolve(problem.kernel.psi_l(grid.x), x[0], grid)
         if abs(resid) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):
             raise MeanViolationError(f"mean(g - psi_l * rho) = {resid:.3e} is not zero")
     return x

@@ -9,18 +9,17 @@ import epasim
 from epasim.kernels import KernelSpec, LipschitzKernel, PotentialSpec, RegularPotential
 from epasim.spectral import Grid
 
-TABLE_PSI_L = LipschitzKernel(kind="table", xs=(-0.5, -0.2, 0.1, 0.3), vs=(0.4, 1.0, 0.7, 0.2))
-TABLE_KREG = RegularPotential(kind="table", xs=(-0.4, 0.0, 0.25), vs=(0.1, -0.05, 0.08))
-
 # (kernel, potential) pairs that cover every branch of the fused dynamics
 KERNEL_POTENTIAL_PAIRS = [
     # even psi_l, K_reg on, k != 0: the reference problem
     (KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=0.2)),
      PotentialSpec(k=1.0, kreg=RegularPotential(kind="cosine", amp=0.05))),
-    # non-even table psi_l (complex psi_l_hat), K_reg off, repulsive k
-    (KernelSpec(c=0.7, alpha=0.3, psi_l=TABLE_PSI_L), PotentialSpec(k=-0.6)),
-    # no singular part, table psi_l and table K_reg (complex source multiplier)
-    (KernelSpec(c=0.0, alpha=0.5, psi_l=TABLE_PSI_L), PotentialSpec(k=0.5, kreg=TABLE_KREG)),
+    # b < 0 cosine psi_l, K_reg off, repulsive k
+    (KernelSpec(c=0.7, alpha=0.3, psi_l=LipschitzKernel(kind="cosine", a=1.0, b=-0.5)),
+     PotentialSpec(k=-0.6)),
+    # no singular part, constant psi_l and a gaussian K_reg
+    (KernelSpec(c=0.0, alpha=0.5, psi_l=LipschitzKernel(kind="constant", a=0.7)),
+     PotentialSpec(k=0.5, kreg=RegularPotential(kind="gaussian", amp=0.05, width=0.1))),
     # singular part only, no potential
     (KernelSpec(c=1.0, alpha=1.5), PotentialSpec()),
 ]

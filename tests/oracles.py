@@ -36,7 +36,8 @@ on every problem tried, so the recorder checks the gauge with the
 data-driven ``diagnostics.moc_min_b`` instead. ``check_f_transported`` is
 the forcing-free check that |f|_inf never increases along a log, and
 ``rho_max_envelope`` the exponential envelope C e^{A t} on max rho that it
-uses at the horizon.
+uses at the horizon. The recipe's own constants (C, A and |q_0|_inf) are
+computed here, from the initial state and its ``BoundConstants``.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ from epasim.kernels import (
     KernelSpec,
     PotentialSpec,
     g_source,
-    lipschitz_on_grid,
-    potential_on_grid,
     psi_alpha,
 )
 from epasim.integrator import StepControl, _dt_constants, _raw_dt
@@ -97,7 +96,7 @@ def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) ->
     g_hat = h[1]
     g_hat *= 1j * grid.two_pi_k
     g_hat[-1] = 0.0
-    psi_l_hat = to_spectrum(lipschitz_on_grid(kernel.psi_l, grid), grid)
+    psi_l_hat = to_spectrum(kernel.psi_l(grid.x), grid)
     g_hat -= (kernel.c * grid.two_pi_k**kernel.alpha - psi_l_hat) * h[0]
     return np.fft.irfft(g_hat, n=grid.n)
 
@@ -213,11 +212,10 @@ def kernel_values(spec: KernelSpec, x, tol: float = 1e-12):
 
 
 def dense_kernel_min(spec: KernelSpec) -> float:
-    """Minimum of the effective kernel over 2^16 uniform points of [-1/2, 1/2)
-    and the nodes of a table psi_l, x = 0 left out: an upper estimate of the
-    infimum that ``kernels.kernel_min`` must never exceed."""
+    """Minimum of the effective kernel over 2^16 uniform points of [-1/2, 1/2),
+    x = 0 left out: an upper estimate of the infimum that
+    ``kernels.kernel_min`` must never exceed."""
     x = -0.5 + np.arange(2**16) / 2**16
-    x = np.concatenate((x, np.asarray(spec.psi_l.xs, dtype=float)))
     return float(np.min(kernel_values(spec, x[x != 0.0])))
 
 
@@ -234,7 +232,7 @@ def psi_l_conv(state: SimState) -> np.ndarray:
     """Convolution of the Lipschitz kernel part with the density."""
     if state.kernel.psi_l.is_zero:
         return np.zeros(state.grid.n)
-    return convolve(lipschitz_on_grid(state.kernel.psi_l, state.grid), state.rho, state.grid)
+    return convolve(state.kernel.psi_l(state.grid.x), state.rho, state.grid)
 
 
 def composed_velocity(state: SimState) -> np.ndarray:
@@ -404,7 +402,7 @@ def alignment_spectral(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec,
             - fractional_laplacian(rho * u, kernel.alpha, grid)
         )
     if not kernel.psi_l.is_zero:
-        pl = lipschitz_on_grid(kernel.psi_l, grid)
+        pl = kernel.psi_l(grid.x)
         out += convolve(pl, rho * u, grid) - u * convolve(pl, rho, grid)
     return out
 
@@ -432,7 +430,7 @@ def regular_force(rho: np.ndarray, pot: PotentialSpec, grid: Grid) -> np.ndarray
     """Force -d/dx (K_reg * rho) from the regular potential part."""
     if pot.kreg.is_zero:
         return np.zeros(grid.n)
-    return -derivative(convolve(potential_on_grid(pot.kreg, grid), rho, grid), grid)
+    return -derivative(convolve(pot.kreg(grid.x), rho, grid), grid)
 
 
 def fractional_laplacian_direct(
@@ -539,7 +537,9 @@ def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
     rho_big = max(float(rho_max_envelope(bc, t_end)), 1.0)
     f_big = float(bc.f_bound(t_end))
     if c_f is None:
-        c_f = rho_big * bc.q0_inf if bc.kappa == 0 else 1.0
+        # |(f_0)_x / rho_0|_inf, the transported ratio gradient without forcing
+        q0_inf = float(np.max(np.abs(derivative(state0.g / state0.rho, state0.grid) / state0.rho)))
+        c_f = rho_big * q0_inf if bc.kappa == 0 else 1.0
     denom = max(4.0 * c2, 12.0 * rho_big * f_big, 6.0 * rho_big**2 * c_f)
     bend_cap = (1.0 / (1.0 + alpha / 2.0)) ** (2.0 / alpha)
     rho0_sup = bc.rho0_max
@@ -568,8 +568,20 @@ def certified_modulus_params(state0: SimState, bc: BoundConstants, t_end: float,
 
 
 def rho_max_envelope(bc: BoundConstants, t: np.ndarray | float) -> np.ndarray | float:
-    """C e^{A t} with the constants C and A of ``bc``, for a float or an array t."""
-    return bc.c_big * np.exp(bc.a_big * t)
+    """C e^{A t}, for a float or an array t, with A = A_m / alpha and C the
+    largest of the upper bound's floor and (fac peak / C_1)^(1/alpha), where
+    peak bounds F_M(t) e^{-A_m t} and fac is 2 for a general kernel."""
+    fac = 2.0 if bc.general else 1.0
+    if bc.kappa > 0:
+        # kappa / a_m = psi_m / (1 + eps): nothing divides by a_m, which
+        # underflows to 0 for subnormal kappa
+        kappa_over_a_m = bc.psi_m / (1.0 + bc.eps)
+        peak = (bc.f0_inf + abs(bc.k) / bc.kappa * kappa_over_a_m / math.e
+                + kappa_over_a_m * bc.rho_bar / bc.c_m)
+    else:
+        peak = bc.f0_inf
+    c_big = max(bc.rho_max_floor, (fac * peak / bc.c1) ** (1.0 / bc.alpha))
+    return c_big * np.exp(bc.a_m / bc.alpha * t)
 
 
 def check_f_transported(log: DiagnosticsLog, atol: float = 1e-6) -> CheckReport:

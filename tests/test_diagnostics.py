@@ -32,6 +32,7 @@ from oracles import (
     psi_alpha_min,
     reference_min_b,
     reference_omega_b,
+    rho_max_envelope,
     roll_lag_table,
     with_fields,
 )
@@ -70,7 +71,6 @@ def test_bound_constants_uniform_state_formulas():
     assert bc.eps == pytest.approx(0.5 * eps_star, rel=1e-9)
     assert bc.a_m == pytest.approx((1.0 / psi_m) * (1.0 + 0.5 * eps_star), rel=1e-9)
     assert bc.c_m == pytest.approx(min(1.0, 0.5 * eps_star * math.e), rel=1e-9)
-    assert bc.a_big == pytest.approx(bc.a_m / 0.5, rel=1e-12)
     assert not bc.general
 
 
@@ -124,7 +124,7 @@ def test_upper_bound_floor_has_the_lipschitz_branch():
     lip = (2.0 * 50.0 * bc.rho_bar / 0.01) ** (1.0 / 1.5)
     assert lip > 3.0 * bc.rho_bar
     assert bc.rho_max_floor == pytest.approx(lip, rel=1e-14)
-    assert bc.c_big >= lip and float(bc.rho_max_bound(0.0)) >= lip
+    assert float(rho_max_envelope(bc, 0.0)) >= lip and float(bc.rho_max_bound(0.0)) >= lip
     t = np.linspace(0.0, 1.0, 5)
     below = synthetic_log(t, rho_min=1.0, rho_max=0.99 * lip, n=64)
     assert check_upper_envelope(below, bc).c1_fit == math.inf
@@ -148,7 +148,7 @@ def test_bound_constants_rejects_disabled_kernel():
 
 @pytest.mark.parametrize("c1", [0.0, -1.0, math.nan, math.inf])
 def test_bound_constants_rejects_c1_not_finite_and_positive(c1):
-    # 0 divided by zero, and -1 and NaN gave a finite c_big with no error
+    # 0 divided by zero, and -1 and NaN gave a finite envelope with no error
     st = make_initial("cosine", Grid(64), EA, rho_amp=0.3)
     with pytest.raises(ValueError, match="c1"):
         bound_constants(st, c1=c1)

@@ -275,7 +275,7 @@ def test_run_monitor_called_every_step():
     st = make_initial("cosine", g, EA, rho_amp=0.2)
     seen = []
     out = run(st, StepControl(t_end=0.05), monitors=(lambda k, s: seen.append((k, s.t)),))
-    assert out.completed
+    assert out.status is RunStatus.COMPLETED
     assert seen[0][0] == 0 and seen[-1][0] == out.steps
     assert len(seen) == out.steps + 1
     times = [t for _, t in seen]
@@ -334,7 +334,7 @@ def test_run_mass_and_momentum_conserved():
         momenta.append(mean(s.rho * recover_velocity(s)))
 
     out = run(st, StepControl(t_end=0.5), monitors=(watch,))
-    assert out.completed
+    assert out.status is RunStatus.COMPLETED
     assert max(abs(m - st.rho_bar) for m in masses) <= 1e-12
     assert max(abs(p - st.m0) for p in momenta) <= 1e-12 * max(1.0, abs(st.m0))
 
@@ -426,7 +426,7 @@ def assert_fft_budget(monkeypatch, monitors=()):
     monkeypatch.setattr(integrator, "rhs_spectrum", counted(integrator.rhs_spectrum, evals))
     checks = count_checks(monkeypatch)
     out = run(st, StepControl(t_end=20 * dt, dt_max=dt), monitors=monitors)
-    assert out.completed and out.steps == 20
+    assert out.status is RunStatus.COMPLETED and out.steps == 20
     assert ffts == {"calls": 9 * out.steps + 3, "transforms": 16 * out.steps + 4}
     assert evals["n"] == 3 * out.steps
     # one check per stage: the two inner stages and the accepted state
@@ -467,7 +467,7 @@ def test_run_reduction_budget_per_step():
                   monitors=(lambda k, s: marks.append(count[0]),))
     finally:
         sys.setprofile(None)
-    assert out.completed and out.steps == 20
+    assert out.status is RunStatus.COMPLETED and out.steps == 20
     assert np.diff(marks)[:-1].tolist() == [10] * 19
 
 
@@ -488,7 +488,7 @@ def test_no_step_looks_up_a_cache(with_recorder):
         before = cache_lookups()
         out = run(st, StepControl(t_end=steps * dt, dt_max=dt), monitors)
         made.append(cache_lookups() - before)
-        assert out.completed and out.steps == steps
+        assert out.status is RunStatus.COMPLETED and out.steps == steps
     assert made == [1, 1]
 
 
@@ -500,7 +500,7 @@ def test_a_run_shares_its_problem_and_problems_share_their_plan():
             for amp in (0.3, 0.5))
     seen = []
     out = run(a, StepControl(t_end=0.05), monitors=(lambda k, s: seen.append(s),))
-    assert out.completed and len(seen) == out.steps + 1 > 3
+    assert out.status is RunStatus.COMPLETED and len(seen) == out.steps + 1 > 3
     assert all(s.problem is a.problem for s in seen + [out.state])
     assert b.problem is not a.problem
     assert b.problem.plan.vel_rho is a.problem.plan.vel_rho
@@ -533,7 +533,7 @@ def test_no_transform_reaches_np_fft(monkeypatch):
     gauge = ModulusParams(delta=0.1, gamma=0.029, b=1e14, alpha=0.5)
     for monitors in ((), (DiagnosticsRecorder(constants, gauge, moc_every=10),)):
         out = run(st, StepControl(t_end=0.2), monitors=monitors)
-        assert out.completed and out.steps >= 10
+        assert out.status is RunStatus.COMPLETED and out.steps >= 10
     assert np.sum(~np.isnan(monitors[0].log.column("moc_pass"))) >= 2
 
 
@@ -663,7 +663,7 @@ def test_run_drho_inf_is_the_derivative_bit_for_bit(n, potential, with_recorder)
     rec = DiagnosticsRecorder()
     monitors = (lambda k, s: seen.append((s, s.drho_inf)),) + ((rec,) if with_recorder else ())
     out = run(st, ctl, monitors=monitors)
-    assert out.completed and len(seen) == out.steps + 1 > 3
+    assert out.status is RunStatus.COMPLETED and len(seen) == out.steps + 1 > 3
     drho = [d for _, d in seen]
     fresh = [float(np.max(np.abs(derivative(s.rho, s.grid)))) for s, _ in seen]
     ref, spec, carried = st, band_spectrum(st), []
@@ -863,7 +863,7 @@ def test_exact_strong_repulsion_converges_at_third_order_in_time():
     for f in (1.0, 0.5):
         ctl = StepControl(t_end=1.0, cfl_advect=0.4 * f, cfl_diffuse=0.5 * f)
         out = run(exact_state(grid.n, -4.0), ctl, (), DetectionThresholds(grad_rho_max=1e3))
-        assert out.completed
+        assert out.status is RunStatus.COMPLETED
         exact = exact_max_rho(grid, out.t_final, -4.0)
         errs.append(abs(float(np.max(out.state.rho)) - exact) / exact)
     assert errs[0] < 1e-5
@@ -879,7 +879,7 @@ def test_exact_max_density_converges_at_third_order(k):
         grid = Grid(n)
         t_half = 0.5 * ode_blowup_time(*exact_characteristics(grid), 1.0, DICHOTOMY_A, k, 1.0)
         out = run(exact_state(n, k), StepControl(t_end=t_half))
-        assert out.completed
+        assert out.status is RunStatus.COMPLETED
         errs.append(abs(float(np.max(out.state.rho)) - exact_max_rho(grid, out.t_final, k)))
     assert errs[0] < 1e-4
     assert math.log(errs[0] / errs[1]) / math.log(4.0) >= 2.8

@@ -202,9 +202,6 @@ PSI_L_KINDS = {
     "constant": LipschitzKernel(kind="constant", a=0.7),
     "cosine": LipschitzKernel(kind="cosine", a=0.5, b=0.2),
     "cosine-negative-b": LipschitzKernel(kind="cosine", a=1.0, b=-0.5),
-    # minimum 0.8 at a node that no uniform probe grid on [-1/2, 1/2) hits
-    "table": LipschitzKernel(kind="table", xs=(-0.5, -0.1, 0.23371, 0.4),
-                             vs=(1.6, 1.3, 0.8, 1.2)),
 }
 
 
@@ -221,21 +218,13 @@ def test_kernel_min_against_dense_oracle(kind, c):
         assert got == dense
 
 
-def test_lipschitz_table_kernel():
-    xs = (-0.5, -0.25, 0.0, 0.25)
-    vs = (1.0, 2.0, 3.0, 2.0)
-    kern = LipschitzKernel(kind="table", xs=xs, vs=vs)
-    assert kern(0.0) == pytest.approx(3.0)
-    assert kern(-0.375) == pytest.approx(1.5)
-    assert kern(0.5) == pytest.approx(1.0)  # periodic wrap hits x = -0.5
-    assert kern.sup_norm() == pytest.approx(3.0)
-
-
 def test_table_validation():
-    with pytest.raises(ValueError):
-        LipschitzKernel(kind="table", xs=(0.3, 0.1), vs=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        RegularPotential(kind="table", xs=(0.0, 0.6), vs=(1.0, 1.0))
+    # every kernel and potential is an even preset: a sampled table, which
+    # need not be even, is refused when it is built
+    with pytest.raises(ValueError, match="kind"):
+        LipschitzKernel(kind="table")
+    with pytest.raises(ValueError, match="kind"):
+        RegularPotential(kind="table")
 
 
 def test_gaussian_potential_curvature():

@@ -30,7 +30,9 @@ from oracles import (
     composed_velocity,
     compute_g,
     fractional_laplacian,
+    newtonian_force,
     psi_l_conv,
+    regular_force,
     with_fields,
 )
 
@@ -262,6 +264,22 @@ def test_rhs_and_velocity_match_composed_route(n, kernel, potential):
         assert u_inf == pytest.approx(np.max(np.abs(want_u)), rel=1e-12)
 
 
+@pytest.mark.parametrize("kernel, potential", KERNEL_POTENTIAL_PAIRS)
+def test_momentum_is_conserved_on_every_pair(kernel, potential, grid128):
+    # d/dt int rho u = int rho (A + F), which an even kernel and potential
+    # make zero; the velocity recovery pins int rho u to m0 on that ground.
+    # Independent oracles: the alignment force A by direct quadrature, the
+    # force F of the potential by its own transforms
+    x = grid128.x
+    rho = 1.0 + 0.3 * np.cos(2 * np.pi * x) + 0.1 * np.sin(4 * np.pi * x + 0.4)
+    u = 0.3 * np.sin(2 * np.pi * x) + 0.2 * np.cos(4 * np.pi * x + 0.7)
+    align = rho * alignment_direct(rho, u, kernel, grid128, 8 * grid128.n)
+    force = rho * (newtonian_force(rho, potential.k, grid128)
+                   + regular_force(rho, potential, grid128))
+    scale = mean(np.abs(align)) + mean(np.abs(force))
+    assert abs(mean(align + force)) <= 1e-10 * scale
+
+
 def test_broken_zero_mean_of_g_is_rejected(grid64):
     # rho keeps its mean, but g - psi_l * rho gains one: no periodic velocity exists
     kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=0.2))
@@ -308,13 +326,14 @@ def test_check_fields_sums_psi_l_once_per_problem(grid64, monkeypatch):
     st = make_initial("cosine", grid64, kernel, rho_amp=0.3, u_amp=0.2)
     clear_caches()
     sums = []
-    lookup = model.lipschitz_on_grid
-    monkeypatch.setattr(model, "lipschitz_on_grid", lambda *a: sums.append(a) or lookup(*a))
+    evaluate = LipschitzKernel.__call__
+    monkeypatch.setattr(LipschitzKernel, "__call__",
+                        lambda psi_l, x: sums.append((psi_l, x.size)) or evaluate(psi_l, x))
     st = SimState(Problem(grid64, kernel, PotentialSpec(), st.rho_bar, st.m0), st.x, 0.0)
     for _ in range(3):
         st.validate()
         model.check_fields(st.x, st.t, st.problem)
-    assert sums == [(kernel.psi_l, grid64)]
+    assert sums == [(kernel.psi_l, grid64.n)]
     assert -st.problem.vel_rho0 == pytest.approx(0.3, abs=1e-15)
 
 

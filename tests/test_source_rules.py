@@ -32,3 +32,32 @@ def test_no_np_fft_call_in_src():
                 names = [a.name for a in node.names if a.name != "_pocketfft_umath"]
                 found += [(path.name, node.lineno, name) for name in names]
     assert found == []
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+# the CSV round trip of a log waits on a caller in the command-line entry point
+TEST_ONLY_ALLOWED = {"to_csv", "from_csv"}
+
+
+def test_no_src_name_is_used_only_by_tests():
+    # every function, class and method of epasim is referenced from epasim
+    # or perfbench by name, attribute or import; in perfbench an exact
+    # string counts too, as the tracer names the attributes it wraps so.
+    # Dunder methods are called by the language and are left out.
+    defined, used = [], set()
+    for root in (SRC, PERFBENCH):
+        for path in sorted(root.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if root == SRC and not node.name.startswith("__"):
+                        defined.append((path.name, node.lineno, node.name))
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(a.name for a in node.names)
+                elif root == PERFBENCH and isinstance(node, ast.Constant):
+                    if isinstance(node.value, str):
+                        used.add(node.value)
+    assert [d for d in defined if d[2] not in used | TEST_ONLY_ALLOWED] == []
