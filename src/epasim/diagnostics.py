@@ -175,7 +175,7 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
         raise ValueError(f"c1 must be finite and positive, got {c1}")
     if not state.kernel.enabled:
         raise ValueError("bound constants require an active alignment kernel")
-    rho0_min, rho0_max = float(np.min(state.rho)), float(np.max(state.rho))
+    rho0_min, rho0_max = float(state.rho.min()), float(state.rho.max())
     alpha = state.kernel.alpha
     if alpha >= 1.0:
         warnings.warn(
@@ -188,7 +188,8 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
         raise ValueError("effective kernel has no positive lower bound")
     psi_l_sup = state.kernel.psi_l.sup_norm()
     kxx_sup = state.potential.kreg.second_derivative_sup
-    f0_inf = float(np.max(np.abs(state.g / state.rho)))
+    f0 = state.g / state.rho
+    f0_inf = float(np.abs(f0, out=f0).max())
     eps_star = 0.5 * (
         math.sqrt(1.0 + 4.0 * psi_m / (math.e * (psi_m + psi_l_sup + f0_inf))) - 1.0
     )

@@ -22,6 +22,11 @@ equal and opposite momentum, so the dynamics conserve the momentum
 int rho u, which every velocity recovery pins to its initial value. A
 kernel that is not even would make that pin silently wrong, so there is
 no kind for arbitrary samples.
+
+The solver reads psi_l and K_reg only as Fourier multipliers, and each
+preset gives its own band, ``band(grid)``: the zero, constant and cosine
+kinds in closed form, exactly real, and the gaussian K_reg as the rfft of
+its samples, which its 13-image sum defines.
 """
 
 from __future__ import annotations
@@ -119,6 +124,13 @@ def psi_alpha(x, alpha: float, tol: float = 1e-12):
 # kernel and potential presets
 
 
+def _require_finite(preset, *names: str) -> None:
+    for name in names:
+        value = getattr(preset, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(preset).__name__} {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LipschitzKernel:
     """Bounded Lipschitz kernel part, from a closed preset list.
@@ -133,6 +145,7 @@ class LipschitzKernel:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "constant", "cosine"):
             raise ValueError(f"unknown Lipschitz kernel kind {self.kind!r}")
+        _require_finite(self, "a", "b")
 
     @property
     def is_zero(self) -> bool:
@@ -145,6 +158,16 @@ class LipschitzKernel:
         if self.kind == "constant":
             return np.full_like(x, self.a)
         return self.a + self.b * np.cos(2 * np.pi * x)
+
+    def band(self, grid: Grid) -> np.ndarray:
+        """Coefficients of e^{2 pi i k x}, k = 0 .. n // 3, as ``spectral.to_spectrum``
+        gives them on the ``grid.band`` modes: a at k = 0 and b / 2 at k = 1."""
+        out = np.zeros(grid.band, dtype=complex)
+        if self.kind != "zero":
+            out[0] = self.a
+        if self.kind == "cosine":
+            out[1] = 0.5 * self.b
+        return out
 
     def value_range(self) -> tuple[float, float]:
         """Minimum and maximum over the torus."""
@@ -174,6 +197,7 @@ class RegularPotential:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "cosine", "gaussian"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        _require_finite(self, "amp", "width")
         if self.kind == "gaussian" and self.width <= 0:
             raise ValueError("gaussian potential needs width > 0")
 
@@ -191,6 +215,17 @@ class RegularPotential:
         for m in range(-6, 7):
             out += np.exp(-((x + m) ** 2) / (2.0 * self.width**2))
         return self.amp * out
+
+    def band(self, grid: Grid) -> np.ndarray:
+        """Coefficients of e^{2 pi i k x}, k = 0 .. n // 3, as ``spectral.to_spectrum``
+        gives them on the ``grid.band`` modes: amp / 2 at k = 1 for the cosine,
+        the transform of the samples for the gaussian."""
+        if self.kind == "gaussian":
+            return to_spectrum(self(grid.x), grid)[:grid.band]
+        out = np.zeros(grid.band, dtype=complex)
+        if self.kind == "cosine":
+            out[1] = 0.5 * self.amp
+        return out
 
     @cached_property
     def second_derivative_sup(self) -> float:
@@ -278,9 +313,4 @@ def g_source_multiplier(pot: PotentialSpec, grid: Grid) -> np.ndarray:
     of rfft(g_source(rho, rho_bar, pot, grid)) on every mode but k = 0,
     which needs k n rho_bar added for the background.
     """
-    b = grid.band
-    out = np.full(b, -pot.k, dtype=complex)
-    if not pot.kreg.is_zero:
-        kreg_hat = to_spectrum(pot.kreg(grid.x), grid)[:b]
-        out += np.square(grid.two_pi_k[:b]) * kreg_hat
-    return out
+    return np.square(grid.two_pi_k[:grid.band]) * pot.kreg.band(grid) - pot.k

@@ -31,6 +31,11 @@ mode n/2 is never in the band.
 - potential source: source rho_hat with source = -k + (2 pi k)^2 K_reg_hat,
   plus k n rho_bar on mode 0 for the background.
 
+psi_l_hat and K_reg_hat are the presets' own bands (``band(grid)``), not
+transforms of their samples: vel_rho, and source but for a gaussian K_reg,
+are exactly real, and stay complex128 so that every product with a
+spectrum is complex-by-complex.
+
 Mode 0 of g_hat + vel_rho rho_hat is n mean(g - psi_l * rho), the
 zero-mean constraint that makes the velocity periodic. :func:`check_fields`
 checks it, with the density floor and finiteness; a :class:`SimState`
@@ -59,16 +64,7 @@ import numpy as np
 from . import spectral
 from .kernels import KernelSpec, PotentialSpec, g_source_multiplier
 from .kernels import g_source  # noqa: F401  (perfbench traces model.g_source)
-from .spectral import (
-    MEAN_TOL,
-    Grid,
-    GridMismatchError,
-    MeanViolationError,
-    convolve,
-    derivative,
-    mean,
-    to_spectrum,
-)
+from .spectral import MEAN_TOL, Grid, GridMismatchError, MeanViolationError, derivative, mean
 
 RHO_FLOOR = 1e-8  # below this, treat the run as having reached vacuum
 
@@ -85,11 +81,12 @@ class SpectralPlan(NamedTuple):
     """Read-only Fourier multipliers of one problem (see the module docstring).
 
     Each has the b entries of the band, as complex128: inv_ddx and flux
-    carry the factor i, and vel_rho and source carry the transforms of
-    psi_l and K_reg. Those are real to rounding, as every kernel and
-    potential is even, but stay complex so that every product with a
-    spectrum is complex-by-complex: a complex-by-real product goes through
-    numpy's buffered cast. flux is also the d/dx band, negated (see
+    carry the factor i, and vel_rho and source carry the bands of psi_l and
+    K_reg. As every kernel and potential is even, those are real: exactly,
+    from the closed forms, but for a gaussian K_reg, whose sampled
+    transform is real to rounding. They stay complex so that every product
+    with a spectrum is complex-by-complex: a complex-by-real product goes
+    through numpy's buffered cast. flux is also the d/dx band, negated (see
     :func:`_velocity`). inv_ddx and flux depend on the grid alone, so the
     plans of one grid share them; vel_rho is the kernel's band array,
     which the plans of one (grid, kernel) share.
@@ -118,10 +115,9 @@ def _grid_multipliers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=32)
 def _vel_rho(grid: Grid, kernel: KernelSpec) -> np.ndarray:
     # c (2 pi |k|)^alpha - psi_l_hat on the band: the plan's vel_rho, whose
-    # mode 0 is -mean(psi_l) on the grid
-    b = grid.band
-    psi_l_hat = to_spectrum(kernel.psi_l(grid.x), grid)[:b]
-    return _read_only(kernel.c * grid.two_pi_k[:b]**kernel.alpha - psi_l_hat)
+    # mode 0 is -mean(psi_l)
+    return _read_only(kernel.c * grid.two_pi_k[:grid.band]**kernel.alpha
+                      - kernel.psi_l.band(grid))
 
 
 @lru_cache(maxsize=32)
@@ -215,7 +211,8 @@ def check_fields(x: np.ndarray, t: float, problem: Problem) -> np.ndarray:
     (VacuumError); mean(rho) = rho_bar and mean(g - psi_l * rho) =
     mean(g) - mean(psi_l) mean(rho) = 0 (both MeanViolationError), with
     -mean(psi_l) the problem's ``vel_rho0``, where only a residual above
-    MEAN_TOL pays for the guard's scale max(1, |g - psi_l * rho|_inf).
+    MEAN_TOL pays for the guard's scale max(1, |g - psi_l * rho|_inf), with
+    psi_l * rho the irfft of the band of rfft(rho) times psi_l's band.
     """
     grid = problem.grid
     n = grid.n
@@ -233,7 +230,8 @@ def check_fields(x: np.ndarray, t: float, problem: Problem) -> np.ndarray:
         raise MeanViolationError("mean density drifted from its conserved value")
     resid = g_mean + problem.vel_rho0 * rho_mean
     if abs(resid) > MEAN_TOL:
-        f = x[1] - convolve(problem.kernel.psi_l(grid.x), x[0], grid)
+        psi_l_rho = spectral.rfft(x[0])[:grid.band] * problem.kernel.psi_l.band(grid)
+        f = x[1] - spectral.irfft(psi_l_rho, n)
         if abs(resid) > MEAN_TOL * max(1.0, float(np.max(np.abs(f)))):
             raise MeanViolationError(f"mean(g - psi_l * rho) = {resid:.3e} is not zero")
     return x
@@ -384,8 +382,9 @@ def make_initial(preset: str, grid: Grid, kernel: KernelSpec,
     new :class:`Problem` are taken from the dealiased initial data. The
     gradient variable is one irfft of g_hat = 2 pi i k u_hat - vel_rho
     rho_hat on the same band, the velocity relation of the module docstring
-    solved for g_hat. A density not above ``RHO_FLOOR`` raises VacuumError,
-    as for any state.
+    solved for g_hat. That is 3 FFT calls from cleared memo tables, as
+    vel_rho takes none. A density not above ``RHO_FLOOR`` raises
+    VacuumError, as for any state.
     """
     h = spectral.rfft(np.stack(initial_fields(preset, grid, **params)))[:, :grid.band]
     x = spectral.irfft(h, n=grid.n)  # rows rho and u, then rho and g

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from epasim import kernels, spectral
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -32,3 +34,26 @@ def test_benchmark_instance_0_passes_its_output_checks(name):
     workload.check(jobs, workloads.execute(jobs), REFERENCE.get(name), checks)
     assert checks.attempted > 0
     assert checks.failures == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_set_up_makes_three_ffts_per_problem(name, monkeypatch):
+    # the set-up that setup_s times, counted instead: from cleared memo
+    # tables each problem's make_initial makes 3 FFT calls (solve-4096 3,
+    # verify-1024 3, sweep-256 24), as every kernel and potential gives its
+    # band without being sampled on a grid
+    workload = workloads.WORKLOADS[name]
+    params = workload.params(None)
+    workloads.clear_caches()
+    ffts, samples = [], []
+    for fn_name in ("rfft", "irfft"):
+        fn = getattr(spectral, fn_name)
+        monkeypatch.setattr(spectral, fn_name,
+                            lambda *a, _fn=fn, **k: ffts.append(1) or _fn(*a, **k))
+    for cls in (kernels.LipschitzKernel, kernels.RegularPotential):
+        call = cls.__call__
+        monkeypatch.setattr(cls, "__call__",
+                            lambda preset, x, _call=call: samples.append(preset) or _call(preset, x))
+    jobs = workload.setup(params)
+    assert len(ffts) == 3 * len(jobs) == {"solve-4096": 3, "verify-1024": 3, "sweep-256": 24}[name]
+    assert samples == []

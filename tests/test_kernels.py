@@ -19,7 +19,7 @@ from epasim.kernels import (
     psi_alpha,
 )
 from epasim.model import make_initial
-from epasim.spectral import Grid, convolve, mean
+from epasim.spectral import Grid, convolve, mean, to_spectrum
 from conftest import random_smooth_field
 from oracles import (
     dense_kernel_min,
@@ -227,6 +227,36 @@ def test_table_validation():
         RegularPotential(kind="table")
 
 
+BAND_PRESETS = [
+    LipschitzKernel(),
+    LipschitzKernel("constant", a=0.7),
+    LipschitzKernel("cosine", a=0.5, b=0.2),
+    LipschitzKernel("cosine", a=1.0, b=-0.5),
+    RegularPotential(),
+    RegularPotential("cosine", amp=0.05),
+    RegularPotential("cosine", amp=-2.0),
+    RegularPotential("gaussian", amp=0.05, width=0.1),
+]
+
+
+@pytest.mark.parametrize("preset", BAND_PRESETS, ids=repr)
+@pytest.mark.parametrize("n", [8, 64, 200, 4096])
+def test_preset_band_matches_its_sampled_transform(preset, n):
+    # the band the solver reads against the rfft of the preset's samples:
+    # the closed forms to rounding of the transform, and exactly real; the
+    # gaussian is that transform, bit for bit
+    grid = Grid(n)
+    samples = preset(grid.x)
+    want = to_spectrum(samples, grid)[:grid.band]
+    got = preset.band(grid)
+    assert got.shape == (grid.band,) and got.dtype == complex
+    if preset.kind == "gaussian":
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(samples))
+        assert np.all(got.imag == 0.0)
+
+
 def test_gaussian_potential_curvature():
     pot = RegularPotential(kind="gaussian", amp=0.5, width=0.08)
     # at the center K'' = -amp / width^2
@@ -240,6 +270,18 @@ def test_specs_reject_a_non_finite_coefficient(value):
         KernelSpec(c=value, alpha=0.5)
     with pytest.raises(ValueError, match="k must be finite"):
         PotentialSpec(k=value)
+    # a preset's coefficients too: its band is read without sampling it, so
+    # no sample check would catch them later
+    for kind in ("zero", "constant", "cosine"):
+        for name in ("a", "b"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                LipschitzKernel(kind, **{name: value})
+    for kind in ("zero", "cosine", "gaussian"):
+        for name in ("amp", "width"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                RegularPotential(kind, **{name: value})
+    with pytest.raises(ValueError, match="width > 0"):
+        RegularPotential("gaussian", width=0.0)
 
 
 def test_kernel_spec_validation():

@@ -319,9 +319,10 @@ def test_zero_mean_guard_scales_with_g_minus_psi_l_conv(grid64):
 
 
 def test_check_fields_sums_psi_l_once_per_problem(grid64, monkeypatch):
-    # the checks of a run's states and stages read one mean of psi_l on the
-    # grid, mode 0 of the kernel's vel_rho, which the problem reads when it
-    # is built
+    # the checks of a run's states and stages read one mean of psi_l, mode 0
+    # of the kernel's vel_rho, which the problem reads when it is built from
+    # psi_l's closed-form band: building the problem, reading its plan and
+    # checking valid fields sample psi_l on no grid
     kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.3, b=0.1))
     st = make_initial("cosine", grid64, kernel, rho_amp=0.3, u_amp=0.2)
     clear_caches()
@@ -330,11 +331,12 @@ def test_check_fields_sums_psi_l_once_per_problem(grid64, monkeypatch):
     monkeypatch.setattr(LipschitzKernel, "__call__",
                         lambda psi_l, x: sums.append((psi_l, x.size)) or evaluate(psi_l, x))
     st = SimState(Problem(grid64, kernel, PotentialSpec(), st.rho_bar, st.m0), st.x, 0.0)
+    assert st.problem.plan.vel_rho[0] == st.problem.vel_rho0
     for _ in range(3):
         st.validate()
         model.check_fields(st.x, st.t, st.problem)
-    assert sums == [(kernel.psi_l, grid64.n)]
-    assert -st.problem.vel_rho0 == pytest.approx(0.3, abs=1e-15)
+    assert sums == []
+    assert st.problem.vel_rho0 == -0.3
 
 
 def test_plan_shares_the_kernel_multiplier(grid64):
@@ -385,10 +387,10 @@ def test_make_initial_dealiases_through_the_band_bit_for_bit(preset, n):
     assert np.max(np.abs(g - compute_g(rho, u, kernel, grid))) <= 1e-13 * np.max(np.abs(g))
 
 
-def test_make_initial_from_cleared_caches_makes_four_ffts(monkeypatch):
-    # the dealiasing of (rho, u) as one transform pair (2 calls), the
-    # kernel's vel_rho (1) and the irfft of g on the band (1); no spectral
-    # plan is built
+def test_make_initial_from_cleared_caches_makes_three_ffts(monkeypatch):
+    # the dealiasing of (rho, u) as one transform pair (2 calls) and the
+    # irfft of g on the band (1); the kernel's vel_rho reads psi_l's band
+    # without a transform, and no spectral plan is built
     clear_caches()
     calls = []
     for name in ("rfft", "irfft"):
@@ -396,4 +398,4 @@ def test_make_initial_from_cleared_caches_makes_four_ffts(monkeypatch):
         monkeypatch.setattr(spectral, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
     kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
     make_initial("cosine", Grid(256), kernel, potential, rho_amp=0.5, u_amp=0.5)
-    assert len(calls) <= 4
+    assert len(calls) == 3
