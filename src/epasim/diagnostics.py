@@ -66,7 +66,7 @@ import numpy as np
 from .kernels import kernel_min
 from .model import SimState
 from .model import recover_velocity  # noqa: F401  (perfbench traces diagnostics.recover_velocity)
-from .spectral import Grid, GridMismatchError
+from .spectral import Grid, GridMismatchError, mean
 
 ENVELOPE_SLACK = 10.0  # slack factor 1 + ENVELOPE_SLACK * dx on grid extrema
 F_BOUND_ATOL = 1e-12  # absolute floor so roundoff-level f fields compare sanely
@@ -656,9 +656,9 @@ class DiagnosticsRecorder:
     there. A row recovers no velocity: ``recover_velocity`` pins the
     momentum to m0 by construction, so a momentum column would only echo
     it. A plain row makes about a dozen numpy calls, its reductions through
-    ndarray methods, which return the bits of ``np.min``, ``np.max`` and
-    ``np.mean`` in half their time; a modulus row adds the table's (see
-    ``_lag_table``) and about 15 to read it.
+    ndarray methods and ``spectral.mean``, which return the bits of
+    ``np.min``, ``np.max`` and ``np.mean`` in half their time; a modulus
+    row adds the table's (see ``_lag_table``) and about 15 to read it.
     """
 
     def __init__(self, bounds: BoundConstants | None = None,
@@ -708,8 +708,7 @@ class DiagnosticsRecorder:
         else:
             moc_pass = math.nan
             min_b = math.nan
-        row = (t, rho_min, rho_max, f_inf, drho, bkm, float(rho.sum() / grid.n), low, up, moc_pass,
-               min_b)
+        row = (t, rho_min, rho_max, f_inf, drho, bkm, mean(rho), low, up, moc_pass, min_b)
         for name, v in zip(COLUMNS, row):
             getattr(log, name).append(v)
 

@@ -31,10 +31,11 @@ mode n/2 is never in the band.
 - potential source: source rho_hat with source = -k + (2 pi k)^2 K_reg_hat,
   plus k n rho_bar on mode 0 for the background.
 
-psi_l_hat and K_reg_hat are the presets' own bands (``band(grid)``), not
-transforms of their samples: vel_rho, and source but for a gaussian K_reg,
-are exactly real, and stay complex128 so that every product with a
-spectrum is complex-by-complex.
+psi_l_hat and K_reg_hat are the presets' own bands (``band(grid)``), and
+the initial data's is :func:`initial_band`: closed forms, not transforms
+of samples, but for the gaussian kinds. vel_rho, and source but for a
+gaussian K_reg, are exactly real, and stay complex128 so that every
+product with a spectrum is complex-by-complex.
 
 Mode 0 of g_hat + vel_rho rho_hat is n mean(g - psi_l * rho), the
 zero-mean constraint that makes the velocity periodic. :func:`check_fields`
@@ -64,7 +65,7 @@ import numpy as np
 from . import spectral
 from .kernels import KernelSpec, PotentialSpec, g_source_multiplier
 from .kernels import g_source  # noqa: F401  (perfbench traces model.g_source)
-from .spectral import MEAN_TOL, Grid, GridMismatchError, MeanViolationError, derivative, mean
+from .spectral import MEAN_TOL, Grid, GridMismatchError, MeanViolationError, derivative
 
 RHO_FLOOR = 1e-8  # below this, treat the run as having reached vacuum
 
@@ -332,67 +333,67 @@ def rhs(state: SimState) -> tuple[np.ndarray, np.ndarray, float]:
     return d[0], d[1], u_inf
 
 
-_PRESET_PARAMS = {
-    "uniform": {"rho_base", "u_mean"},
-    "cosine": {"rho_base", "rho_amp", "u_amp", "u_mean"},
-    "gaussian-bump": {"rho_base", "amp", "width", "u_amp", "u_mean"},
-    "burgers-shock": {"rho_base", "u_amp"},
-    "near-vacuum": {"eps", "amp", "width"},
+_PRESET_PARAMS = {  # each initial preset's parameters, with their defaults
+    "uniform": {"rho_base": 1.0, "u_mean": 0.0},
+    "cosine": {"rho_base": 1.0, "rho_amp": 0.5, "u_amp": 0.0, "u_mean": 0.0},
+    "gaussian-bump": {"rho_base": 1.0, "amp": 0.5, "width": 0.1, "u_amp": 0.0, "u_mean": 0.0},
+    "burgers-shock": {"rho_base": 1.0, "u_amp": 1.0},
+    "near-vacuum": {"eps": 1e-2, "amp": 1.0, "width": 0.1},
 }
 
 
-def initial_fields(preset: str, grid: Grid, **params) -> tuple[np.ndarray, np.ndarray]:
-    """Density/velocity pair for a named preset (before the transform)."""
+def initial_band(preset: str, grid: Grid, **params) -> np.ndarray:
+    """The (2, b) band of the rfft of the preset's (rho, u) samples, as a new array.
+
+    The samples start at x = -1/2, so mode k is n (-1)^k c_k: written in
+    closed form for ``uniform``, ``cosine`` (rho_base + rho_amp cos 2 pi x,
+    u_mean + u_amp sin 2 pi x) and ``burgers-shock`` (rho_base, -u_amp
+    sin 2 pi x), and the rfft of the samples, which define them, for the
+    gaussian bump of 9 periodic images that ``gaussian-bump`` and
+    ``near-vacuum`` add to the density. An unknown preset or parameter, a
+    parameter that is not finite and a width not above 0 raise ValueError.
+    """
     if preset not in _PRESET_PARAMS:
         raise ValueError(f"unknown initial preset {preset!r}")
-    unknown = set(params) - _PRESET_PARAMS[preset]
+    unknown = set(params) - _PRESET_PARAMS[preset].keys()
     if unknown:
         raise ValueError(f"preset {preset!r} does not take parameters {sorted(unknown)}")
-    x = grid.x
-
-    def bump():  # a gaussian of the given width, periodized
-        w = params.get("width", 0.1)
-        return sum(np.exp(-((x + m) ** 2) / (2 * w**2)) for m in range(-4, 5))
-
-    if preset == "uniform":
-        rho = np.full(grid.n, params.get("rho_base", 1.0))
-        u = np.full(grid.n, params.get("u_mean", 0.0))
-    elif preset == "cosine":
-        rho = params.get("rho_base", 1.0) + params.get("rho_amp", 0.5) * np.cos(2 * np.pi * x)
-        u = params.get("u_mean", 0.0) + params.get("u_amp", 0.0) * np.sin(2 * np.pi * x)
-    elif preset == "gaussian-bump":
-        rho = params.get("rho_base", 1.0) + params.get("amp", 0.5) * bump()
-        u = params.get("u_mean", 0.0) + params.get("u_amp", 0.0) * np.sin(2 * np.pi * x)
+    p = params  # this call's own dict: filled in place, it leaves no second dict behind
+    for name, default in _PRESET_PARAMS[preset].items():
+        if not math.isfinite(p.setdefault(name, default)):
+            raise ValueError(f"preset {preset!r} {name} must be finite, got {p[name]}")
+    if "width" in p:  # gaussian-bump and near-vacuum
+        if not p["width"] > 0:
+            raise ValueError(f"preset {preset!r} width must be above 0, got {p['width']}")
+        x = grid.x
+        bump = p["amp"] * sum(np.exp(-((x + m) ** 2) / (2 * p["width"] ** 2)) for m in range(-4, 5))
+        u = p.get("u_mean", 0.0) + p.get("u_amp", 0.0) * np.sin(2 * np.pi * x)
+        return spectral.rfft(np.stack((p.get("rho_base", p.get("eps")) + bump, u)))[:, :grid.band]
+    h = np.zeros((2, grid.band), dtype=complex)
+    h[:, 0] = grid.n * p["rho_base"], grid.n * p.get("u_mean", 0.0)
+    if preset == "cosine":
+        h[:, 1] = -0.5 * grid.n * p["rho_amp"], 0.5j * grid.n * p["u_amp"]
     elif preset == "burgers-shock":
-        rho = np.full(grid.n, params.get("rho_base", 1.0))
-        u = -params.get("u_amp", 1.0) * np.sin(2 * np.pi * x)
-    else:  # near-vacuum
-        rho = params.get("eps", 1e-2) + params.get("amp", 1.0) * bump()
-        u = np.zeros(grid.n)
-    return rho, u
+        h[1, 1] = -0.5j * grid.n * p["u_amp"]
+    return h
 
 
 def make_initial(preset: str, grid: Grid, kernel: KernelSpec,
                  potential: PotentialSpec | None = None, **params) -> SimState:
-    """Build a simulation state from a preset.
+    """Build a simulation state from a preset's :func:`initial_band` alone.
 
-    Fields are dealiased (2/3 rule) as one (2, n) transform pair, the
-    irfft of the band of their rfft, so the evolved state starts
-    band-limited; the conserved mean density and momentum of the state's
-    new :class:`Problem` are taken from the dealiased initial data. The
-    gradient variable is one irfft of g_hat = 2 pi i k u_hat - vel_rho
-    rho_hat on the same band, the velocity relation of the module docstring
-    solved for g_hat. That is 3 FFT calls from cleared memo tables, as
-    vel_rho takes none. A density not above ``RHO_FLOOR`` raises
-    VacuumError, as for any state.
+    The fields are dealiased (2/3 rule), so the evolved state starts
+    band-limited, and the new :class:`Problem` reads rho_bar from mode 0
+    and m0 = mean(rho u) by Parseval, exact for the band's product. Row 1
+    becomes g_hat = 2 pi i k u_hat - vel_rho rho_hat, the velocity relation
+    solved for g_hat, and one irfft gives the block (rho, g): 1 FFT call
+    from cleared memo tables, 2 for a gaussian preset. A density not above
+    ``RHO_FLOOR`` raises VacuumError, as for any state.
     """
-    h = spectral.rfft(np.stack(initial_fields(preset, grid, **params)))[:, :grid.band]
-    x = spectral.irfft(h, n=grid.n)  # rows rho and u, then rho and g
-    rho, u = x
-    rho_bar, m0 = mean(rho), mean(rho * u)
-    g_hat = h[1]
-    g_hat *= 1j * grid.two_pi_k[:grid.band]
-    g_hat -= _vel_rho(grid, kernel) * h[0]
-    x[1] = spectral.irfft(g_hat, n=grid.n)
-    return SimState(Problem(grid, kernel, potential or PotentialSpec(), rho_bar, m0), x, 0.0)
-
+    h = initial_band(preset, grid, **params)
+    n = grid.n
+    m0 = float(h[0, 0].real * h[1, 0].real + 2.0 * np.vdot(h[1, 1:], h[0, 1:]).real) / n**2
+    problem = Problem(grid, kernel, potential or PotentialSpec(), float(h[0, 0].real) / n, m0)
+    h[1] *= 1j * grid.two_pi_k[:grid.band]
+    h[1] -= _vel_rho(grid, kernel) * h[0]
+    return SimState(problem, spectral.irfft(h, n=n), 0.0)

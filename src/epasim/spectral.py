@@ -56,8 +56,8 @@ class Grid:
     A grid stores ``n``, the spacing ``dx = 1/n`` and ``band = n // 3 + 1``,
     the number of rfft modes k = 0 .. n // 3 that the 2/3 rule keeps, and no
     array: the points ``x``, the rfft modes ``modes`` (k = 0 .. n/2) and
-    ``two_pi_k`` are computed on each read, as only set-up and the cached
-    builders of multipliers read them.
+    ``two_pi_k`` are computed on each read, as only the cached builders of
+    multipliers, ``make_initial`` and the gaussian presets read them.
 
     Parameters
     ----------

@@ -12,6 +12,9 @@ quadrature routes (among them ``alignment_direct``, a midpoint-rule
 quadrature of the alignment integral) check the operators themselves. ``kernel_values`` is the one
 pointwise evaluation of the effective kernel, and ``dense_kernel_min`` the
 dense search that ``kernels.kernel_min`` must never exceed.
+``initial_fields`` samples each initial preset's (rho, u) on the grid, the
+definition that ``model.initial_band`` writes in closed form for the
+trigonometric presets and transforms for the gaussian ones.
 ``reference_step`` is the SSP-RK3 step as it was before the array core:
 three ``rhs(state)`` calls and one ``SimState`` per stage.
 ``spectral_reference_step`` is the step the run loop takes on the band of
@@ -83,6 +86,32 @@ def with_fields(state: SimState, rho: np.ndarray | None = None, g: np.ndarray | 
     """``dataclasses.replace`` of a state, with its rows rho and g replaced by name."""
     x = np.stack((state.rho if rho is None else rho, state.g if g is None else g))
     return replace(state, x=x, **changes)
+
+
+def initial_fields(preset: str, grid: Grid, **params) -> tuple[np.ndarray, np.ndarray]:
+    """Density/velocity samples of a named initial preset, before any transform."""
+    x = grid.x
+
+    def bump():  # a gaussian of the given width, periodized
+        w = params.get("width", 0.1)
+        return sum(np.exp(-((x + m) ** 2) / (2 * w**2)) for m in range(-4, 5))
+
+    if preset == "uniform":
+        rho = np.full(grid.n, params.get("rho_base", 1.0))
+        u = np.full(grid.n, params.get("u_mean", 0.0))
+    elif preset == "cosine":
+        rho = params.get("rho_base", 1.0) + params.get("rho_amp", 0.5) * np.cos(2 * np.pi * x)
+        u = params.get("u_mean", 0.0) + params.get("u_amp", 0.0) * np.sin(2 * np.pi * x)
+    elif preset == "gaussian-bump":
+        rho = params.get("rho_base", 1.0) + params.get("amp", 0.5) * bump()
+        u = params.get("u_mean", 0.0) + params.get("u_amp", 0.0) * np.sin(2 * np.pi * x)
+    elif preset == "burgers-shock":
+        rho = np.full(grid.n, params.get("rho_base", 1.0))
+        u = -params.get("u_amp", 1.0) * np.sin(2 * np.pi * x)
+    else:  # near-vacuum
+        rho = params.get("eps", 1e-2) + params.get("amp", 1.0) * bump()
+        u = np.zeros(grid.n)
+    return rho, u
 
 
 def compute_g(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid) -> np.ndarray:

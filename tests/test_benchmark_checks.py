@@ -37,15 +37,15 @@ def test_benchmark_instance_0_passes_its_output_checks(name):
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_benchmark_set_up_makes_three_ffts_per_problem(name, monkeypatch):
+def test_benchmark_set_up_makes_one_fft_and_reads_no_grid_point(name, monkeypatch):
     # the set-up that setup_s times, counted instead: from cleared memo
-    # tables each problem's make_initial makes 3 FFT calls (solve-4096 3,
-    # verify-1024 3, sweep-256 24), as every kernel and potential gives its
-    # band without being sampled on a grid
+    # tables each problem's make_initial makes 1 FFT call (solve-4096 1,
+    # verify-1024 1, sweep-256 8), as every initial preset of the benchmark,
+    # kernel and potential gives its band without being sampled on a grid
     workload = workloads.WORKLOADS[name]
     params = workload.params(None)
     workloads.clear_caches()
-    ffts, samples = [], []
+    ffts, samples, points = [], [], []
     for fn_name in ("rfft", "irfft"):
         fn = getattr(spectral, fn_name)
         monkeypatch.setattr(spectral, fn_name,
@@ -54,6 +54,10 @@ def test_benchmark_set_up_makes_three_ffts_per_problem(name, monkeypatch):
         call = cls.__call__
         monkeypatch.setattr(cls, "__call__",
                             lambda preset, x, _call=call: samples.append(preset) or _call(preset, x))
+    x = spectral.Grid.x
+    monkeypatch.setattr(spectral.Grid, "x",
+                        property(lambda grid: points.append(grid) or x.fget(grid)))
     jobs = workload.setup(params)
-    assert len(ffts) == 3 * len(jobs) == {"solve-4096": 3, "verify-1024": 3, "sweep-256": 24}[name]
-    assert samples == []
+    want = {"solve-4096": 1, "verify-1024": 1, "sweep-256": 8}[name]
+    assert len(ffts) == len(jobs) == want
+    assert samples == [] and points == []

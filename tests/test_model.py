@@ -30,6 +30,7 @@ from oracles import (
     composed_velocity,
     compute_g,
     fractional_laplacian,
+    initial_fields,
     newtonian_force,
     psi_l_conv,
     regular_force,
@@ -365,37 +366,154 @@ def test_compute_g_matches_the_operator_composition(kernel, potential):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+CLOSED_FORM_PRESETS = ("burgers-shock", "cosine", "uniform")
+SAMPLED_PRESETS = ("gaussian-bump", "near-vacuum")
+assert sorted(CLOSED_FORM_PRESETS + SAMPLED_PRESETS) == sorted(model._PRESET_PARAMS)
+# parameters away from the defaults, so that every coefficient of a band is seen
+PRESET_PARAMS = {
+    "uniform": dict(rho_base=1.3, u_mean=0.2),
+    "cosine": dict(rho_base=1.3, rho_amp=0.4, u_amp=-0.7, u_mean=0.2),
+    "burgers-shock": dict(rho_base=1.1, u_amp=0.8),
+    "gaussian-bump": dict(rho_base=0.9, amp=0.6, width=0.08, u_amp=0.3, u_mean=0.1),
+    "near-vacuum": dict(eps=0.02, amp=0.7, width=0.12),
+}
+
+
+def sampled_route(preset, grid, kernel, **params):
+    """(rho, u, g) of a preset the way set-up built them from samples: the
+    band of the rfft of the oracle's samples, and g_hat = 2 pi i k u_hat -
+    vel_rho rho_hat on it, each through its own irfft."""
+    h = np.fft.rfft(np.stack(initial_fields(preset, grid, **params)))[:, :grid.band]
+    rho, u = np.fft.irfft(h, n=grid.n)
+    g_hat = 1j * grid.two_pi_k[:grid.band] * h[1] - model._vel_rho(grid, kernel) * h[0]
+    return rho, u, np.fft.irfft(g_hat, n=grid.n)
+
+
 @pytest.mark.parametrize("preset", sorted(model._PRESET_PARAMS))
 @pytest.mark.parametrize("n", [64, 200])
 def test_make_initial_dealiases_through_the_band_bit_for_bit(preset, n):
-    # the irfft of the band of the fields' rfft gives the bits of the route
-    # that zeroed the modes above n // 3 of the full spectrum, and g is the
-    # irfft of 2 pi i k u_hat - vel_rho rho_hat on that band
+    # the state is the irfft of the preset's band zero-padded above n // 3,
+    # with row 1 replaced by g_hat = 2 pi i k u_hat - vel_rho rho_hat
     grid = Grid(n)
     kernel = KERNEL_POTENTIAL_PAIRS[0][0]
     st = make_initial(preset, grid, kernel)
-    h = np.fft.rfft(np.stack(model.initial_fields(preset, grid)))
-    h[:, grid.modes > n // 3] = 0.0
-    rho, u = np.fft.irfft(h, n=n)
     b = grid.band
+    h = np.zeros((2, n // 2 + 1), dtype=complex)
+    h[:, :b] = model.initial_band(preset, grid)
+    rho, u = np.fft.irfft(h, n=n)
     g = np.fft.irfft(1j * grid.two_pi_k[:b] * h[1, :b] - model._vel_rho(grid, kernel) * h[0, :b],
                      n=n)
     want = np.stack((rho, g))
     assert np.array_equal(st.x.view(np.uint64), want.view(np.uint64))
-    assert st.rho_bar == mean(rho) and st.m0 == mean(rho * u)
     # the full-spectrum relation gives g to rounding
     assert np.max(np.abs(g - compute_g(rho, u, kernel, grid))) <= 1e-13 * np.max(np.abs(g))
 
 
-def test_make_initial_from_cleared_caches_makes_three_ffts(monkeypatch):
-    # the dealiasing of (rho, u) as one transform pair (2 calls) and the
-    # irfft of g on the band (1); the kernel's vel_rho reads psi_l's band
+@pytest.mark.parametrize("preset", SAMPLED_PRESETS)
+@pytest.mark.parametrize("n", [64, 200])
+def test_sampled_preset_band_is_the_rfft_of_its_samples_bit_for_bit(preset, n):
+    grid = Grid(n)
+    params = PRESET_PARAMS[preset]
+    want = np.fft.rfft(np.stack(initial_fields(preset, grid, **params)))[:, :grid.band]
+    got = model.initial_band(preset, grid, **params)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("preset", CLOSED_FORM_PRESETS)
+@pytest.mark.parametrize("n", [64, 200, 4096])
+def test_initial_band_is_the_sampled_spectrum(preset, n):
+    # the closed form is the band of the rfft of the oracle's samples to the
+    # transform's rounding (measured: 1.7e-16 of the largest mode at most),
+    # with modes above 1 exactly 0; the state is the sampled route's to
+    # rounding, which 2 pi k amplifies in g (4.0e-13 at n = 4096)
+    grid = Grid(n)
+    kernel = KERNEL_POTENTIAL_PAIRS[0][0]
+    params = PRESET_PARAMS[preset]
+    sampled = np.fft.rfft(np.stack(initial_fields(preset, grid, **params)))[:, :grid.band]
+    band = model.initial_band(preset, grid, **params)
+    assert band.shape == (2, grid.band) and band.dtype == complex
+    assert np.max(np.abs(band - sampled)) <= 2e-15 * np.max(np.abs(sampled))
+    assert not band[:, 2:].any()
+    st = make_initial(preset, grid, kernel, **params)
+    rho, _, g = sampled_route(preset, grid, kernel, **params)
+    for got, want in ((st.rho, rho), (st.g, g)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("preset", sorted(model._PRESET_PARAMS))
+def test_make_initial_conserved_values_are_the_dealiased_means(preset):
+    # rho_bar and m0 come from the band alone: mode 0, and Parseval for
+    # mean(rho u), the mean of the product of the dealiased samples
+    grid, kernel = Grid(200), KERNEL_POTENTIAL_PAIRS[0][0]
+    params = PRESET_PARAMS[preset]
+    st = make_initial(preset, grid, kernel, **params)
+    rho, u, _ = sampled_route(preset, grid, kernel, **params)
+    # Python floats: a numpy scalar would make numpy scalars in every step
+    assert type(st.rho_bar) is float and type(st.m0) is float
+    assert st.rho_bar == pytest.approx(mean(rho), rel=2e-15)
+    assert st.m0 == pytest.approx(mean(rho * u), rel=1e-14, abs=1e-16)
+
+
+def test_make_initial_reads_m0_from_any_band_by_parseval(monkeypatch):
+    # every preset's rho is even and its u - u_mean odd, so their modes
+    # k >= 1 add nothing to m0; a random band is needed to see them
+    grid, kernel = Grid(200), KERNEL_POTENTIAL_PAIRS[0][0]
+    rng = np.random.default_rng(7)
+    band = 0.2 * grid.n * 0.5 ** np.arange(grid.band) * (
+        rng.standard_normal((2, grid.band)) + 1j * rng.standard_normal((2, grid.band)))
+    band[:, 0] = 2.0 * grid.n, 0.3 * grid.n
+    monkeypatch.setattr(model, "initial_band", lambda *args, **kwargs: band.copy())
+    st = make_initial("cosine", grid, kernel)
+    rho, u = np.fft.irfft(band, n=grid.n)
+    assert st.rho_bar == pytest.approx(mean(rho), rel=2e-15)
+    assert st.m0 == pytest.approx(mean(rho * u), rel=1e-14)
+    assert abs(st.m0 - st.rho_bar * 0.3) > 1e-3  # the modes k >= 1 add 6.1e-3
+
+
+@pytest.mark.parametrize("params", [dict(rho_amp=0.5, u_amp=0.5),
+                                    dict(rho_base=1.3, rho_amp=0.4, u_amp=-0.7, u_mean=0.25)])
+def test_make_initial_cosine_conserved_values_are_exact(params):
+    # on a power-of-two grid the closed form's mode 0 is rho_base n exactly,
+    # and the k = 1 product of Parseval is exactly imaginary
+    kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
+    st = make_initial("cosine", Grid(1024), kernel, potential, **params)
+    rho_base, u_mean = params.get("rho_base", 1.0), params.get("u_mean", 0.0)
+    assert st.rho_bar == rho_base
+    assert st.m0 == rho_base * u_mean
+
+
+@pytest.mark.parametrize("preset, params, name", [
+    ("cosine", dict(rho_amp=float("nan")), "rho_amp"),
+    ("uniform", dict(u_mean=float("inf")), "u_mean"),
+    ("burgers-shock", dict(u_amp=-float("inf")), "u_amp"),
+    ("gaussian-bump", dict(width=float("nan")), "width"),
+    ("gaussian-bump", dict(width=0.0), "width"),
+    ("near-vacuum", dict(width=-0.1), "width"),
+    ("near-vacuum", dict(eps=float("nan")), "eps"),
+])
+def test_make_initial_refuses_invalid_parameters_before_any_transform(preset, params, name,
+                                                                      monkeypatch):
+    calls = []
+    for fn_name in ("rfft", "irfft"):
+        fn = getattr(spectral, fn_name)
+        monkeypatch.setattr(spectral, fn_name,
+                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    with pytest.raises(ValueError, match=name):
+        make_initial(preset, Grid(64), EA_KERNEL, **params)
+    assert calls == []
+
+
+@pytest.mark.parametrize("preset", sorted(model._PRESET_PARAMS))
+def test_make_initial_from_cleared_caches_fft_calls(preset, monkeypatch):
+    # one irfft of the block (rho, g) from the band; a sampled preset adds
+    # the rfft of its samples. The kernel's vel_rho reads psi_l's band
     # without a transform, and no spectral plan is built
     clear_caches()
     calls = []
     for name in ("rfft", "irfft"):
         fn = getattr(spectral, name)
-        monkeypatch.setattr(spectral, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        monkeypatch.setattr(spectral, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
     kernel, potential = KERNEL_POTENTIAL_PAIRS[0]
-    make_initial("cosine", Grid(256), kernel, potential, rho_amp=0.5, u_amp=0.5)
-    assert len(calls) == 3
+    make_initial(preset, Grid(256), kernel, potential, **PRESET_PARAMS[preset])
+    assert calls == (["irfft"] if preset in CLOSED_FORM_PRESETS else ["rfft", "irfft"])
