@@ -22,20 +22,23 @@ data-driven parameters: for a given (delta, gamma), ``moc_min_b`` gives
 the least B that passes. The paper's recipe, which selects
 (delta, gamma, B) from the envelope values at a horizon, gives a B that
 is double-exponential in the data and overflows to +inf on every
-problem tried, so it is kept only as a reference in the tests. The
-pairwise check reads the per-lag table D[l] = max_i |rho_i - rho_{i+l}|;
-as w_B(xi) = W(B xi) with W increasing, the check and the infimum
-max(1, max_l W^-1(D[l]) / xi_l) of the passing B each read it in O(n).
-Bounds on blocks of (lag, sample) pairs rule out most of the table, which
-is computed only where they leave it open; the verdict, the pair and B
-are those of the full table, bit for bit. Memory O(n). At the grid sizes
-of a run a modulus row costs its numpy calls, most of them on a few dozen
-values, more than its O(n) arithmetic: on verify-1024 about 250, of which
+problem tried, so it is kept only as a reference in the tests. Both read
+the per-lag table D[l] = max_i |rho_i - rho_{i+l}|. As w_B(xi) = W(B xi)
+with W increasing, the check passes exactly for the b above the infimum
+max(1, max_l W^-1(D[l]) / xi_l) of the passing B, so one table gives the
+recorder its verdict and its B. That table is built for B alone: bounds
+on blocks of (lag, sample) pairs rule out most of it, D is computed only
+where they leave it open, and B is that of the full table, bit for bit,
+in O(n) time and memory. ``moc_check``, which also names the binding
+pair, reads the plain table instead: one O(n) pass per lag, O(n^2), about
+2 ms at n = 1024 against 0.27 ms for a modulus row. At the grid sizes of
+a run a modulus row costs its numpy calls, most of them on a few dozen
+values, more than its O(n) arithmetic: on verify-1024 about 190, of which
 the tiles of the refined block pairs make about half (``_tiles``) and the
-rest go to the bounds, the seed passes, the needs and the two readings of
-the table (``_lag_table``). So the row avoids the calls that cost most:
-numpy's wrappers of ndarray methods, buffered broadcast or overlapping
-operands, and work that no kept lag needs.
+rest go to the bounds, the seed passes, the needs and reading B
+(``_lag_table``). So the row avoids the calls that cost most: numpy's
+wrappers of ndarray methods, buffered broadcast or overlapping operands,
+and work that no kept lag needs.
 The recorder logs these quantities along a run, one row per step, among
 them the running trapezoidal integral of |d rho/dx|_inf^2 whose
 finiteness is the regularity criterion. ``COLUMNS`` names the columns of
@@ -285,17 +288,6 @@ def _log_branch(xi: np.ndarray, p: ModulusParams) -> np.ndarray:
     return out
 
 
-def _gauge(dists: np.ndarray, p: ModulusParams) -> np.ndarray:
-    """``omega_b`` at the ascending distances of a lag table, bit for bit,
-    without its checks: one branch's formula when every distance lies on it,
-    as on verify-1024's gauge. For b = inf the log branch gives +inf."""
-    if p.b * dists[0] >= p.delta:
-        return _log_branch(dists, p)
-    if p.b * dists[-1] < p.delta:
-        return _power_branch(dists, p)
-    return omega_b(dists, p)
-
-
 @dataclass(frozen=True)
 class MocReport:
     passed: bool
@@ -304,11 +296,19 @@ class MocReport:
     pair: tuple[int, int]
 
 
-def _lag_table(rho: np.ndarray, n: int, p: ModulusParams,
-               min_b: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The lags l that may bind, their distances l/n, D[l] = max_i |rho_i -
-    rho_{i+l}| and its first argmax i, bit for bit those of ``abs(rho -
-    roll(rho, -l))``; the report and B read from them are those of all n/2.
+def _plain_table(rho: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every lag l = 1 .. n/2, D[l] = max_i |rho_i - rho_{i+l}| and its first
+    argmax i, bit for bit those of ``abs(rho - roll(rho, -l))``: one pass
+    over all n samples per lag, O(n^2)."""
+    lags = np.arange(1, n // 2 + 1)
+    return (lags, *_passes(rho, lags, np.empty(n)))
+
+
+def _lag_table(rho: np.ndarray, n: int, p: ModulusParams) -> tuple[np.ndarray, np.ndarray]:
+    """The lags l that may bind the smallest passing B and D[l] = max_i
+    |rho_i - rho_{i+l}|, bit for bit those of ``abs(rho - roll(rho, -l))``;
+    the B read from them (``_top``) is that of all n/2. It reads delta,
+    gamma and alpha, not b.
 
     Branch and bound over blocks of s samples, s^2 <= n < 4 s^2, and of s
     lags. Seed passes at lag 1, n/2 and in the lag block of the largest
@@ -316,13 +316,13 @@ def _lag_table(rho: np.ndarray, n: int, p: ModulusParams,
     pairs whose bound exceeds it are refined by ``_tiles``, or by
     ``_passes`` where most of a lag block's pairs do, and the refined lags
     whose D exceeds it are kept: all blocks that may hold their max were
-    refined. A field of infinite spread keeps every lag, so a NaN still
-    fails the check.
+    refined. A field of infinite spread keeps every lag of the plain table,
+    so a NaN gives a NaN B.
 
     Its numpy calls on verify-1024 (n = 1024, 6-11 refined pairs in 2-4
-    lag blocks), about 220: 12 for the (nl, nb) bounds, computed once and
-    read by every lag block; 4 per seed pass; about 35 for the needs; 2 per
-    refined lag block to pick its pairs; 10 at the end to keep the lags;
+    lag blocks), about 180: 12 for the (nl, nb) bounds, computed once and
+    read by every lag block; 4 per seed pass; about 20 for the needs; 2 per
+    refined lag block to pick its pairs; 8 at the end to keep the lags;
     the rest in the tiles (see there).
     """
     half = n // 2
@@ -330,55 +330,47 @@ def _lag_table(rho: np.ndarray, n: int, p: ModulusParams,
     nb, nl = -(-n // s), -(-half // s)  # the last blocks may be ragged
     bound = _block_bounds(rho, s, nb, nl)
     if bound is None:
-        lags = np.arange(1, half + 1)
-        return (lags, lags / n, *_passes(rho, lags, np.empty(n)))
+        return _plain_table(rho, n)[:2]
     reach = bound.max(axis=1)
     seeds = np.array((1, min(int(reach.argmax()) * s + 1 + s // 2, half), half))
     buf = np.empty(n)
-    seed_d, seed_at = _passes(rho, seeds, buf)
-    need = _needs(seeds, seed_d, n, s, nl, p, min_b)
+    seed_d = _passes(rho, seeds, buf)[0]
+    need = _needs(seeds, seed_d, n, s, p)
     lams = (reach > need).nonzero()[0]
     todo = [(lam, (bound[lam] > need[lam]).nonzero()[0]) for lam in lams.tolist()]
     del bound  # freed before the tiles
     parts = []
     for lam, blocks in todo:
         lags = np.arange(lam * s + 1, min(lam * s + s, half) + 1)
-        parts.append((lags, *(_passes(rho, lags, buf) if 2 * blocks.size > nb
-                              else _tiles(rho, s, blocks, lags, buf))))
+        parts.append((lags, _passes(rho, lags, buf)[0] if 2 * blocks.size > nb
+                      else _tiles(rho, s, blocks, lags, buf)))
     if parts:
-        lags, diffs, at = (np.concatenate(c) for c in zip(*parts))
+        lags, diffs = (np.concatenate(c) for c in zip(*parts))
         # each lag's need; only the last lag block, which comes last, may be ragged
         keep = diffs > need[lams].repeat(s)[:lags.size]
-        lags, diffs, at = lags[keep], diffs[keep], at[keep]
+        lags, diffs = lags[keep], diffs[keep]
         if lags.size:
-            return lags, lags / n, diffs, at
-    # a constant field under b = inf: every lag gives B = 1
-    return seeds[:1], seeds[:1] / n, seed_d[:1], seed_at[:1]
+            return lags, diffs
+    # a constant field: every lag gives B = 1
+    return seeds[:1], seed_d[:1]
 
 
-def _needs(seeds: np.ndarray, seed_d: np.ndarray, n: int, s: int, nl: int,
-           p: ModulusParams, min_b: bool) -> np.ndarray:
-    """The D a lag of each lag block must exceed to tie the seeds' smallest
-    gap w_b(xi) - D or, with ``min_b``, their largest log W^-1(D) - log xi:
-    W(b xi) - gap or W(xi e^top) at the block's first lag, as W increases,
-    less _LOG_SLACK for rounding and Newton's root, monotone in D to its
-    last ulps. One vector holds W at the seeds and at both needs."""
+def _needs(seeds: np.ndarray, seed_d: np.ndarray, n: int, s: int,
+           p: ModulusParams) -> np.ndarray:
+    """The D a lag of each lag block must exceed to tie the seeds' largest
+    log W^-1(D) - log xi, top: W(xi e^top) at the block's first lag, as W
+    increases, less _LOG_SLACK for rounding and Newton's root, monotone in
+    D to its last ulps."""
     log_xi = np.log(np.concatenate((seeds, np.arange(1, n // 2 + 1, s))) / n)
-    top = -math.inf
-    if min_b:
-        top = _log_inverse(seed_d, p.delta, p.gamma, p.alpha, below=True)
-        top -= log_xi[:3]
-        top = float(top.max())
+    top = _log_inverse(seed_d, p.delta, p.gamma, p.alpha, below=True)
+    top -= log_xi[:3]
+    top = float(top.max())
     top -= _LOG_SLACK * (1.0 + abs(top))
     log_d = math.log(p.delta)
-    log_x = np.concatenate((log_xi + math.log(p.b), log_xi[3:] + top))
+    log_x = log_xi[3:] + top
     w = np.exp(np.minimum(log_x, log_d))  # W: its power branch, then its log branch's rise
     w += p.gamma * np.maximum(log_x - log_d, 0.0) - w ** (1.0 + p.alpha / 2.0)
-    if math.isinf(p.b):
-        return w[3 + nl:]
-    gap = float((w[:3] - seed_d).min())
-    margin = w[3:3 + nl] - gap - _LOG_SLACK * (w[3:3 + nl] + abs(gap))
-    return np.minimum(w[3 + nl:], margin) if min_b else margin
+    return w
 
 
 def _passes(rho: np.ndarray, lags: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,25 +385,26 @@ def _passes(rho: np.ndarray, lags: np.ndarray, buf: np.ndarray) -> tuple[np.ndar
 
 
 def _tiles(rho: np.ndarray, s: int, blocks: np.ndarray, lags: np.ndarray,
-           buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D at ``lags``, a run, over the sample ``blocks`` and its first argmax.
+           buf: np.ndarray) -> np.ndarray:
+    """D at ``lags``, a run, over the sample ``blocks``.
 
     A tile per block, made in ``buf`` in parts of h lags next to h copies
     of the block's samples, so that every operand is contiguous: numpy
     would buffer a broadcast or overlapping operand, a copy of the whole
     part. A part takes 4 calls: the copy of its partners from a Hankel view
-    of rho, subtract, abs and argmax; a block takes 1 more for its samples
-    (3 where its partners wrap past sample n - 1), and the run about 10 to
-    gather D and pick the block that holds each max, the first on ties.
+    of rho, subtract, abs and its rows' max into the block's row of
+    ``most``; a block takes 1 more for its samples (3 where its partners
+    wrap past sample n - 1), and the run 1 for each lag's max over the
+    blocks. ``most`` holds a float per block and lag, as many bytes as an
+    argmax would.
     """
     n, size, lag0 = rho.size, lags.size, int(lags[0])
     h = min(size, n // (2 * s))  # a part and its samples fill at most buf
     # row r is rho[r:r + s]: the partners of the samples from r - l on at lag l
     windows = np.ndarray((n - s + 1, s), buffer=rho, strides=2 * rho.strides)
     tile, samples = buf[:h * s].reshape(h, s), buf[h * s:2 * h * s].reshape(h, s)
-    starts = blocks * s
-    at = np.empty(blocks.size * size, dtype=np.intp)
-    for j, i0 in enumerate(starts.tolist()):
+    most = np.empty((blocks.size, size))
+    for j, i0 in enumerate((blocks * s).tolist()):
         rows = min(s, n - i0)
         if rows < s:  # the last block of a ragged n
             tile = buf[:h * rows].reshape(h, rows)
@@ -427,18 +420,8 @@ def _tiles(rho: np.ndarray, s: int, blocks: np.ndarray, lags: np.ndarray,
             part = tile[:size - c]
             part[...] = hankel[c:c + h]
             np.abs(np.subtract(samples[:len(part)], part, part), part)
-            part.argmax(1, at[j * size + c:j * size + c + len(part)])
-    # flat arrays: numpy would buffer a broadcast operand
-    at += starts.repeat(size)
-    diffs = rho[at]
-    diffs -= rho.take(np.concatenate((lags,) * blocks.size) + at, mode="wrap")
-    np.abs(diffs, diffs)
-    if blocks.size > 1:
-        best = diffs.reshape(blocks.size, size).argmax(axis=0)
-        best *= size
-        best += np.arange(size)
-        diffs, at = diffs[best], at[best]
-    return diffs, at
+            np.maximum.reduce(part, axis=1, out=most[j, c:c + len(part)])
+    return np.maximum.reduce(most)
 
 
 def _block_bounds(rho: np.ndarray, s: int, nb: int, nl: int) -> np.ndarray | None:
@@ -497,21 +480,19 @@ def _log_inverse(diffs: np.ndarray, delta: float, gamma: float, alpha: float,
     return log_s
 
 
-def _moc_report(table, p: ModulusParams, n: int) -> MocReport:
-    lags, dists, diffs, at = table
-    gaps = _gauge(dists, p)
-    gaps -= diffs
-    k = int(gaps.argmin())
-    i = int(at[k])
-    return MocReport(passed=bool(gaps[k] > 0.0), margin=float(gaps[k]),
-                     distance=float(dists[k]), pair=(i, (i + int(lags[k])) % n))
+def _top(table, p: ModulusParams, n: int) -> float:
+    """max_l log W^-1(D[l]) - log(l/n) over a lag table: the log of the
+    smallest passing B before ``_min_b`` clamps it, NaN for a NaN field.
+    The check passes exactly for the b with log b above it."""
+    lags, diffs = table
+    top = _log_inverse(diffs, p.delta, p.gamma, p.alpha)
+    top -= np.log(lags / n)
+    return float(top.max())
 
 
-def _min_b(table, delta: float, gamma: float, alpha: float) -> float:
-    _, dists, diffs, _ = table
-    top = _log_inverse(diffs, delta, gamma, alpha)
-    top -= np.log(dists)
-    top = float(top.max())
+def _min_b(top: float) -> float:
+    """The smallest passing B of a ``_top``: at least 1, and +inf above
+    MIN_B_CAP or for a NaN."""
     if not top <= math.log(MIN_B_CAP):  # NaN too
         return math.inf
     return math.exp(max(top, 0.0))
@@ -528,15 +509,24 @@ def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
     """Check |rho(x) - rho(y)| < w_B(d(x, y)) over all grid pairs.
 
     Returns the pair with the smallest gap, the shortest distance among
-    ties. Cost O(n) for the block bounds of the lag table plus O(n) per
-    block pair or lag they leave open; for b = inf the gauge is +inf and
-    no pair can bind, so no pair is compared. A rho not of shape (n,) raises
-    GridMismatchError.
+    ties, read from the plain lag table: one O(n) pass per lag, O(n^2) in
+    all, as no caller needs it fast. The recorder reads its verdict from
+    the pruned table of ``moc_min_b`` instead, since the gauge is monotone
+    in b. For b = inf the gauge is +inf and no pair can bind, so no pair
+    is compared. A rho not of shape (n,) raises GridMismatchError.
     """
     rho = _field(rho, grid)
     if math.isinf(p.b):
         return MocReport(passed=True, margin=math.inf, distance=0.5, pair=(0, 0))
-    return _moc_report(_lag_table(rho, grid.n, p, min_b=False), p, grid.n)
+    n = grid.n
+    lags, diffs, at = _plain_table(rho, n)
+    dists = lags / n
+    gaps = omega_b(dists, p)
+    gaps -= diffs
+    k = int(gaps.argmin())
+    i = int(at[k])
+    return MocReport(passed=bool(gaps[k] > 0.0), margin=float(gaps[k]),
+                     distance=float(dists[k]), pair=(i, (i + int(lags[k])) % n))
 
 
 def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: Grid) -> float:
@@ -545,13 +535,13 @@ def moc_min_b(rho: np.ndarray, delta: float, gamma: float, alpha: float, grid: G
     Every b above it passes and, unless it is 1, every b below fails. As
     w_b(xi) = W(b xi), it is max(1, max_l W^-1(D[l]) / xi_l): closed-form on
     the log branch, by Newton iteration on the power branch. +inf when it
-    exceeds MIN_B_CAP or the field is not finite. Cost as ``moc_check``'s:
-    D is computed only where the block bounds may hold the max. A rho not
-    of shape (n,) raises GridMismatchError.
+    exceeds MIN_B_CAP or the field is not finite. Cost O(n) for the block
+    bounds of the lag table plus O(n) per block pair or lag they leave open
+    (see ``_lag_table``). A rho not of shape (n,) raises GridMismatchError.
     """
     rho = _field(rho, grid)
     p = ModulusParams(delta, gamma, math.inf, alpha)  # raises on bad parameters
-    return _min_b(_lag_table(rho, grid.n, p, min_b=True), delta, gamma, alpha)
+    return _min_b(_top(_lag_table(rho, grid.n, p), p, grid.n))
 
 
 # ---------------------------------------------------------------------------
@@ -649,16 +639,18 @@ class DiagnosticsRecorder:
     |d rho/dx|_inf (the state's ``drho_inf``, shared with the run loop),
     the trapezoidal integral of its square, mass, the two envelope margins
     (NaN without ``bounds``), and the modulus verdict and the infimum of
-    the passing B (see ``moc_min_b``). The modulus columns share one lag table, computed at
-    the lags that may bind either (see ``moc_check``) and read twice, and
-    run every ``moc_every`` steps, a positive integer and not a bool (else
-    ValueError); rows in between, and every row without ``moc``, carry NaN
-    there. A row recovers no velocity: ``recover_velocity`` pins the
-    momentum to m0 by construction, so a momentum column would only echo
-    it. A plain row makes about a dozen numpy calls, its reductions through
-    ndarray methods and ``spectral.mean``, which return the bits of
-    ``np.min``, ``np.max`` and ``np.mean`` in half their time; a modulus
-    row adds the table's (see ``_lag_table``) and about 15 to read it.
+    the passing B (see ``moc_min_b``). Both modulus columns come from one
+    lag table, pruned to the lags that may bind B: the verdict is
+    log b > log B before B is clamped to 1, which is ``moc_check``'s
+    verdict, as the gauge is monotone in b. They run every ``moc_every``
+    steps, a positive integer and not a bool (else ValueError); rows in
+    between, and every row without ``moc``, carry NaN there. A row
+    recovers no velocity: ``recover_velocity`` pins the momentum to m0 by
+    construction, so a momentum column would only echo it. A plain row
+    makes about a dozen numpy calls, its reductions through ndarray
+    methods and ``spectral.mean``, which return the bits of ``np.min``,
+    ``np.max`` and ``np.mean`` in half their time; a modulus row adds the
+    table's (see ``_lag_table``) and about 10 to read B from it.
     """
 
     def __init__(self, bounds: BoundConstants | None = None,
@@ -700,11 +692,11 @@ class DiagnosticsRecorder:
         else:
             low = up = math.nan
         if self.moc is not None and step % self.moc_every == 0:
-            # one lag table for both the check and the smallest passing B
+            # the gauge is monotone in b: b passes iff log b is above the top
             p = self.moc
-            table = _lag_table(rho, grid.n, p, min_b=True)
-            moc_pass = 1.0 if _moc_report(table, p, grid.n).passed else 0.0
-            min_b = _min_b(table, p.delta, p.gamma, p.alpha)
+            top = _top(_lag_table(rho, grid.n, p), p, grid.n)
+            moc_pass = 1.0 if math.log(p.b) > top else 0.0
+            min_b = _min_b(top)
         else:
             moc_pass = math.nan
             min_b = math.nan

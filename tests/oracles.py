@@ -32,7 +32,10 @@ replaced and must never fall below. ``with_fields`` replaces a state's
 rows by name.
 ``characteristic_beta`` and ``ode_blowup_time`` solve the flow exactly
 along its characteristics when the kernel is a constant and the potential
-Newtonian.
+Newtonian. ``dichotomy_bracket`` gives the exact c = 0 verdict for any
+even psi_l >= 0 with the potential off, and brackets the blow-up time.
+``casimir`` and ``velocity_diameter`` are what a run with the potential
+off conserves and contracts, for any kernel.
 ``certified_modulus_params`` is the paper's recipe for the modulus gauge
 (delta, gamma, B) from the envelope values at a horizon; its B overflows
 on every problem tried, so the recorder checks the gauge with the
@@ -389,6 +392,44 @@ def ode_blowup_time(rho0: np.ndarray, du0: np.ndarray, rho_bar: float, a: float,
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if min_beta(mid) <= 0.0 else (mid, hi)
     return hi
+
+
+def dichotomy_bracket(state: SimState) -> tuple[float, float] | None:
+    """The exact c = 0 dichotomy for an even psi_l >= 0 and no potential:
+    None when min g0 >= 0, where the solution is global, else the bracket
+    (min T(a_hi), min T(a_lo)) that holds the blow-up time t*.
+
+    f = g/rho is constant along each characteristic, and beta = 1/rho obeys
+    beta' = f - (psi_l * rho) beta, whose coefficient lies in
+    [a_lo, a_hi] = rho_bar [min psi_l, max psi_l]. With f >= 0 every beta
+    stays positive. Where f < 0, T(a) = log(1 + a beta0/|f|)/a is the time
+    at which beta reaches 0 under a constant coefficient a; it falls as a
+    grows. beta' <= f keeps beta bounded, so no exact solution reaches
+    vacuum (Carrillo, Choi, Tadmor & Tan, arXiv:1411.6287, for a constant
+    psi_l, where the two ends meet at the Riccati time).
+    """
+    f = state.g / state.rho
+    neg = f < 0.0
+    if not neg.any():
+        return None
+    beta, drive = 1.0 / state.rho[neg], -f[neg]
+    lo, hi = (state.rho_bar * v for v in state.kernel.psi_l.value_range())
+    return tuple(float(np.min(np.log1p(a * beta / drive) / a)) for a in (hi, lo))
+
+
+def casimir(state: SimState, power: int) -> float:
+    """int rho f^power dx of f = g/rho, which the flow conserves for any
+    kernel when the potential is off: rho dx and f are both transported."""
+    return mean(state.rho * (state.g / state.rho) ** power)
+
+
+def velocity_diameter(state: SimState) -> float:
+    """max u - min u over the grid. It contracts at least as fast as
+    exp(-psi_m rho_bar t) when the potential is off and psi_m > 0 (the
+    flocking estimate of Ha & Tadmor, Kinet. Relat. Models 1, 2008), and
+    exactly so for c = 0 and a constant psi_l."""
+    u = recover_velocity(state)
+    return float(u.max() - u.min())
 
 
 def alignment_direct(rho: np.ndarray, u: np.ndarray, kernel: KernelSpec, grid: Grid,

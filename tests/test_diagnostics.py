@@ -1,5 +1,7 @@
 import io
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,7 +322,7 @@ def test_moc_check_infinite_b_builds_no_table(grid64, monkeypatch):
     def no_table(*args):
         raise AssertionError("moc_check built the lag table for b = inf")
 
-    monkeypatch.setattr(diagnostics, "_lag_table", no_table)
+    monkeypatch.setattr(diagnostics, "_plain_table", no_table)
     p = ModulusParams(delta=0.2, gamma=0.02, b=math.inf, alpha=0.5)
     rep = moc_check(1.0 + 0.3 * np.cos(2 * np.pi * grid64.x), p, grid64)
     assert rep.passed
@@ -355,28 +357,29 @@ PRUNING_GAUGES = (VALID, VERIFY_GAUGE, ModulusParams(0.05, 0.01, 3.0, 1.0),
 
 
 def full_table(rho, n):
-    """``_lag_table``'s layout (lags, distances, D, argmax) over all n/2 lags,
-    from the roll loop."""
-    dists, diffs, at = roll_lag_table(rho, n)
-    return np.arange(1, n // 2 + 1), dists, diffs, at
+    """``_plain_table``'s layout (lags, D, argmax) over all n/2 lags, from
+    the roll loop."""
+    _, diffs, at = roll_lag_table(rho, n)
+    return np.arange(1, n // 2 + 1), diffs, at
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_lag_table_matches_roll_loop_bit_for_bit(n):
-    # every kept lag carries the roll loop's D and first argmax; a non-finite
-    # field keeps all n/2 lags, so a NaN still reaches the check
+    # the plain table is the roll loop's, first argmax included; every lag
+    # the pruned table keeps carries the roll loop's D, and a non-finite
+    # field keeps all n/2 lags, so a NaN still reaches B
     for name, rho in lag_table_fields(n).items():
         want = full_table(rho, n)
-        for min_b in (False, True):
-            got = diagnostics._lag_table(rho, n, VERIFY_GAUGE, min_b)
-            assert [a.dtype for a in got] == [b.dtype for b in want], name
-            lags, dists, diffs, at = got
-            assert lags.size > 0 and np.all(np.diff(lags) > 0), name
-            if name in ("nan", "inf"):
-                assert np.array_equal(lags, want[0]), name
-            assert np.array_equal(dists, want[1][lags - 1]), name
-            assert np.array_equal(diffs, want[2][lags - 1], equal_nan=True), name
-            assert np.array_equal(at, want[3][lags - 1]), name
+        plain = diagnostics._plain_table(rho, n)
+        assert [a.dtype for a in plain] == [b.dtype for b in want], name
+        for a, b in zip(plain, want):
+            assert np.array_equal(a, b, equal_nan=True), name
+        lags, diffs = diagnostics._lag_table(rho, n, VERIFY_GAUGE)
+        assert [lags.dtype, diffs.dtype] == [want[0].dtype, want[1].dtype], name
+        assert lags.size > 0 and np.all(np.diff(lags) > 0), name
+        if name in ("nan", "inf"):
+            assert np.array_equal(lags, want[0]), name
+        assert np.array_equal(diffs, want[1][lags - 1], equal_nan=True), name
 
 
 def tent_field(n):
@@ -408,20 +411,15 @@ def pruning_fields(n):
 
 
 def assert_pruned_equals_full(rho, p, n):
+    # the pruned table's unclamped log B is the full table's, bit for bit,
+    # and so is moc_min_b; the recorder's verdict, log b above it, is the
+    # check's over all pairs
+    lags, diffs, _ = full_table(rho, n)
+    want = diagnostics._top((lags, diffs), p, n)
+    assert diagnostics._top(diagnostics._lag_table(rho, n, p), p, n) == want
     grid = Grid(n)
-    full = full_table(rho, n)
-    want_b = diagnostics._min_b(full, p.delta, p.gamma, p.alpha)
-    assert moc_min_b(rho, p.delta, p.gamma, p.alpha, grid) == want_b
-    # the recorder's route: one table for the verdict and the smallest B;
-    # for b = inf every gap is +inf and the recorder reads only the verdict
-    both = diagnostics._lag_table(rho, n, p, min_b=True)
-    assert diagnostics._min_b(both, p.delta, p.gamma, p.alpha) == want_b
-    want = diagnostics._moc_report(full, p, n)
-    if math.isinf(p.b):
-        assert diagnostics._moc_report(both, p, n).passed == want.passed
-    else:
-        assert diagnostics._moc_report(both, p, n) == want
-        assert moc_check(rho, p, grid) == want
+    assert moc_min_b(rho, p.delta, p.gamma, p.alpha, grid) == diagnostics._min_b(want)
+    assert moc_check(rho, p, grid).passed == (math.log(p.b) > want)
 
 
 @pytest.mark.parametrize("n", [8, 64, 256, 1024])
@@ -524,24 +522,6 @@ def test_log_inverse_bounds_sandwich_newton():
         assert np.array_equal(below[diffs >= head], exact[diffs >= head])
 
 
-def test_table_gauge_equals_omega_b():
-    # the report's gauge at a table's distances, without omega_b's checks:
-    # omega_b's values bit for bit on either branch alone, across the joint
-    # (0.05, 0.01, 3.0, 1.0 has it at 1/60), and at the kept distances of
-    # every pruning field
-    xi = np.arange(1, 513) / 1024
-    for p in PRUNING_GAUGES:
-        power = p.b * xi < p.delta
-        for dists in (xi, xi[power], xi[~power]):
-            if dists.size:
-                assert np.array_equal(diagnostics._gauge(dists, p), omega_b(dists, p)), p
-    for n in (64, 256, 1024):
-        for name, rho in pruning_fields(n).items():
-            for p in PRUNING_GAUGES:
-                dists = diagnostics._lag_table(rho, n, p, min_b=True)[1]
-                assert np.array_equal(diagnostics._gauge(dists, p), omega_b(dists, p)), (name, p)
-
-
 def count_refinement(monkeypatch):
     """Counts of the block pairs ``_lag_table`` refines by tiles and of its
     passes over all n samples, through patched helpers."""
@@ -568,12 +548,11 @@ def test_pruning_refines_a_few_block_pairs(monkeypatch):
     n = 1024
     counts = count_refinement(monkeypatch)
     rho = 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
-    for min_b in (False, True):
-        diagnostics._lag_table(rho, n, VERIFY_GAUGE, min_b)
-        assert counts["pairs"] <= 16 and counts["passes"] <= 4
-        counts.update(pairs=0, passes=0)
+    diagnostics._lag_table(rho, n, VERIFY_GAUGE)
+    assert counts["pairs"] <= 16 and counts["passes"] <= 4
+    counts.update(pairs=0, passes=0)
     # every sample block of lag block 0 survives, so it takes passes, no tiles
-    diagnostics._lag_table(np.full(n, 2.3), n, VERIFY_GAUGE, min_b=True)
+    diagnostics._lag_table(np.full(n, 2.3), n, VERIFY_GAUGE)
     assert counts["pairs"] == 0 and counts["passes"] <= n // 2
 
 
@@ -602,12 +581,93 @@ def test_recorder_modulus_columns_match_the_full_table_bit_for_bit():
     assert out.status is RunStatus.COMPLETED and len(rows) >= 10
     want_pass, want_b = [], []
     for rho in rows:
-        full = full_table(rho, n)
-        want_pass.append(1.0 if diagnostics._moc_report(full, p, n).passed else 0.0)
-        want_b.append(diagnostics._min_b(full, p.delta, p.gamma, p.alpha))
+        lags, diffs, _ = full_table(rho, n)
+        want_pass.append(1.0 if moc_check(rho, p, Grid(n)).passed else 0.0)
+        want_b.append(diagnostics._min_b(diagnostics._top((lags, diffs), p, n)))
     got_pass, got_b = out.log.column("moc_pass"), out.log.column("moc_min_b")
     assert got_pass[~np.isnan(got_pass)].tolist() == want_pass
     assert got_b[~np.isnan(got_b)].tolist() == want_b
+
+
+def modulus_row(rho, p, grid):
+    """moc_pass and moc_min_b of one modulus row on the field rho, through a
+    stand-in for a state that holds what a row reads."""
+    st = SimpleNamespace(grid=grid, t=0.0, rho=rho, g=np.zeros(grid.n), drho_inf=0.0,
+                         kernel=SimpleNamespace(alpha=p.alpha), potential=SimpleNamespace(k=0.0))
+    rec = DiagnosticsRecorder(moc=p, moc_every=1)
+    rec(0, st)
+    return rec.log.moc_pass[0], rec.log.moc_min_b[0]
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_recorder_verdict_is_the_checks(n):
+    # the recorder reads moc_pass off the table for B alone, as log b above
+    # the unclamped log of the smallest passing B; moc_check compares every
+    # pair. Random band-limited fields, at b on both sides of the infimum,
+    # as close as 1e-12 relative, and at b = inf
+    grid = Grid(n)
+    rng = np.random.default_rng(n)
+    cases = 0
+    for _ in range(6):
+        rho = 1.0 + random_smooth_field(grid, rng, amp=10.0 ** rng.uniform(-1.5, 0.0))
+        for delta, gamma, alpha in MIN_B_GAUGES:
+            min_b = moc_min_b(rho, delta, gamma, alpha, grid)
+            assert 1.0 < min_b < math.inf
+            for factor in (0.5, 1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6, 2.0, math.inf):
+                b = min_b * factor
+                if b < 1.0:
+                    continue
+                p = ModulusParams(delta, gamma, b, alpha)
+                passed = moc_check(rho, p, grid).passed
+                assert passed == (factor > 1.0), (delta, factor)
+                assert modulus_row(rho, p, grid) == (1.0 if passed else 0.0, min_b)
+                cases += 1
+    assert cases >= 100
+
+
+def test_recorder_verdict_at_b_one_with_min_b_clamped_to_one():
+    # every log W^-1(D) - log xi lies below 0, so min_b is clamped to 1 and
+    # b = 1 passes: "b > min_b" would call it a fail
+    grid = Grid(256)
+    rho = 1.0 + 1e-3 * np.cos(2 * np.pi * grid.x)
+    p = replace(VERIFY_GAUGE, b=1.0)
+    assert moc_min_b(rho, p.delta, p.gamma, p.alpha, grid) == 1.0
+    assert moc_check(rho, p, grid).passed
+    assert modulus_row(rho, p, grid) == (1.0, 1.0)
+
+
+def test_recorder_verdict_on_a_nan_field():
+    # a NaN keeps every lag, and its NaN B fails every finite b; moc_check's
+    # b = inf passes without reading the field, so it is left out here
+    for n in (64, 256, 1024):
+        grid = Grid(n)
+        rho = 1.0 + 0.3 * np.cos(2 * np.pi * grid.x)
+        rho[n // 3] = np.nan
+        for b in (1.0, 1e14):
+            p = replace(VERIFY_GAUGE, b=b)
+            assert not moc_check(rho, p, grid).passed
+            assert modulus_row(rho, p, grid) == (0.0, math.inf)
+
+
+def test_a_modulus_row_builds_one_lag_table(monkeypatch, grid64):
+    # one pruned table per modulus row gives both columns, and no row reads
+    # the plain table of moc_check
+    calls = []
+    table = diagnostics._lag_table
+
+    def counted(*args):
+        calls.append(args)
+        return table(*args)
+
+    def no_plain(*args):
+        raise AssertionError("a recorder row read the plain lag table")
+
+    monkeypatch.setattr(diagnostics, "_lag_table", counted)
+    monkeypatch.setattr(diagnostics, "_plain_table", no_plain)
+    st = make_initial("cosine", grid64, EA, rho_amp=0.4, u_amp=0.3)
+    out = run(st, StepControl(t_end=0.05), (DiagnosticsRecorder(moc=VERIFY_GAUGE, moc_every=3),))
+    rows = int(np.sum(~np.isnan(out.log.column("moc_pass"))))
+    assert rows >= 2 and len(calls) == rows
 
 
 # (delta, gamma, alpha) of the moc_min_b pins
