@@ -31,14 +31,11 @@ on blocks of (lag, sample) pairs rule out most of it, D is computed only
 where they leave it open, and B is that of the full table, bit for bit,
 in O(n) time and memory. ``moc_check``, which also names the binding
 pair, reads the plain table instead: one O(n) pass per lag, O(n^2), about
-2 ms at n = 1024 against 0.27 ms for a modulus row. At the grid sizes of
-a run a modulus row costs its numpy calls, most of them on a few dozen
-values, more than its O(n) arithmetic: on verify-1024 about 190, of which
-the tiles of the refined block pairs make about half (``_tiles``) and the
-rest go to the bounds, the seed passes, the needs and reading B
-(``_lag_table``). So the row avoids the calls that cost most: numpy's
-wrappers of ndarray methods, buffered broadcast or overlapping operands,
-and work that no kept lag needs.
+2 ms at n = 1024 against 0.27 ms for a modulus row. A modulus row costs
+its numpy calls, about 190 on verify-1024 (``_lag_table``, ``_tiles``),
+more than its O(n) arithmetic, so it avoids numpy's wrappers of ndarray
+methods, buffered broadcast or overlapping operands, and work that no
+kept lag needs.
 The recorder logs these quantities along a run, one row per step, among
 them the running trapezoidal integral of |d rho/dx|_inf^2 whose
 finiteness is the regularity criterion. ``COLUMNS`` names the columns of
@@ -512,12 +509,14 @@ def moc_check(rho: np.ndarray, p: ModulusParams, grid: Grid) -> MocReport:
     ties, read from the plain lag table: one O(n) pass per lag, O(n^2) in
     all, as no caller needs it fast. The recorder reads its verdict from
     the pruned table of ``moc_min_b`` instead, since the gauge is monotone
-    in b. For b = inf the gauge is +inf and no pair can bind, so no pair
-    is compared. A rho not of shape (n,) raises GridMismatchError.
+    in b. At b = inf no pair can bind: a finite field passes with margin
+    +inf, and a non-finite one fails with margin NaN, as in the recorder.
+    A rho not of shape (n,) raises GridMismatchError.
     """
     rho = _field(rho, grid)
     if math.isinf(p.b):
-        return MocReport(passed=True, margin=math.inf, distance=0.5, pair=(0, 0))
+        ok = bool(np.isfinite(rho).all())
+        return MocReport(passed=ok, margin=math.inf if ok else math.nan, distance=0.5, pair=(0, 0))
     n = grid.n
     lags, diffs, at = _plain_table(rho, n)
     dists = lags / n

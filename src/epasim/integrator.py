@@ -5,7 +5,9 @@ capped by four bounds (``_raw_dt``); the run loop watches for vacuum,
 non-finite values, and blow-up indicators (collapsing dt, runaway density
 or gradient, or a capped accumulation of the squared-gradient history).
 
-- Advective: dt sup |u| <= cfl_advect dx.
+- Advective: dt sup |u| <= cfl_advect dx. SSP-RK3 holds the imaginary
+  axis up to sqrt(3), so linear advection at speed u keeps the band's top
+  mode k_c = n // 3 stable for u dt / dx <= sqrt(3) n / (2 pi k_c) ~ 0.83.
 - Stiff: linearised about a density rho, the singular term damps mode k
   at the rate c rho (2 pi |k|)^alpha, the one rate that grows with n. The
   largest mode the dealiased flux moves is k_c = n // 3, so
@@ -25,42 +27,42 @@ or gradient, or a capped accumulation of the squared-gradient history).
   dt omega <= cfl_diffuse / 5: at the default, a tenth of a radian per
   step, 63 steps per period of the potential's oscillation.
 
-The run loop advances the spectrum of the fields: the (2, b) band of the
-rfft of a state's (2, n) block x, whose rows are rho and g, in the layout
-that ``model`` states. It transforms the initial block forward once, and
-evaluates the dynamics on the band (``model.rhs_spectrum``), so no
-evaluation transforms its fields forward or its derivatives back. The
-SSP-RK3 combinations update whole complex blocks in place. An FFT call is
-one call of ``spectral.rfft`` or ``spectral.irfft``, the home of every
-transform, and transforms one row per row of its block. An evaluation
-makes 2 FFT calls over 3 transforms, the velocity irfft and the flux
-rfft, and a step makes 9 calls over 16 transforms:
+The run loop advances the (2, b) band of the rfft of a state's (2, n)
+block x = (rho, g). It transforms the initial block forward once and
+evaluates the dynamics on the band (``model.rhs_spectrum``); the SSP-RK3
+combinations update whole complex blocks in place. An FFT call is one
+call of ``spectral.rfft`` or ``spectral.irfft``, and transforms one row
+per row of its block. An evaluation makes 2 calls over 3 transforms, the
+velocity irfft and the flux rfft, and a step makes 9 calls over 16:
 
 - each inner stage: one irfft of its spectrum gives its fields (2
   transforms), which ``model.check_fields`` checks before the evaluation
   reads them, then the velocity irfft (1) and the flux rfft (2);
-- the accepted state: one irfft of the new spectrum (2), whose rows are
-  the fields of a new ``SimState``; building it runs the same check, so a
-  step checks three sets of fields;
-- the next step's first stage, evaluated right after, before the monitors:
-  the velocity irfft, which carries -d rho/dx, the density spectrum times
-  the plan's flux multiplier, as a second row (2), and the flux rfft (2).
-  Its sup |u| sets the advective bound of that step, its derivative
-  spectrum is that step's stage 1, and the sup of |d rho/dx| becomes the
-  accepted state's ``drho_inf``: the gradient detector and monitors such
-  as the diagnostics recorder read it without another transform. The
-  detectors still run at the top of the next step.
+- the accepted state: one irfft of the new spectrum (2), the fields of a
+  new ``SimState``, which holds that spectrum as its read-only ``spec``;
+  building it runs the same check, so a step checks three sets of fields;
+- the next step's first stage, evaluated before the monitors: the velocity
+  irfft, which carries -d rho/dx, the density row times the plan's flux
+  multiplier, as a second row (2), and the flux rfft (2). Its sup |u| sets
+  that step's advective bound, its derivative spectrum is that step's
+  stage 1, and the sup of |d rho/dx| becomes the accepted state's
+  ``drho_inf``. So the detectors, at the top of the next step, and the
+  monitors read a state's band and ``drho_inf`` at no FFT.
 
-A step also makes 10 ufunc reductions, each called as a ufunc's
-``reduce``: 2 in each field check (the row sums and min rho), 2 for the
-first stage's sup |u|, 1 for its sup |d rho/dx| and 1 for the density
-detector. Every state of a run shares the initial state's
-``model.Problem``, so no step looks up a cache.
+Once per run the loop makes 2 calls over 3 transforms: the initial rfft
+(2), and for the final state's ``drho_inf``, as no first stage follows
+it, one irfft of its density row (1). A step also makes 10 ufunc
+reductions, each a ufunc's ``reduce``: 2 in each field check (the row
+sums and min rho), 2 for the first stage's sup |u|, 1 for its sup
+|d rho/dx| and 1 for the density detector. Every state of a run shares
+the initial state's ``model.Problem``, so no step looks up a cache.
 
-During a step the loop holds the spectrum and no state. A failed step
-reports the last accepted state, rebuilt from its spectrum, bit for bit the
-one the monitors saw (irfft works row by row), or the caller's own state
-when the first step fails.
+During a step the loop holds the spectrum and no state, and it gives the
+caller's state no band. A failed step reports the last accepted state,
+rebuilt from its spectrum, bit for bit the one the monitors saw (irfft
+works row by row), or the caller's own state when the first step fails.
+An outcome's state that the loop built reads its ``drho_inf`` and drops
+its band, so that reading ``spec`` there recomputes it.
 """
 
 from __future__ import annotations
@@ -212,9 +214,12 @@ def _stage3(d: np.ndarray, x: np.ndarray, x0: np.ndarray, dt: float) -> None:
 
 
 def _accepted(spec: np.ndarray, t: float, problem: Problem) -> SimState:
-    # the state at time t whose fields are the rows of one irfft of spec;
-    # building it checks them
-    return SimState(problem, spectral.irfft(spec, n=problem.grid.n), t)
+    # the state at time t whose fields are the rows of one irfft of spec,
+    # which it holds, read-only, as its band; building it checks them
+    state = SimState(problem, spectral.irfft(spec, n=problem.grid.n), t)
+    spec.setflags(write=False)
+    object.__setattr__(state, "spec", spec)
+    return state
 
 
 def _stage_rhs(x: np.ndarray, t: float, problem: Problem) -> np.ndarray:
@@ -255,8 +260,7 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
 
     Monitors are callables ``monitor(step, state)`` invoked after every
     accepted step (and once for the initial state); they own their own
-    cadence decisions and see read-only snapshots. When a step fails, the
-    outcome carries the last accepted state (see the module docstring).
+    cadence decisions and see read-only snapshots (see the module docstring).
     """
     steps = 0
     bkm = 0.0
@@ -265,8 +269,7 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
     initial = state
 
     def stage1(s, spec):
-        # the next step's first stage, whose velocity transform also gives
-        # s.drho_inf; None when no step follows
+        # the next step's first stage, which also sets s.drho_inf; None when no step follows
         if s.t >= ctl.t_end - 1e-12:
             return None
         d, u_inf, drho_inf = rhs_spectrum(spec, s.x, problem, drho=True)
@@ -274,6 +277,9 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         return d, u_inf
 
     def outcome(status, detail=""):
+        if state is not initial:
+            _ = state.drho_inf  # read off the band, which the outcome does not keep
+            object.__delattr__(state, "spec")
         log = next((m.log for m in monitors if hasattr(m, "log")), None)
         return RunOutcome(status=status, t_final=state.t, steps=steps,
                           state=state, detail=detail, log=log)
@@ -308,11 +314,7 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
             k1 = stage1(state, spec)
         except (VacuumError, NonFiniteError, MeanViolationError, FloatingPointError) as exc:
             if state is None:  # the last accepted state, as the monitors saw it
-                if steps == 0:
-                    state = initial
-                else:
-                    state = _accepted(spec, t, problem)
-                    object.__setattr__(state, "drho_inf", grad_inf)
+                state = initial if steps == 0 else _accepted(spec, t, problem)
             status = RunStatus.VACUUM if isinstance(exc, VacuumError) else RunStatus.NAN
             return outcome(status, str(exc))
         steps += 1

@@ -26,30 +26,28 @@ mode n/2 is never in the band.
   vel_rho = c (2 pi |k|)^alpha - psi_l_hat, the kernel's one band array
   per grid, which :func:`make_initial` also reads to solve this relation
   for g_hat;
-- flux derivative: flux = -2 pi i k, which also gives the first stage's
-  gradient row rho_hat flux, -d rho/dx, one complex product;
+- flux derivative: flux = -2 pi i k, which also gives -d rho/dx as
+  rho_hat flux, one complex product: the first stage's gradient row, and
+  the one irfft a run's final state makes for its ``drho_inf``;
 - potential source: source rho_hat with source = -k + (2 pi k)^2 K_reg_hat,
   plus k n rho_bar on mode 0 for the background.
 
 psi_l_hat and K_reg_hat are the presets' own bands (``band(grid)``), and
 the initial data's is :func:`initial_band`: closed forms, not transforms
-of samples, but for the gaussian kinds. vel_rho, and source but for a
-gaussian K_reg, are exactly real, and stay complex128 so that every
-product with a spectrum is complex-by-complex.
+of samples, but for the gaussian kinds (dtypes: :class:`SpectralPlan`).
 
 Mode 0 of g_hat + vel_rho rho_hat is n mean(g - psi_l * rho), the
 zero-mean constraint that makes the velocity periodic. :func:`check_fields`
-checks it, with the density floor and finiteness; a :class:`SimState`
-runs it when it is built, so the dynamics take every state as valid.
+checks it, with the density floor and finiteness, on every state.
 
 A state is (problem, x, t): a :class:`Problem` holds what a run keeps
 fixed, and x is the (2, n) block of the fields (rho, g). The dynamics are
-evaluated on the block's spectrum, the (2, b) band of its rfft:
-:func:`rhs_spectrum` takes it with the fields themselves and the problem,
-and returns the band of the spectrum of their time derivatives. The FFT
-and reduction budgets of an evaluation and of a step are stated once, in
-``integrator``. Both rows of a block go through one FFT call, which
-pocketfft computes bit for bit as two separate calls.
+evaluated on the state's ``spec``, the (2, b) band of the block's rfft:
+:func:`rhs_spectrum` takes it with the fields and the problem, and
+returns the band of their time derivatives. ``integrator`` states the
+FFT and reduction budgets of an evaluation and of a step. Both rows of a
+block go through one FFT call, which pocketfft computes bit for bit as
+two separate calls.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ import numpy as np
 from . import spectral
 from .kernels import KernelSpec, PotentialSpec, g_source_multiplier
 from .kernels import g_source  # noqa: F401  (perfbench traces model.g_source)
-from .spectral import MEAN_TOL, Grid, GridMismatchError, MeanViolationError, derivative
+from .spectral import MEAN_TOL, Grid, GridMismatchError, MeanViolationError
 
 RHO_FLOOR = 1e-8  # below this, treat the run as having reached vacuum
 
@@ -87,10 +85,9 @@ class SpectralPlan(NamedTuple):
     from the closed forms, but for a gaussian K_reg, whose sampled
     transform is real to rounding. They stay complex so that every product
     with a spectrum is complex-by-complex: a complex-by-real product goes
-    through numpy's buffered cast. flux is also the d/dx band, negated (see
-    :func:`_velocity`). inv_ddx and flux depend on the grid alone, so the
-    plans of one grid share them; vel_rho is the kernel's band array,
-    which the plans of one (grid, kernel) share.
+    through numpy's buffered cast. inv_ddx and flux depend on the grid
+    alone, so the plans of one grid share them; vel_rho is the kernel's
+    band array, which the plans of one (grid, kernel) share.
     """
 
     inv_ddx: np.ndarray
@@ -100,7 +97,7 @@ class SpectralPlan(NamedTuple):
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -166,17 +163,18 @@ class SimState:
     x is the (2, n) block whose rows are the fields rho and g; the
     problem's constants read through the state. Building a state, by any
     route, runs :meth:`validate`, so every state is valid by construction.
-    ``drho_inf``, sup |d rho/dx|, is computed once: a state computes
-    ``max |spectral.derivative(rho)|`` on its first read, and the run loop
-    stores that value, to rounding, from the next step's first stage (see
-    ``integrator``).
-    Slots keep a state and its problem about 500 bytes smaller than the
-    instance dicts of ``cached_property`` (Python 3.11).
+    Two values are filled once, on first read: ``spec``, the read-only
+    (2, b) band whose irfft is x, a copy of rfft(x)'s first b modes, and
+    ``drho_inf``, sup |d rho/dx|, the max of |irfft(spec[0] flux)|. A run
+    stores both in its states, so only its final state makes that irfft
+    (see ``integrator``). Slots keep a state and its problem about 500
+    bytes smaller than the instance dicts of ``cached_property`` (Python 3.11).
     """
 
     problem: Problem
     x: np.ndarray
     t: float
+    spec: np.ndarray = field(init=False, repr=False)
     drho_inf: float = field(init=False, repr=False)
 
     rho = property(lambda self: self.x[0])
@@ -190,13 +188,17 @@ class SimState:
     def __post_init__(self) -> None:
         self.validate()
 
-    def __getattr__(self, name: str) -> float:
-        # reached only by a name the state does not hold: drho_inf before its first read
-        if name != "drho_inf":
+    def __getattr__(self, name: str) -> np.ndarray | float:
+        # reached only by a name the state does not hold: spec or drho_inf before its first read
+        if name == "spec":
+            value = _read_only(spectral.rfft(self.x)[:, :self.grid.band].copy())
+        elif name == "drho_inf":
+            w = spectral.irfft(self.spec[0] * self.problem.plan.flux, self.grid.n)
+            value = float(np.maximum.reduce(np.abs(w, out=w)))
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        drho_inf = float(np.max(np.abs(derivative(self.rho, self.grid))))
-        object.__setattr__(self, "drho_inf", drho_inf)
-        return drho_inf
+        object.__setattr__(self, name, value)
+        return value
 
     def validate(self) -> None:
         """Run :func:`check_fields` on the state; raises on the first violation."""
@@ -269,11 +271,10 @@ def recover_velocity(state: SimState) -> np.ndarray:
     u = c * Lambda^alpha d^-1 (rho - rho_bar) + d^-1 (g - psi_l * rho) + I0,
     with the constant I0 solved from int rho u = m0 at every call, so the
     momentum integral is enforced structurally rather than tracked. Costs
-    2 FFT calls over 3 transforms through the problem's plan. Checks
+    one irfft of the state's band through the problem's plan. Checks
     nothing: the state was validated when it was built.
     """
-    problem = state.problem
-    return _velocity(spectral.rfft(state.x)[:, :problem.grid.band], state.rho, problem)[0]
+    return _velocity(state.spec, state.rho, state.problem)[0]
 
 
 def rhs_spectrum(spec: np.ndarray, x: np.ndarray, problem: Problem,
@@ -322,14 +323,12 @@ def rhs_spectrum(spec: np.ndarray, x: np.ndarray, problem: Problem,
 def rhs(state: SimState) -> tuple[np.ndarray, np.ndarray, float]:
     """Time derivatives of (rho, g) and sup |u| of the velocity behind them.
 
-    :func:`rhs_spectrum` as a first stage, on the band of the state's
-    block, and one irfft back: 4 FFT calls over 8 transforms. The two
-    derivatives are the rows of one (2, n) array. Checks nothing.
+    :func:`rhs_spectrum` as a first stage, on the state's band, and one
+    irfft back: 3 FFT calls over 6 transforms. The two derivatives are the
+    rows of one (2, n) array. Checks nothing.
     """
-    problem = state.problem
-    d, u_inf, _ = rhs_spectrum(spectral.rfft(state.x)[:, :problem.grid.band], state.x, problem,
-                               drho=True)
-    d = spectral.irfft(d, n=problem.grid.n)
+    d, u_inf, _ = rhs_spectrum(state.spec, state.x, state.problem, drho=True)
+    d = spectral.irfft(d, n=state.grid.n)
     return d[0], d[1], u_inf
 
 

@@ -331,6 +331,21 @@ def test_moc_check_infinite_b_builds_no_table(grid64, monkeypatch):
     assert rep.pair == (0, 0)
 
 
+def test_moc_check_infinite_b_fails_a_non_finite_field(grid64, monkeypatch):
+    # no pair can bind at b = inf, but a NaN or +-inf sample fails, still
+    # without a table, as the recorder's NaN B fails every b
+    def no_table(*args):
+        raise AssertionError("moc_check built the lag table for b = inf")
+
+    monkeypatch.setattr(diagnostics, "_plain_table", no_table)
+    p = ModulusParams(delta=0.2, gamma=0.02, b=math.inf, alpha=0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        rho = 1.0 + 0.3 * np.cos(2 * np.pi * grid64.x)
+        rho[5] = bad
+        rep = moc_check(rho, p, grid64)
+        assert not rep.passed and math.isnan(rep.margin)
+
+
 def step_field(n):
     return np.where(np.arange(n) < n // 2, 1.0, 1.25)
 
@@ -637,13 +652,12 @@ def test_recorder_verdict_at_b_one_with_min_b_clamped_to_one():
 
 
 def test_recorder_verdict_on_a_nan_field():
-    # a NaN keeps every lag, and its NaN B fails every finite b; moc_check's
-    # b = inf passes without reading the field, so it is left out here
+    # a NaN keeps every lag, and its NaN B fails every b, inf included
     for n in (64, 256, 1024):
         grid = Grid(n)
         rho = 1.0 + 0.3 * np.cos(2 * np.pi * grid.x)
         rho[n // 3] = np.nan
-        for b in (1.0, 1e14):
+        for b in (1.0, 1e14, math.inf):
             p = replace(VERIFY_GAUGE, b=b)
             assert not moc_check(rho, p, grid).passed
             assert modulus_row(rho, p, grid) == (0.0, math.inf)

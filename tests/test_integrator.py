@@ -149,6 +149,59 @@ def test_stiff_bound_is_the_stability_limit(n, alpha, fraction):
     assert (growth < 0.011) if fraction < 1 else (growth > 45)
 
 
+@pytest.mark.parametrize("fraction", [0.9, 1.1])
+def test_advective_bound_is_the_linear_stability_limit(fraction):
+    # c = 0, psi_l = 0 and no potential keep g at 0 and u at the uniform
+    # u_mean, so a run is linear advection: mode k moves at z = i 2 pi k
+    # u dt, and SSP-RK3 holds the imaginary axis up to sqrt(3), so the top
+    # mode k_c = n // 3 of the band is stable for u dt / dx up to
+    # sqrt(3) n / (2 pi k_c), 0.840 at n = 64. Below it no mode of the
+    # band grows over 500 steps; above it the top mode grows from rounding
+    n = 64
+    limit = math.sqrt(3) * n / (2 * math.pi * (n // 3))
+    st = make_initial("gaussian-bump", Grid(n), OFF, u_mean=0.7)
+    top, size = [], []
+
+    def watch(k, s):
+        top.append(float(np.max(np.abs(s.spec[:, -1]))))
+        size.append(float(np.linalg.norm(s.spec)))
+        if k == 500:
+            raise _Stop
+
+    ctl = StepControl(t_end=1e3, cfl_advect=fraction * limit, dt_max=1.0)
+    if fraction < 1:
+        with pytest.raises(_Stop):
+            run(st, ctl, monitors=(watch,))
+        assert max(size) <= size[0] * (1 + 1e-12) and max(top) <= 1e-12 * size[0]
+    else:
+        out = run(st, ctl, monitors=(watch,))
+        assert out.status in (RunStatus.VACUUM, RunStatus.NAN) or max(top) >= 1e6 * top[0]
+
+
+def test_galilean_boost_converges_at_third_order_in_time():
+    # Galilean invariance: adding U to the initial velocity translates the
+    # solution by U t, on the band an exact phase e^{-2 pi i k U t}. dt_max
+    # fixes every step of both runs, so the boosted run less the translated
+    # unboosted one is SSP-RK3's time error alone, on the full nonlinear
+    # reference problem; it falls 8.0x per halving of dt for rho and g
+    n, boost, t_end = 256, 0.37, 0.2
+    kernel = KernelSpec(c=1.0, alpha=0.5, psi_l=LipschitzKernel(kind="cosine", a=0.5, b=0.2))
+    pot = PotentialSpec(k=1.0, kreg=RegularPotential(kind="cosine", amp=0.05))
+    modes = np.arange(Grid(n).band)
+    errors = []
+    for dt in (8e-4, 4e-4, 2e-4):
+        rest, boosted = (run(make_initial("cosine", Grid(n), kernel, pot, rho_amp=0.5, u_amp=0.5,
+                                          u_mean=u_mean), StepControl(t_end=t_end, dt_max=dt))
+                         for u_mean in (0.0, boost))
+        assert rest.status is boosted.status is RunStatus.COMPLETED
+        assert rest.steps == boosted.steps and rest.t_final == boosted.t_final
+        moved = spectral.irfft(rest.state.spec * np.exp(-2j * np.pi * modes * boost * rest.t_final),
+                               n)
+        errors.append([sup_rel(boosted.state.x[i], moved[i]) for i in (0, 1)])
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((6.0 <= ratios) & (ratios <= 10.0)), ratios
+
+
 def test_stable_dt_advective_halves_with_resolution():
     ctl = StepControl(t_end=1.0, dt_max=1.0)
     dts = []
@@ -417,8 +470,8 @@ def assert_fft_budget(monkeypatch, monitors=()):
     # next step's first stage, on that state, a velocity irfft that carries
     # d rho/dx as a second row (2) and the flux rfft (2). Once per run: the
     # rfft of the initial block (1 call, 2 transforms), and the final
-    # state, which no step follows, differentiates its density on its own
-    # (2 calls over 2 transforms).
+    # state's drho_inf, which no step follows, one irfft of that same
+    # density row (1 call, 1 transform)
     st = reference_problem_64()
     rhs(st)  # builds the spectral plan outside the count
     dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
@@ -428,7 +481,7 @@ def assert_fft_budget(monkeypatch, monitors=()):
     checks = count_checks(monkeypatch)
     out = run(st, StepControl(t_end=20 * dt, dt_max=dt), monitors=monitors)
     assert out.status is RunStatus.COMPLETED and out.steps == 20
-    assert ffts == {"calls": 9 * out.steps + 3, "transforms": 16 * out.steps + 4}
+    assert ffts == {"calls": 9 * out.steps + 2, "transforms": 16 * out.steps + 3}
     assert evals["n"] == 3 * out.steps
     # one check per stage: the two inner stages and the accepted state
     assert checks["n"] == 3 * out.steps
@@ -452,7 +505,7 @@ def test_run_reduction_budget_per_step():
     # 2 for the first stage's sup |u|, 1 for its sup |d rho/dx| and 1 for
     # the density detector; the inner stages compute no sup |u|. Counted
     # between the monitor calls after steps 1 .. 20; the last step has no
-    # next first stage, and its state differentiates its density itself
+    # next first stage, and its state reads its drho_inf off its own band
     st = reference_problem_64()
     dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
     count, marks = [0], []
@@ -507,14 +560,54 @@ def test_a_run_shares_its_problem_and_problems_share_their_plan():
     assert b.problem.plan.vel_rho is a.problem.plan.vel_rho
 
 
+def holds_band(state):
+    # whether the state's spec slot is filled, read past its lazy fill
+    try:
+        SimState.spec.__get__(state)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_a_run_state_holds_the_band_the_loop_carries(monkeypatch):
+    # a monitor reads each state's band at no FFT: the array the loop
+    # carries, by identity, read-only, whose irfft is the state's fields.
+    # The caller's state is given none, and the outcome's state drops its
+    # band, so that reading spec there recomputes it from the fields
+    st = reference_problem_64()
+    n, band = st.grid.n, st.grid.band
+    bands, seen = [], []
+    stepped = integrator.step_ssprk3
+
+    def step(*args):
+        bands.append(stepped(*args))
+        return bands[-1]
+
+    def watch(k, s):
+        seen.append(k)
+        if k:
+            assert s.spec is bands[-1]
+            assert np.array_equal(spectral.irfft(s.spec, n), s.x)
+            with pytest.raises(ValueError):
+                s.spec[0, 1] = 0.0
+
+    monkeypatch.setattr(integrator, "step_ssprk3", step)
+    out = run(st, StepControl(t_end=0.05), monitors=(watch,))
+    assert out.status is RunStatus.COMPLETED and seen == list(range(out.steps + 1)) > [0, 1, 2]
+    assert not holds_band(st) and not holds_band(out.state)
+    assert np.array_equal(out.state.spec, np.fft.rfft(out.state.x)[:, :band])
+    assert holds_band(out.state) and out.state.spec.base is None
+    assert not out.state.spec.flags.writeable
+
+
 def test_rhs_and_recover_velocity_batch_their_transforms(monkeypatch):
     st = reference_problem_64()
-    rhs(st)  # builds the spectral plan outside the count
+    st.problem.plan  # builds the spectral plan outside the count
     ffts = count_ffts(monkeypatch)
-    model.recover_velocity(st)
+    model.recover_velocity(st)  # the rfft of the state's band, once, and the velocity irfft
     assert ffts == {"calls": 2, "transforms": 3}
     rhs(st)  # its evaluation is a first stage's, whose velocity irfft carries d rho/dx
-    assert ffts == {"calls": 6, "transforms": 11}
+    assert ffts == {"calls": 5, "transforms": 9}
 
 
 def test_no_transform_reaches_np_fft(monkeypatch):
@@ -652,12 +745,12 @@ def test_run_reports_the_last_state_the_monitors_saw(monkeypatch, k):
 @pytest.mark.parametrize("with_recorder", [False, True])
 def test_run_drho_inf_is_the_derivative_bit_for_bit(n, potential, with_recorder):
     # every state's drho_inf but the final one comes from the next step's
-    # stage-1 velocity transform: bit for bit the derivative of the density
-    # row of the band the loop carries, which the spectral reference step
-    # reproduces. A fresh spectral derivative of the state's density, which
-    # transforms the fields forward again and keeps the roundoff above the
-    # band, agrees to rounding; the final state's, which no step follows,
-    # is that derivative. The recorder reads the states' values
+    # stage-1 velocity transform, and the final one's from its own band:
+    # both bit for bit the derivative of the density row of the band the
+    # loop carries, which the spectral reference step reproduces. A fresh
+    # spectral derivative of the state's density, which transforms the
+    # fields forward again and keeps the roundoff above the band, agrees to
+    # rounding. The recorder reads the states' values
     st = make_initial("cosine", Grid(n), EA, potential, rho_amp=0.4, u_amp=0.3)
     ctl = StepControl(t_end=0.05)
     seen = []
@@ -668,11 +761,12 @@ def test_run_drho_inf_is_the_derivative_bit_for_bit(n, potential, with_recorder)
     drho = [d for _, d in seen]
     fresh = [float(np.max(np.abs(derivative(s.rho, s.grid)))) for s, _ in seen]
     ref, spec, carried = st, band_spectrum(st), []
-    for _ in seen[1:]:
+    for k in range(len(seen)):
         dh = spec[0] * (1j * st.grid.two_pi_k[:st.grid.band])
         carried.append(float(np.max(np.abs(np.fft.irfft(dh, n=n)))))
-        ref, spec, _ = spectral_reference_step(ref, spec, ctl)
-    assert drho == carried + [fresh[-1]]
+        if k < out.steps:
+            ref, spec, _ = spectral_reference_step(ref, spec, ctl)
+    assert drho == carried
     assert drho == pytest.approx(fresh, rel=1e-12)
     if with_recorder:
         log = rec.log

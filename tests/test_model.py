@@ -186,11 +186,16 @@ def test_make_initial_uniform_equilibrium(grid64):
 
 
 def test_drho_inf_is_read_only_and_computed_once(grid64, monkeypatch):
+    # the max of |irfft| of the band's density row times 2 pi i k, which a
+    # fresh spectral derivative of the density gives to rounding
     st = make_initial("cosine", grid64, EA_KERNEL, rho_amp=0.3)
-    assert st.drho_inf == float(np.max(np.abs(derivative(st.rho, grid64))))
+    band = np.fft.rfft(st.rho)[:grid64.band] * (2j * np.pi * np.arange(grid64.band))
+    want = float(np.max(np.abs(np.fft.irfft(band, n=64))))
+    assert st.drho_inf == want
+    assert want == pytest.approx(float(np.max(np.abs(derivative(st.rho, grid64)))), rel=1e-12)
     assert st.drho_inf == pytest.approx(0.3 * 2 * np.pi, rel=1e-3)
-    monkeypatch.setattr(model, "derivative", None)  # a second evaluation would fail
-    assert st.drho_inf == float(np.max(np.abs(derivative(st.rho, grid64))))
+    monkeypatch.setattr(spectral, "irfft", None)  # a second evaluation would fail
+    assert st.drho_inf == want
     with pytest.raises(FrozenInstanceError):
         st.drho_inf = 0.0
     monkeypatch.undo()
