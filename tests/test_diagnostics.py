@@ -663,6 +663,22 @@ def test_recorder_verdict_on_a_nan_field():
             assert modulus_row(rho, p, grid) == (0.0, math.inf)
 
 
+def test_recorder_verdict_at_infinite_b_reads_finiteness():
+    # at b = inf no pair binds, so a finite field passes however far its
+    # differences push log W^-1(D) - log xi: at 1e307 it overflows to +inf,
+    # as it does for an infinite sample, which fails. moc_min_b is +inf for both
+    grid = Grid(64)
+    p = replace(VERIFY_GAUGE, b=math.inf)
+    rho = np.ones(grid.n)
+    rho[grid.n // 3] = 1e307
+    with np.errstate(over="ignore"):
+        assert moc_check(rho, p, grid).passed
+        assert modulus_row(rho, p, grid) == (1.0, math.inf)
+    rho[grid.n // 3] = math.inf
+    assert not moc_check(rho, p, grid).passed
+    assert modulus_row(rho, p, grid) == (0.0, math.inf)
+
+
 def test_a_modulus_row_builds_one_lag_table(monkeypatch, grid64):
     # one pruned table per modulus row gives both columns, and no row reads
     # the plain table of moc_check

@@ -600,6 +600,21 @@ def test_a_run_state_holds_the_band_the_loop_carries(monkeypatch):
     assert not out.state.spec.flags.writeable
 
 
+def test_a_run_that_takes_no_step_gives_its_state_no_band(monkeypatch):
+    # a state at t = 1 run to t_end = 0.5: the loop reads the final state's
+    # drho_inf off the band it transformed, in one irfft, and the caller's
+    # state, which is the outcome's, is left without a band
+    st = with_fields(reference_problem_64(), t=1.0)
+    st.problem.plan  # builds the spectral plan outside the count
+    ffts = count_ffts(monkeypatch)
+    out = run(st, StepControl(t_end=0.5))
+    assert out.status is RunStatus.COMPLETED and out.steps == 0 and out.state is st
+    assert ffts == {"calls": 2, "transforms": 3}
+    assert not holds_band(st)
+    grad = np.max(np.abs(derivative(st.rho, st.grid)))
+    assert st.drho_inf == pytest.approx(grad, rel=1e-12)
+
+
 def test_rhs_and_recover_velocity_batch_their_transforms(monkeypatch):
     st = reference_problem_64()
     st.problem.plan  # builds the spectral plan outside the count

@@ -12,19 +12,19 @@ from epasim.kernels import (
     LipschitzKernel,
     PotentialSpec,
     RegularPotential,
-    SingularityError,
     c_alpha,
     g_source,
     kernel_min,
-    psi_alpha,
 )
 from epasim.model import make_initial
 from epasim.spectral import Grid, convolve, mean, to_spectrum
 from conftest import random_smooth_field
 from oracles import (
+    SingularityError,
     dense_kernel_min,
     fractional_laplacian_direct,
     newtonian_force,
+    psi_alpha,
     psi_alpha_min,
     regular_force,
 )
@@ -205,6 +205,14 @@ PSI_L_KINDS = {
 }
 
 
+def zeta_kernel_min(spec):
+    # c psi_alpha(1/2) + min psi_l, with the half-integer lattice sum
+    # psi_alpha(1/2) = 2 c_alpha (2^(1+alpha) - 1) zeta(1+alpha) read from scipy
+    a = spec.alpha
+    singular = 2.0 * c_alpha(a) * (2.0 ** (1.0 + a) - 1.0) * float(zeta(1.0 + a))
+    return spec.c * singular + spec.psi_l.value_range()[0]
+
+
 @pytest.mark.parametrize("c", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("kind", sorted(PSI_L_KINDS))
 def test_kernel_min_against_dense_oracle(kind, c):
@@ -214,8 +222,25 @@ def test_kernel_min_against_dense_oracle(kind, c):
     if kind == "cosine-negative-b" and c == 0.0:
         # the infimum a - |b| is approached at x -> 0, which is left out
         assert dense - got < 1e-8
-    elif c == 0.0 or kind in ("zero", "constant", "cosine"):
+    elif c == 0.0:
         assert got == dense
+    elif kind in ("zero", "constant", "cosine"):
+        # the dense search reads the lattice sum at x = 1/2, which is off by
+        # up to 2e-12 relative; kernel_min's closed form is exact to rounding
+        assert got == pytest.approx(zeta_kernel_min(spec), rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(PSI_L_KINDS))
+@pytest.mark.parametrize("c", [0.3, 1.0])
+@pytest.mark.parametrize("alpha", [0.01, 0.3, 0.5, 1.0, 1.5, 1.99])
+def test_kernel_min_against_zeta(alpha, c, kind):
+    spec = KernelSpec(c=c, alpha=alpha, psi_l=PSI_L_KINDS[kind])
+    assert kernel_min(spec) == pytest.approx(zeta_kernel_min(spec), rel=2e-15, abs=0.0)
+
+
+def test_kernel_min_at_alpha_one_is_pi():
+    # c_1 = 1/pi and 2 (2^2 - 1) zeta(2) = pi^2
+    assert kernel_min(KernelSpec(c=1.0, alpha=1.0)) == pytest.approx(math.pi, rel=2e-15, abs=0.0)
 
 
 def test_table_validation():

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 from epasim import spectral
@@ -61,3 +62,22 @@ def test_no_src_name_is_used_only_by_tests():
                     if isinstance(node.value, str):
                         used.add(node.value)
     assert [d for d in defined if d[2] not in used | TEST_ONLY_ALLOWED] == []
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    # the package depends on numpy alone; scipy and the rest of the test
+    # extra are oracles, so an import of theirs from src is refused
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not relative
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "numpy" and top not in sys.stdlib_module_names:
+                    found.append((path.name, node.lineno, name))
+    assert found == []
