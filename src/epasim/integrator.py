@@ -33,7 +33,7 @@ evaluates the dynamics on the band (``model.rhs_spectrum``); the SSP-RK3
 combinations update whole complex blocks in place. An FFT call is one
 call of ``spectral.rfft`` or ``spectral.irfft``, and transforms one row
 per row of its block. An evaluation makes 2 calls over 3 transforms, the
-velocity irfft and the flux rfft, and a step makes 9 calls over 16:
+velocity irfft and the flux rfft, and a step makes 9 calls over 15:
 
 - each inner stage: one irfft of its spectrum gives its fields (2
   transforms), which ``model.check_fields`` checks before the evaluation
@@ -42,22 +42,28 @@ velocity irfft and the flux rfft, and a step makes 9 calls over 16:
   new ``SimState``, which holds that spectrum as its read-only ``spec``;
   building it runs the same check, so a step checks three sets of fields;
 - the next step's first stage, evaluated before the monitors: the velocity
-  irfft, which carries -d rho/dx, the density row times the plan's flux
-  multiplier, as a second row (2), and the flux rfft (2). Its sup |u| sets
-  that step's advective bound, its derivative spectrum is that step's
-  stage 1, and the sup of |d rho/dx| becomes the accepted state's
-  ``drho_inf``. So the detectors, at the top of the next step, and the
-  monitors read a state's band and ``drho_inf`` at no FFT.
+  irfft (1) and the flux rfft (2). Its sup |u| sets that step's advective
+  bound and its derivative spectrum is that step's stage 1.
 
-Once per run the loop makes 2 calls over 3 transforms: the initial rfft
-(2), and for the final state's ``drho_inf``, as no first stage follows
-it, one irfft of its density row (1), read off the band the loop holds
-(``model.drho_sup``), the initial one too when no step follows the start.
-A step also makes 10 ufunc reductions, each a ufunc's ``reduce``: 2 in
-each field check (the row sums and min rho), 2 for the first stage's
-sup |u|, 1 for its sup |d rho/dx| and 1 for the density detector. Every
-state of a run shares the initial state's ``model.Problem``, so no step
-looks up a cache.
+The first stage's velocity irfft carries -d rho/dx, the density row
+times the plan's flux multiplier, as a second row (9 calls over 16) only
+when a gradient detector can fire on its sup: when ``bkm_cap`` is finite,
+as the squared-gradient sum reads every state's, or when the band's bound
+``model.drho_bound``, read at no FFT, exceeds ``grad_rho_max``. The sup
+then becomes the accepted state's ``drho_inf``. Else the state reads it
+off its band when asked (``model.drho_sup``), the same bits, as irfft works
+row by row: a monitor that reads it, as the recorder does, adds 1 call
+over 1 transform to a step.
+
+Once per run the loop makes the initial rfft (2 transforms), and 1 irfft of
+a density row (1) for each ``drho_inf`` read off a band: the caller's
+state's, off the band the loop transformed, so that a monitor's read gives
+that state no band, unless its first stage carried the row; and the final
+state's, off its own band, unless a monitor read it. A step makes 8 ufunc
+reductions, each a ufunc's ``reduce``: 2 in each field check (the row sums
+and min rho), 1 for the first stage's sups, of |u| and, with the row,
+|d rho/dx|, and 1 for the density detector. Every state of a run shares
+the initial state's ``model.Problem``, so no step looks up a cache.
 
 During a step the loop holds the spectrum and no state, and it gives the
 caller's state no band. A failed step reports the last accepted state,
@@ -83,6 +89,7 @@ from .model import (
     SimState,
     VacuumError,
     check_fields,
+    drho_bound,
     drho_sup,
     rhs_spectrum,
 )
@@ -134,6 +141,8 @@ class DetectionThresholds:
     here: a state below ``model.RHO_FLOOR`` cannot be built, so the run
     reports VACUUM when a stage's construction refuses one. Thresholds are
     positive, inf turning a detector off; a NaN, which would too, is refused.
+    A run transforms sup |d rho/dx| only on steps where one of the two
+    gradient detectors can fire (see the module docstring).
     """
 
     rho_max_factor: float = 1e6  # fire when max rho exceeds factor * rho_bar
@@ -270,16 +279,18 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
     problem = state.problem
     dc = _dt_constants(problem, ctl)
     initial = state
+    sum_bkm = math.isfinite(detection.bkm_cap)
 
     def stage1(s, spec):
-        # the next step's first stage, which also sets s.drho_inf; None when
-        # no step follows, and s.drho_inf then read off spec, which s may not hold
+        # the next step's first stage and the sup |d rho/dx| that it stores
+        # in s, None when no detector can fire on it; (None, None) at the end
         if s.t >= ctl.t_end - 1e-12:
-            object.__setattr__(s, "drho_inf", drho_sup(spec, problem))
-            return None
-        d, u_inf, drho_inf = rhs_spectrum(spec, s.x, problem, drho=True)
-        object.__setattr__(s, "drho_inf", drho_inf)
-        return d, u_inf
+            return None, None
+        row = sum_bkm or drho_bound(spec, problem) > detection.grad_rho_max
+        d, u_inf, grad = rhs_spectrum(spec, s.x, problem, drho=row)
+        if row:
+            object.__setattr__(s, "drho_inf", grad)
+        return (d, u_inf), grad
 
     def outcome(status, detail=""):
         if state is not initial:
@@ -290,8 +301,9 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
                           state=state, detail=detail, log=log)
 
     spec = spectral.rfft(state.x)[:, :problem.grid.band]
-    k1 = stage1(state, spec)
-    grad_inf = state.drho_inf
+    k1, grad_inf = stage1(state, spec)
+    if grad_inf is None:  # read off the band, which the caller's state is not given
+        object.__setattr__(state, "drho_inf", drho_sup(spec, problem))
     for m in monitors:
         m(0, state)
 
@@ -299,7 +311,7 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
         rho_max = float(np.maximum.reduce(state.x[0]))
         if rho_max > detection.rho_max_factor * problem.rho_bar:
             return outcome(RunStatus.BLOWUP, f"max density {rho_max:.3e}")
-        if grad_inf > detection.grad_rho_max:
+        if grad_inf is not None and grad_inf > detection.grad_rho_max:
             return outcome(RunStatus.BLOWUP, f"density gradient {grad_inf:.3e}")
         if bkm > detection.bkm_cap:
             return outcome(RunStatus.BLOWUP, f"squared-gradient accumulation {bkm:.3e}")
@@ -316,16 +328,16 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
             del d  # the stage block of the finished step
             state = _accepted(new, t + dt, problem)
             spec = new
-            k1 = stage1(state, spec)
+            k1, grad = stage1(state, spec)
         except (VacuumError, NonFiniteError, MeanViolationError, FloatingPointError) as exc:
             if state is None:  # the last accepted state, as the monitors saw it
                 state = initial if steps == 0 else _accepted(spec, t, problem)
             status = RunStatus.VACUUM if isinstance(exc, VacuumError) else RunStatus.NAN
             return outcome(status, str(exc))
         steps += 1
-        prev_sq = grad_inf**2
-        grad_inf = state.drho_inf
-        bkm += 0.5 * (prev_sq + grad_inf**2) * dt
+        if sum_bkm and k1 is not None:  # the sum is read only by the next step's detector
+            bkm += 0.5 * (grad_inf**2 + grad**2) * dt
+        grad_inf = grad
         for m in monitors:
             m(steps, state)
     return outcome(RunStatus.COMPLETED)

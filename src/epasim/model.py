@@ -27,8 +27,8 @@ mode n/2 is never in the band.
   per grid, which :func:`make_initial` also reads to solve this relation
   for g_hat;
 - flux derivative: flux = -2 pi i k, which also gives -d rho/dx as
-  rho_hat flux, one complex product: the first stage's gradient row, and
-  the one irfft a run's final state makes for its ``drho_inf``;
+  rho_hat flux, one complex product: a first stage's gradient row, and
+  the one irfft of :func:`drho_sup`, whose sup :func:`drho_bound` bounds;
 - potential source: source rho_hat with source = -k + (2 pi k)^2 K_reg_hat,
   plus k n rho_bar on mode 0 for the background.
 
@@ -166,9 +166,11 @@ class SimState:
     Two values are filled once, on first read: ``spec``, the read-only
     (2, b) band whose irfft is x, a copy of rfft(x)'s first b modes, and
     ``drho_inf``, sup |d rho/dx|, :func:`drho_sup` of that band. A run
-    stores both in its states, so only its final state makes that irfft
-    (see ``integrator``). Slots keep a state and its problem about 500
-    bytes smaller than the instance dicts of ``cached_property`` (Python 3.11).
+    stores the band in the states it builds, and ``drho_inf`` where it has
+    it: from a first stage that carried the row, or in the caller's state,
+    read off the loop's band (see ``integrator``). Slots keep a state and
+    its problem about 500 bytes smaller than the instance dicts of
+    ``cached_property`` (Python 3.11).
     """
 
     problem: Problem
@@ -243,32 +245,48 @@ def _velocity(spec: np.ndarray, rho: np.ndarray, problem: Problem,
               drho_row: bool = False) -> np.ndarray:
     """Velocity of the block with spectrum spec and density rho, as row 0 of a new block.
 
-    One irfft of u_hat, one transform. With ``drho_row`` the call carries
+    One irfft of u_hat, one transform, on the row that the product
+    vel_rho rho_hat allocates. With ``drho_row`` the call carries
     rho_hat flux = -2 pi i k rho_hat as a second row, two transforms in
     all: row 1 is then -d rho/dx, bit for bit the negated derivative, as
     flux has a zero real part and the irfft of -X is -irfft(X).
     """
     plan = problem.plan
     rho_hat = spec[0]
-    rows = np.empty((1 + drho_row, rho_hat.size), dtype=complex)
-    u_hat = rows[0]
-    np.multiply(plan.vel_rho, rho_hat, out=u_hat)
+    if drho_row:
+        rows = np.empty((2, rho_hat.size), dtype=complex)
+        u_hat = np.multiply(plan.vel_rho, rho_hat, out=rows[0])
+        np.multiply(rho_hat, plan.flux, out=rows[1])
+    else:
+        u_hat = np.multiply(plan.vel_rho, rho_hat)
+        rows = u_hat[np.newaxis]
     u_hat += spec[1]
     u_hat *= plan.inv_ddx
-    if drho_row:
-        np.multiply(rho_hat, plan.flux, out=rows[1])
     n = rho.size
     w = spectral.irfft(rows, n=n)
     u = w[0]
-    u += (problem.m0 * n - float(np.dot(rho, u))) / float(rho_hat[0].real)
+    u += (problem.m0 * n - float(rho.dot(u))) / float(rho_hat[0].real)
     return w
 
 
 def drho_sup(spec: np.ndarray, problem: Problem) -> float:
     """sup |d rho/dx| of the block with spectrum spec: the max of
-    |irfft(spec[0] flux)|, one irfft of the density row, one transform."""
+    |irfft(spec[0] flux)|, one irfft of the density row, one transform:
+    bit for bit the sup of the row a first stage's velocity irfft carries."""
     w = spectral.irfft(spec[0] * problem.plan.flux, problem.grid.n)
     return float(np.maximum.reduce(np.abs(w, out=w)))
+
+
+def drho_bound(spec: np.ndarray, problem: Problem) -> float:
+    """An upper bound on :func:`drho_sup` of the band spec, at no FFT.
+
+    A density in the band is a sum of its modes, so sup |d rho/dx| is at
+    most the sum of their amplitudes, (2/n) sum_k 2 pi k |rho_hat_k| (the
+    band holds no Nyquist mode), which is -2 |rho_hat| . flux.imag / n.
+    The factor 1 + 1e-9 covers the rounding of that sum and of the irfft.
+    """
+    flux = problem.plan.flux
+    return -2.0 * float(np.abs(spec[0]).dot(flux.imag)) / problem.grid.n * (1.0 + 1e-9)
 
 
 def recover_velocity(state: SimState) -> np.ndarray:
@@ -284,38 +302,40 @@ def recover_velocity(state: SimState) -> np.ndarray:
 
 
 def rhs_spectrum(spec: np.ndarray, x: np.ndarray, problem: Problem,
-                 drho: bool = False) -> tuple[np.ndarray, float | None, float | None]:
+                 drho: bool | None = None) -> tuple[np.ndarray, float | None, float | None]:
     """Spectrum of the time derivatives of the field block x = (rho, g), whose spectrum is spec.
 
-    Returns a new (2, b) band and, with ``drho``, the flag of a step's
-    first stage, sup |u| of the velocity behind it and sup |d rho/dx|, else
-    None for both: the inner stages need neither. The velocity irfft of
-    :func:`_velocity` is followed by one rfft of the fluxes (rho u, g u),
-    which are written into x (budgets: see ``integrator``); the products
-    with the plan's flux multiplier read its band alone, which dealiases the
-    quadratic products. With ``drho`` the velocity transform also gives
-    -d rho/dx as a second row, and the fluxes go into its block instead, so
-    x is only read. Checks nothing: x holds the fields of a valid state or
-    of a stage that was checked, and a non-finite derivative fails the
-    check of the next stage.
+    Returns a new (2, b) band, sup |u| of the velocity behind it and
+    sup |d rho/dx|, each None where not asked for. An inner stage passes no
+    ``drho``, needs neither sup and writes the fluxes (rho u, g u) into x,
+    its temporary fields. A step's first stage passes it, False for sup |u|
+    alone, True for both, and only reads x, a state's fields: with True the
+    velocity transform also gives -d rho/dx as a second row, and the fluxes
+    go into its block, else into a new one; one reduction over that block's
+    |values| gives the sups. The velocity irfft of :func:`_velocity` is
+    followed by one rfft of the fluxes (budgets: see ``integrator``); the
+    products with the plan's flux multiplier read its band alone, which
+    dealiases the quadratic products. Checks nothing: x holds the fields of
+    a valid state or of a stage that was checked, and a non-finite
+    derivative fails the check of the next stage.
     """
     plan = problem.plan
     n = x.shape[1]
-    w = _velocity(spec, x[0], problem, drho)
+    w = _velocity(spec, x[0], problem, bool(drho))
     u = w[0]
     # the elementwise work with an (n,) operand goes row by row: an in-place
     # op on a (2, n) block with an (n,) operand would allocate a (2, n) buffer
-    if drho:
-        u_inf = max(float(np.maximum.reduce(u)), -float(np.minimum.reduce(u)))
-        drho_inf = float(np.maximum.reduce(np.abs(w[1], out=w[1])))
-        flux = w
-        np.multiply(x[1], u, out=flux[1])
-        flux[0] *= x[0]
-    else:
+    if drho is None:
         u_inf = drho_inf = None
         flux = x
         flux[0] *= u
         flux[1] *= u
+    else:
+        sups = np.maximum.reduce(np.abs(w), axis=1).tolist()
+        u_inf, drho_inf = sups if drho else (sups[0], None)
+        flux = w if drho else np.empty((2, n))
+        np.multiply(x[1], u, out=flux[1])
+        np.multiply(x[0], u, out=flux[0])
     del w, u
     d = spectral.rfft(flux)
     del flux, x  # x passed as a temporary is freed here, before the products below

@@ -3,9 +3,10 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from epasim import kernels, spectral
+from epasim import integrator, kernels, model, spectral
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -61,3 +62,70 @@ def test_benchmark_set_up_makes_one_fft_and_reads_no_grid_point(name, monkeypatc
     want = {"solve-4096": 1, "verify-1024": 1, "sweep-256": 8}[name]
     assert len(ffts) == len(jobs) == want
     assert samples == [] and points == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_instance_0_transforms_per_step(name, monkeypatch):
+    # transforms, one per row of a spectral.rfft / irfft call, inside
+    # integrator.run on instance 0. A step transforms 15 rows, and 16 when
+    # its first stage carries -d rho/dx or a monitor reads the state's
+    # drho_inf off its band: solve-4096 has neither, verify-1024's recorder
+    # reads every state's, and sweep-256's first stages carry the row once
+    # the band's bound passes its grad_rho_max of 1e3. Per run: 2 for the
+    # initial rfft and at most 2 density rows read off a band (see integrator)
+    workload = workloads.WORKLOADS[name]
+    jobs = workload.setup(workload.params(None))
+    rows = []
+
+    def counting(fn):
+        def wrapper(a, *args, **kwargs):
+            rows.append(1 if a.ndim == 1 else len(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for fn_name in ("rfft", "irfft"):
+        monkeypatch.setattr(spectral, fn_name, counting(getattr(spectral, fn_name)))
+    outcomes = workloads.execute(jobs).outcomes
+    transforms, steps, runs = sum(rows), sum(out.steps for out in outcomes), len(outcomes)
+    if name == "solve-4096":
+        assert transforms == 15 * steps + 4
+    elif name == "verify-1024":
+        assert transforms == 16 * steps + 3
+    else:
+        assert 15 * steps + 2 * runs <= transforms <= 16 * steps + 4 * runs
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_drho_bound_holds_on_every_accepted_state_of_instance_0(name):
+    # the run loop skips the row when the band's bound certifies that no
+    # detector can fire: the bound must hold on every state a run accepts
+    workload = workloads.WORKLOADS[name]
+    seen = []
+
+    def check(step, state):
+        spec = state.spec if step else spectral.rfft(state.x)[:, :state.grid.band]
+        seen.append(model.drho_bound(spec, state.problem) >= model.drho_sup(spec, state.problem))
+
+    for job in workload.setup(workload.params(None)):
+        monitors = (job.recorder, check) if job.recorder is not None else (check,)
+        integrator.run(job.state, job.ctl, monitors, job.detection)
+    assert len(seen) > 100 and all(seen)
+
+
+def test_sweep_runs_are_the_same_with_the_row_on_every_step():
+    # a finite bkm_cap makes every first stage carry -d rho/dx; the eight
+    # runs of sweep-256's instance 0 end as they do when the loop skips the
+    # row wherever the band's bound stays below grad_rho_max, bit for bit
+    workload = workloads.WORKLOADS["sweep-256"]
+    params = workload.params(None)
+    forced = integrator.DetectionThresholds(grad_rho_max=workloads.SWEEP_GRAD_MAX, bkm_cap=1e300)
+    plain = workloads.execute(workload.setup(params)).outcomes
+    jobs = workload.setup(params)
+    for job in jobs:
+        job.detection = forced
+    rowed = workloads.execute(jobs).outcomes
+    assert {out.status for out in plain} == {integrator.RunStatus.COMPLETED,
+                                            integrator.RunStatus.BLOWUP}
+    for a, b in zip(plain, rowed, strict=True):
+        assert (a.status, a.steps, a.t_final, a.detail) == (b.status, b.steps, b.t_final, b.detail)
+        assert np.array_equal(a.state.x, b.state.x)

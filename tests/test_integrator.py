@@ -463,15 +463,16 @@ def count_checks(monkeypatch):
     return box
 
 
-def assert_fft_budget(monkeypatch, monitors=()):
-    # a step makes 9 FFT calls over 16 transforms: each inner stage an irfft
-    # of its spectrum (2 transforms), the velocity irfft (1) and the flux
-    # rfft (2); the accepted state one irfft of its spectrum (2); and the
-    # next step's first stage, on that state, a velocity irfft that carries
-    # d rho/dx as a second row (2) and the flux rfft (2). Once per run: the
-    # rfft of the initial block (1 call, 2 transforms), and the final
-    # state's drho_inf, which no step follows, one irfft of that same
-    # density row (1 call, 1 transform)
+def assert_fft_budget(monkeypatch, monitors=(), detection=DetectionThresholds(),
+                      per_step=(9, 15), per_run=(3, 4)):
+    # per step, (FFT calls, transforms): each inner stage an irfft of its
+    # spectrum (2 transforms), the velocity irfft (1) and the flux rfft (2);
+    # the accepted state one irfft of its spectrum (2); and the next step's
+    # first stage, on that state, a velocity irfft (1, or 2 when it carries
+    # -d rho/dx as a second row) and the flux rfft (2). Per run: the rfft of
+    # the initial block (1 call, 2 transforms), and one irfft of a density
+    # row (1 call, 1 transform) for each drho_inf the loop reads off a band,
+    # the initial state's when no row came with it and the final state's
     st = reference_problem_64()
     rhs(st)  # builds the spectral plan outside the count
     dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
@@ -479,33 +480,43 @@ def assert_fft_budget(monkeypatch, monitors=()):
     ffts = count_ffts(monkeypatch)
     monkeypatch.setattr(integrator, "rhs_spectrum", counted(integrator.rhs_spectrum, evals))
     checks = count_checks(monkeypatch)
-    out = run(st, StepControl(t_end=20 * dt, dt_max=dt), monitors=monitors)
+    out = run(st, StepControl(t_end=20 * dt, dt_max=dt), monitors, detection)
     assert out.status is RunStatus.COMPLETED and out.steps == 20
-    assert ffts == {"calls": 9 * out.steps + 2, "transforms": 16 * out.steps + 3}
+    assert ffts == {"calls": per_step[0] * out.steps + per_run[0],
+                    "transforms": per_step[1] * out.steps + per_run[1]}
     assert evals["n"] == 3 * out.steps
     # one check per stage: the two inner stages and the accepted state
     assert checks["n"] == 3 * out.steps
 
 
 def test_run_fft_budget_per_step(monkeypatch):
+    # no detector can fire on sup |d rho/dx|: the bound read off the band
+    # stays below grad_rho_max and bkm_cap is inf, so no first stage
+    # carries the row
     assert_fft_budget(monkeypatch)
 
 
+def test_run_fft_budget_per_step_with_a_finite_bkm_cap(monkeypatch):
+    # the squared-gradient sum reads sup |d rho/dx| of every state, so every
+    # first stage carries the row and the final state reads its own
+    assert_fft_budget(monkeypatch, detection=DetectionThresholds(bkm_cap=1e300),
+                      per_step=(9, 16), per_run=(2, 3))
+
+
 def test_run_fft_budget_per_step_with_recorder(monkeypatch):
-    # a recorder row recovers no velocity and reads the run loop's
-    # |d rho/dx|_inf from the state, so it adds no FFT to a step
+    # a recorder row recovers no velocity; its |d rho/dx|_inf is the
+    # state's, which no first stage gave it, so it reads it off the state's
+    # band: one irfft of a density row per step. The initial state's was
+    # read off the loop's band, and the final state's is read by its row
     gauge = ModulusParams(delta=0.1, gamma=0.029, b=1e14, alpha=0.5)
     rec = DiagnosticsRecorder(bound_constants(reference_problem_64()), gauge, moc_every=10)
-    assert_fft_budget(monkeypatch, (rec,))
+    assert_fft_budget(monkeypatch, (rec,), per_step=(10, 16), per_run=(2, 3))
     assert len(rec.log.t) == 21 and np.sum(~np.isnan(rec.log.column("moc_pass"))) == 3
 
 
-def test_run_reduction_budget_per_step():
-    # a step makes 10 ufunc reductions: 2 in each of the three field checks,
-    # 2 for the first stage's sup |u|, 1 for its sup |d rho/dx| and 1 for
-    # the density detector; the inner stages compute no sup |u|. Counted
-    # between the monitor calls after steps 1 .. 20; the last step has no
-    # next first stage, and its state reads its drho_inf off its own band
+def reductions_per_step(detection):
+    # ufunc reductions, each a ufunc's reduce, between the monitor calls
+    # after steps 1 .. 20; the last step has no next first stage
     st = reference_problem_64()
     dt = 0.5 * stable_dt(st, StepControl(t_end=1.0))
     count, marks = [0], []
@@ -518,11 +529,24 @@ def test_run_reduction_budget_per_step():
     sys.setprofile(profile)
     try:
         out = run(st, StepControl(t_end=20 * dt, dt_max=dt),
-                  monitors=(lambda k, s: marks.append(count[0]),))
+                  monitors=(lambda k, s: marks.append(count[0]),), detection=detection)
     finally:
         sys.setprofile(None)
     assert out.status is RunStatus.COMPLETED and out.steps == 20
-    assert np.diff(marks)[:-1].tolist() == [10] * 19
+    return np.diff(marks)[:-1].tolist()
+
+
+def test_run_reduction_budget_per_step():
+    # a step makes 8 ufunc reductions: 2 in each of the three field checks,
+    # 1 for the first stage's sup |u| and 1 for the density detector; the
+    # inner stages compute no sup
+    assert reductions_per_step(DetectionThresholds()) == [8] * 19
+
+
+def test_run_reduction_budget_per_step_with_the_row():
+    # a finite bkm_cap makes every first stage carry -d rho/dx, and the
+    # one reduction over its block takes both sups: still 8
+    assert reductions_per_step(DetectionThresholds(bkm_cap=1e300)) == [8] * 19
 
 
 def cache_lookups():
@@ -613,6 +637,23 @@ def test_a_run_that_takes_no_step_gives_its_state_no_band(monkeypatch):
     assert not holds_band(st)
     grad = np.max(np.abs(derivative(st.rho, st.grid)))
     assert st.drho_inf == pytest.approx(grad, rel=1e-12)
+
+
+def test_a_monitor_reading_drho_inf_at_step_0_gives_the_callers_state_no_band():
+    # no first stage carries the row here, so the loop reads the caller's
+    # state's drho_inf off the band it transformed: a monitor that reads it
+    # at step 0 finds it there and pins no band on the state
+    st = reference_problem_64()
+    read = []
+
+    def monitor(k, s):
+        if k == 0:
+            read.append(s.drho_inf)
+
+    out = run(st, StepControl(t_end=0.01), monitors=(monitor,))
+    assert out.status is RunStatus.COMPLETED and out.steps > 0
+    assert not holds_band(st)
+    assert read == [st.drho_inf] and st.drho_inf == model.drho_sup(band_spectrum(st), st.problem)
 
 
 def test_rhs_and_recover_velocity_batch_their_transforms(monkeypatch):

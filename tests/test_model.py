@@ -270,6 +270,46 @@ def test_rhs_and_velocity_match_composed_route(n, kernel, potential):
         assert u_inf == pytest.approx(np.max(np.abs(want_u)), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [8, 64, 256, 1024, 4096])
+def test_drho_bound_holds_over_drho_sup(n):
+    # the band's bound on sup |d rho/dx| is never below the irfft's sup:
+    # on random bands whose modes decay as 1/k, and on a band whose energy
+    # is all in mode n // 3, the top mode, where the bound is the exact sup
+    # wherever a grid point meets a peak of the derivative
+    problem = make_initial("uniform", Grid(n), EA_KERNEL).problem
+    b = Grid(n).band
+    k = np.arange(1, b)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        spec = np.zeros((2, b), dtype=complex)
+        spec[0, 0] = n
+        spec[0, 1:] = n * (rng.normal(size=b - 1) + 1j * rng.normal(size=b - 1)) / k
+        assert model.drho_bound(spec, problem) >= model.drho_sup(spec, problem)
+    for phase in np.linspace(0.0, 2 * np.pi, 17):
+        spec = np.zeros((2, b), dtype=complex)
+        spec[0, 0] = n
+        spec[0, -1] = 0.5 * n * np.exp(1j * phase)
+        bound, sup = model.drho_bound(spec, problem), model.drho_sup(spec, problem)
+        assert bound >= sup
+        assert bound == pytest.approx(2 * np.pi * (n // 3), rel=1e-8)
+
+
+@pytest.mark.parametrize("kernel, potential", KERNEL_POTENTIAL_PAIRS)
+def test_first_stage_without_the_row_is_bit_for_bit_the_same(kernel, potential, grid128):
+    # a first stage's derivative band and sup |u| do not depend on whether
+    # its velocity irfft carries -d rho/dx, whose sup is drho_sup's, and
+    # neither reads more than the state's fields
+    rng = np.random.default_rng(3)
+    st = state_from(random_positive_field(grid128, rng),
+                    random_smooth_field(grid128, rng, offset=0.3), kernel, grid128, potential)
+    x = st.x.copy()
+    d_row, u_row, drho = model.rhs_spectrum(st.spec, st.x, st.problem, drho=True)
+    d, u_inf, none = model.rhs_spectrum(st.spec, st.x, st.problem, drho=False)
+    assert np.array_equal(st.x, x)
+    assert np.array_equal(d, d_row) and u_inf == u_row and none is None
+    assert drho == model.drho_sup(st.spec, st.problem)
+
+
 @pytest.mark.parametrize("kernel, potential", KERNEL_POTENTIAL_PAIRS)
 def test_momentum_is_conserved_on_every_pair(kernel, potential, grid128):
     # d/dt int rho u = int rho (A + F), which an even kernel and potential
