@@ -31,19 +31,15 @@ on blocks of (lag, sample) pairs rule out most of it, D is computed only
 where they leave it open, and B is that of the full table, bit for bit,
 in O(n) time and memory. ``moc_check``, which also names the binding
 pair, reads the plain table instead: one O(n) pass per lag, O(n^2), about
-2 ms at n = 1024 against 0.27 ms for a modulus row. A modulus row costs
-its numpy calls, about 190 on verify-1024 (``_lag_table``, ``_tiles``),
-more than its O(n) arithmetic, so it avoids numpy's wrappers of ndarray
-methods, buffered broadcast or overlapping operands, and work that no
-kept lag needs.
+2 ms at n = 1024 against 0.27 ms for a modulus row, whose cost is its
+numpy calls more than its arithmetic (``_lag_table``, ``_tiles``).
 The recorder logs these quantities along a run, one row per step, among
 them the running trapezoidal integral of |d rho/dx|_inf^2 whose
 finiteness is the regularity criterion. ``COLUMNS`` names the columns of
 a row in order; it is also the header of the CSV log, whose columns a
 log keeps as typed float64 arrays, 8 bytes a value (``column`` returns a
 numpy copy). Apart from the lag table of a modulus row, a recorder row
-is O(n) and takes no transform: |d rho/dx|_inf is read from the state,
-where the run loop has computed it already.
+is O(n) and takes no transform (see ``DiagnosticsRecorder``).
 
 Grid extrema under-sample continuum extrema, so every envelope comparison
 carries the slack factor 1 + 10 dx; margins are reported with the slack
@@ -166,10 +162,8 @@ def bound_constants(state: SimState, eps_fraction: float = 0.5, c1: float = 1.0)
     user-supplied nonlinear-maximum-principle constant (no numeric value
     is derivable here, so it defaults to 1 and the upper-envelope check
     additionally reports the value fitted from the run). psi_m is
-    ``kernel_min``, a closed form through zeta(1+alpha) that costs a few
-    microseconds: exact to a relative 6e-16, or for c > 0 with a b < 0
-    cosine psi_l a certified lower bound that makes every constant more
-    conservative.
+    ``kernel_min``; where it is a lower bound and not exact, every constant
+    is more conservative.
     """
     if not 0.0 < eps_fraction < 1.0:
         raise ValueError("eps_fraction must be in (0, 1)")
@@ -634,25 +628,23 @@ class DiagnosticsRecorder:
     """Monitor collecting the diagnostics log during a run.
 
     Step 0, a run's first monitor call, starts a new log, so each run
-    through one recorder has its own, and an earlier run's outcome keeps
-    its log as it was. A row is recorded at every step, with the columns
-    of ``COLUMNS``: time, min and max density, |g/rho|_inf,
-    |d rho/dx|_inf (the state's ``drho_inf``, shared with the run loop),
-    the trapezoidal integral of its square, mass, the two envelope margins
-    (NaN without ``bounds``), and the modulus verdict and the infimum of
-    the passing B (see ``moc_min_b``). Both modulus columns come from one
-    lag table, pruned to the lags that may bind B: the verdict is
-    log b > log B before B is clamped to 1, which is ``moc_check``'s
-    verdict, as the gauge is monotone in b. They run every ``moc_every``
-    steps, a positive integer and not a bool (else ValueError); rows in
-    between, and every row without ``moc``, carry NaN there. A row
-    recovers no velocity: ``recover_velocity`` pins the momentum to m0 by
-    construction, so a momentum column would only echo it. A plain row
-    makes about a dozen numpy calls, its reductions through ndarray
-    methods and ``spectral.mean``, which return the bits of ``np.min``,
-    ``np.max`` and ``np.mean`` in half their time; a modulus row adds the
-    table's (see ``_lag_table``) and about 10 to read B from it.
+    through one recorder has its own. A row is recorded at every step, with
+    the columns of ``COLUMNS``. Its |d rho/dx|_inf is the state's
+    ``drho_inf``, which ``reads`` names, so that the run loop transforms it
+    with each first stage's velocity (see ``integrator``). The envelope
+    margins are NaN without ``bounds``. The modulus verdict, log b above
+    the log of B before it is clamped to 1 (``moc_check``'s, as the gauge
+    is monotone in b), and B, the infimum of the passing b (``moc_min_b``),
+    come from one lag table, every ``moc_every`` steps, a positive integer
+    and not a bool (else ValueError); NaN in between and without ``moc``.
+    A row recovers no velocity: ``recover_velocity`` pins the momentum to
+    m0, so a momentum column would only echo it. A plain row makes about a
+    dozen numpy calls, its reductions through ndarray methods and
+    ``spectral.mean``, the bits of ``np.min``, ``np.max`` and ``np.mean`` in
+    half their time; a modulus row adds the table's and about 10 more.
     """
+
+    reads = frozenset({"drho_inf"})
 
     def __init__(self, bounds: BoundConstants | None = None,
                  moc: ModulusParams | None = None,
@@ -683,10 +675,8 @@ class DiagnosticsRecorder:
         f = state.g / rho
         f_inf = float(np.abs(f, out=f).max())
         del f  # freed before the lag table
-        if log.t:
-            bkm = log.bkm[-1] + 0.5 * (log.drho_inf[-1] ** 2 + drho**2) * (t - log.t[-1])
-        else:
-            bkm = 0.0
+        bkm = (log.bkm[-1] + 0.5 * (log.drho_inf[-1] ** 2 + drho**2) * (t - log.t[-1])
+               if log.t else 0.0)
         if self.bounds is not None:
             low = float(self.bounds.lower_margin(t, rho_min, grid.dx))
             up = float(self.bounds.upper_margin(t, rho_max, grid.dx))

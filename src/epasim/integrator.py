@@ -1,9 +1,9 @@
 """Explicit time integration with stability-bounded steps and detection.
 
 SSP-RK3 (Shu-Osher) over the transport form of the dynamics. Steps are
-capped by four bounds (``_raw_dt``); the run loop watches for vacuum,
-non-finite values, and blow-up indicators (collapsing dt, runaway density
-or gradient, or a capped accumulation of the squared-gradient history).
+capped by four bounds (``_raw_dt``); a run ends at vacuum, at non-finite
+values or when a stop rule fires (collapsing dt, runaway density or
+gradient, or a capped accumulation of the squared-gradient history).
 
 - Advective: dt sup |u| <= cfl_advect dx. SSP-RK3 holds the imaginary
   axis up to sqrt(3), so linear advection at speed u keeps the band's top
@@ -46,25 +46,23 @@ velocity irfft and the flux rfft, and a step makes 9 calls over 15:
   bound and its derivative spectrum is that step's stage 1.
 
 The first stage's velocity irfft carries -d rho/dx, the density row
-times the plan's flux multiplier, as a second row (9 calls over 16) only
-when a gradient detector can fire on its sup: when ``bkm_cap`` is finite,
-as the squared-gradient sum reads every state's, or when the band's bound
-``model.drho_bound``, read at no FFT, exceeds ``grad_rho_max``. The sup
-then becomes the accepted state's ``drho_inf``. Else the state reads it
-off its band when asked (``model.drho_sup``), the same bits, as irfft works
-row by row: a monitor that reads it, as the recorder does, adds 1 call
-over 1 transform to a step.
+times the plan's flux multiplier, as a second row (9 calls over 16) when
+its sup is read: by the squared-gradient sum, if ``bkm_cap`` is finite; by
+a monitor whose ``reads`` names ``drho_inf``, as the recorder's does; or
+by the gradient rule, if the band's bound ``model.drho_bound`` exceeds
+``grad_rho_max``. The sup becomes the accepted state's ``drho_inf``; else
+a state reads it off its band when asked (``model.drho_sup``), the same
+bits, as irfft works row by row. Once per run the loop makes the initial
+rfft (2 transforms), and 1 irfft of a density row (1) for each
+``drho_inf`` read off a band: the caller's state's, off the loop's band,
+unless its first stage carried the row, and the final state's. A step
+makes 8 ufunc reductions: 2 in each field check (the row sums and min
+rho), 1 for the first stage's sups, of |u| and, with the row,
+|d rho/dx|, and 1 for max rho. The states of a run share one
+``model.Problem``, so no step looks up a cache.
 
-Once per run the loop makes the initial rfft (2 transforms), and 1 irfft of
-a density row (1) for each ``drho_inf`` read off a band: the caller's
-state's, off the band the loop transformed, so that a monitor's read gives
-that state no band, unless its first stage carried the row; and the final
-state's, off its own band, unless a monitor read it. A step makes 8 ufunc
-reductions, each a ufunc's ``reduce``: 2 in each field check (the row sums
-and min rho), 1 for the first stage's sups, of |u| and, with the row,
-|d rho/dx|, and 1 for the density detector. Every state of a run shares
-the initial state's ``model.Problem``, so no step looks up a cache.
-
+Before each step the loop checks ``STOP_RULES`` in one expression; a rule
+that fires ends the run BLOWUP with its ``Stop``, the outcome's detail.
 During a step the loop holds the spectrum and no state, and it gives the
 caller's state no band. A failed step reports the last accepted state,
 rebuilt from its spectrum, bit for bit the one the monitors saw (irfft
@@ -77,22 +75,15 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import spectral
-from .model import (
-    NonFiniteError,
-    Problem,
-    SimState,
-    VacuumError,
-    check_fields,
-    drho_bound,
-    drho_sup,
-    rhs_spectrum,
-)
+from .model import (NonFiniteError, Problem, SimState, VacuumError, check_fields, drho_bound,
+                    drho_sup, rhs_spectrum)
 from .spectral import MeanViolationError
 
 # imported only for perfbench/tracer.py, which wraps integrator.rhs,
@@ -134,15 +125,13 @@ class StepControl:
 
 @dataclass(frozen=True)
 class DetectionThresholds:
-    """Blow-up detector settings.
+    """Thresholds of three ``STOP_RULES``; ``StepControl.dt_min`` is the fourth's.
 
     Defaults are far outside anything a regular run reaches; control
     scenarios (no alignment) override them to taste. Vacuum has no setting
     here: a state below ``model.RHO_FLOOR`` cannot be built, so the run
     reports VACUUM when a stage's construction refuses one. Thresholds are
-    positive, inf turning a detector off; a NaN, which would too, is refused.
-    A run transforms sup |d rho/dx| only on steps where one of the two
-    gradient detectors can fire (see the module docstring).
+    positive, inf turning a rule off; a NaN, which would too, is refused.
     """
 
     rho_max_factor: float = 1e6  # fire when max rho exceeds factor * rho_bar
@@ -154,14 +143,46 @@ class DetectionThresholds:
             raise ValueError("detection thresholds must be positive (inf allowed), not NaN")
 
 
+# the stop rules in the order a run checks them before each step: the test
+# that fires each on its value and threshold, and the text of its detail
+STOP_RULES = {
+    "max_density": (operator.gt, "max density"),  # max rho, rho_max_factor rho_bar
+    "gradient": (operator.gt, "density gradient"),  # sup |d rho/dx|, grad_rho_max
+    "gradient_sum": (operator.gt, "squared-gradient accumulation"),  # its integral, bkm_cap
+    "dt_collapse": (operator.lt, "stable step collapsed to"),  # the stable dt, dt_min
+}
+READS = frozenset({"drho_inf"})  # the costly state values a monitor may read
+
+
+class Stop(NamedTuple):
+    """The stop rule of ``STOP_RULES`` that ended a run, its value and its threshold."""
+
+    rule: str
+    value: float
+    threshold: float
+
+    @property
+    def detail(self) -> str:
+        return f"{STOP_RULES[self.rule][1]} {self.value:.3e}"
+
+
+def _fired(limits: tuple, *values: float | None) -> Stop:
+    # the first rule whose value passes its threshold; a value not taken is None
+    for (rule, (passes, _)), value, limit in zip(STOP_RULES.items(), values, limits):
+        if value is not None and passes(value, limit):
+            return Stop(rule, value, limit)
+    raise AssertionError("no stop rule fired")
+
+
 @dataclass
 class RunOutcome:
     status: RunStatus
     t_final: float
     steps: int
     state: SimState
-    detail: str = ""
+    detail: str = ""  # the stop's text, or why the state left the valid region
     log: object | None = None  # first monitor exposing a .log attribute, if any
+    stop: Stop | None = None  # None unless a stop rule ended the run
 
 
 class _DtConstants(NamedTuple):
@@ -272,33 +293,41 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
 
     Monitors are callables ``monitor(step, state)`` invoked after every
     accepted step (and once for the initial state); they own their own
-    cadence decisions and see read-only snapshots (see the module docstring).
+    cadence decisions and see read-only snapshots. A monitor may carry
+    ``reads``, the set of costly state values it reads, of ``READS``;
+    another name raises ValueError (see the module docstring).
     """
-    steps = 0
-    bkm = 0.0
+    reads = frozenset().union(*(getattr(m, "reads", ()) for m in monitors))
+    if not reads <= READS:
+        raise ValueError(f"monitors read unknown state values {sorted(reads - READS)}")
+    steps, bkm = 0, 0.0
     problem = state.problem
     dc = _dt_constants(problem, ctl)
     initial = state
     sum_bkm = math.isfinite(detection.bkm_cap)
+    row_always = sum_bkm or "drho_inf" in reads
+    del reads  # a run's locals live as long as it does
+    limits = (detection.rho_max_factor * problem.rho_bar, detection.grad_rho_max,
+              detection.bkm_cap, ctl.dt_min)  # the thresholds of STOP_RULES, in order
 
     def stage1(s, spec):
         # the next step's first stage and the sup |d rho/dx| that it stores
-        # in s, None when no detector can fire on it; (None, None) at the end
+        # in s, None when nothing reads it; (None, None) at the end
         if s.t >= ctl.t_end - 1e-12:
             return None, None
-        row = sum_bkm or drho_bound(spec, problem) > detection.grad_rho_max
+        row = row_always or drho_bound(spec, problem) > detection.grad_rho_max
         d, u_inf, grad = rhs_spectrum(spec, s.x, problem, drho=row)
         if row:
             object.__setattr__(s, "drho_inf", grad)
         return (d, u_inf), grad
 
-    def outcome(status, detail=""):
+    def outcome(status, detail="", stop=None):
         if state is not initial:
             _ = state.drho_inf  # read off the band, which the outcome does not keep
             object.__delattr__(state, "spec")
         log = next((m.log for m in monitors if hasattr(m, "log")), None)
-        return RunOutcome(status=status, t_final=state.t, steps=steps,
-                          state=state, detail=detail, log=log)
+        return RunOutcome(status=status, t_final=state.t, steps=steps, state=state,
+                          detail=stop.detail if stop else detail, log=log, stop=stop)
 
     spec = spectral.rfft(state.x)[:, :problem.grid.band]
     k1, grad_inf = stage1(state, spec)
@@ -309,20 +338,16 @@ def run(state: SimState, ctl: StepControl, monitors: tuple = (),
 
     while k1 is not None:
         rho_max = float(np.maximum.reduce(state.x[0]))
-        if rho_max > detection.rho_max_factor * problem.rho_bar:
-            return outcome(RunStatus.BLOWUP, f"max density {rho_max:.3e}")
-        if grad_inf is not None and grad_inf > detection.grad_rho_max:
-            return outcome(RunStatus.BLOWUP, f"density gradient {grad_inf:.3e}")
-        if bkm > detection.bkm_cap:
-            return outcome(RunStatus.BLOWUP, f"squared-gradient accumulation {bkm:.3e}")
+        d, u_inf = k1
+        k1 = None
+        raw = _raw_dt(dc, rho_max, u_inf)
+        # the stop rules, written out so that a step builds no tuple of values
+        if (rho_max > limits[0] or (grad_inf is not None and grad_inf > limits[1])
+                or bkm > limits[2] or raw < limits[3]):
+            return outcome(RunStatus.BLOWUP, stop=_fired(limits, rho_max, grad_inf, bkm, raw))
         t = state.t
+        dt = min(raw, ctl.dt_max, ctl.t_end - t)
         try:
-            d, u_inf = k1
-            k1 = None
-            raw = _raw_dt(dc, rho_max, u_inf)
-            if raw < ctl.dt_min:
-                return outcome(RunStatus.BLOWUP, f"stable step collapsed to {raw:.3e}")
-            dt = min(raw, ctl.dt_max, ctl.t_end - t)
             state = None  # no physical copy of the accepted state during the step
             new = step_ssprk3(spec, d, dt, t, problem)
             del d  # the stage block of the finished step

@@ -8,12 +8,10 @@ c * psi_alpha + psi_l with psi_l bounded and Lipschitz, and must be
 strictly positive away from the origin; the envelope bounds need this,
 so ``diagnostics.bound_constants`` rejects a kernel whose ``kernel_min``
 is not positive. psi_alpha is convex on (0, 1) and symmetric about 1/2,
-so ``kernel_min`` is c psi_alpha + min psi_l with psi_alpha at 1/2: the
-infimum over x != 0 for every kernel but one with c > 0 and a cosine psi_l
-with b < 0, where it is a certified but possibly loose lower bound. At 1/2
-the lattice runs over the half-integers, so ``kernel_min`` reads the sum
-in closed form through zeta, to 6e-16 relative in about 3 microseconds;
-the solver reads psi_alpha only as a Fourier multiplier.
+so ``kernel_min`` is c psi_alpha + min psi_l with psi_alpha at 1/2, in
+closed form: the infimum over x != 0 for every kernel but one with c > 0
+and a cosine psi_l with b < 0, where it is a certified but possibly loose
+lower bound. The solver reads psi_alpha only as a Fourier multiplier.
 
 Potentials split into a Newtonian part of strength k (whose induced force
 solves the Poisson equation with background) and a twice-differentiable
@@ -27,9 +25,9 @@ kernel that is not even would make that pin silently wrong, so there is
 no kind for arbitrary samples.
 
 The solver reads psi_l and K_reg only as Fourier multipliers, and each
-preset gives its own band, ``band(grid)``: the zero, constant and cosine
-kinds in closed form, exactly real, and the gaussian K_reg as the rfft of
-its samples, which its 13-image sum defines.
+preset gives its own band, ``band(grid)``, in closed form and exactly
+real: the gaussian K_reg's is the transform of its whole periodization,
+which sampling would alias on a coarse grid, while a call samples 13 images.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, convolve, second_derivative, to_spectrum
+from .spectral import Grid, convolve, second_derivative
 
 
 def c_alpha(alpha: float) -> float:
@@ -131,8 +129,7 @@ class LipschitzKernel:
         return self.a + self.b * np.cos(2 * np.pi * x)
 
     def band(self, grid: Grid) -> np.ndarray:
-        """Coefficients of e^{2 pi i k x}, k = 0 .. n // 3, as ``spectral.to_spectrum``
-        gives them on the ``grid.band`` modes: a at k = 0 and b / 2 at k = 1."""
+        """Coefficients of e^{2 pi i k x}, k = 0 .. n // 3: a at k = 0 and b / 2 at k = 1."""
         out = np.zeros(grid.band, dtype=complex)
         if self.kind != "zero":
             out[0] = self.a
@@ -188,14 +185,14 @@ class RegularPotential:
         return self.amp * out
 
     def band(self, grid: Grid) -> np.ndarray:
-        """Coefficients of e^{2 pi i k x}, k = 0 .. n // 3, as ``spectral.to_spectrum``
-        gives them on the ``grid.band`` modes: amp / 2 at k = 1 for the cosine,
-        the transform of the samples for the gaussian."""
-        if self.kind == "gaussian":
-            return to_spectrum(self(grid.x), grid)[:grid.band]
+        """Coefficients of e^{2 pi i k x}, k = 0 .. n // 3: amp / 2 at k = 1 for
+        the cosine, amp w sqrt(2 pi) exp(-2 pi^2 k^2 w^2) for the gaussian."""
         out = np.zeros(grid.band, dtype=complex)
         if self.kind == "cosine":
             out[1] = 0.5 * self.amp
+        elif self.kind == "gaussian":
+            w, k = self.width, grid.modes[:grid.band]
+            out.real = self.amp * w * math.sqrt(2 * math.pi) * np.exp(-2 * (math.pi * w * k) ** 2)
         return out
 
     @cached_property

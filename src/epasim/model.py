@@ -34,7 +34,7 @@ mode n/2 is never in the band.
 
 psi_l_hat and K_reg_hat are the presets' own bands (``band(grid)``), and
 the initial data's is :func:`initial_band`: closed forms, not transforms
-of samples, but for the gaussian kinds (dtypes: :class:`SpectralPlan`).
+of samples, but for the gaussian initial data (dtypes: :class:`SpectralPlan`).
 
 Mode 0 of g_hat + vel_rho rho_hat is n mean(g - psi_l * rho), the
 zero-mean constraint that makes the velocity periodic. :func:`check_fields`
@@ -81,9 +81,8 @@ class SpectralPlan(NamedTuple):
 
     Each has the b entries of the band, as complex128: inv_ddx and flux
     carry the factor i, and vel_rho and source carry the bands of psi_l and
-    K_reg. As every kernel and potential is even, those are real: exactly,
-    from the closed forms, but for a gaussian K_reg, whose sampled
-    transform is real to rounding. They stay complex so that every product
+    K_reg. As every kernel and potential is even, those are exactly real,
+    from the closed forms. They stay complex so that every product
     with a spectrum is complex-by-complex: a complex-by-real product goes
     through numpy's buffered cast. inv_ddx and flux depend on the grid
     alone, so the plans of one grid share them; vel_rho is the kernel's
@@ -165,11 +164,9 @@ class SimState:
     route, runs :meth:`validate`, so every state is valid by construction.
     Two values are filled once, on first read: ``spec``, the read-only
     (2, b) band whose irfft is x, a copy of rfft(x)'s first b modes, and
-    ``drho_inf``, sup |d rho/dx|, :func:`drho_sup` of that band. A run
-    stores the band in the states it builds, and ``drho_inf`` where it has
-    it: from a first stage that carried the row, or in the caller's state,
-    read off the loop's band (see ``integrator``). Slots keep a state and
-    its problem about 500 bytes smaller than the instance dicts of
+    ``drho_inf``, sup |d rho/dx|, :func:`drho_sup` of that band; a run
+    stores both where it has them (see ``integrator``). Slots keep a state
+    and its problem about 500 bytes smaller than the instance dicts of
     ``cached_property`` (Python 3.11).
     """
 

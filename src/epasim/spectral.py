@@ -118,15 +118,6 @@ def _origin_phase(grid: Grid) -> np.ndarray:
     return np.where(grid.modes % 2 == 0, 1.0, -1.0)
 
 
-def to_spectrum(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients c_k of e^{2 pi i k x}, k = 0..n/2 (rfft layout).
-
-    Real fields have Hermitian-symmetric full spectra, so the
-    non-negative half determines the field.
-    """
-    return _origin_phase(grid) * rfft(_check(f, grid)) / grid.n
-
-
 def mean(f: np.ndarray) -> float:
     """Torus integral of f (domain has unit length): ``np.mean`` of a float
     array bit for bit, without its Python wrapper."""

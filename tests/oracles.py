@@ -18,7 +18,12 @@ effective kernel, and ``dense_kernel_min`` the dense search that
 ``kernels.kernel_min`` must never exceed.
 ``initial_fields`` samples each initial preset's (rho, u) on the grid, the
 definition that ``model.initial_band`` writes in closed form for the
-trigonometric presets and transforms for the gaussian ones.
+trigonometric presets and transforms for the gaussian ones, and
+``to_spectrum`` gives the Fourier coefficients of samples.
+``linear_mode`` solves the dynamics linearized about a uniform state at
+rest exactly, mode by mode, through a 2 x 2 matrix exponential whose
+symbols come from the presets' definitions (``symbol_psi_l``,
+``symbol_k_reg``), not from their ``band``.
 ``reference_step`` is the SSP-RK3 step as it was before the array core:
 three ``rhs(state)`` calls and one ``SimState`` per stage.
 ``spectral_reference_step`` is the step the run loop takes on the band of
@@ -58,6 +63,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from epasim.diagnostics import (
     MIN_B_CAP,
@@ -79,13 +85,18 @@ from epasim.spectral import (
     Grid,
     MeanViolationError,
     _check,
+    _origin_phase,
     convolve,
     derivative,
     mean,
-    to_spectrum,
 )
 
 MIN_B_RTOL = 0.01  # relative resolution of reference_min_b's bisection
+
+
+def to_spectrum(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Coefficients c_k of e^{2 pi i k x} of the samples f, k = 0..n/2 (rfft layout)."""
+    return _origin_phase(grid) * np.fft.rfft(_check(f, grid)) / grid.n
 
 
 def with_fields(state: SimState, rho: np.ndarray | None = None, g: np.ndarray | None = None,
@@ -480,6 +491,61 @@ def dichotomy_bracket(state: SimState) -> tuple[float, float] | None:
     beta, drive = 1.0 / state.rho[neg], -f[neg]
     lo, hi = (state.rho_bar * v for v in state.kernel.psi_l.value_range())
     return tuple(float(np.min(np.log1p(a * beta / drive) / a)) for a in (hi, lo))
+
+
+def symbol_psi_l(kernel: KernelSpec, k: int) -> float:
+    """psi_l_hat(k), the coefficient of e^{2 pi i k x}, from the preset's
+    definition: a at k = 0 and b / 2 at k = +-1 for the cosine."""
+    psi_l = kernel.psi_l
+    if psi_l.kind == "zero":
+        return 0.0
+    if k == 0:
+        return psi_l.a
+    return 0.5 * psi_l.b if psi_l.kind == "cosine" and abs(k) == 1 else 0.0
+
+
+def symbol_k_reg(potential: PotentialSpec, k: int) -> float:
+    """K_reg_hat(k) from the preset's definition: amp / 2 at k = +-1 for the
+    cosine, and amp w sqrt(2 pi) exp(-2 pi^2 k^2 w^2), the transform of the
+    whole periodized gaussian, at every k."""
+    kreg = potential.kreg
+    if kreg.kind == "cosine":
+        return 0.5 * kreg.amp if abs(k) == 1 else 0.0
+    if kreg.kind == "gaussian":
+        w = kreg.width
+        return kreg.amp * w * math.sqrt(2 * math.pi) * math.exp(-2 * math.pi**2 * k**2 * w**2)
+    return 0.0
+
+
+def _alignment_symbol(kernel: KernelSpec, k: int) -> float:
+    # V = c |2 pi k|^alpha - psi_l_hat(k): u_hat = (g_hat + V r_hat) / (2 pi i k)
+    return kernel.c * abs(2 * math.pi * k) ** kernel.alpha - symbol_psi_l(kernel, k)
+
+
+def linear_matrix(kernel: KernelSpec, potential: PotentialSpec, rho_bar: float,
+                  k: int) -> np.ndarray:
+    """A with d/dt (r_hat, g_hat) = A (r_hat, g_hat) for mode k != 0 of the
+    dynamics linearized about rho = rho_bar, u = 0.
+
+    With w = 2 pi k, V = c |w|^alpha - psi_l_hat(k), g_bar = rho_bar
+    psi_l_hat(0), the background g, and S = -k_pot + w^2 K_reg_hat(k), the
+    potential's source: u_hat = (g_hat + V r_hat) / (i w), so
+    r_hat' = -rho_bar (g_hat + V r_hat) and
+    g_hat' = -g_bar (g_hat + V r_hat) + S r_hat. Its determinant is rho_bar S.
+    """
+    v = _alignment_symbol(kernel, k)
+    g_bar = rho_bar * symbol_psi_l(kernel, 0)
+    s = -potential.k + (2 * math.pi * k) ** 2 * symbol_k_reg(potential, k)
+    return np.array([[-rho_bar * v, -rho_bar], [s - g_bar * v, -g_bar]])
+
+
+def linear_mode(kernel: KernelSpec, potential: PotentialSpec, rho_bar: float, k: int,
+                r0: complex, u0: complex, t: float) -> np.ndarray:
+    """(r_hat, g_hat) of mode k at time t, exactly, for the linearized
+    dynamics from r_hat = r0 and u_hat = u0: g_hat(0) = 2 pi i k u0 - V r0,
+    times the 2 x 2 matrix exponential of ``linear_matrix`` t."""
+    g0 = 2j * math.pi * k * u0 - _alignment_symbol(kernel, k) * r0
+    return scipy.linalg.expm(linear_matrix(kernel, potential, rho_bar, k) * t) @ np.array([r0, g0])
 
 
 def casimir(state: SimState, power: int) -> float:

@@ -66,13 +66,15 @@ def test_benchmark_set_up_makes_one_fft_and_reads_no_grid_point(name, monkeypatc
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_benchmark_instance_0_transforms_per_step(name, monkeypatch):
-    # transforms, one per row of a spectral.rfft / irfft call, inside
-    # integrator.run on instance 0. A step transforms 15 rows, and 16 when
-    # its first stage carries -d rho/dx or a monitor reads the state's
-    # drho_inf off its band: solve-4096 has neither, verify-1024's recorder
-    # reads every state's, and sweep-256's first stages carry the row once
-    # the band's bound passes its grad_rho_max of 1e3. Per run: 2 for the
-    # initial rfft and at most 2 density rows read off a band (see integrator)
+    # calls of spectral.rfft / irfft and transforms, one per row of a call,
+    # inside integrator.run on instance 0. A step makes 9 calls over 15
+    # transforms, 16 when its first stage carries -d rho/dx: solve-4096's
+    # never do, verify-1024's always do, as its recorder reads every state's
+    # drho_inf, and sweep-256's do once the band's bound passes its
+    # grad_rho_max of 1e3. Per run: 1 call over 2 transforms for the
+    # initial rfft and 1 over 1 for each of at most 2 density rows read off
+    # a band (see integrator), and for a run that a detector stops, the
+    # first stage of the step it does not take, 2 calls
     workload = workloads.WORKLOADS[name]
     jobs = workload.setup(workload.params(None))
     rows = []
@@ -86,12 +88,14 @@ def test_benchmark_instance_0_transforms_per_step(name, monkeypatch):
     for fn_name in ("rfft", "irfft"):
         monkeypatch.setattr(spectral, fn_name, counting(getattr(spectral, fn_name)))
     outcomes = workloads.execute(jobs).outcomes
-    transforms, steps, runs = sum(rows), sum(out.steps for out in outcomes), len(outcomes)
+    calls, transforms = len(rows), sum(rows)
+    steps, runs = sum(out.steps for out in outcomes), len(outcomes)
     if name == "solve-4096":
-        assert transforms == 15 * steps + 4
+        assert (calls, transforms) == (9 * steps + 3, 15 * steps + 4)
     elif name == "verify-1024":
-        assert transforms == 16 * steps + 3
+        assert (calls, transforms) == (9 * steps + 2, 16 * steps + 3)
     else:
+        assert 9 * steps + runs <= calls <= 9 * steps + 4 * runs
         assert 15 * steps + 2 * runs <= transforms <= 16 * steps + 4 * runs
 
 

@@ -30,7 +30,7 @@ from epasim.model import (
     rhs,
     rhs_spectrum,
 )
-from epasim.spectral import Grid, derivative, mean, to_spectrum
+from epasim.spectral import Grid, derivative, mean
 from conftest import (
     KERNEL_POTENTIAL_PAIRS,
     clear_caches,
@@ -46,6 +46,7 @@ from oracles import (
     reference_step,
     spectral_reference_step,
     stable_dt,
+    to_spectrum,
     with_fields,
 )
 
@@ -377,6 +378,90 @@ def test_run_bkm_cap_detector():
     assert "accumulation" in out.detail
 
 
+def stopped(st, ctl, detection=DetectionThresholds()):
+    # a run that a stop rule ends: its record, whose text is the detail
+    out = run(st, ctl, detection=detection)
+    assert out.status is RunStatus.BLOWUP and out.stop is not None
+    assert out.detail == out.stop.detail
+    return out
+
+
+def test_stop_record_of_the_density_rule():
+    st = make_initial("cosine", Grid(64), EA, rho_amp=0.5)
+    out = stopped(st, StepControl(t_end=1.0), DetectionThresholds(rho_max_factor=1.2))
+    rho_max = float(np.max(st.rho))
+    assert out.stop == ("max_density", rho_max, 1.2 * st.rho_bar) and rho_max > 1.2
+    assert out.detail == f"max density {rho_max:.3e}" == "max density 1.500e+00"
+
+
+def test_stop_record_of_the_gradient_rule():
+    # sup |d rho/dx| of 1 + 0.5 cos 2 pi x is pi, above 3: the first stage
+    # carries the row, and the rule reads its sup, the state's drho_inf
+    st = make_initial("cosine", Grid(64), EA, rho_amp=0.5)
+    out = stopped(st, StepControl(t_end=1.0), DetectionThresholds(grad_rho_max=3.0))
+    assert out.steps == 0 and out.stop == ("gradient", st.drho_inf, 3.0)
+    assert st.drho_inf == pytest.approx(np.pi, rel=1e-12)
+    assert out.detail == f"density gradient {st.drho_inf:.3e}" == "density gradient 3.142e+00"
+
+
+def test_stop_record_of_the_gradient_sum_rule():
+    # the trapezoidal sum of sup |d rho/dx|^2 over the accepted steps, as
+    # the recorder's bkm column integrates it, past the cap
+    st = make_initial("cosine", Grid(64), EA, rho_amp=0.4, u_amp=0.3)
+    rec = DiagnosticsRecorder()
+    out = run(st, StepControl(t_end=1.0), (rec,), DetectionThresholds(bkm_cap=1e-3))
+    assert out.status is RunStatus.BLOWUP and out.detail == out.stop.detail
+    rule, value, threshold = out.stop
+    assert rule == "gradient_sum" and threshold == 1e-3 < value
+    assert value == pytest.approx(rec.log.bkm[-1], rel=1e-12) and rec.log.bkm[-2] <= 1e-3
+    assert out.detail == f"squared-gradient accumulation {value:.3e}"
+
+
+def test_stop_record_of_the_dt_collapse_rule():
+    # the first step's stable dt, below dt_min, is the rule's value
+    st = reference_problem_64()
+    ctl = StepControl(t_end=1.0, dt_min=0.05)
+    out = stopped(st, ctl)
+    u_inf = float(np.max(np.abs(model.recover_velocity(st))))
+    dc = integrator._dt_constants(st.problem, ctl)
+    raw = integrator._raw_dt(dc, float(np.max(st.rho)), u_inf)
+    assert out.steps == 0 and out.stop == ("dt_collapse", raw, 0.05) and raw < 0.05
+    assert out.detail == f"stable step collapsed to {raw:.3e}"
+
+
+def test_stop_rules_fire_in_table_order():
+    # with every rule past its threshold at the first check, the density rule
+    # ends the run, the first in STOP_RULES
+    st = make_initial("cosine", Grid(64), EA, rho_amp=0.5)
+    det = DetectionThresholds(rho_max_factor=1.2, grad_rho_max=3.0)
+    out = stopped(st, StepControl(t_end=1.0, dt_min=0.05), det)
+    rules = ["max_density", "gradient", "gradient_sum", "dt_collapse"]
+    assert list(integrator.STOP_RULES) == rules
+    assert out.stop.rule == "max_density"
+
+
+def test_a_run_no_stop_rule_ends_has_no_stop_record(monkeypatch):
+    st = make_initial("cosine", Grid(64), EA, rho_amp=0.5, u_amp=-0.5)
+    out = run(st, StepControl(t_end=0.05))
+    assert out.status is RunStatus.COMPLETED and out.stop is None and out.detail == ""
+    monkeypatch.setattr(model, "RHO_FLOOR", 0.4)
+    out = run(st, StepControl(t_end=1.0))
+    assert out.status is RunStatus.VACUUM and out.stop is None
+    assert out.detail.startswith("min density")
+
+
+def test_a_monitor_reading_an_unknown_value_is_refused():
+    class Reader:
+        reads = frozenset({"drho_inf", "u_inf"})
+
+        def __call__(self, step, state):
+            raise AssertionError("a refused run calls no monitor")
+
+    st = reference_problem_64()
+    with pytest.raises(ValueError, match="u_inf"):
+        run(st, StepControl(t_end=0.01), monitors=(DiagnosticsRecorder(), Reader()))
+
+
 def test_run_mass_and_momentum_conserved():
     g = Grid(128)
     st = make_initial("cosine", g, EA, PotentialSpec(k=1.0), rho_amp=0.4, u_amp=0.4, u_mean=0.25)
@@ -504,13 +589,13 @@ def test_run_fft_budget_per_step_with_a_finite_bkm_cap(monkeypatch):
 
 
 def test_run_fft_budget_per_step_with_recorder(monkeypatch):
-    # a recorder row recovers no velocity; its |d rho/dx|_inf is the
-    # state's, which no first stage gave it, so it reads it off the state's
-    # band: one irfft of a density row per step. The initial state's was
-    # read off the loop's band, and the final state's is read by its row
+    # a recorder row recovers no velocity; it reads each state's
+    # |d rho/dx|_inf, as its reads declare, so every first stage carries
+    # the row and the initial state's comes with it. The final state, which
+    # no first stage follows, reads its own off its band: one irfft per run
     gauge = ModulusParams(delta=0.1, gamma=0.029, b=1e14, alpha=0.5)
     rec = DiagnosticsRecorder(bound_constants(reference_problem_64()), gauge, moc_every=10)
-    assert_fft_budget(monkeypatch, (rec,), per_step=(10, 16), per_run=(2, 3))
+    assert_fft_budget(monkeypatch, (rec,), per_step=(9, 16), per_run=(2, 3))
     assert len(rec.log.t) == 21 and np.sum(~np.isnan(rec.log.column("moc_pass"))) == 3
 
 

@@ -17,7 +17,7 @@ from epasim.kernels import (
     kernel_min,
 )
 from epasim.model import make_initial
-from epasim.spectral import Grid, convolve, mean, to_spectrum
+from epasim.spectral import Grid, convolve, mean
 from conftest import random_smooth_field
 from oracles import (
     SingularityError,
@@ -27,6 +27,7 @@ from oracles import (
     psi_alpha,
     psi_alpha_min,
     regular_force,
+    to_spectrum,
 )
 
 
@@ -267,19 +268,32 @@ BAND_PRESETS = [
 @pytest.mark.parametrize("preset", BAND_PRESETS, ids=repr)
 @pytest.mark.parametrize("n", [8, 64, 200, 4096])
 def test_preset_band_matches_its_sampled_transform(preset, n):
-    # the band the solver reads against the rfft of the preset's samples:
-    # the closed forms to rounding of the transform, and exactly real; the
-    # gaussian is that transform, bit for bit
+    # the band the solver reads, a closed form, against the transform of the
+    # preset's samples: to rounding, and exactly real. The gaussian is
+    # sampled at 4096 points, as a coarse grid aliases its tail
     grid = Grid(n)
-    samples = preset(grid.x)
-    want = to_spectrum(samples, grid)[:grid.band]
+    dense = Grid(4096) if preset.kind == "gaussian" else grid
+    samples = preset(dense.x)
+    want = to_spectrum(samples, dense)[:grid.band]
     got = preset.band(grid)
     assert got.shape == (grid.band,) and got.dtype == complex
-    if preset.kind == "gaussian":
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    else:
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(samples))
-        assert np.all(got.imag == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(samples))
+    assert np.all(got.imag == 0.0)
+
+
+@pytest.mark.parametrize("width", [0.02, 0.1, 0.3])
+def test_gaussian_band_is_exact_where_sampling_aliases(width):
+    # at n = 64 the samples of a gaussian of width 0.02 alias its modes
+    # beyond 32 onto the band, 1e-9 of amp; the closed form is the dense
+    # transform's to rounding at every width
+    pot = RegularPotential("gaussian", amp=0.05, width=width)
+    coarse, dense = Grid(64), Grid(8192)
+    got = pot.band(coarse)
+    want = to_spectrum(pot(dense.x), dense)[:coarse.band]
+    sampled = to_spectrum(pot(coarse.x), coarse)[:coarse.band]
+    assert np.max(np.abs(got - want)) <= 1e-15 * pot.amp
+    if width == 0.02:
+        assert np.max(np.abs(sampled - want)) > 1e-10
 
 
 def test_gaussian_potential_curvature():
